@@ -21,15 +21,12 @@ BENCH_DIR="${BUILD_DIR}/bench"
 REPO_ROOT=$(cd "$(dirname "$0")/.." && pwd)
 
 if [[ ! -d "${BUILD_DIR}" ]]; then
-  # No build tree yet: configure a measurement build. -march=native lets
-  # the panel-GEMM / eltwise inner loops use the host's widest SIMD —
-  # this is the configuration the recorded bench numbers come from. An
-  # EXISTING tree is never reconfigured (it may be a sanitizer/debug
-  # build the user cares about); only a missing one is created.
-  echo "== ${BUILD_DIR} not found: configuring a Release measurement" \
-       "build (CORTEX_MARCH_NATIVE=ON)"
-  cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" \
-    -DCMAKE_BUILD_TYPE=Release -DCORTEX_MARCH_NATIVE=ON
+  # No build tree yet: configure a Release measurement build. An EXISTING
+  # tree is never reconfigured (it may be a sanitizer/debug build the user
+  # cares about); only a missing one is created. The kernels pick their
+  # SIMD variant from CPUID at load, so no host-specific flag is needed.
+  echo "== ${BUILD_DIR} not found: configuring a Release measurement build"
+  cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" -DCMAKE_BUILD_TYPE=Release
   cmake --build "${BUILD_DIR}" -j
 fi
 

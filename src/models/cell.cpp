@@ -218,10 +218,34 @@ float CompiledEltwise::eval(std::int64_t i, const float* const* ins,
   return stack[0];
 }
 
-void CompiledEltwise::eval_panel(std::int64_t rows, std::int64_t width,
-                                 const float* const* ins,
-                                 const float* const* params,
-                                 float* out) const {
+// eval_panel's body, compiled once per instruction set: run() is
+// always_inline, so it takes the target of each entry point below, and the
+// strip loops (tanh_rational and sigmoid_rational are inline) vectorize to
+// that width. Per element the op sequence is the same in every variant.
+struct EltwisePanel {
+  [[gnu::always_inline]] static inline void run(
+      const CompiledEltwise& ce, std::int64_t rows, std::int64_t width,
+      const float* const* ins, const float* const* params, float* out);
+
+#ifdef CORTEX_X86_SIMD_VARIANTS
+  [[gnu::target("avx2")]] static void avx2(
+      const CompiledEltwise& ce, std::int64_t rows, std::int64_t width,
+      const float* const* ins, const float* const* params, float* out) {
+    run(ce, rows, width, ins, params, out);
+  }
+  [[gnu::target("avx512f")]] static void avx512(
+      const CompiledEltwise& ce, std::int64_t rows, std::int64_t width,
+      const float* const* ins, const float* const* params, float* out) {
+    run(ce, rows, width, ins, params, out);
+  }
+#endif
+};
+
+inline void EltwisePanel::run(const CompiledEltwise& ce, std::int64_t rows,
+                              std::int64_t width, const float* const* ins,
+                              const float* const* params, float* out) {
+  using OpCode = CompiledEltwise::OpCode;
+  using Instr = CompiledEltwise::Instr;
   // Strip-mined interpretation: each instruction runs over a strip of
   // elements, amortizing the dispatch switch. Per element the arithmetic
   // is the identical scalar op sequence eval() performs (elementwise ops
@@ -233,7 +257,7 @@ void CompiledEltwise::eval_panel(std::int64_t rows, std::int64_t width,
     for (std::int64_t i0 = 0; i0 < width; i0 += kEltStrip) {
       const std::int64_t len = std::min(kEltStrip, width - i0);
       int sp = 0;
-      for (const Instr& it : prog_) {
+      for (const Instr& it : ce.prog_) {
         switch (it.op) {
           case OpCode::kPushInput: {
             const float* src =
@@ -336,6 +360,37 @@ void CompiledEltwise::eval_panel(std::int64_t rows, std::int64_t width,
       const float* s0 = stack[0];
       for (std::int64_t e = 0; e < len; ++e) dst[e] = s0[e];
     }
+  }
+}
+
+void CompiledEltwise::eval_panel(std::int64_t rows, std::int64_t width,
+                                 const float* const* ins,
+                                 const float* const* params,
+                                 float* out) const {
+  eval_panel_with(kernels::detail::selected_isa(), rows, width, ins, params,
+                  out);
+}
+
+void CompiledEltwise::eval_panel_with(kernels::detail::Isa isa,
+                                      std::int64_t rows, std::int64_t width,
+                                      const float* const* ins,
+                                      const float* const* params,
+                                      float* out) const {
+  CORTEX_CHECK(kernels::detail::supported(isa))
+      << "eltwise variant " << kernels::detail::isa_name(isa)
+      << " is not supported here";
+  switch (isa) {
+#ifdef CORTEX_X86_SIMD_VARIANTS
+    case kernels::detail::Isa::kAvx512:
+      EltwisePanel::avx512(*this, rows, width, ins, params, out);
+      return;
+    case kernels::detail::Isa::kAvx2:
+      EltwisePanel::avx2(*this, rows, width, ins, params, out);
+      return;
+#endif
+    default:
+      EltwisePanel::run(*this, rows, width, ins, params, out);
+      return;
   }
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "ra/expr.hpp"
+#include "tensor/kernels_detail.hpp"
 #include "tensor/tensor.hpp"
 
 namespace cortex::models {
@@ -78,9 +79,15 @@ class CompiledEltwise {
   /// interpreter is strip-mined so each instruction runs over a vector of
   /// elements; per element the arithmetic is the identical scalar op
   /// sequence, so results are bit-identical to eval() element by element.
+  /// Runs the instruction-set variant kernels::gemm uses.
   void eval_panel(std::int64_t rows, std::int64_t width,
                   const float* const* ins, const float* const* params,
                   float* out) const;
+  /// eval_panel with a given variant, which must be in
+  /// kernels::detail::supported_isas() (tests and benches run each one).
+  void eval_panel_with(kernels::detail::Isa isa, std::int64_t rows,
+                       std::int64_t width, const float* const* ins,
+                       const float* const* params, float* out) const;
 
   bool empty() const { return prog_.empty(); }
   /// Number of arithmetic instructions (used in flop accounting).
@@ -98,6 +105,7 @@ class CompiledEltwise {
     float constant = 0.0f;
   };
   void compile(const ra::Expr& e);
+  friend struct EltwisePanel;  // cell.cpp: eval_panel per instruction set
 
   std::vector<Instr> prog_;
   std::vector<std::string> param_names_;

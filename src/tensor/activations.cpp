@@ -11,22 +11,6 @@ float tanh_exact(float x) { return std::tanh(x); }
 
 float sigmoid_exact(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 
-float tanh_rational(float x) {
-  // Lambert-style continued-fraction expansion truncated at x^7 over x^6;
-  // accurate to ~3e-5 on [-5, 5]. Outside that, tanh saturates.
-  if (x > 5.0f) return 1.0f;
-  if (x < -5.0f) return -1.0f;
-  const float x2 = x * x;
-  const float num = x * (135135.0f + x2 * (17325.0f + x2 * (378.0f + x2)));
-  const float den =
-      135135.0f + x2 * (62370.0f + x2 * (3150.0f + x2 * 28.0f));
-  return num / den;
-}
-
-float sigmoid_rational(float x) {
-  return 0.5f * (1.0f + tanh_rational(0.5f * x));
-}
-
 void tanh_vec(const float* a, float* out, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) out[i] = tanh_rational(a[i]);
 }

@@ -3,8 +3,11 @@
 // calls into (see DESIGN.md §2). Raw-pointer kernels operate on contiguous
 // row-major buffers; Tensor-typed wrappers add shape checking.
 //
-// Two GEMM variants are provided: a naive reference (tests) and a
-// cache-blocked version (everything else).
+// gemm_naive and gemv are scalar references (tests compare against them).
+// gemm and gemm_acc run one of several instruction-set variants, picked
+// from CPUID once per process (see tensor/kernels_detail.hpp): a
+// register-blocked AVX-512 or AVX2 micro-kernel, or the portable
+// cache-blocked loop. Every variant is bit-identical to the references.
 
 #include <cstdint>
 
@@ -20,7 +23,7 @@ namespace cortex::kernels {
 void gemm_naive(const float* a, const float* b, float* c, std::int64_t m,
                 std::int64_t k, std::int64_t n);
 
-/// C[m,n] = A[m,k] * B[k,n]. Cache-blocked with unrolled inner loop.
+/// C[m,n] = A[m,k] * B[k,n], with the variant selected at load.
 void gemm(const float* a, const float* b, float* c, std::int64_t m,
           std::int64_t k, std::int64_t n);
 

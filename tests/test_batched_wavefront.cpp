@@ -9,6 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -20,6 +25,7 @@
 #include "exec/engine_pool.hpp"
 #include "models/model_zoo.hpp"
 #include "tensor/kernels.hpp"
+#include "tensor/kernels_detail.hpp"
 
 namespace cortex::exec {
 namespace {
@@ -354,14 +360,16 @@ TEST(BatchedEnginePool, PoolMatchesSingleEngineWithBatchingOn) {
 
 TEST(PanelKernels, PanelGemmBitIdenticalToPerRowGemv) {
   // The load-bearing numerics contract: C = In @ W^T computed by
-  // kernels::gemm (tiled microkernel) must equal per-row kernels::gemv
-  // bit for bit, for sizes exercising every tile/tail/k-block path.
+  // kernels::gemm must equal per-row kernels::gemv bit for bit, for sizes
+  // exercising every tile/tail path, in every GEMM variant this host
+  // supports (kernels::gemm runs the one selected at load).
   Rng rng(17);
   for (const auto [rows, k, m] :
        {std::array<std::int64_t, 3>{1, 3, 2},
         std::array<std::int64_t, 3>{4, 16, 16},
         std::array<std::int64_t, 3>{5, 64, 32},
         std::array<std::int64_t, 3>{13, 100, 7},
+        std::array<std::int64_t, 3>{2, 256, 1024},
         std::array<std::int64_t, 3>{64, 256, 256}}) {
     const Tensor in = Tensor::uniform(Shape{rows, k}, rng, -1.0f, 1.0f);
     const Tensor w = Tensor::uniform(Shape{m, k}, rng, -1.0f, 1.0f);
@@ -371,12 +379,15 @@ TEST(PanelKernels, PanelGemmBitIdenticalToPerRowGemv) {
     Tensor by_gemv(Shape{rows, m});
     for (std::int64_t r = 0; r < rows; ++r)
       kernels::gemv(w.data(), in.row(r), by_gemv.row(r), m, k);
-    Tensor by_gemm(Shape{rows, m});
-    kernels::gemm(in.data(), wt.data(), by_gemm.data(), rows, k, m);
-
-    for (std::int64_t i = 0; i < rows * m; ++i)
-      ASSERT_EQ(by_gemm.data()[i], by_gemv.data()[i])
-          << "rows=" << rows << " k=" << k << " m=" << m << " elem " << i;
+    for (const kernels::detail::Isa isa : kernels::detail::supported_isas()) {
+      Tensor by_gemm(Shape{rows, m});
+      kernels::detail::gemm_with(isa, in.data(), wt.data(), by_gemm.data(),
+                                 rows, k, m, /*accumulate=*/false);
+      for (std::int64_t i = 0; i < rows * m; ++i)
+        ASSERT_EQ(by_gemm.data()[i], by_gemv.data()[i])
+            << kernels::detail::isa_name(isa) << " rows=" << rows
+            << " k=" << k << " m=" << m << " elem " << i;
+    }
   }
 }
 
@@ -418,33 +429,59 @@ TEST(PanelKernels, TransposeRoundTrips) {
 }
 
 TEST(PanelEltwise, EvalPanelBitIdenticalToScalarEval) {
-  // sigmoid(e0 * e1 + b[i]) over a [rows, width] panel vs element by
-  // element — the vectorized interpreter must agree bit for bit,
-  // including across its strip boundary (width > 64).
-  const ra::Expr expr =
+  // sigmoid(e0 * e1 + b[i]) and e0 * tanh(e1) over a [rows, width] panel vs
+  // element by element — the vectorized interpreter must agree bit for
+  // bit in every variant this host supports, across its strip boundary
+  // (width > 64) and through tanh's saturation (|x| > 5), infinities,
+  // NaNs, signed zeros and denormals.
+  const ra::Expr sig =
       ra::call(ra::CallFn::kSigmoid,
                ra::add(ra::mul(ra::var("e0"), ra::var("e1")),
                        ra::load("b", {ra::var("i")})));
-  models::CompiledEltwise ce(expr);
-
-  const std::int64_t rows = 5, width = 100;
+  const ra::Expr tanh_gate =
+      ra::mul(ra::var("e0"), ra::call(ra::CallFn::kTanh, ra::var("e1")));
+  const float specials[] = {0.0f,
+                            -0.0f,
+                            5.0f,
+                            -5.0f,
+                            1e30f,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::denorm_min()};
   Rng rng(29);
-  const Tensor in0 = Tensor::uniform(Shape{rows, width}, rng, -2.0f, 2.0f);
-  const Tensor in1 = Tensor::uniform(Shape{rows, width}, rng, -2.0f, 2.0f);
-  const Tensor bias = Tensor::uniform(Shape{width}, rng, -2.0f, 2.0f);
+  for (const ra::Expr& expr : {sig, tanh_gate}) {
+    models::CompiledEltwise ce(expr);
+    for (const std::int64_t width : {1, 17, 100, 257}) {
+      const std::int64_t rows = 5;
+      Tensor in0 = Tensor::uniform(Shape{rows, width}, rng, -8.0f, 8.0f);
+      Tensor in1 = Tensor::uniform(Shape{rows, width}, rng, -8.0f, 8.0f);
+      const Tensor bias = Tensor::uniform(Shape{width}, rng, -2.0f, 2.0f);
+      for (std::int64_t i = 0; i < rows * width; i += 7)
+        in1.data()[i] =
+            specials[static_cast<std::size_t>(i / 7) % std::size(specials)];
 
-  const float* ins[2] = {in0.data(), in1.data()};
-  const float* params[1] = {bias.data()};
-  std::vector<float> panel(static_cast<std::size_t>(rows * width));
-  ce.eval_panel(rows, width, ins, params, panel.data());
-
-  for (std::int64_t r = 0; r < rows; ++r)
-    for (std::int64_t i = 0; i < width; ++i) {
-      const float* row_ins[2] = {in0.row(r), in1.row(r)};
-      ASSERT_EQ(panel[static_cast<std::size_t>(r * width + i)],
-                ce.eval(i, row_ins, params))
-          << "r=" << r << " i=" << i;
+      const float* ins[2] = {in0.data(), in1.data()};
+      const float* params[1] = {bias.data()};
+      for (const auto isa : kernels::detail::supported_isas()) {
+        std::vector<float> panel(static_cast<std::size_t>(rows * width));
+        ce.eval_panel_with(isa, rows, width, ins, params, panel.data());
+        for (std::int64_t r = 0; r < rows; ++r)
+          for (std::int64_t i = 0; i < width; ++i) {
+            const float* row_ins[2] = {in0.row(r), in1.row(r)};
+            const float got = panel[static_cast<std::size_t>(r * width + i)];
+            const float want = ce.eval(i, row_ins, params);
+            std::uint32_t got_bits = 0, want_bits = 0;
+            std::memcpy(&got_bits, &got, sizeof got);
+            std::memcpy(&want_bits, &want, sizeof want);
+            ASSERT_TRUE(got_bits == want_bits ||
+                        (std::isnan(got) && std::isnan(want)))
+                << kernels::detail::isa_name(isa) << " width=" << width
+                << " r=" << r << " i=" << i << ": " << got << " vs " << want;
+          }
+      }
     }
+  }
 }
 
 }  // namespace

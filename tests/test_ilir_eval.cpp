@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "baselines/common.hpp"
 #include "ds/generators.hpp"
 #include "exec/ilir_runner.hpp"
@@ -61,35 +64,38 @@ void expect_ilir_matches_cell(const models::ModelDef& def,
 
 // -- schedule sweep on the running example --------------------------------------
 
-struct SchedCase {
-  const char* name;
-  bool specialize;
-  bool batching;
+// Parameter: (specialize_leaves, dynamic_batching). A tuple of bools, which
+// GTest prints by value, keeps the listed test names stable; a struct with a
+// `const char*` member is printed byte by byte, pointer included, so its
+// names would carry load-address bits that change from run to run.
+class ScheduleParity
+    : public ::testing::TestWithParam<std::tuple<bool, bool>> {
+ protected:
+  static ra::Schedule schedule() {
+    ra::Schedule s;
+    s.specialize_leaves = std::get<0>(GetParam());
+    s.dynamic_batching = std::get<1>(GetParam());
+    return s;
+  }
 };
 
-class ScheduleParity : public ::testing::TestWithParam<SchedCase> {};
-
 TEST_P(ScheduleParity, Fig1ModelMatchesCellSemantics) {
-  ra::Schedule s;
-  s.specialize_leaves = GetParam().specialize;
-  s.dynamic_batching = GetParam().batching;
-  expect_ilir_matches_cell(models::make_treernn_fig1(16), s, 11, 4);
+  expect_ilir_matches_cell(models::make_treernn_fig1(16), schedule(), 11, 4);
 }
 
 TEST_P(ScheduleParity, TreeLstmEmbedMatchesCellSemantics) {
-  ra::Schedule s;
-  s.specialize_leaves = GetParam().specialize;
-  s.dynamic_batching = GetParam().batching;
-  expect_ilir_matches_cell(models::make_treelstm_embed(8), s, 13, 3);
+  expect_ilir_matches_cell(models::make_treelstm_embed(8), schedule(), 13, 3);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Schedules, ScheduleParity,
-    ::testing::Values(SchedCase{"spec_batch", true, true},
-                      SchedCase{"cond_batch", false, true},
-                      SchedCase{"spec_seq", true, false},
-                      SchedCase{"cond_seq", false, false}),
-    [](const auto& info) { return info.param.name; });
+    ::testing::Values(std::make_tuple(true, true), std::make_tuple(false, true),
+                      std::make_tuple(true, false),
+                      std::make_tuple(false, false)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) ? "spec" : "cond") +
+             (std::get<1>(info.param) ? "_batch" : "_seq");
+    });
 
 // -- model zoo sweep --------------------------------------------------------------
 

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -92,8 +94,13 @@ TEST_P(GemmShapes, BlockedMatchesNaive) {
   std::vector<float> c_fast(static_cast<std::size_t>(m * n));
   kernels::gemm_naive(a.data(), b.data(), c_naive.data(), m, k, n);
   kernels::gemm(a.data(), b.data(), c_fast.data(), m, k, n);
-  for (std::size_t i = 0; i < c_naive.size(); ++i)
-    EXPECT_NEAR(c_naive[i], c_fast[i], 1e-3f) << "elem " << i;
+  // Bitwise: gemm and gemm_naive share one accumulation chain per output.
+  for (std::size_t i = 0; i < c_naive.size(); ++i) {
+    std::uint32_t want = 0, got = 0;
+    std::memcpy(&want, &c_naive[i], sizeof want);
+    std::memcpy(&got, &c_fast[i], sizeof got);
+    EXPECT_EQ(want, got) << "elem " << i;
+  }
 }
 
 TEST_P(GemmShapes, GemmAccAccumulates) {
