@@ -202,18 +202,13 @@ int main() {
   // degradation counter must read zero, so this line doubles as a cheap
   // end-to-end check of the graceful-degradation plumbing (and under a
   // CORTEX_FAULTS sweep in CI it shows what the stack absorbed).
-  std::printf("server health: degraded=%s jit_degraded=%s "
-              "consec_failures=%lld dispatch_retries=%lld "
-              "pool_retries=%lld pool_failed=%lld jit_suppressed=%lld "
-              "quarantined=%lld\n",
+  std::printf("server health: degraded=%s consec_failures=%lld "
+              "dispatch_retries=%lld pool_retries=%lld pool_failed=%lld\n",
               last_health.degraded ? "YES" : "no",
-              last_health.jit_degraded ? "YES" : "no",
               static_cast<long long>(last_health.consecutive_failures),
               static_cast<long long>(last_health.dispatch_retries),
               static_cast<long long>(last_health.pool_transient_retries),
-              static_cast<long long>(last_health.pool_batches_failed),
-              static_cast<long long>(last_health.jit_backoff_suppressed),
-              static_cast<long long>(last_health.jit_quarantined));
+              static_cast<long long>(last_health.pool_batches_failed));
   if (!smoke) {
     const double gain = pass_rps > 0 ? best_rps / pass_rps : 0.0;
     std::printf("acceptance: best coalesced vs pass-through at %.0f req/s "

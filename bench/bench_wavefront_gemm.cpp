@@ -6,11 +6,13 @@
 // into 8 panel GEMMs per step — the compute-dense form of dynamic
 // batching (Cortex §5 / Cavs' pull-compute-push, GRNN's fused steps).
 //
+// The per-node column walks exec_order through models::CellExecutor
+// (the engine's own per-node path, selected there only by a schedule
+// without dynamic batching or a panel-incompatible cell).
+//
 // Acceptance (full-size runs): single-thread batched speedup >= 2x over
 // per-node at batch >= 64. Outputs must be bit-identical in every row;
 // a mismatch fails the binary.
-
-#include <cstdlib>
 
 #include "common.hpp"
 
@@ -18,19 +20,39 @@ using namespace cortex;
 
 namespace {
 
-double best_run_ms(exec::CortexEngine& engine,
-                   const linearizer::Linearized& lin, int iters,
-                   runtime::RunResult* out) {
-  (void)engine.run_linearized(lin, 0.0);  // warmup (pool, caches, panels)
+/// Best-of-`iters` wall time of `fn` after one warmup run (pool, caches,
+/// panels).
+template <typename F>
+double best_ms(F&& fn, int iters) {
+  fn();
   double best = 0.0;
   for (int i = 0; i < iters; ++i) {
     const std::int64_t t0 = runtime::now_ns();
-    runtime::RunResult r = engine.run_linearized(lin, 0.0);
+    fn();
     const double ms = static_cast<double>(runtime::now_ns() - t0) * 1e-6;
     if (i == 0 || ms < best) best = ms;
-    if (i + 1 == iters) *out = std::move(r);
   }
   return best;
+}
+
+/// Per-node reference: one CellExecutor::run_node per node in exec_order,
+/// into `states` (N x state_width, row-major).
+void run_per_node(const models::CellExecutor& cell,
+                  const linearizer::Linearized& lin, std::int64_t sw,
+                  std::vector<float>& states) {
+  states.assign(static_cast<std::size_t>(lin.num_nodes * sw), 0.0f);
+  models::CellExecutor::Scratch regs;
+  std::vector<const float*> kids;
+  for (const std::int32_t id : lin.exec_order) {
+    const auto n = static_cast<std::size_t>(id);
+    kids.clear();
+    for (std::int32_t c = lin.child_offsets[n]; c < lin.child_offsets[n + 1];
+         ++c)
+      kids.push_back(states.data() +
+                     lin.child_ids[static_cast<std::size_t>(c)] * sw);
+    cell.run_node(kids.empty(), kids, lin.word[n], states.data() + id * sw,
+                  regs);
+  }
 }
 
 }  // namespace
@@ -56,6 +78,8 @@ int main() {
   exec::CortexEngine engine(def, params, ra::Schedule{},
                             runtime::DeviceSpec::v100_gpu());
   engine.set_num_threads(1);
+  const models::CellExecutor cell(def.cell, params);
+  const std::int64_t sw = def.cell.state_width;
 
   std::printf("%-8s %8s %14s %14s %10s %12s %10s\n", "batch", "nodes",
               "per-node (ms)", "batched (ms)", "speedup", "panel_gemms",
@@ -73,27 +97,18 @@ int main() {
     const linearizer::Linearized lin =
         linearizer::linearize_trees(raw, linearizer::LinearizerSpec{});
 
-    const auto states_snapshot = [&] {
-      return std::vector<float>(
-          engine.last_states().data(),
-          engine.last_states().data() +
-              lin.num_nodes * def.cell.state_width);
-    };
-    runtime::RunResult per_node, batched;
-    double t_node = 0.0, t_batch = 0.0;
     std::vector<float> per_node_states;
-    {
-      ::setenv("CORTEX_BATCHED_GEMM", "0", 1);
-      t_node = best_run_ms(engine, lin, iters, &per_node);
-      per_node_states = states_snapshot();
-      ::unsetenv("CORTEX_BATCHED_GEMM");
-    }
-    t_batch = best_run_ms(engine, lin, iters, &batched);
+    const double t_node = best_ms(
+        [&] { run_per_node(cell, lin, sw, per_node_states); }, iters);
+    runtime::RunResult batched;
+    const double t_batch =
+        best_ms([&] { batched = engine.run_linearized(lin, 0.0); }, iters);
 
     // Every node state, not just the roots: a regression in an
     // intermediate wavefront must fail the gate too.
-    const bool identical = batched.root_states == per_node.root_states &&
-                           states_snapshot() == per_node_states;
+    const bool identical = std::equal(
+        per_node_states.begin(), per_node_states.end(),
+        engine.last_states().data());
     all_identical = all_identical && identical;
     const double speedup = t_node / t_batch;
     if (!smoke && b >= 64 &&

@@ -7,7 +7,6 @@
 
 #include <memory>
 #include <optional>
-#include <string>
 
 #include "exec/plan.hpp"
 #include "ilir/ilir.hpp"
@@ -15,26 +14,14 @@
 
 namespace cortex::exec {
 
-class JitKernel;
-
 /// Everything CortexEngine construction compiles, immutable once cached.
 /// `lowered`/`optimized` are empty for cell-only models (no RA def).
+/// Holds no native kernel: serving runs the batched cell executor, and
+/// exec/jit.hpp builds kernels only for callers that ask JitCache.
 struct CompiledArtifacts {
   Plan plan;
   std::optional<lowering::LoweredModel> lowered;
   std::optional<ilir::Program> optimized;
-  /// Compiled ILIR kernel (exec/jit.hpp), built eagerly under CORTEX_JIT
-  /// for RA models; null otherwise. Rides the plan cache so the LRU +
-  /// single-flight discipline covers dlopen'd kernels too.
-  std::shared_ptr<const JitKernel> jit;
-  /// CORTEX_JIT asked for a kernel but the build failed: the plan serves
-  /// through the interpreter (bit-identical by the oracle contract), and
-  /// run_ilir callers that opt into jit_refresh re-try the build under
-  /// the JitCache's exponential-backoff budget. A degraded plan is a
-  /// warning, never an error — compilation still succeeds.
-  bool jit_degraded = false;
-  /// The failure that degraded this plan (empty when !jit_degraded).
-  std::string jit_error;
   /// Wall-clock cost of the cold compile that produced this entry (what a
   /// hit saves; feeds PlanCacheStats::compile_ns_saved).
   double compile_ns = 0.0;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "exec/jit.hpp"
 #include "support/clock.hpp"
 #include "support/env.hpp"
 #include "support/fault_injection.hpp"
@@ -346,16 +345,7 @@ ServerHealth BatchServer::health() const {
   const PoolStats ps = pool_.stats();
   h.pool_transient_retries = ps.transient_retries;
   h.pool_batches_failed = ps.batches_failed;
-  // The pool's workers share one immutable CompiledArtifacts; worker 0's
-  // copy carries the degradation flag compile time decided.
-  if (pool_.num_workers() > 0) {
-    const ArtifactsPtr& a = pool_.engine(0).artifacts();
-    h.jit_degraded = a != nullptr && a->jit_degraded;
-  }
-  const JitStats js = JitCache::instance().stats();
-  h.jit_backoff_suppressed = js.backoff_suppressed;
-  h.jit_quarantined = js.quarantined;
-  h.degraded = h.jit_degraded || h.consecutive_failures >= 4;
+  h.degraded = h.consecutive_failures >= 4;
   return h;
 }
 

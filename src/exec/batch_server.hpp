@@ -47,10 +47,9 @@
 //     healthy co-batched request still completes with results
 //     bit-identical to an uncoalesced run. O(log batch) re-runs in the
 //     failure case, zero overhead on the happy path.
-//   - Health: health() snapshots the degradation state — JIT
-//     interpreter-only flag, consecutive request failures, retry /
-//     bisection / quarantine counters — cheap enough for a readiness
-//     probe to poll.
+//   - Health: health() snapshots the degradation state — consecutive
+//     request failures, retry / bisection counters — cheap enough for a
+//     readiness probe to poll.
 //
 // Fault-injection site (support/fault_injection.hpp): server.dispatch —
 // throws a TransientError at the top of a batch dispatch, exercising the
@@ -143,18 +142,13 @@ struct BatchServerOptions {
 };
 
 /// Point-in-time health snapshot (BatchServer::health). What a readiness
-/// probe polls: the degraded flags say whether the server is currently
-/// serving on a fallback path, the counters say how often each
-/// degradation absorbed a fault since construction.
+/// probe polls: `degraded` says whether the server is currently failing
+/// requests, the counters say how often each recovery path absorbed a
+/// fault since construction.
 struct ServerHealth {
-  /// jit_degraded || consecutive_failures >= 4: the server is serving,
-  /// but on a fallback path or failing repeatedly — worth paging over.
+  /// consecutive_failures >= 4: the server is up but failing requests
+  /// repeatedly — worth paging over.
   bool degraded = false;
-  /// The pool's compiled plan asked for a JIT kernel and didn't get one
-  /// (toolchain or artifact failure): ILIR runs serve interpreter-only
-  /// until the backoff-budgeted recompile succeeds. Results stay
-  /// bit-identical (the oracle contract in exec/jit.hpp).
-  bool jit_degraded = false;
   /// Requests that resolved kError since the last kOk (a kOk resets the
   /// run; kError extends it). Feeds `degraded` at >= 4.
   std::int64_t consecutive_failures = 0;
@@ -163,11 +157,6 @@ struct ServerHealth {
   /// Shard re-runs inside this server's pool (PoolStats).
   std::int64_t pool_transient_retries = 0;
   std::int64_t pool_batches_failed = 0;  ///< pool errors that propagated
-  /// Process-wide JitCache counters (JitStats): interpreter-only answers
-  /// while a failed kernel's backoff window was open, and on-disk
-  /// artifacts quarantined for failing integrity checks.
-  std::int64_t jit_backoff_suppressed = 0;
-  std::int64_t jit_quarantined = 0;
 };
 
 /// Point-in-time metrics snapshot (all counters since construction).

@@ -1,8 +1,6 @@
 #include "exec/engine.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "exec/plan_cache.hpp"
 
@@ -10,14 +8,6 @@ namespace cortex::exec {
 
 namespace {
 constexpr std::int64_t kF = sizeof(float);
-
-/// CORTEX_BATCHED_GEMM=0 selects the per-node reference executor;
-/// anything else (including unset) uses the batched wavefront executor.
-/// Read per run so tests and benches can flip it inside one process.
-bool batched_gemm_enabled() {
-  const char* v = std::getenv("CORTEX_BATCHED_GEMM");
-  return !(v != nullptr && std::strcmp(v, "0") == 0);
-}
 
 /// Device-resident bytes of the linearizer's arrays (they are shipped to
 /// the device for the generated code to index), summed per array from its
@@ -187,22 +177,22 @@ void CortexEngine::run_numerics(const linearizer::Linearized& lin,
   // writes only its own state row and reads rows finished in earlier
   // batches, so outputs are bit-identical at any thread count.
   //
-  // By default each worker's row range runs through the batched executor:
-  // child states gathered into contiguous panels, one GEMM per kMatVec op
-  // over the whole panel (§5's compute-dense form of dynamic batching,
-  // the Cavs/GRNN batching the per-node path leaves on the table). Rows
-  // are computed independently inside a panel, so chunking — and hence
-  // the thread count — cannot perturb any node's result.
+  // Each worker's row range runs through the batched executor: child
+  // states gathered into contiguous panels, one GEMM per kMatVec op over
+  // the whole panel (§5's compute-dense form of dynamic batching, the
+  // Cavs/GRNN batching the per-node path leaves on the table). Rows are
+  // computed independently inside a panel, so chunking — and hence the
+  // thread count — cannot perturb any node's result.
   ensure_pool();
   prof.host_threads = pool_->num_threads();
   // A cell only the per-node path can run (panel invariants are stricter)
-  // falls back transparently: supported() is false and the reference
+  // falls back transparently: supported() is false and the per-node
   // executor below raises any actual model errors.
-  const bool batched = batched_gemm_enabled() && batched_exec().supported();
+  const bool batched = batched_exec().supported();
   // Reset the per-worker panel stats up front (not only after a run): a
-  // run that throws mid-wavefront — or a later per-node run on the same
-  // engine — must not drain a previous run's partial counts into its
-  // profiler (EnginePool keeps serving an engine whose last batch failed).
+  // run that throws mid-wavefront must not drain its partial counts into
+  // the next run's profiler (EnginePool keeps serving an engine whose last
+  // batch failed).
   for (WorkerScratch& sc : worker_scratch_) {
     sc.panels.gemm_calls = 0;
     sc.panels.panels_run = 0;

@@ -12,10 +12,14 @@
 //   1. linearizes the input structures on the host CPU (§4.2, timed),
 //   2. executes the model numerics bottom-up over the linearized arrays
 //      (the exact semantics every baseline shares, so outputs are
-//      bit-comparable across frameworks) — by default with the batched
-//      wavefront executor (each dynamic batch's per-node GEMVs fused into
-//      panel GEMMs; CORTEX_BATCHED_GEMM=0 selects the per-node reference
-//      path, bit-identical by construction),
+//      bit-comparable across frameworks) with the batched wavefront
+//      executor: each dynamic batch's per-node GEMVs fused into panel
+//      GEMMs. This is the one served numeric path. The per-node
+//      CellExecutor walk runs only where the input selects it — a
+//      schedule without dynamic_batching, or a cell the panel executor
+//      cannot run (!BatchedCellExecutor::supported()) — and is
+//      bit-identical by construction. The compiled ILIR (run_ilir, the
+//      offline JIT in exec/jit.hpp) is never on the served path,
 //   3. accounts device cost on the virtual device model: kernel launches,
 //      off-chip traffic, barriers, per DESIGN.md §2's GPU substitution.
 
@@ -116,8 +120,7 @@ class CortexEngine {
   void ensure_pool();
   /// Lazily builds the batched executor on first batched run: its
   /// transposed weight copies cost memory, so engines that never take the
-  /// batched path (CORTEX_BATCHED_GEMM=0, no dynamic batching, plan-only)
-  /// never pay for it. Safe without locking for the same reason states_
+  /// batched path (no dynamic batching, plan-only) never pay for it. Safe without locking for the same reason states_
   /// is: one engine is driven by one thread at a time. Deliberately NOT
   /// part of the shared CompiledArtifacts: artifacts are weight-
   /// independent by design (engines with different weights share one

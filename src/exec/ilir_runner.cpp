@@ -100,26 +100,14 @@ IlirRun run_ilir(const ilir::Program& program,
     ev.bind(b.name, ilir::Binding::tensor(it->second));
   }
 
-  // Execution: the JIT'd kernel when one is supplied and CORTEX_JIT is
-  // on, over exactly the storage bound above; the interpreter otherwise.
-  // A plan-built kernel bakes arena slot indices, so it is only usable
-  // when this run resolved that arena (memplan on).
-  bool ran_jit = false;
-  // Degraded-plan recovery: with no kernel supplied but jit_refresh set,
-  // ask the cache tolerantly. Inside a failed key's backoff window this is
-  // one map lookup and the run interprets; past it, the build is retried
-  // and a recovered toolchain puts the kernel back in play.
-  JitKernelPtr refreshed;  // owns a refresh-acquired kernel for this run
-  const JitKernel* jit = opts.jit;
-  if (jit == nullptr && opts.jit_refresh && jit_enabled()) {
-    JitTryResult r = JitCache::instance().try_get_or_build(
-        program, plan, opts.jit_refresh_plan_opts, opts.profiler);
-    refreshed = r.kernel;
-    jit = refreshed.get();
-  }
-  if (jit != nullptr && jit_enabled() &&
-      (!jit->has_arena() || plan != nullptr)) {
-    const JitKernel& kernel = *jit;
+  // Execution: the supplied kernel over exactly the storage bound above,
+  // else the interpreter. A plan-built kernel bakes arena slot indices,
+  // so it needs this run to have resolved that arena (memplan on).
+  if (opts.jit != nullptr) {
+    const JitKernel& kernel = *opts.jit;
+    CORTEX_CHECK(!kernel.has_arena() || plan != nullptr)
+        << "JIT kernel built against a memory plan needs the planner "
+           "(CORTEX_MEMPLAN=0 is set)";
     std::vector<float*> param_table;
     param_table.reserve(kernel.params_order().size());
     for (const std::string& name : kernel.params_order()) {
@@ -147,20 +135,17 @@ IlirRun run_ilir(const ilir::Program& program,
     kernel.fn()(arena.get(), layout.slot_offsets.data(), param_table.data(),
                 lin_table, scalar_table, counters);
     run.barriers = counters[0];
-    ran_jit = true;
-    if (opts.profiler != nullptr) ++opts.profiler->jit_runs;
-  }
-  if (!ran_jit) {
+    run.ran_jit = true;
+  } else {
     ev.run();
     run.barriers = ev.barriers_executed();
   }
 
-  if (ran_jit && jit_check_enabled()) {
+  if (run.ran_jit && jit_check_enabled()) {
     // Differential oracle: re-run interpreted on fresh storage and demand
     // bitwise equality of every buffer plus the barrier count.
     IlirRunOptions oracle_opts = opts;
     oracle_opts.jit = nullptr;
-    oracle_opts.jit_refresh = false;  // or the oracle re-acquires the kernel
     oracle_opts.profiler = nullptr;
     const IlirRun oracle = run_ilir(program, lin, params, oracle_opts);
     CORTEX_CHECK(oracle.barriers == run.barriers)

@@ -50,6 +50,8 @@ struct IlirRun {
   std::int64_t sum_buffer_bytes = 0;
   /// Buffers bound into a slot shared with at least one other buffer.
   std::int64_t buffers_reused = 0;
+  /// The run executed IlirRunOptions::jit instead of the interpreter.
+  bool ran_jit = false;
 
   const Tensor& at(const std::string& name) const;
 };
@@ -61,29 +63,13 @@ struct IlirRunOptions {
   const MemoryPlan* plan = nullptr;
   /// When set, the run adds arena/reuse counters to this profiler.
   runtime::Profiler* profiler = nullptr;
-  /// Compiled kernel for this program (CompiledArtifacts::jit). Used only
-  /// when CORTEX_JIT is on; the run dispatches to the kernel instead of
-  /// the interpreter over the same buffer storage. A kernel built against
-  /// a memory plan needs that plan here (the usual pairing from
-  /// compile_artifacts); under CORTEX_MEMPLAN=0 such a kernel is ignored
-  /// and the run falls back to interpretation. CORTEX_JIT_CHECK=1 runs
+  /// Compiled kernel for this program (JitCache::get_or_build). When
+  /// set, the run executes the kernel instead of the interpreter over the
+  /// same buffer storage; a kernel built against a memory plan needs that
+  /// plan here and throws under CORTEX_MEMPLAN=0. CORTEX_JIT_CHECK=1 runs
   /// BOTH paths and requires bit-identical buffers and barrier counts
   /// (the interpreter as differential oracle).
   const JitKernel* jit = nullptr;
-  /// Degraded-plan recovery: when `jit` is null, CORTEX_JIT is on, and
-  /// this is set, the run asks the JitCache for the kernel tolerantly
-  /// (JitCache::try_get_or_build) before falling back to interpretation.
-  /// Acquisition respects the cache's exponential-backoff budget — while
-  /// a failed key's window is open the ask costs one map lookup and the
-  /// run interprets; once the toolchain recovers, the first ask past the
-  /// window rebuilds the kernel and the run dispatches to it. Interpreted
-  /// and JIT'd runs are bit-identical (the oracle contract above), so
-  /// flipping between them mid-stream is invisible in results.
-  bool jit_refresh = false;
-  /// MemoryPlanOptions the plan under `plan` was computed with (live-out
-  /// set); needed by jit_refresh so the forced plan verification inside
-  /// the build re-proves the exact plan.
-  MemoryPlanOptions jit_refresh_plan_opts;
 };
 
 /// Interprets `program` against `lin`, binding parameter buffers from

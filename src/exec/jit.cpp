@@ -3,7 +3,6 @@
 #include <dlfcn.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -15,7 +14,6 @@
 #include "ilir/codegen_c.hpp"
 #include "ilir/verify.hpp"
 #include "runtime/profiler.hpp"
-#include "support/clock.hpp"
 #include "support/fault_injection.hpp"
 #include "support/logging.hpp"
 
@@ -183,49 +181,9 @@ JitKernelPtr JitCache::lookup_memory(const support::Fingerprint& key) {
 
 JitKernelPtr JitCache::get_or_build(const ilir::Program& program,
                                     const MemoryPlan* plan,
-                                    const MemoryPlanOptions& plan_opts,
-                                    runtime::Profiler* profiler) {
+                                    const MemoryPlanOptions& plan_opts) {
   const support::Fingerprint key = kernel_key(program, plan, jit_compiler());
   if (JitKernelPtr hit = lookup_memory(key)) return hit;
-  return build_and_insert(key, program, plan, plan_opts, profiler);
-}
-
-JitTryResult JitCache::try_get_or_build(const ilir::Program& program,
-                                        const MemoryPlan* plan,
-                                        const MemoryPlanOptions& plan_opts,
-                                        runtime::Profiler* profiler) {
-  const support::Fingerprint key = kernel_key(program, plan, jit_compiler());
-  if (JitKernelPtr hit = lookup_memory(key)) return {std::move(hit), false, {}};
-  {
-    // Backoff gate: a key with a recorded failure only gets another build
-    // when its window has elapsed and its budget remains.
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = failed_.find(key);
-    if (it != failed_.end()) {
-      const FailState& f = it->second;
-      if (f.attempts >= retry_policy_.max_attempts ||
-          support::monotonic_ns() < f.not_before_ns) {
-        ++stats_.backoff_suppressed;
-        return {nullptr, true, f.last_error};
-      }
-      ++stats_.retries;
-    }
-  }
-  try {
-    return {build_and_insert(key, program, plan, plan_opts, profiler), false,
-            {}};
-  } catch (const std::exception& e) {
-    // Already recorded against the key (with its widened backoff window)
-    // inside build_and_insert; the caller serves interpreter-only.
-    return {nullptr, false, e.what()};
-  }
-}
-
-JitKernelPtr JitCache::build_and_insert(const support::Fingerprint& key,
-                                        const ilir::Program& program,
-                                        const MemoryPlan* plan,
-                                        const MemoryPlanOptions& plan_opts,
-                                        runtime::Profiler* profiler) {
   JitKernelPtr built;
   try {
     // First sight of this kernel in this process: verification is forced
@@ -238,32 +196,22 @@ JitKernelPtr JitCache::build_and_insert(const support::Fingerprint& key,
     // of the same key is benign — identical artifacts, atomic
     // publication).
     built = build_locked_out(key, program, plan);
-  } catch (const std::exception& e) {
+  } catch (...) {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.failures;
-    FailState& f = failed_[key];
-    ++f.attempts;
-    f.last_error = e.what();
-    const int shift = std::min(f.attempts - 1, 20);
-    f.not_before_ns = support::monotonic_ns() +
-                      (retry_policy_.base_backoff_ms << shift) * 1'000'000;
     throw;
   }
 
   std::lock_guard<std::mutex> lock(mu_);
-  failed_.erase(key);
   auto [it, inserted] = map_.emplace(key, built);
   if (!inserted) {
     ++stats_.memory_hits;  // another thread won the race
     return it->second;
   }
-  if (built->from_disk()) {
+  if (built->from_disk())
     ++stats_.disk_hits;
-    if (profiler != nullptr) ++profiler->jit_disk_hits;
-  } else {
+  else
     ++stats_.compiles;
-    if (profiler != nullptr) ++profiler->jit_compiles;
-  }
   return built;
 }
 
@@ -386,23 +334,6 @@ void JitCache::clear_memory() {
   std::lock_guard<std::mutex> lock(mu_);
   map_.clear();
 }
-
-void JitCache::clear_backoff() {
-  std::lock_guard<std::mutex> lock(mu_);
-  failed_.clear();
-}
-
-JitRetryPolicy JitCache::retry_policy() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return retry_policy_;
-}
-
-void JitCache::set_retry_policy(JitRetryPolicy policy) {
-  std::lock_guard<std::mutex> lock(mu_);
-  retry_policy_ = policy;
-}
-
-bool jit_enabled() { return env_on("CORTEX_JIT"); }
 
 bool jit_check_enabled() { return env_on("CORTEX_JIT_CHECK"); }
 

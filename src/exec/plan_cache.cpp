@@ -4,7 +4,6 @@
 #include <optional>
 #include <string>
 
-#include "exec/jit.hpp"
 #include "exec/memory_plan.hpp"
 #include "ilir/passes.hpp"
 #include "ilir/verify.hpp"
@@ -55,32 +54,13 @@ CompiledArtifacts compile_artifacts(const models::ModelDef& def,
     cfg.live_out = {lm.output};
     a.optimized = ilir::apply_schedule_passes(lm.program, cfg, observe);
     // The memory plan of the final optimized program rides in the plan:
-    // run_ilir binds buffers at its offsets, and a JIT backend would bake
-    // them into generated code.
+    // run_ilir binds buffers at its offsets, and a kernel JitCache builds
+    // for this program bakes them into generated code.
     auto mem = std::make_shared<MemoryPlan>(plan_memory(*a.optimized, mp_opts));
     if (ilir::verify_enabled())
       verify_memory_plan_or_throw(*a.optimized, *mem, "final", mp_opts);
     a.plan.ilir_memory = std::move(mem);
     a.lowered = std::move(lm);
-    // Under CORTEX_JIT, build (or dlopen the persisted) kernel eagerly so
-    // the plan cache amortizes the toolchain invocation exactly like the
-    // rest of compilation. Acquisition is *tolerant*: a toolchain or
-    // dlopen failure degrades the plan to interpreter-only (bit-identical
-    // results, just slower) instead of failing compilation — the failure
-    // is recorded in the JitCache's backoff ledger so later jit_refresh
-    // attempts retry on the exponential-backoff budget.
-    if (jit_enabled()) {
-      JitTryResult r = JitCache::instance().try_get_or_build(
-          *a.optimized, a.plan.ilir_memory.get(), mp_opts);
-      a.jit = r.kernel;
-      if (a.jit == nullptr) {
-        a.jit_degraded = true;
-        a.jit_error = r.error;
-        support::warn("JIT degraded to interpreter-only: " +
-                      (r.error.empty() ? std::string("build suppressed")
-                                       : r.error));
-      }
-    }
   } else {
     // Cell-only models (the sequential Fig. 9 cells) still respect the
     // Appendix-D register-pressure constraint.

@@ -40,9 +40,6 @@ void Profiler::accumulate(const Profiler& o) {
   // accumulate like the other work counters.
   ilir_arena_bytes = std::max(ilir_arena_bytes, o.ilir_arena_bytes);
   ilir_buffers_reused += o.ilir_buffers_reused;
-  jit_compiles += o.jit_compiles;
-  jit_disk_hits += o.jit_disk_hits;
-  jit_runs += o.jit_runs;
 }
 
 void Profiler::scale(double f) {
@@ -69,9 +66,6 @@ void Profiler::scale(double f) {
   // max_panel_rows is a high-water mark; averaging leaves it unchanged.
   ilir_buffers_reused = static_cast<std::int64_t>(ilir_buffers_reused * f);
   // ilir_arena_bytes is a peak like max_panel_rows; leave it unscaled.
-  jit_compiles = static_cast<std::int64_t>(jit_compiles * f);
-  jit_disk_hits = static_cast<std::int64_t>(jit_disk_hits * f);
-  jit_runs = static_cast<std::int64_t>(jit_runs * f);
 }
 
 std::string Profiler::str() const {
@@ -93,9 +87,6 @@ std::string Profiler::str() const {
   if (ilir_arena_bytes > 0)
     os << " ilir_arena=" << ilir_arena_bytes
        << "B reused=" << ilir_buffers_reused;
-  if (jit_runs > 0 || jit_compiles > 0 || jit_disk_hits > 0)
-    os << " jit_runs=" << jit_runs << " jit_compiles=" << jit_compiles
-       << " jit_disk_hits=" << jit_disk_hits;
   os << " total=" << total_latency_ms() << "ms";
   return os.str();
 }

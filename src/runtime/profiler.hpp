@@ -46,8 +46,9 @@ struct Profiler {
   // -- batched wavefront GEMMs (numeric executor) ----------------------------
   /// Panel GEMMs the batched wavefront executor issued: each is one
   /// kMatVec cell op run as a single [rows,k]x[k,m] GEMM over a whole
-  /// wavefront panel instead of rows separate GEMVs. 0 when the batched
-  /// path is off (CORTEX_BATCHED_GEMM=0 or no dynamic batching).
+  /// wavefront panel instead of rows separate GEMVs. 0 when the engine
+  /// walks nodes one by one (no dynamic batching, or a cell only the
+  /// per-node executor can run).
   std::int64_t batched_gemm_calls = 0;
   /// Node panels the batched executor gathered and ran (one per
   /// contiguous row range per wavefront batch per worker thread).
@@ -76,15 +77,6 @@ struct Profiler {
   /// Buffers the plan placed into an already-occupied slot (bytes shared
   /// with a dead buffer instead of newly allocated).
   std::int64_t ilir_buffers_reused = 0;
-
-  // -- JIT execution (exec/jit.hpp) ------------------------------------------
-  /// Kernel builds that invoked the system toolchain (cold artifacts).
-  std::int64_t jit_compiles = 0;
-  /// Kernel builds satisfied by a persisted on-disk artifact (dlopen
-  /// only — the zero-compile warm-process path).
-  std::int64_t jit_disk_hits = 0;
-  /// ILIR runs executed by a JIT'd kernel instead of the interpreter.
-  std::int64_t jit_runs = 0;
 
   void reset() { *this = Profiler{}; }
 

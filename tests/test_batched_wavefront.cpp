@@ -1,7 +1,7 @@
-// Batched wavefront executor: the per-node path (CORTEX_BATCHED_GEMM=0)
-// is the regression oracle — every node state must be bit-identical to
-// the panel-GEMM path across the model zoo, schedules, batch sizes and
-// thread counts. Plus the kernel-level contracts the executor is built
+// Batched wavefront executor: a test-local per-node walk (exec_order
+// through models::CellExecutor::run_node) is the regression oracle —
+// every node state must be bit-identical to the engine's panel-GEMM path
+// across the model zoo, schedules, batch sizes and thread counts. Plus the kernel-level contracts the executor is built
 // on (panel GEMM == per-row GEMV bitwise, strided gather, transpose,
 // vectorized eltwise == scalar eltwise), the profiler's panel counters,
 // and EnginePool parity with batching enabled.
@@ -14,7 +14,6 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,34 +30,6 @@ namespace cortex::exec {
 namespace {
 
 runtime::DeviceSpec gpu() { return runtime::DeviceSpec::v100_gpu(); }
-
-/// Scoped environment override restoring the previous value on exit.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_ = true;
-      saved_ = old;
-    }
-    if (value)
-      ::setenv(name, value, 1);
-    else
-      ::unsetenv(name);
-  }
-  ~ScopedEnv() {
-    if (had_)
-      ::setenv(name_, saved_.c_str(), 1);
-    else
-      ::unsetenv(name_);
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-  bool had_ = false;
-  std::string saved_;
-};
 
 linearizer::Linearized lin_for(const models::ModelDef& def,
                                std::int64_t batch, std::uint64_t seed) {
@@ -86,6 +57,43 @@ std::vector<ra::Schedule> schedules_for(const models::ModelDef& def) {
   (void)def;
   return {ra::Schedule{}, ra::Schedule::unoptimized(),
           ra::Schedule::cavs_comparable()};
+}
+
+/// The per-node oracle: walks lin.exec_order through
+/// models::CellExecutor::run_node, one node at a time, into a fresh state
+/// table, and returns every node state (N x state_width, row-major).
+std::vector<float> per_node_states(const models::ModelDef& def,
+                                   const models::ModelParams& params,
+                                   const linearizer::Linearized& lin) {
+  const models::CellExecutor cell(def.cell, params);
+  const std::int64_t sw = def.cell.state_width;
+  std::vector<float> states(static_cast<std::size_t>(lin.num_nodes * sw));
+  models::CellExecutor::Scratch regs;
+  std::vector<const float*> kids;
+  for (const std::int32_t id : lin.exec_order) {
+    const auto n = static_cast<std::size_t>(id);
+    kids.clear();
+    for (std::int32_t c = lin.child_offsets[n]; c < lin.child_offsets[n + 1];
+         ++c)
+      kids.push_back(states.data() +
+                     lin.child_ids[static_cast<std::size_t>(c)] * sw);
+    cell.run_node(kids.empty(), kids, lin.word[n], states.data() + id * sw,
+                  regs);
+  }
+  return states;
+}
+
+/// Root rows of a full state table, in lin.roots order (RunResult's
+/// root_states layout).
+std::vector<std::vector<float>> roots_of(const std::vector<float>& states,
+                                         const linearizer::Linearized& lin,
+                                         std::int64_t state_width) {
+  std::vector<std::vector<float>> roots;
+  for (const std::int32_t r : lin.roots) {
+    const float* row = states.data() + r * state_width;
+    roots.emplace_back(row, row + state_width);
+  }
+  return roots;
 }
 
 std::vector<float> all_states(const CortexEngine& engine,
@@ -123,46 +131,28 @@ TEST_P(BatchedZoo, BatchedMatchesPerNodeBitwiseAcrossSchedulesAndThreads) {
     CortexEngine engine(def, params, sched, gpu());
     for (const std::int64_t batch : {0, 1, 2, 5, 13}) {
       if (batch == 0) {
-        // Empty mini-batch: both paths must return an empty result.
-        ScopedEnv off("CORTEX_BATCHED_GEMM", "0");
-        EXPECT_TRUE(engine.run_linearized(linearizer::Linearized{}, 0.0)
-                        .root_states.empty());
-        ScopedEnv on("CORTEX_BATCHED_GEMM", nullptr);
+        // Empty mini-batch: an empty result, nothing computed.
         EXPECT_TRUE(engine.run_linearized(linearizer::Linearized{}, 0.0)
                         .root_states.empty());
         continue;
       }
       const linearizer::Linearized lin =
           lin_for(def, batch, 101 + static_cast<std::uint64_t>(batch));
+      const std::vector<float> ref_states = per_node_states(def, params, lin);
+      const std::vector<std::vector<float>> ref_roots =
+          roots_of(ref_states, lin, def.cell.state_width);
+      runtime::RunResult first;
       for (const int threads : {1, 4}) {
         engine.set_num_threads(threads);
-
-        runtime::RunResult ref;
-        std::vector<float> ref_states;
-        {
-          ScopedEnv off("CORTEX_BATCHED_GEMM", "0");
-          ref = engine.run_linearized(lin, 0.0);
-          ref_states = all_states(engine, lin, def.cell.state_width);
-          // The escape hatch really selects the per-node path.
-          EXPECT_EQ(ref.profiler.batched_gemm_calls, 0);
-          EXPECT_EQ(ref.profiler.batched_panels, 0);
-          EXPECT_EQ(ref.profiler.max_panel_rows, 0);
-        }
-
-        ScopedEnv on("CORTEX_BATCHED_GEMM", nullptr);
         const runtime::RunResult batched = engine.run_linearized(lin, 0.0);
         const std::vector<float> batched_states =
             all_states(engine, lin, def.cell.state_width);
 
-        EXPECT_EQ(batched.root_states, ref.root_states)
+        EXPECT_EQ(batched.root_states, ref_roots)
             << def.name << " batch=" << batch << " threads=" << threads;
         // Stronger than roots: every node state bit-identical.
         EXPECT_EQ(batched_states, ref_states)
             << def.name << " batch=" << batch << " threads=" << threads;
-        // Device accounting is independent of the host execution mode.
-        EXPECT_EQ(batched.profiler.kernel_launches,
-                  ref.profiler.kernel_launches);
-        EXPECT_EQ(batched.profiler.device_flops, ref.profiler.device_flops);
         if (engine.plan().dynamic_batching) {
           EXPECT_GT(batched.profiler.batched_panels, 0);
           EXPECT_LE(batched.profiler.max_panel_rows, lin.max_batch_length());
@@ -170,6 +160,19 @@ TEST_P(BatchedZoo, BatchedMatchesPerNodeBitwiseAcrossSchedulesAndThreads) {
               lin.num_batches() > 1) {
             EXPECT_GT(batched.profiler.batched_gemm_calls, 0);
           }
+        } else {
+          // The schedule selects the per-node walk: no panels at all.
+          EXPECT_EQ(batched.profiler.batched_panels, 0);
+          EXPECT_EQ(batched.profiler.batched_gemm_calls, 0);
+        }
+        if (threads == 1) {
+          first = batched;
+        } else {
+          // Device accounting is independent of the host thread count.
+          EXPECT_EQ(batched.profiler.kernel_launches,
+                    first.profiler.kernel_launches);
+          EXPECT_EQ(batched.profiler.device_flops,
+                    first.profiler.device_flops);
         }
       }
     }
@@ -183,7 +186,6 @@ INSTANTIATE_TEST_SUITE_P(Zoo, BatchedZoo, ::testing::Range(0, 8));
 TEST(BatchedProfile, SingleThreadCountsMatchPlanMetadata) {
   // One thread, homogeneous wavefronts: exactly one panel per dynamic
   // batch, and the plan's per-batch matvec counts pin the GEMM total.
-  ScopedEnv on("CORTEX_BATCHED_GEMM", nullptr);
   for (const auto& make :
        {+[] { return models::make_treelstm_embed(16); },
         +[] { return models::make_dagrnn(16); }}) {
@@ -207,7 +209,6 @@ TEST(BatchedProfile, SingleThreadCountsMatchPlanMetadata) {
 }
 
 TEST(BatchedProfile, PanelStatsResetBetweenRuns) {
-  ScopedEnv on("CORTEX_BATCHED_GEMM", nullptr);
   const models::ModelDef def = models::make_treelstm_embed(16);
   Rng rng(9);
   const models::ModelParams params = models::init_params(def, rng);
@@ -225,7 +226,6 @@ TEST(BatchedProfile, PanelStatsResetBetweenRuns) {
 TEST(BatchedProfile, ThrowingRunDoesNotLeakStatsIntoNextRun) {
   // A run that throws mid-wavefront leaves partial per-worker counters;
   // the next run must start from zero, not drain the leftovers.
-  ScopedEnv on("CORTEX_BATCHED_GEMM", nullptr);
   const models::ModelDef def = models::make_treelstm_embed(16);
   Rng rng(15);
   const models::ModelParams params = models::init_params(def, rng);
@@ -245,19 +245,11 @@ TEST(BatchedProfile, ThrowingRunDoesNotLeakStatsIntoNextRun) {
             good.profiler.batched_gemm_calls);
   EXPECT_EQ(after.profiler.max_panel_rows, good.profiler.max_panel_rows);
   EXPECT_EQ(after.root_states, good.root_states);
-
-  // And a per-node run right after a batched one reports zeros, not the
-  // batched run's drained-but-stale counters.
-  ScopedEnv off("CORTEX_BATCHED_GEMM", "0");
-  const runtime::RunResult per_node = engine.run_linearized(lin, 0.0);
-  EXPECT_EQ(per_node.profiler.batched_panels, 0);
-  EXPECT_EQ(per_node.profiler.batched_gemm_calls, 0);
 }
 
 // -- non-dynamic-batching schedules never touch the batched path ------------------
 
 TEST(BatchedDispatch, NoDynamicBatchingFallsBackToPerNode) {
-  ScopedEnv on("CORTEX_BATCHED_GEMM", nullptr);
   const models::ModelDef def = models::make_treelstm_embed(16);
   Rng rng(11);
   const models::ModelParams params = models::init_params(def, rng);
@@ -270,7 +262,11 @@ TEST(BatchedDispatch, NoDynamicBatchingFallsBackToPerNode) {
   EXPECT_EQ(r.profiler.batched_gemm_calls, 0);
   EXPECT_EQ(r.profiler.batched_panels, 0);
 
-  // Same numerics as the dynamic-batching engine, bit for bit.
+  // Same numerics as the per-node oracle and the dynamic-batching
+  // engine, bit for bit.
+  EXPECT_EQ(r.root_states,
+            roots_of(per_node_states(def, params, lin), lin,
+                     def.cell.state_width));
   CortexEngine batched(def, params, ra::Schedule{}, gpu());
   const runtime::RunResult rb = batched.run_linearized(lin, 0.0);
   EXPECT_EQ(rb.root_states, r.root_states);
@@ -283,7 +279,6 @@ TEST(BatchedDispatch, PanelIncompatibleCellFallsBackToPerNode) {
   // per-node execution (it reads the first op.width elements) but has no
   // panel layout. Engine construction must succeed — even with batching
   // requested — and runs must take the per-node path.
-  ScopedEnv on("CORTEX_BATCHED_GEMM", nullptr);
   models::ModelDef def;
   def.name = "WideEltwiseCell";
   def.hidden = 8;
@@ -323,18 +318,19 @@ TEST(BatchedDispatch, PanelIncompatibleCellFallsBackToPerNode) {
   const std::vector<const ds::Tree*> raw = baselines::raw(trees);
   CortexEngine engine(def, params, ra::Schedule{}, gpu());
   const runtime::RunResult got = engine.run(raw);
+  // A cell-only model linearizes with the default spec (no lowered one).
+  const linearizer::Linearized lin =
+      linearizer::linearize_trees(raw, linearizer::LinearizerSpec{});
   EXPECT_EQ(got.profiler.batched_panels, 0);
   EXPECT_EQ(got.profiler.batched_gemm_calls, 0);
-
-  ScopedEnv off("CORTEX_BATCHED_GEMM", "0");
-  const runtime::RunResult ref = engine.run(raw);
-  EXPECT_EQ(got.root_states, ref.root_states);
+  EXPECT_EQ(got.root_states,
+            roots_of(per_node_states(def, params, lin), lin,
+                     def.cell.state_width));
 }
 
 // -- engine pool parity with batching enabled -------------------------------------
 
 TEST(BatchedEnginePool, PoolMatchesSingleEngineWithBatchingOn) {
-  ScopedEnv on("CORTEX_BATCHED_GEMM", nullptr);
   const models::ModelDef def = models::make_treelstm_embed(16);
   Rng rng(13);
   const models::ModelParams params = models::init_params(def, rng);

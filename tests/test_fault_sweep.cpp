@@ -1,12 +1,15 @@
-// Fault-sweep battery: every production injection site is forced to fire
-// during a mini-zoo x BatchServer differential run, and the stack must
-// absorb it — no crash, no hang, no broken promise, and every request
-// that is supposed to succeed returns root states bit-identical to a
-// fault-free run. JIT-site faults degrade plans to interpreter-only
-// (invisible in serving results: engine numerics never depended on the
-// kernel); transient pool/dispatch faults are retried; a persistent
-// transient fault fails requests cleanly (kError) and the server keeps
-// serving after the fault clears.
+// Fault-sweep battery: every serving-path injection site is forced to
+// fire during a mini-zoo x BatchServer differential run, and the stack
+// must absorb it — no crash, no hang, no broken promise, and every
+// request that is supposed to succeed returns root states bit-identical
+// to a fault-free run. Transient pool/dispatch faults are retried; a
+// persistent transient fault fails requests cleanly (kError) and the
+// server keeps serving after the fault clears. The JIT is an offline
+// tool, so its sites (toolchain, dlopen, artifact publish, artifact read)
+// armed during serving must never be reached: every request succeeds
+// bit-identically and health stays clean, while the same armed site
+// still fires on a direct JitCache build. What each JIT site does when
+// it fires is tested against JitCache directly in test_jit.cpp.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +17,6 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <future>
 #include <memory>
@@ -25,11 +27,11 @@
 #include "ds/generators.hpp"
 #include "exec/artifacts.hpp"
 #include "exec/batch_server.hpp"
-#include "exec/ilir_runner.hpp"
 #include "exec/jit.hpp"
+#include "exec/memory_plan.hpp"
 #include "exec/plan_cache.hpp"
+#include "lowering/lower.hpp"
 #include "models/model_zoo.hpp"
-#include "runtime/profiler.hpp"
 #include "support/fault_injection.hpp"
 
 namespace cortex::exec {
@@ -38,37 +40,6 @@ namespace {
 using support::FaultInjector;
 
 runtime::DeviceSpec gpu() { return runtime::DeviceSpec::v100_gpu(); }
-
-class EnvGuard {
- public:
-  explicit EnvGuard(const char* name) : name_(name) {
-    const char* v = std::getenv(name);
-    had_ = v != nullptr;
-    if (had_) saved_ = v;
-  }
-  ~EnvGuard() {
-    if (had_)
-      setenv(name_.c_str(), saved_.c_str(), 1);
-    else
-      unsetenv(name_.c_str());
-  }
-  void set(const std::string& v) { setenv(name_.c_str(), v.c_str(), 1); }
-  void unset() { unsetenv(name_.c_str()); }
-
- private:
-  std::string name_;
-  bool had_ = false;
-  std::string saved_;
-};
-
-/// A fresh, private artifact directory: the sweep recompiles per site, so
-/// stale artifacts from a previous iteration must never satisfy a build.
-std::string fresh_cache_dir() {
-  char tmpl[] = "/tmp/cortex-fault-sweep-XXXXXX";
-  const char* d = mkdtemp(tmpl);
-  EXPECT_NE(d, nullptr);
-  return d != nullptr ? d : "/tmp/cortex-fault-sweep-fallback";
-}
 
 bool is_dag(const models::ModelDef& def) {
   return def.model && def.model->kind == linearizer::StructureKind::kDag;
@@ -151,35 +122,22 @@ BatchServerOptions server_opts() {
   return o;
 }
 
-/// Resets every process-wide cache the sweep depends on, so each site
-/// iteration compiles from scratch and the armed site is actually on the
-/// executed path (warm hits would silently skip jit.cc / jit.disk.*).
-void reset_compile_state() {
-  PlanCache::instance().clear();
-  JitCache::instance().clear_memory();
-  JitCache::instance().clear_backoff();
-}
-
-/// One sweep iteration: fault-free reference (JIT off so no disk artifact
-/// can satisfy the faulted compile), then the armed serving run.
+/// One sweep iteration per model: a fault-free reference from a direct
+/// pool run, then the armed serving run over the same batch. A site that
+/// `expect_reached` must fire while serving; one that does not must never
+/// even be evaluated. `before_arm` runs between the two.
 void sweep_site_over_zoo(
     const std::string& arm_spec, bool expect_all_ok,
     const std::function<void(const models::ModelDef&, BatchServer&)>&
-        extra_checks = {}) {
-  EnvGuard jit_env("CORTEX_JIT");
-  EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
-  dir_env.set(fresh_cache_dir());
+        extra_checks = {},
+    bool expect_reached = true,
+    const std::function<void(const models::ModelDef&)>& before_arm = {}) {
   Rng prng(29);
   for (const models::ModelDef& def : mini_zoo()) {
     SCOPED_TRACE(arm_spec + " / " + def.name);
     const models::ModelParams params = models::init_params(def, prng);
     const Batch batch = make_batch(def, kRequests, 97);
 
-    // Fault-free reference, JIT off: engine numerics are identical with
-    // and without a kernel, and no artifact lands on disk that could let
-    // the faulted build skip its compile.
-    jit_env.set("0");
-    reset_compile_state();
     std::vector<std::vector<std::vector<float>>> ref;
     {
       EnginePool ref_pool(def, params, ra::Schedule{}, gpu(),
@@ -187,10 +145,8 @@ void sweep_site_over_zoo(
       ref = reference_slices(ref_pool, def, batch);
     }
 
-    // Armed run: compile fresh with JIT on so the jit.* sites sit on the
-    // executed path, then serve the same batch through a BatchServer.
-    jit_env.set("1");
-    reset_compile_state();
+    // Armed run: serve the same batch through a BatchServer.
+    if (before_arm) before_arm(def);
     FaultInjector::instance().configure(arm_spec);
     std::vector<ServedResult> results;
     {
@@ -201,10 +157,16 @@ void sweep_site_over_zoo(
       if (extra_checks) extra_checks(def, server);
 
       // The armed site must actually have fired — a sweep that never
-      // reaches its site proves nothing.
+      // reaches its site proves nothing — unless the site is off the
+      // serving path, where reaching it at all is the bug.
       const std::string site = arm_spec.substr(0, arm_spec.find('='));
-      EXPECT_GE(FaultInjector::instance().stats(site).fired, 1)
-          << site << " never fired";
+      if (expect_reached) {
+        EXPECT_GE(FaultInjector::instance().stats(site).fired, 1)
+            << site << " never fired";
+      } else {
+        EXPECT_EQ(FaultInjector::instance().stats(site).hits, 0)
+            << "a served request reached " << site;
+      }
 
       // Whatever the fault did, the server must still serve cleanly
       // after it clears.
@@ -230,81 +192,118 @@ void sweep_site_over_zoo(
   }
 }
 
-// -- JIT compile/artifact faults: degrade to interpreter-only, serve on --
+/// Saves/restores one environment variable on scope exit.
+class EnvGuard {
+ public:
+  explicit EnvGuard(const char* name) : name_(name) {
+    const char* v = std::getenv(name);
+    had_ = v != nullptr;
+    if (had_) saved_ = v;
+  }
+  ~EnvGuard() {
+    if (had_)
+      setenv(name_.c_str(), saved_.c_str(), 1);
+    else
+      unsetenv(name_.c_str());
+  }
+  void set(const std::string& v) { setenv(name_.c_str(), v.c_str(), 1); }
+
+ private:
+  std::string name_;
+  bool had_ = false;
+  std::string saved_;
+};
+
+/// A fresh, private artifact directory, so no artifact from another test
+/// can satisfy (or skip) the direct build below.
+std::string fresh_cache_dir() {
+  char tmpl[] = "/tmp/cortex-fault-sweep-XXXXXX";
+  const char* d = mkdtemp(tmpl);
+  EXPECT_NE(d, nullptr);
+  return d != nullptr ? d : "/tmp/cortex-fault-sweep-fallback";
+}
+
+/// Publishes an intact on-disk kernel for `program` and drops it from
+/// memory, so the next build of it takes the disk-reuse path.
+void publish_artifact(const ilir::Program& program, const MemoryPlan* plan,
+                      const MemoryPlanOptions& opts) {
+  ASSERT_TRUE(JitCache::instance().get_or_build(program, plan, opts) !=
+              nullptr);
+  JitCache::instance().clear_memory();
+}
+
+/// Arms one JIT site for a whole zoo serving sweep: no served request may
+/// reach it, every request succeeds bit-identically, and the server never
+/// reports itself degraded. Each armed run compiles from scratch (cold
+/// plan cache, cold kernel registry, fresh artifact dir), so a kernel
+/// build anywhere on the serving path would evaluate the build-path
+/// sites; for cache.read, the served program's kernel is published first,
+/// so any served artifact read would evaluate it. Then the same arm spec
+/// is applied to a direct kernel build, where the site must fire — so
+/// "never reached" cannot pass on a site name that nothing evaluates.
+void sweep_jit_site_over_zoo(const std::string& site) {
+  struct FaultGuard {
+    ~FaultGuard() { FaultInjector::instance().reset(); }
+  } fault_guard;
+  EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
+  JitCache& cache = JitCache::instance();
+  const bool reuse_site = site == "cache.read";
+
+  sweep_site_over_zoo(
+      site + "=*", /*expect_all_ok=*/true,
+      [](const models::ModelDef&, BatchServer& server) {
+        const ServerHealth h = server.health();
+        EXPECT_FALSE(h.degraded);
+        EXPECT_EQ(h.consecutive_failures, 0);
+      },
+      /*expect_reached=*/false,
+      [&](const models::ModelDef& def) {
+        PlanCache::instance().clear();
+        cache.clear_memory();
+        dir_env.set(fresh_cache_dir());
+        if (reuse_site) {
+          const CompiledArtifacts a =
+              compile_artifacts(def, ra::Schedule{}, gpu());
+          publish_artifact(*a.optimized, a.plan.ilir_memory.get(),
+                           MemoryPlanOptions{{a.lowered->output}, {}});
+        }
+      });
+
+  dir_env.set(fresh_cache_dir());
+  cache.clear_memory();
+  const models::ModelDef def = models::make_treernn_fig1(16);
+  const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
+  if (reuse_site) publish_artifact(lm.program, nullptr, {});
+  FaultInjector::instance().configure(site + "=*");
+  try {
+    cache.get_or_build(lm.program, nullptr);
+  } catch (const cortex::Error&) {
+    // A build-path site throws; cache.read recompiles instead.
+  }
+  EXPECT_GE(FaultInjector::instance().stats(site).fired, 1)
+      << site << " never fired on a direct build";
+}
+
+// -- JIT compile/artifact faults: off the serving path, invisible to it --
 
 TEST(FaultSweep, ToolchainFailureDegradesAndServesBitIdentical) {
-  sweep_site_over_zoo("jit.cc=*", /*expect_all_ok=*/true,
-                      [](const models::ModelDef&, BatchServer& server) {
-                        const ServerHealth h = server.health();
-                        EXPECT_TRUE(h.jit_degraded);
-                        EXPECT_TRUE(h.degraded);
-                      });
+  sweep_jit_site_over_zoo("jit.cc");
 }
 
 TEST(FaultSweep, DlopenFailureDegradesAndServesBitIdentical) {
-  sweep_site_over_zoo("jit.dlopen=*", /*expect_all_ok=*/true,
-                      [](const models::ModelDef&, BatchServer& server) {
-                        EXPECT_TRUE(server.health().jit_degraded);
-                      });
+  sweep_jit_site_over_zoo("jit.dlopen");
 }
 
 TEST(FaultSweep, DiskWriteFailureDegradesAndServesBitIdentical) {
-  sweep_site_over_zoo("jit.disk.write=*", /*expect_all_ok=*/true);
+  sweep_jit_site_over_zoo("jit.disk.write");
 }
 
 TEST(FaultSweep, DiskRenameFailureDegradesAndServesBitIdentical) {
-  sweep_site_over_zoo("jit.disk.rename=*", /*expect_all_ok=*/true);
+  sweep_jit_site_over_zoo("jit.disk.rename");
 }
 
 TEST(FaultSweep, CorruptArtifactReadQuarantinesRecompilesAndServes) {
-  // cache.read only sits on the disk-reuse path, so an artifact must
-  // exist first: prebuild with faults off, drop the in-memory registry,
-  // then arm. The corrupt read fails the integrity check, the artifact is
-  // quarantined, and the recompile produces a working kernel — serving
-  // never degrades at all.
-  EnvGuard jit_env("CORTEX_JIT");
-  EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
-  dir_env.set(fresh_cache_dir());
-  jit_env.set("1");
-  Rng prng(31);
-  for (const models::ModelDef& def : mini_zoo()) {
-    SCOPED_TRACE(def.name);
-    const models::ModelParams params = models::init_params(def, prng);
-    const Batch batch = make_batch(def, kRequests, 97);
-
-    reset_compile_state();
-    std::vector<std::vector<std::vector<float>>> ref;
-    {
-      // Prebuild: publishes cx_<digest>.{c,so,so.sig} and doubles as the
-      // fault-free reference.
-      EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                      EnginePoolOptions{2, 1, 1});
-      ref = reference_slices(pool, def, batch);
-    }
-
-    reset_compile_state();  // force the disk path on the next build
-    const JitStats before = JitCache::instance().stats();
-    FaultInjector::instance().configure("cache.read=*");
-    std::vector<ServedResult> results;
-    {
-      EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                      EnginePoolOptions{2, 1, 1});
-      BatchServer server(pool, server_opts());
-      results = serve_batch(server, batch);
-      EXPECT_FALSE(server.health().jit_degraded);
-      EXPECT_GE(server.health().jit_quarantined, before.quarantined + 1);
-    }
-    FaultInjector::instance().reset();
-    EXPECT_GE(FaultInjector::instance().stats("cache.read").hits, 0);
-    const JitStats after = JitCache::instance().stats();
-    EXPECT_GE(after.quarantined, before.quarantined + 1);
-
-    ASSERT_EQ(static_cast<std::int64_t>(results.size()), batch.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      ASSERT_EQ(results[i].status, RequestStatus::kOk) << results[i].error;
-      EXPECT_EQ(results[i].root_states, ref[i]) << "request " << i;
-    }
-  }
+  sweep_jit_site_over_zoo("cache.read");
 }
 
 // -- transient serve-path faults: retried when bounded, clean when not --
@@ -346,79 +345,6 @@ TEST(FaultSweep, PersistentDispatchFaultFailsCleanlyAndRecovers) {
                         EXPECT_GE(server.health().dispatch_retries, 1);
                         EXPECT_GE(server.health().bisect_reruns, 1);
                       });
-}
-
-// -- interpreter fallback is the bit-identical oracle -----------------------
-
-TEST(FaultSweep, DegradedPlanInterpreterFallbackMatchesOracle) {
-  // With the toolchain failing, a degraded plan's run_ilir (jit_refresh
-  // asking tolerantly, backoff suppressing) must produce exactly the
-  // interpreter oracle's buffers; once the fault clears and the backoff
-  // is lifted, the refresh rebuilds the kernel and results stay
-  // bit-identical.
-  EnvGuard jit_env("CORTEX_JIT");
-  EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
-  dir_env.set(fresh_cache_dir());
-  jit_env.set("1");
-  reset_compile_state();
-  const JitRetryPolicy saved = JitCache::instance().retry_policy();
-  JitCache::instance().set_retry_policy({0, 8});  // no wait between retries
-
-  Rng rng(37);
-  const models::ModelDef def = models::make_treelstm_embed(16);
-  const models::ModelParams params = models::init_params(def, rng);
-  FaultInjector::instance().configure("jit.cc=*");
-  const CompiledArtifacts a =
-      compile_artifacts(def, ra::Schedule{}, gpu());
-  EXPECT_TRUE(a.jit_degraded);
-  EXPECT_EQ(a.jit, nullptr);
-  EXPECT_FALSE(a.jit_error.empty());
-
-  auto trees = ds::make_sst_like_batch(3, rng);
-  const linearizer::Linearized lin =
-      linearizer::linearize_trees(baselines::raw(trees), a.lowered->lin_spec);
-
-  IlirRunOptions degraded_opts;
-  degraded_opts.plan = a.plan.ilir_memory.get();
-  degraded_opts.jit_refresh = true;
-  degraded_opts.jit_refresh_plan_opts.live_out = {a.lowered->output};
-  const IlirRun degraded = run_ilir(*a.optimized, lin, params, degraded_opts);
-
-  IlirRunOptions oracle_opts;
-  oracle_opts.plan = a.plan.ilir_memory.get();
-  const IlirRun oracle = run_ilir(*a.optimized, lin, params, oracle_opts);
-
-  ASSERT_EQ(degraded.barriers, oracle.barriers);
-  for (const auto& [name, tensor] : degraded.buffers) {
-    const Tensor& refbuf = oracle.at(name);
-    ASSERT_EQ(tensor.numel(), refbuf.numel()) << name;
-    EXPECT_EQ(std::memcmp(tensor.data(), refbuf.data(),
-                          static_cast<std::size_t>(tensor.numel()) *
-                              sizeof(float)),
-              0)
-        << "degraded interpreter fallback diverged in " << name;
-  }
-
-  // Toolchain recovers: the next refresh rebuilds and runs the kernel.
-  FaultInjector::instance().reset();
-  const JitStats before = JitCache::instance().stats();
-  runtime::Profiler prof;
-  IlirRunOptions recovered_opts = degraded_opts;
-  recovered_opts.profiler = &prof;
-  const IlirRun recovered =
-      run_ilir(*a.optimized, lin, params, recovered_opts);
-  EXPECT_EQ(prof.jit_runs, 1) << "refresh did not re-acquire the kernel";
-  EXPECT_GE(JitCache::instance().stats().retries, before.retries + 1);
-  ASSERT_EQ(recovered.barriers, oracle.barriers);
-  for (const auto& [name, tensor] : recovered.buffers) {
-    const Tensor& refbuf = oracle.at(name);
-    EXPECT_EQ(std::memcmp(tensor.data(), refbuf.data(),
-                          static_cast<std::size_t>(tensor.numel()) *
-                              sizeof(float)),
-              0)
-        << "recovered kernel diverged in " << name;
-  }
-  JitCache::instance().set_retry_policy(saved);
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // JIT execution path (exec/jit.hpp): the zoo x schedule x batch-size
 // differential battery (JIT'd kernels bit-identical to the interpreter on
 // every buffer, with the static verifier forced on), kernel sharing
-// through compile_artifacts, on-disk artifact persistence (a "second
-// process" — simulated by dropping the in-memory registry — reuses the
-// .so with zero compiles), stale-source rebuilds, toolchain-failure
-// surfacing, and the CORTEX_JIT_CHECK oracle mode.
+// through the in-process registry, on-disk artifact persistence (a
+// "second process" — simulated by dropping the in-memory registry —
+// reuses the .so with zero compiles), stale-source rebuilds,
+// toolchain-failure surfacing, every JIT fault-injection site armed
+// against JitCache::get_or_build, and the CORTEX_JIT_CHECK oracle mode.
 
 #include <gtest/gtest.h>
 
@@ -27,7 +28,6 @@
 #include "lowering/lower.hpp"
 #include "models/model_zoo.hpp"
 #include "runtime/device.hpp"
-#include "runtime/profiler.hpp"
 #include "support/fault_injection.hpp"
 #include "support/logging.hpp"
 
@@ -49,7 +49,6 @@ class EnvGuard {
       unsetenv(name_.c_str());
   }
   void set(const std::string& v) { setenv(name_.c_str(), v.c_str(), 1); }
-  void unset() { unsetenv(name_.c_str()); }
 
  private:
   std::string name_;
@@ -146,12 +145,18 @@ void expect_runs_bit_identical(const IlirRun& jit, const IlirRun& interp,
   }
 }
 
+/// Builds (or fetches) the kernel for compiled artifacts exactly as an
+/// offline caller would: the optimized program plus its planned arena.
+JitKernelPtr kernel_for(const CompiledArtifacts& a) {
+  const MemoryPlanOptions mp_opts{{a.lowered->output}, {}};
+  return JitCache::instance().get_or_build(
+      *a.optimized, a.plan.ilir_memory.get(), mp_opts);
+}
+
 // -- the acceptance battery ---------------------------------------------------
 
 TEST(JitDifferential, ZooTimesSchedulesTimesBatchesBitIdentical) {
   test_cache_dir();
-  EnvGuard jit_env("CORTEX_JIT");
-  jit_env.set("1");
   Rng rng(41);
   for (const models::ModelDef& def : zoo()) {
     if (!def.model) continue;
@@ -159,21 +164,22 @@ TEST(JitDifferential, ZooTimesSchedulesTimesBatchesBitIdentical) {
     const bool dag = def.name == "DAG-RNN";
     for (const auto& [label, schedule] : schedule_variants(dag)) {
       SCOPED_TRACE(def.name + " / " + label);
-      // compile_artifacts builds the kernel eagerly under CORTEX_JIT
-      // (verification forced inside get_or_build).
+      // Verification is forced inside get_or_build.
       const CompiledArtifacts a =
           compile_artifacts(def, schedule, runtime::DeviceSpec::v100_gpu());
       ASSERT_TRUE(a.optimized.has_value());
-      ASSERT_TRUE(a.jit != nullptr);
-      ASSERT_TRUE(a.jit->fn() != nullptr);
+      const JitKernelPtr kernel = kernel_for(a);
+      ASSERT_TRUE(kernel != nullptr);
+      ASSERT_TRUE(kernel->fn() != nullptr);
       for (int batch : {1, 3}) {
         SCOPED_TRACE("batch " + std::to_string(batch));
         const linearizer::Linearized lin =
             linearize_for(def, *a.lowered, batch, rng);
         IlirRunOptions jit_opts;
         jit_opts.plan = a.plan.ilir_memory.get();
-        jit_opts.jit = a.jit.get();
+        jit_opts.jit = kernel.get();
         const IlirRun jit_run = run_ilir(*a.optimized, lin, params, jit_opts);
+        ASSERT_TRUE(jit_run.ran_jit);
         IlirRunOptions interp_opts;
         interp_opts.plan = a.plan.ilir_memory.get();
         const IlirRun interp_run =
@@ -187,8 +193,6 @@ TEST(JitDifferential, ZooTimesSchedulesTimesBatchesBitIdentical) {
 
 TEST(JitDifferential, KernelWithoutMemoryPlanMatchesInterpreter) {
   test_cache_dir();
-  EnvGuard jit_env("CORTEX_JIT");
-  jit_env.set("1");
   Rng rng(43);
   const models::ModelDef def = models::make_treelstm(16);
   const models::ModelParams params = models::init_params(def, rng);
@@ -208,50 +212,66 @@ TEST(JitDifferential, KernelWithoutMemoryPlanMatchesInterpreter) {
 
 TEST(JitDifferential, CheckModeRunsBothPathsAndAgrees) {
   test_cache_dir();
-  EnvGuard jit_env("CORTEX_JIT");
   EnvGuard check_env("CORTEX_JIT_CHECK");
-  jit_env.set("1");
   check_env.set("1");
   Rng rng(47);
   const models::ModelDef def = models::make_treernn_fig1(16);
   const models::ModelParams params = models::init_params(def, rng);
   const CompiledArtifacts a =
       compile_artifacts(def, ra::Schedule{}, runtime::DeviceSpec::v100_gpu());
-  ASSERT_TRUE(a.jit != nullptr);
+  const JitKernelPtr kernel = kernel_for(a);
+  ASSERT_TRUE(kernel != nullptr);
   const linearizer::Linearized lin = linearize_for(def, *a.lowered, 3, rng);
   IlirRunOptions opts;
   opts.plan = a.plan.ilir_memory.get();
-  opts.jit = a.jit.get();
-  runtime::Profiler prof;
-  opts.profiler = &prof;
+  opts.jit = kernel.get();
   const IlirRun run = run_ilir(*a.optimized, lin, params, opts);
   EXPECT_GT(run.barriers, 0);
-  EXPECT_EQ(prof.jit_runs, 1);
+  EXPECT_TRUE(run.ran_jit);
+}
+
+TEST(JitDifferential, PlanBuiltKernelWithoutPlannerThrows) {
+  // A kernel bakes its memory plan's slot indices; with the planner off
+  // there is no arena to hand it, and run_ilir refuses rather than
+  // quietly interpreting (a set opts.jit always means the kernel runs).
+  test_cache_dir();
+  EnvGuard memplan_env("CORTEX_MEMPLAN");
+  Rng rng(45);
+  const models::ModelDef def = models::make_treernn_fig1(16);
+  const models::ModelParams params = models::init_params(def, rng);
+  const CompiledArtifacts a =
+      compile_artifacts(def, ra::Schedule{}, runtime::DeviceSpec::v100_gpu());
+  const JitKernelPtr kernel = kernel_for(a);
+  ASSERT_TRUE(kernel->has_arena());
+  const linearizer::Linearized lin = linearize_for(def, *a.lowered, 2, rng);
+  IlirRunOptions opts;
+  opts.plan = a.plan.ilir_memory.get();
+  opts.jit = kernel.get();
+  memplan_env.set("0");
+  EXPECT_THROW(run_ilir(*a.optimized, lin, params, opts), cortex::Error);
 }
 
 // -- caching ------------------------------------------------------------------
 
 TEST(JitCacheTest, RecompileSharesTheSameKernelHandle) {
   test_cache_dir();
-  EnvGuard jit_env("CORTEX_JIT");
-  jit_env.set("1");
   const models::ModelDef def = models::make_treegru(16);
-  const JitStats before = JitCache::instance().stats();
   const CompiledArtifacts a1 =
       compile_artifacts(def, ra::Schedule{}, runtime::DeviceSpec::v100_gpu());
   const CompiledArtifacts a2 =
       compile_artifacts(def, ra::Schedule{}, runtime::DeviceSpec::v100_gpu());
-  ASSERT_TRUE(a1.jit != nullptr);
-  // Same fingerprint -> the registry returns the same dlopen'd kernel.
-  EXPECT_EQ(a1.jit.get(), a2.jit.get());
+  const JitKernelPtr k1 = kernel_for(a1);
+  ASSERT_TRUE(k1 != nullptr);
+  const JitStats before = JitCache::instance().stats();
+  // Two independent compiles of one model produce programs with the same
+  // fingerprint -> the registry returns the same dlopen'd kernel.
+  EXPECT_EQ(kernel_for(a2).get(), k1.get());
   const JitStats after = JitCache::instance().stats();
   EXPECT_GE(after.memory_hits, before.memory_hits + 1);
 }
 
 TEST(JitCacheTest, DiskArtifactReusedWithZeroCompiles) {
   test_cache_dir();
-  EnvGuard jit_env("CORTEX_JIT");
-  jit_env.set("1");
   const models::ModelDef def = models::make_simple_treegru(16);
   const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
   const MemoryPlanOptions mp_opts{{lm.output}, {}};
@@ -266,16 +286,12 @@ TEST(JitCacheTest, DiskArtifactReusedWithZeroCompiles) {
   // satisfy the rebuild without invoking the toolchain.
   cache.clear_memory();
   const JitStats before = cache.stats();
-  runtime::Profiler prof;
-  const JitKernelPtr second =
-      cache.get_or_build(lm.program, &plan, mp_opts, &prof);
+  const JitKernelPtr second = cache.get_or_build(lm.program, &plan, mp_opts);
   const JitStats after = cache.stats();
   ASSERT_TRUE(second != nullptr);
   EXPECT_TRUE(second->from_disk());
   EXPECT_EQ(after.compiles, before.compiles);  // zero new compiles
   EXPECT_EQ(after.disk_hits, before.disk_hits + 1);
-  EXPECT_EQ(prof.jit_disk_hits, 1);
-  EXPECT_EQ(prof.jit_compiles, 0);
   // And the reloaded kernel still computes the same bytes.
   Rng rng(53);
   const models::ModelParams params = models::init_params(def, rng);
@@ -292,8 +308,6 @@ TEST(JitCacheTest, DiskArtifactReusedWithZeroCompiles) {
 
 TEST(JitCacheTest, StaleDiskSourceTriggersRebuild) {
   test_cache_dir();
-  EnvGuard jit_env("CORTEX_JIT");
-  jit_env.set("1");
   const models::ModelDef def = models::make_treefc(16);
   const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
 
@@ -332,26 +346,19 @@ TEST(JitCacheTest, ToolchainFailureSurfacesAsError) {
   EXPECT_EQ(after.failures, before.failures + 1);
 }
 
-TEST(JitCacheTest, EnabledKnobSemantics) {
-  EnvGuard jit_env("CORTEX_JIT");
-  jit_env.unset();
-  EXPECT_FALSE(jit_enabled());
-  jit_env.set("0");
-  EXPECT_FALSE(jit_enabled());
-  jit_env.set("");
-  EXPECT_FALSE(jit_enabled());
-  jit_env.set("1");
-  EXPECT_TRUE(jit_enabled());
-}
-
-TEST(JitCacheTest, DisabledJitLeavesArtifactsWithoutKernel) {
-  EnvGuard jit_env("CORTEX_JIT");
-  jit_env.unset();
+TEST(JitCacheTest, CompileArtifactsBuildsNoKernel) {
+  // Serving never runs a kernel, so compilation never asks for one: the
+  // JitCache sees no lookup, build or failure from compile_artifacts.
   const models::ModelDef def = models::make_treernn(16);
+  const JitStats before = JitCache::instance().stats();
   const CompiledArtifacts a =
       compile_artifacts(def, ra::Schedule{}, runtime::DeviceSpec::v100_gpu());
   EXPECT_TRUE(a.optimized.has_value());
-  EXPECT_TRUE(a.jit == nullptr);
+  const JitStats after = JitCache::instance().stats();
+  EXPECT_EQ(after.compiles, before.compiles);
+  EXPECT_EQ(after.disk_hits, before.disk_hits);
+  EXPECT_EQ(after.memory_hits, before.memory_hits);
+  EXPECT_EQ(after.failures, before.failures);
 }
 
 // -- crash consistency: distrusted artifacts quarantine, never run -----------
@@ -392,11 +399,9 @@ std::size_t count_quarantined(const std::string& dir) {
 }
 
 TEST(JitCrashConsistency, TruncatedSharedObjectQuarantinesAndRecompiles) {
-  EnvGuard jit_env("CORTEX_JIT");
   EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
   const std::string dir = fresh_dir();
   dir_env.set(dir);
-  jit_env.set("1");
   const models::ModelDef def = models::make_treefc(16);
   const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
 
@@ -434,11 +439,9 @@ TEST(JitCrashConsistency, TruncatedSharedObjectQuarantinesAndRecompiles) {
 }
 
 TEST(JitCrashConsistency, GarbageSourceWithMatchingNameQuarantines) {
-  EnvGuard jit_env("CORTEX_JIT");
   EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
   const std::string dir = fresh_dir();
   dir_env.set(dir);
-  jit_env.set("1");
   const models::ModelDef def = models::make_treegru(16);
   const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
 
@@ -469,11 +472,9 @@ TEST(JitCrashConsistency, GarbageSourceWithMatchingNameQuarantines) {
 }
 
 TEST(JitCrashConsistency, MissingSidecarQuarantinesAndRecompiles) {
-  EnvGuard jit_env("CORTEX_JIT");
   EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
   const std::string dir = fresh_dir();
   dir_env.set(dir);
-  jit_env.set("1");
   const models::ModelDef def = models::make_simple_treegru(16);
   const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
 
@@ -498,12 +499,10 @@ TEST(JitCrashConsistency, MissingSidecarQuarantinesAndRecompiles) {
 }
 
 TEST(JitCrashConsistency, FailedCompileLeavesNoStrandedFiles) {
-  EnvGuard jit_env("CORTEX_JIT");
   EnvGuard cc_env("CORTEX_JIT_CC");
   EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
   const std::string dir = fresh_dir();
   dir_env.set(dir);
-  jit_env.set("1");
   cc_env.set("/bin/false");
   const models::ModelDef def = models::make_treernn(16);
   const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
@@ -519,133 +518,97 @@ TEST(JitCrashConsistency, FailedCompileLeavesNoStrandedFiles) {
   EXPECT_EQ(files, 0u);
 }
 
-// -- degraded plans and the backoff-budgeted recompile -----------------------
-
-/// Saves/restores the process-wide retry policy (tests use zero backoff
-/// or huge backoff to pin timing without sleeping).
-class RetryPolicyGuard {
- public:
-  RetryPolicyGuard() : saved_(JitCache::instance().retry_policy()) {}
-  ~RetryPolicyGuard() {
-    JitCache::instance().set_retry_policy(saved_);
-    JitCache::instance().clear_backoff();
-  }
-
- private:
-  JitRetryPolicy saved_;
-};
-
-TEST(JitBackoffTest, TolerantAcquisitionAbsorbsFailureAndSuppressesRetries) {
-  test_cache_dir();
-  EnvGuard cc_env("CORTEX_JIT_CC");
-  cc_env.set("/bin/false");
-  RetryPolicyGuard policy;
-  JitCache& cache = JitCache::instance();
-  cache.clear_backoff();
-  // Huge backoff window: the second ask must be answered from the
-  // ledger, without touching the toolchain again.
-  cache.set_retry_policy({1000 * 60 * 60, 8});
-  const models::ModelDef def = models::make_treegru_embed(16);
-  const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
-
-  const JitStats s0 = cache.stats();
-  const JitTryResult r1 = cache.try_get_or_build(lm.program, nullptr);
-  EXPECT_EQ(r1.kernel, nullptr);
-  EXPECT_FALSE(r1.suppressed);  // a build was attempted (and failed)
-  EXPECT_FALSE(r1.error.empty());
-  const JitStats s1 = cache.stats();
-  EXPECT_EQ(s1.failures, s0.failures + 1);
-
-  const JitTryResult r2 = cache.try_get_or_build(lm.program, nullptr);
-  EXPECT_EQ(r2.kernel, nullptr);
-  EXPECT_TRUE(r2.suppressed);  // backoff window still open
-  EXPECT_FALSE(r2.error.empty());
-  const JitStats s2 = cache.stats();
-  EXPECT_EQ(s2.failures, s1.failures);  // no second toolchain invocation
-  EXPECT_EQ(s2.backoff_suppressed, s1.backoff_suppressed + 1);
-}
-
-TEST(JitBackoffTest, RetryBudgetExhaustionStopsAskingTheToolchain) {
-  test_cache_dir();
-  EnvGuard cc_env("CORTEX_JIT_CC");
-  cc_env.set("/bin/false");
-  RetryPolicyGuard policy;
-  JitCache& cache = JitCache::instance();
-  cache.clear_backoff();
-  cache.set_retry_policy({0, 2});  // immediate retries, budget of 2
-  const models::ModelDef def = models::make_mvrnn(8);
-  const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
-
-  const JitStats s0 = cache.stats();
-  EXPECT_FALSE(cache.try_get_or_build(lm.program, nullptr).suppressed);
-  EXPECT_FALSE(cache.try_get_or_build(lm.program, nullptr).suppressed);
-  // Budget spent: every further ask is suppressed, forever, until
-  // clear_backoff (or a success elsewhere).
-  for (int i = 0; i < 3; ++i)
-    EXPECT_TRUE(cache.try_get_or_build(lm.program, nullptr).suppressed);
-  const JitStats s1 = cache.stats();
-  EXPECT_EQ(s1.failures, s0.failures + 2);
-  EXPECT_EQ(s1.retries, s0.retries + 1);  // the 2nd attempt was a retry
-  EXPECT_EQ(s1.backoff_suppressed, s0.backoff_suppressed + 3);
-
-  // clear_backoff lifts the embargo ("the toolchain is fixed now").
-  cache.clear_backoff();
-  EXPECT_FALSE(cache.try_get_or_build(lm.program, nullptr).suppressed);
-}
-
 TEST(JitBackoffTest, SuccessAfterFailureClearsTheRecordAndServesKernels) {
+  // A failed build leaves nothing behind that could block the next one:
+  // once the toolchain recovers, the very next ask compiles and serves a
+  // correct kernel, and the ask after that is a plain memory hit.
   // A private artifact dir + cold memory cache: an artifact left behind
   // by an earlier test would satisfy the ask before the armed jit.cc
   // site is ever consulted.
   EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
   dir_env.set(fresh_dir());
-  RetryPolicyGuard policy;
   struct FaultGuard {
     ~FaultGuard() { support::FaultInjector::instance().reset(); }
   } fault_guard;
   JitCache& cache = JitCache::instance();
   cache.clear_memory();
-  cache.clear_backoff();
-  cache.set_retry_policy({0, 8});  // no wait between attempts
   const models::ModelDef def = models::make_treelstm(16);
   const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
 
   // Fail via the jit.cc fault site, NOT a different CORTEX_JIT_CC: the
   // compiler command is part of the kernel key, so swapping compilers
-  // would record the failure and the recovery under different keys.
+  // would put the failure and the recovery under different keys.
   support::FaultInjector::instance().configure("jit.cc=*");
-  EXPECT_EQ(cache.try_get_or_build(lm.program, nullptr).kernel, nullptr);
+  EXPECT_THROW(cache.get_or_build(lm.program, nullptr), cortex::Error);
 
-  // Toolchain recovers: the next tolerant ask rebuilds and succeeds.
+  // Toolchain recovers: the next ask rebuilds and succeeds.
   support::FaultInjector::instance().reset();
-  const JitTryResult ok = cache.try_get_or_build(lm.program, nullptr);
-  ASSERT_TRUE(ok.kernel != nullptr);
-  EXPECT_FALSE(ok.suppressed);
-  expect_kernel_correct(def, lm, ok.kernel, 71);
+  const JitStats before_rebuild = cache.stats();
+  const JitKernelPtr ok = cache.get_or_build(lm.program, nullptr);
+  ASSERT_TRUE(ok != nullptr);
+  EXPECT_EQ(cache.stats().compiles, before_rebuild.compiles + 1);
+  expect_kernel_correct(def, lm, ok, 71);
 
-  // The failure record is gone: strict acquisition is a memory hit.
   const JitStats before = cache.stats();
-  EXPECT_EQ(cache.get_or_build(lm.program, nullptr).get(), ok.kernel.get());
+  EXPECT_EQ(cache.get_or_build(lm.program, nullptr).get(), ok.get());
   EXPECT_EQ(cache.stats().memory_hits, before.memory_hits + 1);
 }
 
-TEST(JitBackoffTest, DegradedCompileArtifactsCarryTheError) {
-  test_cache_dir();
-  EnvGuard jit_env("CORTEX_JIT");
-  EnvGuard cc_env("CORTEX_JIT_CC");
-  RetryPolicyGuard policy;
-  JitCache::instance().clear_backoff();
-  jit_env.set("1");
-  cc_env.set("/bin/false");
-  const models::ModelDef def = models::make_seq_gru(16);
-  // Tolerant compile: a broken toolchain degrades the plan instead of
-  // failing compilation.
-  const CompiledArtifacts a =
-      compile_artifacts(def, ra::Schedule{}, runtime::DeviceSpec::v100_gpu());
-  EXPECT_TRUE(a.optimized.has_value());
-  EXPECT_EQ(a.jit, nullptr);
-  EXPECT_TRUE(a.jit_degraded);
-  EXPECT_FALSE(a.jit_error.empty());
+// -- fault-injection sites ----------------------------------------------------
+
+TEST(JitFaultSites, ArmedSiteThrowsOrRecompilesAndStrandsNoTempFile) {
+  // Every JIT fault site armed in turn against a direct get_or_build in a
+  // fresh artifact dir. A build-path site (toolchain, dlopen, publish)
+  // must throw cortex::Error; cache.read sits on the disk-reuse path, so
+  // it must quarantine the "corrupt" artifact and recompile instead.
+  // Either way no *.tmp.* file may be left behind, and once the injector
+  // is reset the next build must give a kernel bit-identical to the
+  // interpreter.
+  struct FaultGuard {
+    ~FaultGuard() { support::FaultInjector::instance().reset(); }
+  } fault_guard;
+  EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
+  const models::ModelDef def = models::make_treelstm(16);
+  const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
+  JitCache& cache = JitCache::instance();
+  std::uint64_t seed = 73;
+  for (const char* site : {"jit.cc", "jit.dlopen", "jit.disk.write",
+                           "jit.disk.rename", "cache.read"}) {
+    SCOPED_TRACE(site);
+    const std::string dir = fresh_dir();
+    dir_env.set(dir);
+    // Cold memory registry: the armed site must sit on the executed path.
+    cache.clear_memory();
+    const bool reuse_site = std::string(site) == "cache.read";
+    if (reuse_site) {
+      // Publish an intact artifact first, then force the disk path.
+      ASSERT_TRUE(cache.get_or_build(lm.program, nullptr) != nullptr);
+      cache.clear_memory();
+    }
+    const JitStats before = cache.stats();
+    support::FaultInjector::instance().configure(std::string(site) + "=*");
+    if (reuse_site) {
+      const JitKernelPtr k = cache.get_or_build(lm.program, nullptr);
+      ASSERT_TRUE(k != nullptr);
+      EXPECT_FALSE(k->from_disk());  // the distrusted artifact never loaded
+      EXPECT_EQ(cache.stats().quarantined, before.quarantined + 1);
+      EXPECT_EQ(cache.stats().compiles, before.compiles + 1);
+    } else {
+      EXPECT_THROW(cache.get_or_build(lm.program, nullptr), cortex::Error);
+      EXPECT_EQ(cache.stats().failures, before.failures + 1);
+    }
+    EXPECT_GE(support::FaultInjector::instance().stats(site).fired, 1)
+        << site << " never fired";
+    for (const auto& e : std::filesystem::directory_iterator(dir))
+      EXPECT_EQ(e.path().filename().string().find(".tmp."), std::string::npos)
+          << "stranded temp file " << e.path();
+
+    support::FaultInjector::instance().reset();
+    cache.clear_memory();
+    const JitKernelPtr recovered = cache.get_or_build(lm.program, nullptr);
+    ASSERT_TRUE(recovered != nullptr);
+    expect_kernel_correct(def, lm, recovered, seed++);
+  }
 }
 
 }  // namespace
