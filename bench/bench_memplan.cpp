@@ -1,11 +1,10 @@
 // Static memory planner on the Fig. 9 sequential LSTM configuration
 // (hidden 256, sequence length 100): peak arena bytes vs the sum of
 // individual buffer bytes (what per-buffer allocation pays), slot/reuse
-// counts, and the warm-run time delta between the arena path
-// (CORTEX_MEMPLAN=1) and the per-buffer allocator (CORTEX_MEMPLAN=0).
+// counts, and the warm-run time delta between the arena path and the
+// per-buffer allocator (run_ilir under an empty MemoryPlan).
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "common.hpp"
 #include "exec/ilir_runner.hpp"
@@ -18,10 +17,12 @@ namespace {
 
 double time_runs_ms(const ilir::Program& program,
                     const linearizer::Linearized& lin,
-                    const models::ModelParams& params, int iters) {
-  (void)exec::run_ilir(program, lin, params);  // warmup
+                    const models::ModelParams& params,
+                    const exec::IlirRunOptions& opts, int iters) {
+  (void)exec::run_ilir(program, lin, params, opts);  // warmup
   const std::int64_t t0 = runtime::now_ns();
-  for (int i = 0; i < iters; ++i) (void)exec::run_ilir(program, lin, params);
+  for (int i = 0; i < iters; ++i)
+    (void)exec::run_ilir(program, lin, params, opts);
   return static_cast<double>(runtime::now_ns() - t0) * 1e-6 / iters;
 }
 
@@ -44,15 +45,21 @@ int run() {
               static_cast<long long>(hidden), static_cast<long long>(seq_len));
   bench::print_rule();
 
-  setenv("CORTEX_MEMPLAN", "1", 1);
   const exec::MemoryPlan plan = exec::plan_memory(lm.program, {{lm.output}, {}});
-  const exec::IlirRun arena_run = exec::run_ilir(lm.program, lin, params);
-  const double arena_ms = time_runs_ms(lm.program, lin, params, iters);
+  const exec::IlirRunOptions arena_opts;  // run_ilir plans the program
+  const exec::IlirRun arena_run =
+      exec::run_ilir(lm.program, lin, params, arena_opts);
+  const double arena_ms =
+      time_runs_ms(lm.program, lin, params, arena_opts, iters);
 
-  setenv("CORTEX_MEMPLAN", "0", 1);
-  const exec::IlirRun plain_run = exec::run_ilir(lm.program, lin, params);
-  const double plain_ms = time_runs_ms(lm.program, lin, params, iters);
-  unsetenv("CORTEX_MEMPLAN");
+  // An empty plan places nothing: every buffer gets its own tensor.
+  const exec::MemoryPlan per_buffer;
+  exec::IlirRunOptions plain_opts;
+  plain_opts.plan = &per_buffer;
+  const exec::IlirRun plain_run =
+      exec::run_ilir(lm.program, lin, params, plain_opts);
+  const double plain_ms =
+      time_runs_ms(lm.program, lin, params, plain_opts, iters);
 
   const double reduction =
       100.0 * (1.0 - static_cast<double>(arena_run.arena_bytes) /

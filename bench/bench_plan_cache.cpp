@@ -35,7 +35,7 @@ double construction_ns(const Config& cfg, const models::ModelParams& params,
 
 int main() {
   std::printf("Plan cache: cold vs warm engine construction\n");
-  std::printf("(cold = CORTEX_PLAN_CACHE bypassed; warm = cache hit)\n");
+  std::printf("(cold = PlanCache::set_enabled(false); warm = cache hit)\n");
 
   const bool smoke = bench::smoke_mode();
   const int iters = smoke ? 2 : 30;

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "support/clock.hpp"
-#include "support/env.hpp"
 #include "support/fault_injection.hpp"
 #include "support/logging.hpp"
 
@@ -30,21 +29,15 @@ const char* to_string(RequestStatus status) {
   return "unknown";
 }
 
-std::int64_t BatchServer::default_max_batch() {
-  return support::env_positive_int("CORTEX_SERVER_MAX_BATCH", 32);
-}
+std::int64_t BatchServer::default_max_batch() { return 32; }
 
-std::int64_t BatchServer::default_max_wait_us() {
-  return support::env_positive_int("CORTEX_SERVER_MAX_WAIT_US", 1000);
-}
+std::int64_t BatchServer::default_max_wait_us() { return 1000; }
 
 BatchServer::BatchServer(EnginePool& pool, BatchServerOptions opts)
     : pool_(pool), opts_(opts), queue_(opts.queue_capacity) {
   if (opts_.max_batch < 1) opts_.max_batch = default_max_batch();
   if (opts_.max_wait_us < 0) opts_.max_wait_us = default_max_wait_us();
   if (opts_.dispatchers < 1) opts_.dispatchers = 1;
-  if (opts_.dispatch_retries < 0)
-    opts_.dispatch_retries = support::env_positive_int("CORTEX_SERVER_RETRIES", 1);
   const models::ModelDef& def = pool_.def();
   model_is_dag_ =
       def.model && def.model->kind == linearizer::StructureKind::kDag;

@@ -58,9 +58,9 @@ class CortexEngine {
   runtime::RunResult run_linearized(const linearizer::Linearized& lin,
                                     double linearization_ns);
 
-  /// Host threads the numeric wavefront executor uses. Defaults to
-  /// CORTEX_THREADS / hardware_concurrency (ThreadPool::default_num_threads)
-  /// on first use; n < 1 resets to that default. Outputs are bit-identical
+  /// Host threads the numeric wavefront executor uses. Defaults to the
+  /// hardware thread count (ThreadPool::default_num_threads) on first
+  /// use; n < 1 resets to that default. Outputs are bit-identical
   /// at every thread count: nodes within a wavefront batch are independent
   /// by construction and each writes only its own state row.
   void set_num_threads(int n);

@@ -3,9 +3,9 @@
 #include <algorithm>
 
 #include "runtime/profiler.hpp"
-#include "support/env.hpp"
 #include "support/fault_injection.hpp"
 #include "support/logging.hpp"
+#include "support/thread_pool.hpp"
 
 namespace cortex::exec {
 
@@ -18,8 +18,7 @@ support::FaultSite g_fault_pool_worker("pool.worker");
 }  // namespace
 
 int EnginePool::default_num_workers() {
-  return support::env_positive_int("CORTEX_POOL_WORKERS",
-                                   support::hardware_threads());
+  return support::ThreadPool::default_num_threads();
 }
 
 std::vector<EnginePool::Shard> EnginePool::shard_plan(
@@ -48,8 +47,6 @@ EnginePool::EnginePool(const models::ModelDef& def,
   if (opts_.workers < 1) opts_.workers = default_num_workers();
   if (opts_.min_shard_size < 1) opts_.min_shard_size = 1;
   if (opts_.threads_per_worker < 1) opts_.threads_per_worker = 1;
-  if (opts_.transient_retries < 0)
-    opts_.transient_retries = support::env_positive_int("CORTEX_POOL_RETRIES", 2);
   engines_.reserve(static_cast<std::size_t>(opts_.workers));
   for (int w = 0; w < opts_.workers; ++w) {
     // Worker 0's construction compiles (or warm-hits the plan cache);

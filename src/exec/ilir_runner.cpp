@@ -1,7 +1,6 @@
 #include "exec/ilir_runner.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -37,31 +36,23 @@ IlirRun run_ilir(const ilir::Program& program,
   ilir::Evaluator ev(program, lin);
   ev.bind_structure();
 
-  // Storage strategy: one zero-filled arena with planner-assigned slot
-  // offsets, unless CORTEX_MEMPLAN=0 asks for the per-buffer allocator.
-  const MemoryPlan* plan = nullptr;
+  // Storage: one zero-filled arena with planner-assigned slot offsets.
+  // A buffer the plan has no entry for gets its own zeroed tensor, so an
+  // empty MemoryPlan gives the per-buffer reference allocator.
   MemoryPlan local_plan;
-  if (memplan_enabled()) {
-    if (opts.plan != nullptr) {
-      plan = opts.plan;
-    } else {
-      local_plan = plan_memory(program);
-      plan = &local_plan;
-    }
+  const MemoryPlan* plan = opts.plan;
+  if (plan == nullptr) {
+    local_plan = plan_memory(program);
+    plan = &local_plan;
   }
-  ResolvedArena layout;
-  std::shared_ptr<float[]> arena;
-  if (plan != nullptr) {
-    layout = resolve_arena(*plan, scalars);
-    const std::int64_t elems = layout.arena_bytes / 4;
-    // Value-initialized: the single zero-fill every zero_init buffer
-    // relies on. Per-call allocation keeps concurrent runs independent.
-    arena = std::shared_ptr<float[]>(
-        new float[static_cast<std::size_t>(std::max<std::int64_t>(elems, 1))]());
-    run.arena_bytes = layout.arena_bytes;
-    run.sum_buffer_bytes = layout.sum_buffer_bytes;
-    run.buffers_reused = plan->buffers_reused;
-  }
+  const ResolvedArena layout = resolve_arena(*plan, scalars);
+  // Value-initialized: the single zero-fill every zero_init buffer relies
+  // on. Per-call allocation keeps concurrent runs independent.
+  const std::shared_ptr<float[]> arena(new float[static_cast<std::size_t>(
+      std::max<std::int64_t>(layout.arena_bytes / 4, 1))]());
+  run.arena_bytes = layout.arena_bytes;
+  run.sum_buffer_bytes = layout.sum_buffer_bytes;
+  run.buffers_reused = plan->buffers_reused;
 
   for (const ilir::Buffer& b : program.buffers) {
     // Integer buffers are linearizer arrays (exec_order, batch_begin,
@@ -80,8 +71,7 @@ IlirRun run_ilir(const ilir::Program& program,
     dims.reserve(b.shape.size());
     for (const ra::Expr& e : b.shape) dims.push_back(eval_extent(e, scalars));
     Shape shape(dims);
-    const BufferPlanEntry* entry =
-        plan != nullptr ? plan->find(b.name) : nullptr;
+    const BufferPlanEntry* entry = plan->find(b.name);
     Tensor t;
     if (entry != nullptr) {
       const std::int64_t offset =
@@ -89,7 +79,7 @@ IlirRun run_ilir(const ilir::Program& program,
       t = Tensor::view_into(std::move(shape), arena, offset / 4);
     } else {
       // No plan entry: unplanned buffer (never written — an externally
-      // shaped placeholder with no parameter bound) or planner off.
+      // shaped placeholder with no parameter bound) or an empty plan.
       t = Tensor::zeros(std::move(shape));
       const std::int64_t bytes = t.numel() * 4;
       run.arena_bytes += bytes;  // dedicated storage counts toward the
@@ -102,12 +92,13 @@ IlirRun run_ilir(const ilir::Program& program,
 
   // Execution: the supplied kernel over exactly the storage bound above,
   // else the interpreter. A plan-built kernel bakes arena slot indices,
-  // so it needs this run to have resolved that arena (memplan on).
+  // so it runs only over an arena resolved from that same plan.
   if (opts.jit != nullptr) {
     const JitKernel& kernel = *opts.jit;
-    CORTEX_CHECK(!kernel.has_arena() || plan != nullptr)
-        << "JIT kernel built against a memory plan needs the planner "
-           "(CORTEX_MEMPLAN=0 is set)";
+    CORTEX_CHECK(!kernel.has_arena() ||
+                 fingerprint(*plan) == kernel.plan_fingerprint())
+        << "JIT kernel was built against a different memory plan than "
+           "this run's (" << plan->slots.size() << " slots)";
     std::vector<float*> param_table;
     param_table.reserve(kernel.params_order().size());
     for (const std::string& name : kernel.params_order()) {
@@ -139,27 +130,6 @@ IlirRun run_ilir(const ilir::Program& program,
   } else {
     ev.run();
     run.barriers = ev.barriers_executed();
-  }
-
-  if (run.ran_jit && jit_check_enabled()) {
-    // Differential oracle: re-run interpreted on fresh storage and demand
-    // bitwise equality of every buffer plus the barrier count.
-    IlirRunOptions oracle_opts = opts;
-    oracle_opts.jit = nullptr;
-    oracle_opts.profiler = nullptr;
-    const IlirRun oracle = run_ilir(program, lin, params, oracle_opts);
-    CORTEX_CHECK(oracle.barriers == run.barriers)
-        << "JIT/interpreter barrier divergence: " << run.barriers << " vs "
-        << oracle.barriers;
-    for (auto& [name, tensor] : run.buffers) {
-      const Tensor& ref = oracle.at(name);
-      CORTEX_CHECK(tensor.numel() == ref.numel())
-          << "JIT/interpreter shape divergence in " << name;
-      CORTEX_CHECK(std::memcmp(tensor.data(), ref.data(),
-                               static_cast<std::size_t>(tensor.numel()) *
-                                   sizeof(float)) == 0)
-          << "JIT/interpreter bitwise divergence in buffer " << name;
-    }
   }
 
   if (opts.profiler != nullptr) {

@@ -8,13 +8,14 @@
 // to end.
 //
 // Buffer storage comes from the static memory planner
-// (exec/memory_plan.hpp) by default: one zero-filled arena allocation
-// per run, each buffer a view at its precomputed slot offset, so buffers
-// with disjoint live ranges share bytes. Each call allocates its own
-// arena, so concurrent runs (EnginePool workers, ThreadPool shards)
-// never share storage. CORTEX_MEMPLAN=0 falls back to the historical
-// per-buffer Tensor::zeros allocator; both paths are bit-identical on
-// every buffer that is live at program exit.
+// (exec/memory_plan.hpp): one zero-filled arena allocation per run, each
+// buffer a view at its precomputed slot offset, so buffers with disjoint
+// live ranges share bytes. Each call allocates its own arena, so
+// concurrent runs (EnginePool workers, ThreadPool shards) never share
+// storage. A buffer the plan has no entry for gets its own Tensor::zeros,
+// so passing an empty MemoryPlan gives the per-buffer reference
+// allocator; both are bit-identical on every buffer that is live at
+// program exit.
 
 #include <map>
 #include <string>
@@ -43,7 +44,8 @@ struct IlirRun {
   std::int64_t barriers = 0;
 
   /// Bytes actually allocated for program buffers this run: the arena
-  /// size under the planner, the per-buffer sum under CORTEX_MEMPLAN=0.
+  /// size plus any unplanned buffers (the per-buffer sum under an empty
+  /// plan).
   std::int64_t arena_bytes = 0;
   /// Sum of the individual buffer byte sizes (what per-buffer allocation
   /// would cost); arena_bytes / sum_buffer_bytes is the reuse ratio.
@@ -58,17 +60,15 @@ struct IlirRun {
 
 struct IlirRunOptions {
   /// Precomputed plan (e.g. Plan::ilir_memory from compile_artifacts).
-  /// When null and the planner is enabled, run_ilir plans the program
-  /// itself.
+  /// When null, run_ilir plans the program itself. An empty MemoryPlan
+  /// plans nothing: every buffer gets dedicated storage.
   const MemoryPlan* plan = nullptr;
   /// When set, the run adds arena/reuse counters to this profiler.
   runtime::Profiler* profiler = nullptr;
   /// Compiled kernel for this program (JitCache::get_or_build). When
   /// set, the run executes the kernel instead of the interpreter over the
   /// same buffer storage; a kernel built against a memory plan needs that
-  /// plan here and throws under CORTEX_MEMPLAN=0. CORTEX_JIT_CHECK=1 runs
-  /// BOTH paths and requires bit-identical buffers and barrier counts
-  /// (the interpreter as differential oracle).
+  /// same plan here (run_ilir throws on any other, an empty one included).
   const JitKernel* jit = nullptr;
 };
 

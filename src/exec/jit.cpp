@@ -6,7 +6,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -30,11 +29,6 @@ support::FaultSite g_fault_dlopen("jit.dlopen");
 support::FaultSite g_fault_disk_write("jit.disk.write");
 support::FaultSite g_fault_disk_rename("jit.disk.rename");
 support::FaultSite g_fault_cache_read("cache.read");
-
-bool env_on(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
-}
 
 /// Flags every kernel is built with. -ffp-contract=off matches the
 /// tree-wide flag the bit-identity contract depends on (a fused
@@ -235,6 +229,7 @@ JitKernelPtr JitCache::build_locked_out(const support::Fingerprint& key,
   auto kernel = std::shared_ptr<JitKernel>(new JitKernel());
   kernel->params_order_ = src.params_order;
   kernel->has_arena_ = plan != nullptr;
+  if (plan != nullptr) kernel->plan_fingerprint_ = fingerprint(*plan);
 
   // Disk reuse. Trust requires all of: persisted source matching the
   // regenerated source byte-for-byte (fingerprint collisions and emitter
@@ -334,8 +329,6 @@ void JitCache::clear_memory() {
   std::lock_guard<std::mutex> lock(mu_);
   map_.clear();
 }
-
-bool jit_check_enabled() { return env_on("CORTEX_JIT_CHECK"); }
 
 std::string jit_compiler() {
   if (const char* cc = std::getenv("CORTEX_JIT_CC");

@@ -23,9 +23,9 @@
 // memory-plan verifier run on EVERY kernel build or disk reuse regardless
 // of CORTEX_ILIR_VERIFY — a dlopen'd kernel executes whatever the pass
 // pipeline emitted with no interpreter bounds checks, so it never runs
-// unverified IR. The interpreter stays the differential oracle:
-// CORTEX_JIT_CHECK=1 makes run_ilir execute both paths and require
-// bit-identical buffers and barrier counts.
+// unverified IR. The interpreter stays the differential oracle: the
+// JitDifferential tests require bit-identical buffers and barrier counts
+// across the model zoo, schedules and batch sizes.
 //
 // Integrity: every published .so carries a sidecar (<lib>.sig) holding a
 // digest of the shared object's bytes. The disk-reuse path recomputes the
@@ -48,9 +48,8 @@
 // branch, so the quarantine and cleanup paths above are testable on
 // demand.
 //
-// run_ilir runs a kernel exactly when IlirRunOptions::jit is set. Knobs
-// (read per call, so tests can flip them):
-//   CORTEX_JIT_CHECK      also interpret and compare bitwise
+// run_ilir runs a kernel exactly when IlirRunOptions::jit is set.
+// Deployment paths (read per call):
 //   CORTEX_JIT_CACHE_DIR  artifact directory (default /tmp/cortex-jit-<uid>)
 //   CORTEX_JIT_CC         compiler command (default "cc")
 
@@ -103,6 +102,11 @@ class JitKernel {
   /// Built against a memory plan: run_ilir must supply the arena +
   /// resolved slot offsets of that plan.
   bool has_arena() const { return has_arena_; }
+  /// Fingerprint of that plan (empty when !has_arena()): run_ilir refuses
+  /// a run over any other plan, whose slots are not the ones baked in.
+  const support::Fingerprint& plan_fingerprint() const {
+    return plan_fingerprint_;
+  }
   /// Reused from a persisted artifact (no toolchain invocation).
   bool from_disk() const { return from_disk_; }
 
@@ -119,6 +123,7 @@ class JitKernel {
   std::string symbol_;
   std::string library_path_;
   bool has_arena_ = false;
+  support::Fingerprint plan_fingerprint_;
   bool from_disk_ = false;
 };
 
@@ -164,9 +169,6 @@ class JitCache {
   JitStats stats_;
 };
 
-/// CORTEX_JIT_CHECK set, non-empty and != "0": run_ilir also interprets
-/// and requires bitwise-identical results.
-bool jit_check_enabled();
 /// Compiler command: CORTEX_JIT_CC or "cc".
 std::string jit_compiler();
 

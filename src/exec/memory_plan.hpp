@@ -137,9 +137,4 @@ std::int64_t eval_extent(const ra::Expr& e,
 void fingerprint(const MemoryPlan& plan, support::FingerprintBuilder& fb);
 support::Fingerprint fingerprint(const MemoryPlan& plan);
 
-/// True unless CORTEX_MEMPLAN is set to "0" — the escape hatch back to
-/// the per-buffer allocator in exec::run_ilir. Read per call so the
-/// differential tests can flip it.
-bool memplan_enabled();
-
 }  // namespace cortex::exec

@@ -1,6 +1,5 @@
 #include "exec/plan_cache.hpp"
 
-#include <cstdlib>
 #include <optional>
 #include <string>
 
@@ -73,27 +72,6 @@ CompiledArtifacts compile_artifacts(const models::ModelDef& def,
 PlanCache& PlanCache::instance() {
   static PlanCache* cache = new PlanCache();  // never destroyed: engines
   return *cache;  // on other threads may outlive static teardown
-}
-
-PlanCache::PlanCache() {
-  const Config cfg = config_from_env(std::getenv("CORTEX_PLAN_CACHE"),
-                                     std::getenv("CORTEX_PLAN_CACHE_CAPACITY"));
-  enabled_ = cfg.enabled;
-  capacity_ = cfg.capacity;
-}
-
-PlanCache::Config PlanCache::config_from_env(const char* enabled_value,
-                                             const char* capacity_value) {
-  Config cfg;
-  if (enabled_value != nullptr && std::string(enabled_value) == "0")
-    cfg.enabled = false;
-  if (capacity_value != nullptr) {
-    char* end = nullptr;
-    const long long cap = std::strtoll(capacity_value, &end, 10);
-    if (end != capacity_value && *end == '\0' && cap > 0)
-      cfg.capacity = static_cast<std::int64_t>(cap);
-  }
-  return cfg;
 }
 
 support::Fingerprint PlanCache::key_for(const models::ModelDef& def,

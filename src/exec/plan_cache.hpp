@@ -18,11 +18,8 @@
 // the in-flight result. Artifacts are handed out as shared_ptr-to-const;
 // eviction never invalidates a pointer an engine already holds.
 //
-// Controls:
-//   CORTEX_PLAN_CACHE=0           disable (every construction compiles)
-//   CORTEX_PLAN_CACHE_CAPACITY=N  bound the LRU to N entries (default:
-//                                 unbounded)
-// plus the programmatic set_enabled / set_capacity / clear used by tests.
+// Controls: the cache starts enabled and unbounded; set_enabled,
+// set_capacity and clear adjust it (tests and benches use them).
 
 #include <functional>
 #include <future>
@@ -97,18 +94,8 @@ class PlanCache {
 
   PlanCacheStats stats() const;
 
-  struct Config {
-    bool enabled = true;
-    std::int64_t capacity = 0;  ///< 0 = unbounded
-  };
-  /// Parses the environment controls (null = unset): CORTEX_PLAN_CACHE
-  /// disables the cache when exactly "0"; CORTEX_PLAN_CACHE_CAPACITY
-  /// bounds the LRU when a positive integer. Split out for unit testing.
-  static Config config_from_env(const char* enabled_value,
-                                const char* capacity_value);
-
  private:
-  PlanCache();
+  PlanCache() = default;
 
   /// Front = most recently used.
   using LruList = std::list<std::pair<support::Fingerprint, ArtifactsPtr>>;

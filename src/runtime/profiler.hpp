@@ -69,10 +69,10 @@ struct Profiler {
   std::int64_t pool_transient_retries = 0;
 
   // -- ILIR arena (static memory planner) ------------------------------------
-  /// Peak arena bytes one run_ilir allocation covered all program buffers
-  /// with (Fig. 12's peak-memory axis). 0 when no ILIR run was profiled
-  /// or the planner is off (CORTEX_MEMPLAN=0 falls back to per-buffer
-  /// allocation, where this instead records the summed buffer bytes).
+  /// Peak bytes one run_ilir allocated for all program buffers (Fig. 12's
+  /// peak-memory axis): the arena plus any unplanned buffers, so an empty
+  /// MemoryPlan records the summed per-buffer bytes. 0 when no ILIR run
+  /// was profiled.
   std::int64_t ilir_arena_bytes = 0;
   /// Buffers the plan placed into an already-occupied slot (bytes shared
   /// with a dead buffer instead of newly allocated).

@@ -52,9 +52,9 @@ class FailStream {
 
 namespace cortex::support {
 
-/// Sink for non-fatal warnings (operator-knob clamps, degraded-mode
-/// fallbacks): conditions worth surfacing that must not throw. The default
-/// handler writes "[cortex] warning: <msg>" to stderr.
+/// Sink for non-fatal warnings (transient-failure retries, quarantined
+/// JIT artifacts): conditions worth surfacing that must not throw. The
+/// default handler writes "[cortex] warning: <msg>" to stderr.
 using WarnHandler = void (*)(const std::string& msg);
 
 /// Installs a warning handler and returns the previous one; nullptr

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 
-#include "support/env.hpp"
 #include "support/logging.hpp"
 
 namespace cortex::support {
 
 int ThreadPool::default_num_threads() {
-  return env_positive_int("CORTEX_THREADS", hardware_threads());
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<int>(hw);  // 0 means "unknown"
 }
 
 ThreadPool::ThreadPool(int num_threads)

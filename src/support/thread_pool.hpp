@@ -44,9 +44,8 @@ class ThreadPool {
   /// remains usable. Not reentrant: one parallel_for at a time per pool.
   void parallel_for(std::int64_t n, const RangeFn& fn);
 
-  /// Pool size the engine uses by default: CORTEX_THREADS when set to a
-  /// positive integer, else std::thread::hardware_concurrency() (min 1).
-  /// Reads the environment on every call so tests can vary it.
+  /// Pool size the engine uses by default: the hardware thread count,
+  /// std::thread::hardware_concurrency() (min 1).
   static int default_num_threads();
 
  private:

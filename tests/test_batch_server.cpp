@@ -6,13 +6,12 @@
 // serving semantics themselves: coalescing under the latency budget,
 // pass-through at max_batch=1, deadline expiry without occupying a batch
 // slot, backpressure (reject and block policies), shutdown draining,
-// structure-kind admission checks, DAG multi-sink demux, env-default
-// knobs, and metrics consistency. Runs in CI under ASan/UBSan and TSan
-// via the `serving` ctest label.
+// structure-kind admission checks, DAG multi-sink demux, the defaults of
+// unset options, and metrics consistency. Runs in CI under ASan/UBSan and
+// TSan via the `serving` ctest label.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <future>
 #include <memory>
 #include <string>
@@ -23,6 +22,7 @@
 #include "ds/generators.hpp"
 #include "exec/batch_server.hpp"
 #include "models/model_zoo.hpp"
+#include "support/thread_pool.hpp"
 
 namespace cortex::exec {
 namespace {
@@ -385,6 +385,16 @@ TEST(BatchServerShutdown, QueuedRequestsFailAndNewSubmitsAreTurnedAway) {
   BatchServerOptions opts;
   opts.autostart = false;
   BatchServer server(pool, opts);
+  // Options left unset take the documented defaults.
+  EXPECT_EQ(server.options().max_batch, 32);
+  EXPECT_EQ(BatchServer::default_max_batch(), 32);
+  EXPECT_EQ(server.options().max_wait_us, 1000);
+  EXPECT_EQ(BatchServer::default_max_wait_us(), 1000);
+  EXPECT_EQ(server.options().dispatch_retries, 1);
+  EXPECT_EQ(EnginePoolOptions{}.transient_retries, 2);
+  EXPECT_EQ(EnginePool::default_num_workers(),
+            support::ThreadPool::default_num_threads());
+  EXPECT_GE(EnginePool::default_num_workers(), 1);
   auto f0 = server.submit(b.trees[0].get());
   auto f1 = server.submit(b.trees[1].get());
   server.shutdown();
@@ -507,31 +517,6 @@ TEST(BatchServerDag, MultiSinkDagGetsOneRootStatePerSink) {
   ASSERT_EQ(r1.status, RequestStatus::kOk);
   EXPECT_EQ(r0.root_states, expected[0]);
   EXPECT_EQ(r1.root_states, expected[1]);
-}
-
-// -- env knobs ----------------------------------------------------------------
-
-TEST(BatchServerEnv, DefaultsComeFromEnvironment) {
-  ASSERT_EQ(setenv("CORTEX_SERVER_MAX_BATCH", "7", 1), 0);
-  ASSERT_EQ(setenv("CORTEX_SERVER_MAX_WAIT_US", "123", 1), 0);
-  EXPECT_EQ(BatchServer::default_max_batch(), 7);
-  EXPECT_EQ(BatchServer::default_max_wait_us(), 123);
-
-  const models::ModelDef def = models::make_treernn_fig1(8);
-  Rng prng(13);
-  const models::ModelParams params = models::init_params(def, prng);
-  EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                  EnginePoolOptions{1, 1, 1});
-  BatchServerOptions opts;
-  opts.autostart = false;
-  BatchServer server(pool, opts);  // max_batch / max_wait_us unset
-  EXPECT_EQ(server.options().max_batch, 7);
-  EXPECT_EQ(server.options().max_wait_us, 123);
-
-  ASSERT_EQ(unsetenv("CORTEX_SERVER_MAX_BATCH"), 0);
-  ASSERT_EQ(unsetenv("CORTEX_SERVER_MAX_WAIT_US"), 0);
-  EXPECT_EQ(BatchServer::default_max_batch(), 32);
-  EXPECT_EQ(BatchServer::default_max_wait_us(), 1000);
 }
 
 }  // namespace

@@ -4,11 +4,10 @@
 // than the workers, far fewer than the workers) — with submission order
 // preserved and an empty batch returning an empty RunResult (regression
 // for the PR 3 empty-batch UB class). Plus the sharding-plan contract,
-// artifact sharing across workers, shard metadata, and the env knob.
+// artifact sharing across workers, and shard metadata.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -246,25 +245,6 @@ TEST(EnginePoolShardPlan, SizeFloorLimitsShardCount) {
   for (const auto& s : tiny) EXPECT_EQ(s.end - s.begin, 1);
   // Empty batch: no shards.
   EXPECT_TRUE(EnginePool::shard_plan(0, 4, 1).empty());
-}
-
-// -- CORTEX_POOL_WORKERS ------------------------------------------------------
-
-TEST(EnginePoolEnv, DefaultWorkersRespectsEnv) {
-  ASSERT_EQ(setenv("CORTEX_POOL_WORKERS", "3", 1), 0);
-  EXPECT_EQ(EnginePool::default_num_workers(), 3);
-  const models::ModelDef def = models::make_treernn_fig1(8);
-  Rng prng(4);
-  const models::ModelParams params = models::init_params(def, prng);
-  EnginePool pool(def, params, ra::Schedule{}, gpu());  // workers unset
-  EXPECT_EQ(pool.num_workers(), 3);
-  // Garbage / non-positive values fall back to hardware concurrency.
-  ASSERT_EQ(setenv("CORTEX_POOL_WORKERS", "0", 1), 0);
-  EXPECT_GE(EnginePool::default_num_workers(), 1);
-  ASSERT_EQ(setenv("CORTEX_POOL_WORKERS", "many", 1), 0);
-  EXPECT_GE(EnginePool::default_num_workers(), 1);
-  ASSERT_EQ(unsetenv("CORTEX_POOL_WORKERS"), 0);
-  EXPECT_GE(EnginePool::default_num_workers(), 1);
 }
 
 // -- merged accounting --------------------------------------------------------

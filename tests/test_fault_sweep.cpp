@@ -2,9 +2,10 @@
 // fire during a mini-zoo x BatchServer differential run, and the stack
 // must absorb it — no crash, no hang, no broken promise, and every
 // request that is supposed to succeed returns root states bit-identical
-// to a fault-free run. Transient pool/dispatch faults are retried; a
-// persistent transient fault fails requests cleanly (kError) and the
-// server keeps serving after the fault clears. The JIT is an offline
+// to a fault-free run. Transient pool/dispatch faults are retried (and
+// not at all under a retry bound of 0); a persistent transient fault
+// fails requests cleanly (kError) and the server keeps serving after the
+// fault clears. The JIT is an offline
 // tool, so its sites (toolchain, dlopen, artifact publish, artifact read)
 // armed during serving must never be reached: every request succeeds
 // bit-identically and health stays clean, while the same armed site
@@ -192,6 +193,12 @@ void sweep_site_over_zoo(
   }
 }
 
+/// Disarms every fault site on scope exit, so a failed assertion cannot
+/// leave a site armed for the next test.
+struct FaultGuard {
+  ~FaultGuard() { FaultInjector::instance().reset(); }
+};
+
 /// Saves/restores one environment variable on scope exit.
 class EnvGuard {
  public:
@@ -242,9 +249,7 @@ void publish_artifact(const ilir::Program& program, const MemoryPlan* plan,
 /// is applied to a direct kernel build, where the site must fire — so
 /// "never reached" cannot pass on a site name that nothing evaluates.
 void sweep_jit_site_over_zoo(const std::string& site) {
-  struct FaultGuard {
-    ~FaultGuard() { FaultInjector::instance().reset(); }
-  } fault_guard;
+  FaultGuard fault_guard;
   EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
   JitCache& cache = JitCache::instance();
   const bool reuse_site = site == "cache.read";
@@ -323,6 +328,61 @@ TEST(FaultSweep, SingleDispatchFaultIsRetriedInvisibly) {
                       [](const models::ModelDef&, BatchServer& server) {
                         EXPECT_GE(server.health().dispatch_retries, 1);
                       });
+}
+
+TEST(FaultSweep, ZeroPoolRetriesPropagateTheFirstTransientFault) {
+  // transient_retries = 0: the first shard TransientError propagates out
+  // of run() with no retry.
+  FaultGuard fault_guard;
+  const models::ModelDef def = models::make_treernn_fig1(16);
+  Rng prng(31);
+  const models::ModelParams params = models::init_params(def, prng);
+  const Batch batch = make_batch(def, kRequests, 97);
+  EnginePoolOptions opts{2, 1, 1};
+  opts.transient_retries = 0;
+  EnginePool pool(def, params, ra::Schedule{}, gpu(), opts);
+  FaultInjector::instance().configure("pool.worker=1");
+  EXPECT_THROW(pool.run(baselines::raw(batch.trees)), TransientError);
+  EXPECT_EQ(FaultInjector::instance().stats("pool.worker").fired, 1);
+  const PoolStats stats = pool.stats();
+  EXPECT_EQ(stats.transient_retries, 0);
+  EXPECT_EQ(stats.batches_failed, 1);
+}
+
+TEST(FaultSweep, ZeroDispatchRetriesBisectAtOnceAndServeBitIdentical) {
+  // dispatch_retries = 0: a transient batch failure skips the whole-batch
+  // re-run and goes straight to bisection, whose halves still serve every
+  // request bit-identically.
+  FaultGuard fault_guard;
+  const models::ModelDef def = models::make_treelstm_embed(16);
+  Rng prng(37);
+  const models::ModelParams params = models::init_params(def, prng);
+  const Batch batch = make_batch(def, kRequests, 97);
+  EnginePool pool(def, params, ra::Schedule{}, gpu(),
+                  EnginePoolOptions{2, 1, 1});
+  const auto ref = reference_slices(pool, def, batch);
+
+  BatchServerOptions opts = server_opts();
+  opts.dispatch_retries = 0;
+  opts.autostart = false;  // queue everything first: one batch of max_batch
+  BatchServer server(pool, opts);
+  std::vector<std::future<ServedResult>> futs;
+  for (const auto& t : batch.trees) futs.push_back(server.submit(t.get()));
+  FaultInjector::instance().configure("server.dispatch=1");
+  server.start();
+  for (std::size_t i = 0; i < futs.size(); ++i) {
+    ASSERT_EQ(futs[i].wait_for(std::chrono::seconds(120)),
+              std::future_status::ready)
+        << "broken/stuck promise";
+    const ServedResult r = futs[i].get();
+    ASSERT_EQ(r.status, RequestStatus::kOk) << "request " << i << ": "
+                                            << r.error;
+    EXPECT_EQ(r.root_states, ref[i]) << "request " << i;
+  }
+  EXPECT_EQ(FaultInjector::instance().stats("server.dispatch").fired, 1);
+  const ServerHealth h = server.health();
+  EXPECT_EQ(h.dispatch_retries, 0);
+  EXPECT_GE(h.bisect_reruns, 1);
 }
 
 TEST(FaultSweep, PersistentWorkerFaultFailsCleanlyAndRecovers) {

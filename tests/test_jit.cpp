@@ -5,7 +5,8 @@
 // "second process" — simulated by dropping the in-memory registry —
 // reuses the .so with zero compiles), stale-source rebuilds,
 // toolchain-failure surfacing, every JIT fault-injection site armed
-// against JitCache::get_or_build, and the CORTEX_JIT_CHECK oracle mode.
+// against JitCache::get_or_build, and the refusal to run a plan-built
+// kernel over any other memory plan.
 
 #include <gtest/gtest.h>
 
@@ -210,32 +211,13 @@ TEST(JitDifferential, KernelWithoutMemoryPlanMatchesInterpreter) {
   expect_runs_bit_identical(jit_run, interp_run, "no-plan kernel");
 }
 
-TEST(JitDifferential, CheckModeRunsBothPathsAndAgrees) {
-  test_cache_dir();
-  EnvGuard check_env("CORTEX_JIT_CHECK");
-  check_env.set("1");
-  Rng rng(47);
-  const models::ModelDef def = models::make_treernn_fig1(16);
-  const models::ModelParams params = models::init_params(def, rng);
-  const CompiledArtifacts a =
-      compile_artifacts(def, ra::Schedule{}, runtime::DeviceSpec::v100_gpu());
-  const JitKernelPtr kernel = kernel_for(a);
-  ASSERT_TRUE(kernel != nullptr);
-  const linearizer::Linearized lin = linearize_for(def, *a.lowered, 3, rng);
-  IlirRunOptions opts;
-  opts.plan = a.plan.ilir_memory.get();
-  opts.jit = kernel.get();
-  const IlirRun run = run_ilir(*a.optimized, lin, params, opts);
-  EXPECT_GT(run.barriers, 0);
-  EXPECT_TRUE(run.ran_jit);
-}
-
 TEST(JitDifferential, PlanBuiltKernelWithoutPlannerThrows) {
-  // A kernel bakes its memory plan's slot indices; with the planner off
-  // there is no arena to hand it, and run_ilir refuses rather than
-  // quietly interpreting (a set opts.jit always means the kernel runs).
+  // A kernel bakes its memory plan's slot indices; handed any other plan
+  // — here an empty one, the per-buffer reference with no slots at all —
+  // run_ilir refuses rather than letting the kernel index slots that do
+  // not exist (or quietly interpreting: a set opts.jit means the kernel
+  // runs).
   test_cache_dir();
-  EnvGuard memplan_env("CORTEX_MEMPLAN");
   Rng rng(45);
   const models::ModelDef def = models::make_treernn_fig1(16);
   const models::ModelParams params = models::init_params(def, rng);
@@ -243,12 +225,16 @@ TEST(JitDifferential, PlanBuiltKernelWithoutPlannerThrows) {
       compile_artifacts(def, ra::Schedule{}, runtime::DeviceSpec::v100_gpu());
   const JitKernelPtr kernel = kernel_for(a);
   ASSERT_TRUE(kernel->has_arena());
+  ASSERT_FALSE(a.plan.ilir_memory->slots.empty());
   const linearizer::Linearized lin = linearize_for(def, *a.lowered, 2, rng);
+  const MemoryPlan no_slots;
   IlirRunOptions opts;
-  opts.plan = a.plan.ilir_memory.get();
+  opts.plan = &no_slots;
   opts.jit = kernel.get();
-  memplan_env.set("0");
   EXPECT_THROW(run_ilir(*a.optimized, lin, params, opts), cortex::Error);
+  // The plan it was built against still runs it.
+  opts.plan = a.plan.ilir_memory.get();
+  EXPECT_TRUE(run_ilir(*a.optimized, lin, params, opts).ran_jit);
 }
 
 // -- caching ------------------------------------------------------------------

@@ -268,20 +268,6 @@ TEST_F(PlanCacheTest, DisabledCacheCompilesEveryTimeAndCountsNothing) {
             run_workload(b, def).root_states);
 }
 
-TEST_F(PlanCacheTest, ConfigFromEnvParsesControls) {
-  // CORTEX_PLAN_CACHE=0 is the escape hatch; anything else leaves the
-  // cache on. CORTEX_PLAN_CACHE_CAPACITY bounds the LRU when positive.
-  EXPECT_TRUE(PlanCache::config_from_env(nullptr, nullptr).enabled);
-  EXPECT_EQ(PlanCache::config_from_env(nullptr, nullptr).capacity, 0);
-  EXPECT_FALSE(PlanCache::config_from_env("0", nullptr).enabled);
-  EXPECT_TRUE(PlanCache::config_from_env("1", nullptr).enabled);
-  EXPECT_TRUE(PlanCache::config_from_env("", nullptr).enabled);
-  EXPECT_EQ(PlanCache::config_from_env(nullptr, "8").capacity, 8);
-  EXPECT_EQ(PlanCache::config_from_env(nullptr, "0").capacity, 0);
-  EXPECT_EQ(PlanCache::config_from_env(nullptr, "-3").capacity, 0);
-  EXPECT_EQ(PlanCache::config_from_env(nullptr, "junk").capacity, 0);
-}
-
 TEST_F(PlanCacheTest, IllegalSchedulesThrowEveryTimeAndCacheNothing) {
   PlanCache& cache = PlanCache::instance();
   const models::ModelDef def = models::make_dagrnn(16);

@@ -1,11 +1,10 @@
 // ThreadPool: static partitioning, barrier semantics, exception
-// propagation, CORTEX_THREADS handling, and reuse under many dispatches.
+// propagation, and reuse under many dispatches.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -15,18 +14,6 @@
 
 namespace cortex::support {
 namespace {
-
-TEST(ThreadPool, DefaultRespectsCortexThreadsEnv) {
-  ASSERT_EQ(setenv("CORTEX_THREADS", "3", 1), 0);
-  EXPECT_EQ(ThreadPool::default_num_threads(), 3);
-  // Garbage / non-positive values fall back to hardware concurrency.
-  ASSERT_EQ(setenv("CORTEX_THREADS", "0", 1), 0);
-  EXPECT_GE(ThreadPool::default_num_threads(), 1);
-  ASSERT_EQ(setenv("CORTEX_THREADS", "lots", 1), 0);
-  EXPECT_GE(ThreadPool::default_num_threads(), 1);
-  ASSERT_EQ(unsetenv("CORTEX_THREADS"), 0);
-  EXPECT_GE(ThreadPool::default_num_threads(), 1);
-}
 
 TEST(ThreadPool, ClampsNonPositiveSizesToOne) {
   ThreadPool pool(0);
