@@ -3,8 +3,12 @@
 // configuration (hidden 256, sequence length 100). Every wavefront batch
 // of a chain mini-batch holds `batch` independent timesteps sharing the
 // same eight gate weights, so the batched executor turns 8*batch GEMVs
-// into 8 panel GEMMs per step — the compute-dense form of dynamic
-// batching (Cortex §5 / Cavs' pull-compute-push, GRNN's fused steps).
+// into panel GEMMs — the compute-dense form of dynamic batching (Cortex
+// §5 / Cavs' pull-compute-push, GRNN's fused steps). The four W·x
+// products read only the token leaves, so they run once per hoisting
+// window as tall GEMMs (all 99 steps of a batch-1 chain in one), and
+// each step runs 4 panel GEMMs, the U·h products: panel_gemms is
+// 4 per window + 4 per step.
 //
 // The per-node column walks exec_order through models::CellExecutor
 // (the engine's own per-node path, selected there only by a schedule

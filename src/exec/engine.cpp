@@ -1,6 +1,7 @@
 #include "exec/engine.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "exec/plan_cache.hpp"
 
@@ -8,6 +9,11 @@ namespace cortex::exec {
 
 namespace {
 constexpr std::int64_t kF = sizeof(float);
+/// Cap of the hoisting side buffer. 4 MiB holds 1024 rows of a SeqLSTM
+/// h256 cell's four W·x products: a whole batch-1 chain of 100 steps in
+/// one window, and windows of up to 1024 nodes for wider batches, whose
+/// own panels are tall already.
+constexpr std::int64_t kHoistWindowBytes = std::int64_t{4} << 20;
 
 /// Device-resident bytes of the linearizer's arrays (they are shipped to
 /// the device for the generated code to index), summed per array from its
@@ -132,9 +138,11 @@ void CortexEngine::run_one(const linearizer::Linearized& lin,
                       sc.regs);
 }
 
-void CortexEngine::run_panel(const linearizer::Linearized& lin,
-                             std::int64_t first, std::int64_t n,
-                             models::BatchedCellExecutor::Panels& p) {
+void CortexEngine::run_panel(
+    const linearizer::Linearized& lin, std::int64_t first, std::int64_t n,
+    models::BatchedCellExecutor::Panels& p,
+    const models::BatchedCellExecutor::HoistWindow* win,
+    std::int64_t win_first) {
   // Split [first, first+n) into maximal runs of equal leaf-ness so every
   // run executes one cell program over contiguous state rows. With the
   // Appendix-B numbering a dynamic batch is homogeneous (batch 0 is
@@ -150,12 +158,89 @@ void CortexEngine::run_panel(const linearizer::Linearized& lin,
     std::int64_t e = r + 1;
     while (e < n && childless(first + e) == leaf) ++e;
     const auto i0 = static_cast<std::size_t>(first + r);
+    models::BatchedCellExecutor::HoistWindow w;
+    if (win != nullptr) {
+      w = *win;
+      w.row0 = first + r - win_first;
+    }
     batched_exec().run_batch(leaf, e - r, lin.word.data() + i0,
                              lin.child_offsets.data() + i0,
                              lin.child_ids.data(), states_.data(),
-                             states_.row(first + r), p);
+                             states_.row(first + r), p,
+                             win != nullptr ? &w : nullptr);
     r = e;
   }
+}
+
+int CortexEngine::hoist_child(const linearizer::Linearized& lin) {
+  if (lin.num_batches() < 2) return -1;
+  const std::int64_t done0 = lin.batch_begin[0];
+  const std::int64_t done1 = done0 + lin.batch_length[0];
+  for (int c = 0; c < lin.max_fanin; ++c) {
+    if (batched_exec().hoist_width(c) == 0) continue;
+    bool ready = true;
+    for (std::int64_t b = 1; ready && b < lin.num_batches(); ++b) {
+      const std::int64_t begin = lin.batch_begin[static_cast<std::size_t>(b)];
+      const std::int64_t end =
+          begin + lin.batch_length[static_cast<std::size_t>(b)];
+      for (std::int64_t id = begin; ready && id < end; ++id) {
+        const std::int32_t off0 =
+            lin.child_offsets[static_cast<std::size_t>(id)];
+        const std::int32_t off1 =
+            lin.child_offsets[static_cast<std::size_t>(id) + 1];
+        const std::int32_t kid =
+            off1 - off0 > c ? lin.child_ids[static_cast<std::size_t>(off0 + c)]
+                            : -1;
+        ready = kid >= done0 && kid < done1;
+      }
+    }
+    if (ready) return c;
+  }
+  return -1;
+}
+
+std::int64_t CortexEngine::open_window(
+    const linearizer::Linearized& lin, std::int64_t b,
+    models::BatchedCellExecutor::HoistWindow& win, std::int64_t& win_first) {
+  const std::int64_t width = batched_exec().hoist_width(win.child);
+  const std::int64_t cap_rows = kHoistWindowBytes / (width * kF);
+  const auto range = [&](std::int64_t g) {
+    const std::int64_t begin = lin.batch_begin[static_cast<std::size_t>(g)];
+    return std::pair<std::int64_t, std::int64_t>(
+        begin, begin + lin.batch_length[static_cast<std::size_t>(g)]);
+  };
+  auto [lo, hi] = range(b);
+  win.rows = 0;
+  if (hi - lo > cap_rows) return b + 1;
+  // Appendix-B numbering gives later wavefronts lower ids, so a window
+  // grows downwards; either direction works as long as the ids abut.
+  std::int64_t e = b + 1;
+  for (; e < lin.num_batches(); ++e) {
+    const auto [s, t] = range(e);
+    if (hi - lo + t - s > cap_rows) break;
+    if (t == lo) {
+      lo = s;
+    } else if (s == hi) {
+      hi = t;
+    } else {
+      break;
+    }
+  }
+  win.rows = hi - lo;
+  win_first = lo;
+  const auto need = static_cast<std::size_t>(win.rows * width);
+  if (hoisted_.size() < need) hoisted_.resize(need);
+  win.data = hoisted_.data();
+  pool_->parallel_for(
+      win.rows, [&](int worker, std::int64_t i0, std::int64_t i1) {
+        models::BatchedCellExecutor::HoistWindow w = win;
+        w.row0 = i0;
+        batched_exec().run_hoisted(
+            i1 - i0, lin.child_offsets.data() + lo + i0, lin.child_ids.data(),
+            states_.data(), w,
+            worker_scratch_[static_cast<std::size_t>(worker)].panels);
+      });
+  return e;
 }
 
 void CortexEngine::run_numerics(const linearizer::Linearized& lin,
@@ -207,17 +292,29 @@ void CortexEngine::run_numerics(const linearizer::Linearized& lin,
     for (WorkerScratch& sc : worker_scratch_)
       batched_exec().reserve(worker_rows, sc.panels);
   }
+  // Input hoisting (BatchedCellExecutor's class comment): when child c
+  // of every internal node is computed in batch 0, the ops that read only
+  // child c run once per window of consecutive wavefronts, as tall
+  // panels, and each wavefront runs only the ops left.
+  models::BatchedCellExecutor::HoistWindow win;
+  win.child = batched ? hoist_child(lin) : -1;
+  std::int64_t win_first = 0;  // node id of the window's row 0
+  std::int64_t win_end = 1;    // first batch past the window
   for (std::int64_t b = 0; b < lin.num_batches(); ++b) {
     const auto bi = static_cast<std::size_t>(b);
     const std::int64_t begin = lin.batch_begin[bi];
     const std::int64_t len = lin.batch_length[bi];
+    if (win.child >= 0 && b >= win_end)
+      win_end = open_window(lin, b, win, win_first);
+    const bool hoisted = win.child >= 0 && b > 0 && win.rows > 0;
     if (pool_->num_threads() > 1 && len > 1) ++prof.parallel_batches;
     pool_->parallel_for(
         len, [&](int worker, std::int64_t i0, std::int64_t i1) {
           WorkerScratch& sc =
               worker_scratch_[static_cast<std::size_t>(worker)];
           if (batched) {
-            run_panel(lin, begin + i0, i1 - i0, sc.panels);
+            run_panel(lin, begin + i0, i1 - i0, sc.panels,
+                      hoisted ? &win : nullptr, win_first);
           } else {
             for (std::int64_t i = i0; i < i1; ++i)
               run_one(lin, begin + i, sc);

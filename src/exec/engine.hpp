@@ -14,7 +14,9 @@
 //      (the exact semantics every baseline shares, so outputs are
 //      bit-comparable across frameworks) with the batched wavefront
 //      executor: each dynamic batch's per-node GEMVs fused into panel
-//      GEMMs. This is the one served numeric path. The per-node
+//      GEMMs, and ops that read only leaf children (a sequence cell's
+//      W·x) hoisted out of the wavefront loop into tall GEMMs over a
+//      window of wavefronts. This is the one served numeric path. The per-node
 //      CellExecutor walk runs only where the input selects it — a
 //      schedule without dynamic_batching, or a cell the panel executor
 //      cannot run (!BatchedCellExecutor::supported()) — and is
@@ -112,9 +114,25 @@ class CortexEngine {
   /// Batched wavefront body: runs `n` consecutively numbered nodes
   /// starting at `first` (a worker's row range of one dynamic batch)
   /// through the BatchedCellExecutor, splitting the range into maximal
-  /// same-leafness runs so each run maps to one cell program.
+  /// same-leafness runs so each run maps to one cell program. With
+  /// `win`, the nodes' hoisted registers are read from that window, whose
+  /// row 0 is node `win_first`.
   void run_panel(const linearizer::Linearized& lin, std::int64_t first,
-                 std::int64_t n, models::BatchedCellExecutor::Panels& p);
+                 std::int64_t n, models::BatchedCellExecutor::Panels& p,
+                 const models::BatchedCellExecutor::HoistWindow* win,
+                 std::int64_t win_first);
+  /// The child whose recurrence-free ops can be hoisted for this input:
+  /// the first `c` with a hoist whose state is computed in batch 0 for
+  /// every node of the later batches. -1 when there is none.
+  int hoist_child(const linearizer::Linearized& lin);
+  /// Opens the hoisting window that starts at internal batch `b`: as many
+  /// consecutive batches with abutting id ranges as fit kHoistWindowBytes,
+  /// their hoisted ops run as tall panels into hoisted_. Sets `win.rows`
+  /// (0 when batch `b` alone does not fit) and `win_first`, and returns
+  /// the first batch past the window.
+  std::int64_t open_window(const linearizer::Linearized& lin, std::int64_t b,
+                           models::BatchedCellExecutor::HoistWindow& win,
+                           std::int64_t& win_first);
   /// Lazily builds the pool (and per-worker scratch) on first parallel use
   /// so plan-only engines never spawn threads.
   void ensure_pool();
@@ -140,6 +158,9 @@ class CortexEngine {
   models::CellExecutor cell_exec_;
   std::unique_ptr<models::BatchedCellExecutor> batched_exec_;
   Tensor states_;
+  /// Side buffer of the current hoisting window; never more than
+  /// kHoistWindowBytes, whatever the input size.
+  std::vector<float> hoisted_;
   std::unique_ptr<support::ThreadPool> pool_;
   std::vector<WorkerScratch> worker_scratch_;
 };

@@ -73,7 +73,9 @@ struct Plan {
   /// single-formula models, mirroring CellExecutor's branch selection).
   /// Host-executor metadata only — device cost comes from the templates —
   /// but it pins the exact batched_gemm_calls a single-threaded run must
-  /// report: leaf + (num_batches - 1) * internal.
+  /// report: leaf + (num_batches - 1) * internal when input hoisting
+  /// declines. A hoisted matvec runs once per hoisting window instead of
+  /// once per internal batch.
   std::int64_t host_panel_gemms_internal = 0;
   std::int64_t host_panel_gemms_leaf = 0;
 

@@ -2,21 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 
 #include "tensor/activations.hpp"
 #include "tensor/kernels.hpp"
 
 namespace cortex::models {
-
-std::int64_t CellOp::flops() const {
-  switch (kind) {
-    case CellOpKind::kMatVec:
-      // 2 * m * k; k is the input width which equals param cols.
-      return 0;  // computed by callers who know input widths; see below
-    default:
-      return 0;
-  }
-}
 
 std::int64_t CellOp::param_bytes(
     const std::map<std::string, std::int64_t>& param_elems) const {
@@ -478,12 +469,19 @@ std::int64_t CellProgram::leaf_flops() const {
 void CellProgram::validate() const {
   CORTEX_CHECK(state_width > 0) << "cell has no state width";
   CORTEX_CHECK(!internal_ops.empty()) << "cell has no internal program";
-  const auto widths = register_widths();
+  (void)register_widths();  // throws on conflicting register widths
   for (const auto* ops : {&leaf_ops, &internal_ops}) {
-    for (const CellOp& op : *ops)
+    // Define before use within each program: a register written only by
+    // the other program, or only by a later op, holds whatever the
+    // previous node left there.
+    std::set<std::string> defined;
+    for (const CellOp& op : *ops) {
       for (const std::string& in : op.ins)
-        CORTEX_CHECK(widths.count(in) > 0)
-            << "op " << op.out << " reads undefined register " << in;
+        CORTEX_CHECK(defined.count(in) > 0)
+            << "op " << op.out << " reads register " << in
+            << " before an earlier op of its program defines it";
+      defined.insert(op.out);
+    }
     if (!ops->empty()) {
       const CellOp& last = ops->back();
       CORTEX_CHECK(last.width == state_width)
@@ -566,11 +564,12 @@ void exec_op(const CellOp& op, const CompiledEltwise* compiled,
     buf.resize(static_cast<std::size_t>(op.width));
     out = buf.data();
   }
-  auto in_ptr = [&](std::size_t k) -> const float* {
+  auto in_reg = [&](std::size_t k) -> const std::vector<float>& {
     auto it = regs.find(op.ins[k]);
     CORTEX_CHECK(it != regs.end()) << "undefined register " << op.ins[k];
-    return it->second.data();
+    return it->second;
   };
+  auto in_ptr = [&](std::size_t k) { return in_reg(k).data(); };
   switch (op.kind) {
     case CellOpKind::kLeafEmbed: {
       const Tensor& table = params.at(op.param);
@@ -642,8 +641,7 @@ void exec_op(const CellOp& op, const CompiledEltwise* compiled,
       break;
     }
     case CellOpKind::kConcat2: {
-      const std::int64_t w0 =
-          static_cast<std::int64_t>(regs[op.ins[0]].size());
+      const std::int64_t w0 = static_cast<std::int64_t>(in_reg(0).size());
       kernels::copy(in_ptr(0), out, w0);
       kernels::copy(in_ptr(1), out + w0, op.width - w0);
       break;
@@ -691,6 +689,7 @@ std::vector<std::vector<const float*>> resolve_eparams(
 
 CellExecutor::CellExecutor(const CellProgram& cell, const ModelParams& params)
     : cell_(cell), params_(params) {
+  cell.validate();
   for (const CellOp& op : cell.leaf_ops)
     leaf_compiled_.push_back(op.kind == CellOpKind::kEltwise
                                  ? CompiledEltwise(op.expr)
@@ -745,6 +744,7 @@ void CellExecutor::run_node(bool leaf,
 BatchedCellExecutor::BatchedCellExecutor(const CellProgram& cell,
                                          const ModelParams& params)
     : cell_(cell), params_(params) {
+  cell.validate();
   // Flat register layout: every register of the (merged leaf + internal)
   // program gets an index and a row-width offset into the arena. The map
   // is ordered, so the layout is deterministic.
@@ -767,6 +767,78 @@ BatchedCellExecutor::BatchedCellExecutor(const CellProgram& cell,
     internal_bops_.clear();
     supported_ = false;
   }
+  for (std::size_t n = 0; n < leaf_bops_.size(); ++n)
+    leaf_order_.push_back(static_cast<int>(n));
+  for (std::size_t n = 0; n < internal_bops_.size(); ++n)
+    internal_order_.push_back(static_cast<int>(n));
+  int children = 0;
+  for (const BatchedOp& b : internal_bops_)
+    if (b.kind == CellOpKind::kSliceChild)
+      children = std::max(children, b.child + 1);
+  for (int c = 0; c < children; ++c) hoists_.push_back(find_hoist(c));
+}
+
+BatchedCellExecutor::Hoist BatchedCellExecutor::find_hoist(int c) const {
+  // One pass in program order: an op is hoisted when it slices child `c`,
+  // or computes only from registers whose latest writer was hoisted. The
+  // last op writes the node's state, so it always stays per step.
+  const std::size_t nregs = reg_width_.size();
+  std::vector<std::uint8_t> hoisted_reg(nregs, 0);
+  std::vector<int> writers(nregs, 0);
+  Hoist h;
+  bool any_matvec = false;
+  for (std::size_t n = 0; n < internal_bops_.size(); ++n) {
+    const BatchedOp& b = internal_bops_[n];
+    bool hoist = false;
+    switch (b.kind) {
+      case CellOpKind::kSliceChild:
+        hoist = b.child == c;
+        break;
+      case CellOpKind::kMatVec:
+      case CellOpKind::kNodeMatVec:
+      case CellOpKind::kMatStack2:
+      case CellOpKind::kEltwise:
+      case CellOpKind::kConcat2:
+        hoist = std::all_of(b.in_regs.begin(), b.in_regs.end(), [&](int r) {
+          return hoisted_reg[static_cast<std::size_t>(r)] != 0;
+        });
+        break;
+      default:  // the node's word, or every child's state
+        break;
+    }
+    hoist = hoist && !b.is_last;
+    const auto out = static_cast<std::size_t>(b.out_reg);
+    hoisted_reg[out] = hoist ? 1 : 0;
+    ++writers[out];
+    (hoist ? h.ops : h.rest).push_back(static_cast<int>(n));
+    any_matvec = any_matvec || (hoist && b.kind == CellOpKind::kMatVec);
+  }
+  if (!any_matvec) return {};
+  std::vector<std::uint8_t> read_by_rest(nregs, 0);
+  for (const int n : h.rest)
+    for (const int r : internal_bops_[static_cast<std::size_t>(n)].in_regs)
+      read_by_rest[static_cast<std::size_t>(r)] = 1;
+  for (const int n : h.ops) {
+    const int reg = internal_bops_[static_cast<std::size_t>(n)].out_reg;
+    const auto r = static_cast<std::size_t>(reg);
+    // A register another op also writes has no single hoisted value.
+    if (writers[r] != 1) return {};
+    if (read_by_rest[r] != 0) {
+      h.live.push_back({reg, h.width});
+      h.width += reg_width_[r];
+    } else {
+      h.scratch.push_back({reg, h.scratch_width});
+      h.scratch_width += reg_width_[r];
+    }
+  }
+  if (h.live.empty()) return {};
+  return h;
+}
+
+std::int64_t BatchedCellExecutor::hoist_width(int c) const {
+  return c >= 0 && static_cast<std::size_t>(c) < hoists_.size()
+             ? hoists_[static_cast<std::size_t>(c)].width
+             : 0;
 }
 
 std::vector<BatchedCellExecutor::BatchedOp> BatchedCellExecutor::compile_ops(
@@ -853,8 +925,18 @@ std::vector<BatchedCellExecutor::BatchedOp> BatchedCellExecutor::compile_ops(
 
 void BatchedCellExecutor::reserve(std::int64_t rows, Panels& p) const {
   p.arena.reserve(static_cast<std::size_t>(total_width_ * rows));
+  p.regs.reserve(reg_width_.size());
   p.idx.reserve(static_cast<std::size_t>(rows));
   p.written.reserve(reg_width_.size());
+}
+
+void BatchedCellExecutor::bind_window(const std::vector<Slot>& live,
+                                      const HoistWindow& w,
+                                      std::vector<float*>& regs) const {
+  for (const Slot& s : live) {
+    const auto r = static_cast<std::size_t>(s.reg);
+    regs[r] = w.data + s.offset * w.rows + w.row0 * reg_width_[r];
+  }
 }
 
 void BatchedCellExecutor::run_batch(bool leaf, std::int64_t rows,
@@ -862,23 +944,65 @@ void BatchedCellExecutor::run_batch(bool leaf, std::int64_t rows,
                                     const std::int32_t* child_offsets,
                                     const std::int32_t* child_ids,
                                     const float* states, float* out,
-                                    Panels& p) const {
+                                    Panels& p,
+                                    const HoistWindow* hoisted) const {
   if (rows <= 0) return;
   CORTEX_CHECK(supported_)
       << "run_batch called on an unsupported BatchedCellExecutor";
   // Mirror run_node's branch selection: a model without a leaf program
   // runs its single formula at leaves too (DAG-RNN).
-  const std::vector<BatchedOp>& bops =
-      (leaf && !leaf_bops_.empty()) ? leaf_bops_ : internal_bops_;
+  const bool leaf_prog = leaf && !leaf_bops_.empty();
+  const std::vector<BatchedOp>& bops = leaf_prog ? leaf_bops_ : internal_bops_;
+  const std::vector<int>* order = leaf_prog ? &leaf_order_ : &internal_order_;
   p.arena.resize(static_cast<std::size_t>(total_width_ * rows));
+  p.regs.resize(reg_width_.size());
+  for (std::size_t r = 0; r < reg_width_.size(); ++r)
+    p.regs[r] = p.arena.data() + reg_offset_[r] * rows;
   p.idx.resize(static_cast<std::size_t>(rows));
   p.written.assign(reg_width_.size(), 0);
+  if (hoisted != nullptr) {
+    CORTEX_CHECK(!leaf && hoist_width(hoisted->child) > 0 &&
+                 hoisted->row0 >= 0 && hoisted->row0 + rows <= hoisted->rows)
+        << "hoisted run_batch outside its window or without a hoist";
+    const Hoist& h = hoists_[static_cast<std::size_t>(hoisted->child)];
+    bind_window(h.live, *hoisted, p.regs);
+    for (const Slot& s : h.live)
+      p.written[static_cast<std::size_t>(s.reg)] = 1;
+    order = &h.rest;
+  }
   ++p.panels_run;
   p.max_panel_rows = std::max(p.max_panel_rows, rows);
-  run_ops(bops, rows, words, child_offsets, child_ids, states, out, p);
+  run_ops(bops, *order, rows, words, child_offsets, child_ids, states, out,
+          p);
+}
+
+void BatchedCellExecutor::run_hoisted(std::int64_t rows,
+                                      const std::int32_t* child_offsets,
+                                      const std::int32_t* child_ids,
+                                      const float* states,
+                                      const HoistWindow& w,
+                                      Panels& p) const {
+  if (rows <= 0) return;
+  CORTEX_CHECK(supported_ && hoist_width(w.child) > 0 && w.row0 >= 0 &&
+               w.row0 + rows <= w.rows)
+      << "run_hoisted outside its window or without a hoist";
+  const Hoist& h = hoists_[static_cast<std::size_t>(w.child)];
+  // Only the hoisted registers get panels: the ones the remaining ops
+  // read go straight to the window, the rest to a compact arena.
+  p.arena.resize(static_cast<std::size_t>(h.scratch_width * rows));
+  p.regs.assign(reg_width_.size(), nullptr);
+  for (const Slot& s : h.scratch)
+    p.regs[static_cast<std::size_t>(s.reg)] =
+        p.arena.data() + s.offset * rows;
+  bind_window(h.live, w, p.regs);
+  p.idx.resize(static_cast<std::size_t>(rows));
+  p.written.assign(reg_width_.size(), 0);
+  run_ops(internal_bops_, h.ops, rows, /*words=*/nullptr, child_offsets,
+          child_ids, states, /*out=*/nullptr, p);
 }
 
 void BatchedCellExecutor::run_ops(const std::vector<BatchedOp>& bops,
+                                  const std::vector<int>& order,
                                   std::int64_t rows,
                                   const std::int32_t* words,
                                   const std::int32_t* child_offsets,
@@ -887,8 +1011,7 @@ void BatchedCellExecutor::run_ops(const std::vector<BatchedOp>& bops,
                                   Panels& p) const {
   const std::int64_t sw = cell_.state_width;
   const auto panel = [&](int reg) {
-    return p.arena.data() +
-           reg_offset_[static_cast<std::size_t>(reg)] * rows;
+    return p.regs[static_cast<std::size_t>(reg)];
   };
   const auto in_panel = [&](const BatchedOp& b,
                             std::size_t k) -> const float* {
@@ -898,7 +1021,8 @@ void BatchedCellExecutor::run_ops(const std::vector<BatchedOp>& bops,
         << " before any op of this program wrote it";
     return panel(reg);
   };
-  for (const BatchedOp& b : bops) {
+  for (const int n : order) {
+    const BatchedOp& b = bops[static_cast<std::size_t>(n)];
     float* outp = b.is_last ? out : panel(b.out_reg);
     switch (b.kind) {
       case CellOpKind::kLeafEmbed: {

@@ -48,8 +48,6 @@ struct CellOp {
   /// element i) and loads of 1-D params indexed by var "i".
   ra::Expr expr;
 
-  /// Floating-point operations this op performs per node.
-  std::int64_t flops() const;
   /// Bytes of weight data this op reads per invocation (0 if none).
   std::int64_t param_bytes(const std::map<std::string,
                                           std::int64_t>& param_elems) const;
@@ -141,7 +139,9 @@ struct CellProgram {
   std::int64_t internal_flops() const;
   /// Sum of per-node flops over leaf ops.
   std::int64_t leaf_flops() const;
-  /// Validates register/width consistency; throws on error.
+  /// Validates register/width consistency and define-before-use: every
+  /// op input must be written by an earlier op of the same (leaf or
+  /// internal) program. Throws on error.
   void validate() const;
 };
 
@@ -231,27 +231,51 @@ class CellExecutor {
 /// and eltwise ops evaluate vectorized across the panel. Registers live
 /// in a flat, index-addressed arena — no string maps on the hot path.
 ///
+/// Input hoisting: the internal ops that read only child `c`'s state
+/// (through kSliceChild(c)) and params — a sequence cell's W·x gate
+/// products — do not depend on the recurrence. When the caller knows
+/// every child `c` of a run of wavefronts is already computed (a leaf),
+/// run_hoisted computes those ops once for the whole window as tall
+/// panels into a side buffer, and run_batch then runs only the remaining
+/// ops, reading the hoisted registers' rows from that buffer. Each output
+/// element is still one ascending-k add chain, so results stay
+/// bit-identical.
+///
 /// Immutable after construction: any number of threads may call run_batch
 /// concurrently as long as each passes its own Panels (the engine keeps
 /// one per pool worker and hands each worker a disjoint row range).
 class BatchedCellExecutor {
  public:
   /// Per-thread workspace for run_batch, reused across calls: the
-  /// register-panel arena, gather-index and register-written bookkeeping,
-  /// the kMatStack2 vstack buffer, and the execution stats the engine
-  /// drains into the profiler after a run.
+  /// register-panel arena and the per-call register base pointers,
+  /// gather-index and register-written bookkeeping, the kMatStack2 vstack
+  /// buffer, and the execution stats the engine drains into the profiler
+  /// after a run.
   struct Panels {
     std::vector<float> arena;
+    std::vector<float*> regs;
     std::vector<std::int32_t> idx;
     std::vector<std::uint8_t> written;
     std::vector<float> stacked;
     // -- stats, accumulated across run_batch calls until drained --------
-    std::int64_t gemm_calls = 0;      ///< panel GEMMs issued (kMatVec)
+    std::int64_t gemm_calls = 0;      ///< GEMMs issued (kMatVec), hoisted too
     std::int64_t panels_run = 0;      ///< run_batch invocations
     std::int64_t max_panel_rows = 0;  ///< largest panel row count
   };
 
-  /// Never throws for shapes the per-node path accepts: panel execution
+  /// A window of consecutively numbered internal nodes whose child-`child`
+  /// ops are hoisted: `data` holds one [rows, width] block per hoisted
+  /// register that the remaining ops read (hoist_width(child) floats per
+  /// window row), and `row0` is the window row of a call's first node.
+  struct HoistWindow {
+    int child = -1;
+    float* data = nullptr;
+    std::int64_t rows = 0;
+    std::int64_t row0 = 0;
+  };
+
+  /// Throws when the cell fails CellProgram::validate(). Otherwise never
+  /// throws for shapes the per-node path accepts: panel execution
   /// needs strictly more than per-node execution does (e.g. eltwise input
   /// registers exactly as wide as the output, <= 8 eltwise inputs), so a
   /// cell that violates a panel-only invariant — or whose params are
@@ -269,11 +293,26 @@ class BatchedCellExecutor {
   /// `child_ids`); `states` the state table child rows are gathered from
   /// (row stride = state_width); `out` the nodes' contiguous
   /// [rows, state_width] destination rows. Same numeric semantics as
-  /// rows calls of CellExecutor::run_node, bit for bit.
+  /// rows calls of CellExecutor::run_node, bit for bit. With `hoisted`
+  /// (internal rows only), the hoisted ops are skipped and their
+  /// registers read from the window, which run_hoisted filled for these
+  /// rows.
   void run_batch(bool leaf, std::int64_t rows, const std::int32_t* words,
                  const std::int32_t* child_offsets,
                  const std::int32_t* child_ids, const float* states,
-                 float* out, Panels& p) const;
+                 float* out, Panels& p,
+                 const HoistWindow* hoisted = nullptr) const;
+
+  /// Floats per node of child `c`'s hoisted registers; 0 when no internal
+  /// op chain from kSliceChild(c) reaches a kMatVec (nothing to hoist).
+  std::int64_t hoist_width(int c) const;
+
+  /// Runs child `w.child`'s hoisted ops for `rows` internal nodes (same
+  /// argument layout as run_batch) into window rows [w.row0, w.row0+rows).
+  /// Every node's child `w.child` state must be final already.
+  void run_hoisted(std::int64_t rows, const std::int32_t* child_offsets,
+                   const std::int32_t* child_ids, const float* states,
+                   const HoistWindow& w, Panels& p) const;
 
   /// Grows `p`'s buffers for panels of up to `rows` rows (optional; the
   /// engine calls it once per run with the linearization's
@@ -304,8 +343,31 @@ class BatchedCellExecutor {
     bool is_last = false;
   };
 
+  /// A register placed at `offset` row-widths into a panel buffer.
+  struct Slot {
+    int reg = -1;
+    std::int64_t offset = 0;
+  };
+
+  /// Child `c`'s hoisting split of the internal program (op indices in
+  /// program order). Empty `ops` means nothing to hoist for `c`.
+  struct Hoist {
+    std::vector<int> ops;       ///< hoisted: read only kSliceChild(c)
+    std::vector<int> rest;      ///< the other internal ops
+    std::vector<Slot> live;     ///< hoisted registers `rest` reads: window
+    std::int64_t width = 0;     ///< sum of `live` widths
+    std::vector<Slot> scratch;  ///< other hoisted registers: arena
+    std::int64_t scratch_width = 0;
+  };
+
   std::vector<BatchedOp> compile_ops(const std::vector<CellOp>& ops) const;
-  void run_ops(const std::vector<BatchedOp>& bops, std::int64_t rows,
+  Hoist find_hoist(int c) const;
+  /// Points each `live` register's panel at rows [w.row0, w.row0 + rows)
+  /// of its [w.rows, width] block in the window.
+  void bind_window(const std::vector<Slot>& live, const HoistWindow& w,
+                   std::vector<float*>& regs) const;
+  void run_ops(const std::vector<BatchedOp>& bops,
+               const std::vector<int>& order, std::int64_t rows,
                const std::int32_t* words, const std::int32_t* child_offsets,
                const std::int32_t* child_ids, const float* states,
                float* out, Panels& p) const;
@@ -318,6 +380,9 @@ class BatchedCellExecutor {
   std::int64_t total_width_ = 0;
   std::vector<BatchedOp> leaf_bops_;
   std::vector<BatchedOp> internal_bops_;
+  std::vector<int> leaf_order_;      ///< 0..leaf_bops_.size()-1
+  std::vector<int> internal_order_;  ///< 0..internal_bops_.size()-1
+  std::vector<Hoist> hoists_;        ///< by child index
   bool supported_ = false;
 };
 

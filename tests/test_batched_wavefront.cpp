@@ -117,6 +117,7 @@ class BatchedZoo : public ::testing::TestWithParam<int> {
       case 4: return models::make_mvrnn(8);
       case 5: return models::make_dagrnn(16);
       case 6: return models::make_seq_lstm(16);
+      case 8: return models::make_seq_gru(16);
       default: return models::make_treernn(16);
     }
   }
@@ -179,17 +180,26 @@ TEST_P(BatchedZoo, BatchedMatchesPerNodeBitwiseAcrossSchedulesAndThreads) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Zoo, BatchedZoo, ::testing::Range(0, 8));
+INSTANTIATE_TEST_SUITE_P(Zoo, BatchedZoo, ::testing::Range(0, 9));
 
 // -- exact panel accounting at one thread -----------------------------------------
 
 TEST(BatchedProfile, SingleThreadCountsMatchPlanMetadata) {
   // One thread, homogeneous wavefronts: exactly one panel per dynamic
   // batch, and the plan's per-batch matvec counts pin the GEMM total.
-  for (const auto& make :
-       {+[] { return models::make_treelstm_embed(16); },
-        +[] { return models::make_dagrnn(16); }}) {
-    const models::ModelDef def = make();
+  // SeqLSTM over chains hoists its four W·x products: all eight chain
+  // steps fit one window, so they cost 4 GEMMs once and each step runs
+  // only the four U·h ones. TreeLSTM and DAG-RNN decline hoisting on
+  // these inputs and keep one GEMM per matvec per batch.
+  struct Case {
+    models::ModelDef (*make)();
+    std::int64_t hoisted;  // matvecs hoisted out of every step
+  };
+  for (const Case& c :
+       {Case{+[] { return models::make_treelstm_embed(16); }, 0},
+        Case{+[] { return models::make_dagrnn(16); }, 0},
+        Case{+[] { return models::make_seq_lstm(16); }, 4}}) {
+    const models::ModelDef def = c.make();
     Rng rng(7);
     const models::ModelParams params = models::init_params(def, rng);
     const linearizer::Linearized lin = lin_for(def, 5, 77);
@@ -198,12 +208,14 @@ TEST(BatchedProfile, SingleThreadCountsMatchPlanMetadata) {
     engine.set_num_threads(1);
     const runtime::RunResult r = engine.run_linearized(lin, 0.0);
     const Plan& plan = engine.plan();
+    const std::int64_t windows = c.hoisted > 0 ? 1 : 0;
 
     EXPECT_EQ(r.profiler.batched_panels, lin.num_batches()) << def.name;
     EXPECT_EQ(r.profiler.max_panel_rows, lin.max_batch_length()) << def.name;
     EXPECT_EQ(r.profiler.batched_gemm_calls,
-              plan.host_panel_gemms_leaf +
-                  (lin.num_batches() - 1) * plan.host_panel_gemms_internal)
+              plan.host_panel_gemms_leaf + windows * c.hoisted +
+                  (lin.num_batches() - 1) *
+                      (plan.host_panel_gemms_internal - c.hoisted))
         << def.name;
   }
 }
@@ -245,6 +257,82 @@ TEST(BatchedProfile, ThrowingRunDoesNotLeakStatsIntoNextRun) {
             good.profiler.batched_gemm_calls);
   EXPECT_EQ(after.profiler.max_panel_rows, good.profiler.max_panel_rows);
   EXPECT_EQ(after.root_states, good.root_states);
+}
+
+// -- input hoisting ------------------------------------------------------------
+
+/// Runs `lin` at threads {1, 4} and expects every node state bit-identical
+/// to the per-node oracle; returns the one-thread GEMM count.
+std::int64_t expect_matches_per_node(const models::ModelDef& def,
+                                     const models::ModelParams& params,
+                                     const linearizer::Linearized& lin) {
+  const std::vector<float> ref = per_node_states(def, params, lin);
+  CortexEngine engine(def, params, ra::Schedule{}, gpu());
+  std::int64_t gemms = -1;
+  for (const int threads : {1, 4}) {
+    engine.set_num_threads(threads);
+    const runtime::RunResult r = engine.run_linearized(lin, 0.0);
+    EXPECT_EQ(all_states(engine, lin, def.cell.state_width), ref)
+        << def.name << " threads=" << threads;
+    if (threads == 1) gemms = r.profiler.batched_gemm_calls;
+  }
+  return gemms;
+}
+
+TEST(BatchedHoist, FindsTheRecurrenceFreeOpsOfEachChild) {
+  // Floats per node of each child's hoisted registers that the per-step
+  // ops read. SeqLSTM: the four W·x gate products of the token (child 1);
+  // the previous c and the four U·h products of child 0. SeqGRU: three
+  // W·x; from child 0 the previous h, Uz·h and Ur·h (Uh reads r*h, which
+  // needs child 1 too). TreeLSTM: each child's c slice and forget gate.
+  // DAG-RNN sums its children first: nothing to hoist.
+  const std::int64_t h = 16;
+  const auto widths = [](const models::ModelDef& def) {
+    Rng rng(3);
+    const models::ModelParams params = models::init_params(def, rng);
+    const models::BatchedCellExecutor exec(def.cell, params);
+    return std::vector<std::int64_t>{exec.hoist_width(0),
+                                     exec.hoist_width(1),
+                                     exec.hoist_width(2)};
+  };
+  EXPECT_EQ(widths(models::make_seq_lstm(h)),
+            (std::vector<std::int64_t>{5 * h, 4 * h, 0}));
+  EXPECT_EQ(widths(models::make_seq_gru(h)),
+            (std::vector<std::int64_t>{3 * h, 3 * h, 0}));
+  EXPECT_EQ(widths(models::make_treelstm_embed(h)),
+            (std::vector<std::int64_t>{2 * h, 2 * h, 0}));
+  EXPECT_EQ(widths(models::make_dagrnn(h)),
+            (std::vector<std::int64_t>{0, 0, 0}));
+}
+
+TEST(BatchedHoist, WindowCrossingChainsMatchPerNode) {
+  // 16 chains of 100 tokens at h256: 99 internal wavefronts of 16 rows.
+  // A hoisting window holds 1024 rows of the four 256-wide W·x products
+  // (4 MiB), so the steps split into windows of 64 and 35 wavefronts and
+  // the per-step panels read rows on both sides of the boundary.
+  const models::ModelDef def = models::make_seq_lstm(256);
+  Rng rng(41);
+  const models::ModelParams params = models::init_params(def, rng);
+  std::vector<std::unique_ptr<ds::Tree>> chains;
+  for (int i = 0; i < 16; ++i) chains.push_back(ds::make_chain_tree(100, rng));
+  const linearizer::Linearized lin = linearizer::linearize_trees(
+      baselines::raw(chains), linearizer::LinearizerSpec{});
+  ASSERT_EQ(lin.num_batches(), 100);
+  EXPECT_EQ(expect_matches_per_node(def, params, lin), 2 * 4 + 99 * 4);
+}
+
+TEST(BatchedHoist, SequenceModelOnTreesDeclines) {
+  // Over SST-like trees child 1 is often internal, so no window can be
+  // filled before the steps run: the engine runs every matvec per step.
+  const models::ModelDef def = models::make_seq_lstm(16);
+  Rng rng(43);
+  const models::ModelParams params = models::init_params(def, rng);
+  auto trees = ds::make_sst_like_batch(5, rng);
+  const linearizer::Linearized lin = linearizer::linearize_trees(
+      baselines::raw(trees), linearizer::LinearizerSpec{});
+  const CortexEngine probe(def, params, ra::Schedule{}, gpu());
+  EXPECT_EQ(expect_matches_per_node(def, params, lin),
+            (lin.num_batches() - 1) * probe.plan().host_panel_gemms_internal);
 }
 
 // -- non-dynamic-batching schedules never touch the batched path ------------------
@@ -366,7 +454,8 @@ TEST(PanelKernels, PanelGemmBitIdenticalToPerRowGemv) {
         std::array<std::int64_t, 3>{5, 64, 32},
         std::array<std::int64_t, 3>{13, 100, 7},
         std::array<std::int64_t, 3>{2, 256, 1024},
-        std::array<std::int64_t, 3>{64, 256, 256}}) {
+        std::array<std::int64_t, 3>{64, 256, 256},
+        std::array<std::int64_t, 3>{99, 256, 256}}) {
     const Tensor in = Tensor::uniform(Shape{rows, k}, rng, -1.0f, 1.0f);
     const Tensor w = Tensor::uniform(Shape{m, k}, rng, -1.0f, 1.0f);
     Tensor wt(Shape{k, m});

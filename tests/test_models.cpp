@@ -153,6 +153,75 @@ TEST(CellProgram, ValidateRejectsUndefinedRegisterReads) {
   EXPECT_THROW(cell.validate(), Error);
 }
 
+TEST(CellProgram, ValidateRejectsUseBeforeDefinition) {
+  // Every register name is defined somewhere in the cell, but not before
+  // its use in the same program. Both executors must refuse the cell at
+  // construction: the per-node one would otherwise read the previous
+  // node's stale register.
+  CellOp leaf_a;
+  leaf_a.kind = CellOpKind::kLeafConst;
+  leaf_a.out = "a";
+  leaf_a.width = 4;
+  leaf_a.constant = 1.0;
+  CellOp leaf_st;
+  leaf_st.kind = CellOpKind::kEltwise;
+  leaf_st.out = "st";
+  leaf_st.width = 4;
+  leaf_st.ins = {"a"};
+  leaf_st.expr = ra::var("e0");
+  CellOp slice;
+  slice.kind = CellOpKind::kSliceChild;
+  slice.out = "b";
+  slice.width = 4;
+  CellOp sum;  // st = a + b
+  sum.kind = CellOpKind::kEltwise;
+  sum.out = "st";
+  sum.width = 4;
+  sum.ins = {"a", "b"};
+  sum.expr = ra::add(ra::var("e0"), ra::var("e1"));
+  CellOp late_a = leaf_a;
+  late_a.constant = 2.0;
+
+  CellProgram leaf_only;  // internal "a" is written only by the leaf program
+  leaf_only.state_width = 4;
+  leaf_only.leaf_ops = {leaf_a, leaf_st};
+  leaf_only.internal_ops = {slice, sum};
+  CellProgram later;  // internal "a" is written only after its use
+  later.state_width = 4;
+  later.leaf_ops = {leaf_a, leaf_st};
+  later.internal_ops = {slice, sum, late_a, sum};
+
+  const ModelParams params;
+  for (const CellProgram* cell : {&leaf_only, &later}) {
+    EXPECT_THROW(cell->validate(), Error);
+    EXPECT_THROW(CellExecutor(*cell, params), Error);
+    EXPECT_THROW(BatchedCellExecutor(*cell, params), Error);
+  }
+  CellProgram fixed = leaf_only;
+  fixed.internal_ops = {slice, leaf_a, sum};
+  EXPECT_NO_THROW(fixed.validate());
+}
+
+TEST(CellProgram, ConcatOfUndefinedRegisterThrows) {
+  // run_cell_node skips validate(); a concat of a register nothing wrote
+  // must fail the lookup, not read an empty register it just inserted.
+  CellOp b;
+  b.kind = CellOpKind::kLeafConst;
+  b.out = "b";
+  b.width = 2;
+  CellOp cat;
+  cat.kind = CellOpKind::kConcat2;
+  cat.out = "st";
+  cat.width = 4;
+  cat.ins = {"ghost", "b"};
+  std::map<std::string, std::vector<float>> regs;
+  std::vector<float> out(4);
+  EXPECT_THROW(run_cell_node({b, cat}, ModelParams{}, {}, 0, regs, out.data(),
+                             4),
+               Error);
+  EXPECT_EQ(regs.count("ghost"), 0u);
+}
+
 TEST(CellProgram, ValidateRejectsWrongFinalWidth) {
   CellProgram cell;
   cell.state_width = 8;
