@@ -2,9 +2,9 @@
 //
 // Part 1, on the Fig. 9 sequential LSTM configuration (hidden 256,
 // sequence length 100): per-iteration wall time for the kernel and the
-// interpreter over identical storage, the one-time toolchain cost, and
-// the warm-process / warm-disk cache behaviour (a second process pays
-// zero compiles — see exec/jit.hpp). Both paths must agree bitwise.
+// interpreter over identical storage, and the one-time build cost
+// (verify, codegen, `cc`, dlopen — see exec/jit.hpp). Both paths must
+// agree bitwise.
 //
 // Part 2, the measurement behind keeping the JIT off the serving path:
 // for SeqLSTM h256 (length-100 chains), TreeLSTM h64 (SST-like trees)
@@ -74,21 +74,12 @@ int jit_vs_interpreter() {
   const exec::MemoryPlanOptions mp_opts{{lm.output}, {}};
   const exec::MemoryPlan plan = exec::plan_memory(lm.program, mp_opts);
 
-  // Cold build (or a disk hit if a previous measurement run left the
-  // artifact behind — the printed stats say which happened).
-  exec::JitCache& cache = exec::JitCache::instance();
   const std::int64_t t0 = runtime::now_ns();
   const exec::JitKernelPtr kernel =
-      cache.get_or_build(lm.program, &plan, mp_opts);
+      exec::build_kernel(lm.program, &plan, mp_opts);
   const double build_ms =
       static_cast<double>(runtime::now_ns() - t0) * 1e-6;
-  const exec::JitStats stats = cache.stats();
-  std::printf("kernel build_ms=%.1f from_disk=%d (compiles=%lld "
-              "disk_hits=%lld) cache_dir=%s\n",
-              build_ms, kernel->from_disk() ? 1 : 0,
-              static_cast<long long>(stats.compiles),
-              static_cast<long long>(stats.disk_hits),
-              exec::JitCache::cache_dir().c_str());
+  std::printf("kernel build_ms=%.1f\n", build_ms);
 
   exec::IlirRunOptions jit_opts;
   jit_opts.plan = &plan;
@@ -193,7 +184,7 @@ int jit_vs_served() {
     const std::string& output = engine.lowered()->output;
     const exec::MemoryPlanOptions mp_opts{{output}, {}};
     const exec::JitKernelPtr kernel =
-        exec::JitCache::instance().get_or_build(program, plan, mp_opts);
+        exec::build_kernel(program, plan, mp_opts);
     exec::IlirRunOptions jit_opts;
     jit_opts.plan = plan;
     jit_opts.jit = kernel.get();

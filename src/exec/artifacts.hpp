@@ -17,7 +17,7 @@ namespace cortex::exec {
 /// Everything CortexEngine construction compiles, immutable once cached.
 /// `lowered`/`optimized` are empty for cell-only models (no RA def).
 /// Holds no native kernel: serving runs the batched cell executor, and
-/// exec/jit.hpp builds kernels only for callers that ask JitCache.
+/// exec/jit.hpp builds kernels only for callers that ask build_kernel.
 struct CompiledArtifacts {
   Plan plan;
   std::optional<lowering::LoweredModel> lowered;

@@ -20,8 +20,9 @@
 //      CellExecutor walk runs only where the input selects it — a
 //      schedule without dynamic_batching, or a cell the panel executor
 //      cannot run (!BatchedCellExecutor::supported()) — and is
-//      bit-identical by construction. The compiled ILIR (run_ilir, the
-//      offline JIT in exec/jit.hpp) is never on the served path,
+//      bit-identical by construction. The compiled ILIR (run_ilir, and
+//      the test/bench kernel builder in exec/jit.hpp) is never on the
+//      served path,
 //   3. accounts device cost on the virtual device model: kernel launches,
 //      off-chip traffic, barriers, per DESIGN.md §2's GPU substitution.
 

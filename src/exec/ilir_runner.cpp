@@ -91,14 +91,17 @@ IlirRun run_ilir(const ilir::Program& program,
   }
 
   // Execution: the supplied kernel over exactly the storage bound above,
-  // else the interpreter. A plan-built kernel bakes arena slot indices,
-  // so it runs only over an arena resolved from that same plan.
+  // else the interpreter. A kernel bakes its program's extents (and a
+  // plan-built one its arena slot indices), so it runs only over the
+  // program, and the plan, it was built from.
   if (opts.jit != nullptr) {
     const JitKernel& kernel = *opts.jit;
-    CORTEX_CHECK(!kernel.has_arena() ||
-                 fingerprint(*plan) == kernel.plan_fingerprint())
-        << "JIT kernel was built against a different memory plan than "
-           "this run's (" << plan->slots.size() << " slots)";
+    CORTEX_CHECK(kernel.fingerprint() ==
+                 kernel_fingerprint(program, kernel.has_arena() ? plan
+                                                                : nullptr))
+        << "JIT kernel was built from a different program or memory plan "
+           "than this run's (program '"
+        << program.name << "', " << plan->slots.size() << " slots)";
     std::vector<float*> param_table;
     param_table.reserve(kernel.params_order().size());
     for (const std::string& name : kernel.params_order()) {

@@ -65,10 +65,11 @@ struct IlirRunOptions {
   const MemoryPlan* plan = nullptr;
   /// When set, the run adds arena/reuse counters to this profiler.
   runtime::Profiler* profiler = nullptr;
-  /// Compiled kernel for this program (JitCache::get_or_build). When
-  /// set, the run executes the kernel instead of the interpreter over the
-  /// same buffer storage; a kernel built against a memory plan needs that
-  /// same plan here (run_ilir throws on any other, an empty one included).
+  /// Compiled kernel for this program (exec::build_kernel). When set, the
+  /// run executes the kernel instead of the interpreter over the same
+  /// buffer storage. run_ilir throws unless `program` is the one the
+  /// kernel was built from and, for a kernel built against a memory plan,
+  /// this run's plan is that same plan (an empty one throws too).
   const JitKernel* jit = nullptr;
 };
 

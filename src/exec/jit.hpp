@@ -1,63 +1,36 @@
 #pragma once
-// JIT execution of optimized ILIR programs: render the program as C
-// (ilir/codegen_c.hpp), compile it with the system toolchain, dlopen the
-// shared object, and hand run_ilir a function pointer (popart's
-// graph-build/device-binary split for the disk half). This is an offline
-// tool, not a serving path: CortexEngine serves through the batched cell
-// executor, which bench_jit measures an order of magnitude faster than
-// the kernel on the Fig. 9 SeqLSTM / TreeLSTM / DAG-RNN configurations
-// at batch {1, 8, 64}. Nothing builds a kernel unless a caller asks
-// JitCache::get_or_build for one. Two layers of caching:
-//   1. in-process registry keyed by the canonical fingerprint of
-//      (abi, compiler command, program, memory plan) — repeated asks
-//      share one dlopen'd handle,
-//   2. on-disk artifacts (<cache_dir>/cx_<digest>.c + .so): a second
-//      process with the same fingerprint dlopens the persisted .so with
-//      ZERO compiler invocations (JitStats::compiles stays 0, disk_hits
-//      counts the reuse). Staleness is decided by source comparison: the
-//      cache regenerates the C and only reuses the .so when the on-disk
-//      source matches byte-for-byte, so a codegen change (or fingerprint
-//      collision) can never resurrect a stale kernel.
+// Native execution of optimized ILIR programs, for tests and bench_jit:
+// render the program as C (ilir/codegen_c.hpp), compile it with `cc` into
+// a fresh directory under std::filesystem::temp_directory_path(), dlopen
+// the shared object, and hand run_ilir a function pointer. This is an
+// offline oracle, not a serving path: CortexEngine serves through the
+// batched cell executor, which bench_jit measures an order of magnitude
+// faster than the kernel on the Fig. 9 SeqLSTM / TreeLSTM / DAG-RNN
+// configurations at batch {1, 8, 64}. Nothing builds a kernel unless a
+// caller asks build_kernel for one, and nothing caches one: every call
+// compiles afresh.
 //
-// Safety posture (first release): the ILIR static verifier and the
-// memory-plan verifier run on EVERY kernel build or disk reuse regardless
-// of CORTEX_ILIR_VERIFY — a dlopen'd kernel executes whatever the pass
-// pipeline emitted with no interpreter bounds checks, so it never runs
-// unverified IR. The interpreter stays the differential oracle: the
-// JitDifferential tests require bit-identical buffers and barrier counts
-// across the model zoo, schedules and batch sizes.
+// Safety: the ILIR static verifier and the memory-plan verifier run on
+// every build regardless of CORTEX_ILIR_VERIFY. A dlopen'd kernel executes
+// whatever the pass pipeline emitted with no interpreter bounds checks,
+// so it never runs unverified IR. The interpreter stays the differential
+// oracle: the JitDifferential tests require bit-identical buffers and
+// barrier counts across the model zoo, schedules and batch sizes.
 //
-// Integrity: every published .so carries a sidecar (<lib>.sig) holding a
-// digest of the shared object's bytes. The disk-reuse path recomputes the
-// digest before dlopening; a truncated or corrupted artifact (or a
-// missing sidecar — a crash between publish and sign) is *quarantined* —
-// renamed aside for forensics, never deleted, never loaded — and the
-// kernel is recompiled. A wrong answer can never come off disk: the
-// source must match byte-for-byte AND the object must match its digest.
-//
-// Failure: get_or_build throws cortex::Error on any verification,
-// toolchain, publish or load failure (JitStats::failures counts them). A
-// failed build strands no file in the cache directory and records no
-// state, so the next ask simply tries again. The cache has no fallback of
-// its own: a caller without a kernel runs the interpreter, which is
-// bit-identical by the oracle contract above.
+// Failure: build_kernel throws cortex::Error on any verification,
+// toolchain or load failure. It removes its build directory on success
+// and on every failure path (a loaded kernel stays mapped after its file
+// is gone), so no call leaves a file behind.
 //
 // Fault-injection sites (support/fault_injection.hpp): jit.cc (toolchain
-// exit), jit.dlopen, jit.disk.write, jit.disk.rename, cache.read
-// (corrupt disk-reuse read). Each forces the exact production failure
-// branch, so the quarantine and cleanup paths above are testable on
-// demand.
+// exit) and jit.dlopen, each forcing its real failure branch.
 //
-// run_ilir runs a kernel exactly when IlirRunOptions::jit is set.
-// Deployment paths (read per call):
-//   CORTEX_JIT_CACHE_DIR  artifact directory (default /tmp/cortex-jit-<uid>)
-//   CORTEX_JIT_CC         compiler command (default "cc")
+// run_ilir runs a kernel exactly when IlirRunOptions::jit is set, and only
+// over the (program, plan) the kernel was built from.
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/memory_plan.hpp"
@@ -66,18 +39,20 @@
 
 namespace cortex::exec {
 
-/// Cumulative build accounting (process-wide; see JitCache::stats).
-struct JitStats {
-  std::int64_t compiles = 0;     ///< toolchain invocations (cold builds)
-  std::int64_t disk_hits = 0;    ///< persisted .so reused without compiling
-  std::int64_t memory_hits = 0;  ///< in-process registry hits
-  std::int64_t failures = 0;     ///< verify/compile/load failures
-  /// On-disk artifacts renamed aside: integrity-digest mismatch, missing
-  /// sidecar, stale source next to a published object, or a dlopen
-  /// failure on reuse. Each quarantine is followed by a recompile.
-  std::int64_t quarantined = 0;
-  double compile_ns = 0.0;  ///< wall time inside the toolchain
-};
+class JitKernel;
+using JitKernelPtr = std::shared_ptr<const JitKernel>;
+
+/// Verifies `program` (and `plan`, against the live-out set in
+/// `plan_opts`), compiles it and loads the kernel. With a null `plan` the
+/// kernel routes every float buffer through params[]. Throws cortex::Error
+/// on any failure.
+JitKernelPtr build_kernel(const ilir::Program& program, const MemoryPlan* plan,
+                          const MemoryPlanOptions& plan_opts = {});
+
+/// Identity of a kernel's input: the program plus the plan it was built
+/// against (nullptr for none).
+support::Fingerprint kernel_fingerprint(const ilir::Program& program,
+                                        const MemoryPlan* plan);
 
 /// One dlopen'd kernel; immutable once built, closed on destruction.
 class JitKernel {
@@ -97,79 +72,28 @@ class JitKernel {
   const std::vector<std::string>& params_order() const {
     return params_order_;
   }
-  const std::string& symbol() const { return symbol_; }
+  /// Where the shared object was built; removed before build_kernel
+  /// returns.
   const std::string& library_path() const { return library_path_; }
   /// Built against a memory plan: run_ilir must supply the arena +
   /// resolved slot offsets of that plan.
   bool has_arena() const { return has_arena_; }
-  /// Fingerprint of that plan (empty when !has_arena()): run_ilir refuses
-  /// a run over any other plan, whose slots are not the ones baked in.
-  const support::Fingerprint& plan_fingerprint() const {
-    return plan_fingerprint_;
-  }
-  /// Reused from a persisted artifact (no toolchain invocation).
-  bool from_disk() const { return from_disk_; }
+  /// kernel_fingerprint of the (program, plan) it was built from: run_ilir
+  /// refuses a run over any other, whose extents and slots are not the
+  /// ones baked in.
+  const support::Fingerprint& fingerprint() const { return fingerprint_; }
 
  private:
-  friend class JitCache;
+  friend JitKernelPtr build_kernel(const ilir::Program&, const MemoryPlan*,
+                                   const MemoryPlanOptions&);
   JitKernel() = default;
-  /// dlopens `lib` and resolves `symbol`; throws cortex::Error on either
-  /// failure.
-  void open(const std::string& lib, const std::string& symbol);
 
   void* handle_ = nullptr;
   Fn fn_ = nullptr;
   std::vector<std::string> params_order_;
-  std::string symbol_;
   std::string library_path_;
   bool has_arena_ = false;
-  support::Fingerprint plan_fingerprint_;
-  bool from_disk_ = false;
+  support::Fingerprint fingerprint_;
 };
-
-using JitKernelPtr = std::shared_ptr<const JitKernel>;
-
-/// Process-wide kernel registry + on-disk artifact store.
-class JitCache {
- public:
-  static JitCache& instance();
-
-  /// Returns the kernel for (program, plan), building and persisting it
-  /// if needed. Verification is forced (see header comment); throws
-  /// cortex::Error on verification or toolchain failure. `plan_opts`
-  /// carries the live-out set the plan was computed with so the plan
-  /// verifier re-proves the exact plan.
-  JitKernelPtr get_or_build(const ilir::Program& program,
-                            const MemoryPlan* plan,
-                            const MemoryPlanOptions& plan_opts = {});
-
-  JitStats stats() const;
-  void reset_stats();
-  /// Drops the in-process registry (disk artifacts stay): the next
-  /// get_or_build must take the disk path, which is how tests prove a
-  /// "second process" reuses persisted artifacts with zero compiles.
-  void clear_memory();
-  /// Artifact directory currently in effect (created lazily on build).
-  static std::string cache_dir();
-
- private:
-  JitCache() = default;
-
-  JitKernelPtr lookup_memory(const support::Fingerprint& key);
-  /// Disk reuse or toolchain build of a verified program; throws on
-  /// failure. Runs outside mu_ (compiles are slow).
-  JitKernelPtr build_locked_out(const support::Fingerprint& key,
-                                const ilir::Program& program,
-                                const MemoryPlan* plan);
-
-  mutable std::mutex mu_;
-  std::unordered_map<support::Fingerprint, JitKernelPtr,
-                     support::FingerprintHash>
-      map_;
-  JitStats stats_;
-};
-
-/// Compiler command: CORTEX_JIT_CC or "cc".
-std::string jit_compiler();
 
 }  // namespace cortex::exec

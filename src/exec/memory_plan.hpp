@@ -7,8 +7,8 @@
 // exec::compile_artifacts and stored in exec::Plan; at run time
 // exec::run_ilir makes ONE zero-filled arena allocation per run (so
 // every EnginePool worker / thread gets its own arena) and binds each
-// buffer at its precomputed slot offset — the shape a dlopen'd JIT
-// kernel needs, since it cannot call an allocator per run.
+// buffer at its precomputed slot offset — the shape a dlopen'd kernel
+// (exec::build_kernel) needs, since it cannot call an allocator per run.
 //
 // Rules the planner obeys (and verify_memory_plan re-proves):
 //   - scope classes are respected: kGlobal buffers plan arena-wide;

@@ -53,8 +53,8 @@ CompiledArtifacts compile_artifacts(const models::ModelDef& def,
     cfg.live_out = {lm.output};
     a.optimized = ilir::apply_schedule_passes(lm.program, cfg, observe);
     // The memory plan of the final optimized program rides in the plan:
-    // run_ilir binds buffers at its offsets, and a kernel JitCache builds
-    // for this program bakes them into generated code.
+    // run_ilir binds buffers at its offsets, and a kernel build_kernel
+    // makes for this program bakes them into generated code.
     auto mem = std::make_shared<MemoryPlan>(plan_memory(*a.optimized, mp_opts));
     if (ilir::verify_enabled())
       verify_memory_plan_or_throw(*a.optimized, *mem, "final", mp_opts);

@@ -1,10 +1,10 @@
 #pragma once
 // C code generator: renders an optimized ILIR Program as a genuinely
 // compilable, self-contained C11 translation unit (the "generated target
-// code" of Fig. 2, stage 4). The emitted kernel is what the JIT execution
-// path (exec/jit.hpp) hands to the system toolchain and dlopen()s; the
-// same source doubles as the human-readable listing the golden tests and
-// examples inspect.
+// code" of Fig. 2, stage 4). The emitted kernel is what
+// exec::build_kernel (exec/jit.hpp) compiles with `cc` and dlopen()s for
+// the differential tests and bench_jit; the same source doubles as the
+// human-readable listing the golden tests and examples inspect.
 //
 // Emission mirrors the reference evaluator's semantics exactly so a
 // compiled kernel is bit-identical to interpretation (ilir/eval.cpp):

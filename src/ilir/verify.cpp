@@ -450,8 +450,11 @@ void verify_or_throw(const Program& program, const std::string& phase,
 }
 
 bool verify_enabled() {
-  const char* v = std::getenv("CORTEX_ILIR_VERIFY");
-  return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
+  static const bool enabled = [] {
+    const char* v = std::getenv("CORTEX_ILIR_VERIFY");
+    return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
+  }();
+  return enabled;
 }
 
 }  // namespace cortex::ilir

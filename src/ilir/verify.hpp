@@ -61,7 +61,8 @@ void verify_or_throw(const Program& program, const std::string& phase,
 /// True when CORTEX_ILIR_VERIFY is set to anything but "0"/"" — the
 /// pass-pipeline hook in exec::compile_artifacts verifies after every
 /// pass when enabled (tests/CI turn it on; the serving hot path keeps
-/// the overhead off by default). Read per call so tests can flip it.
+/// the overhead off by default). Read once, on first use, like
+/// CORTEX_FAULTS, so later changes to the environment are not seen.
 bool verify_enabled();
 
 }  // namespace cortex::ilir

@@ -52,8 +52,8 @@ class FailStream {
 
 namespace cortex::support {
 
-/// Sink for non-fatal warnings (transient-failure retries, quarantined
-/// JIT artifacts): conditions worth surfacing that must not throw. The
+/// Sink for non-fatal warnings (transient-failure retries): conditions
+/// worth surfacing that must not throw. The
 /// default handler writes "[cortex] warning: <msg>" to stderr.
 using WarnHandler = void (*)(const std::string& msg);
 

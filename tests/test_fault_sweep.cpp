@@ -5,19 +5,15 @@
 // to a fault-free run. Transient pool/dispatch faults are retried (and
 // not at all under a retry bound of 0); a persistent transient fault
 // fails requests cleanly (kError) and the server keeps serving after the
-// fault clears. The JIT is an offline
-// tool, so its sites (toolchain, dlopen, artifact publish, artifact read)
-// armed during serving must never be reached: every request succeeds
-// bit-identically and health stays clean, while the same armed site
-// still fires on a direct JitCache build. What each JIT site does when
-// it fires is tested against JitCache directly in test_jit.cpp.
+// fault clears. The JIT is an offline tool, so its sites (toolchain,
+// dlopen) armed during serving must never be reached: every request
+// succeeds bit-identically and health stays clean, while the same armed
+// site still fires on a direct build_kernel. What each JIT site does
+// when it fires is tested against build_kernel directly in test_jit.cpp.
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <chrono>
-#include <cstdlib>
 #include <functional>
 #include <future>
 #include <memory>
@@ -26,10 +22,8 @@
 
 #include "baselines/common.hpp"
 #include "ds/generators.hpp"
-#include "exec/artifacts.hpp"
 #include "exec/batch_server.hpp"
 #include "exec/jit.hpp"
-#include "exec/memory_plan.hpp"
 #include "exec/plan_cache.hpp"
 #include "lowering/lower.hpp"
 #include "models/model_zoo.hpp"
@@ -124,15 +118,15 @@ BatchServerOptions server_opts() {
 }
 
 /// One sweep iteration per model: a fault-free reference from a direct
-/// pool run, then the armed serving run over the same batch. A site that
-/// `expect_reached` must fire while serving; one that does not must never
-/// even be evaluated. `before_arm` runs between the two.
+/// pool run, then the armed serving run over the same batch, compiled
+/// cold (plan cache cleared) so every site on the compile path is on the
+/// executed path too. A site that `expect_reached` must fire while
+/// serving; one that does not must never even be evaluated.
 void sweep_site_over_zoo(
     const std::string& arm_spec, bool expect_all_ok,
     const std::function<void(const models::ModelDef&, BatchServer&)>&
         extra_checks = {},
-    bool expect_reached = true,
-    const std::function<void(const models::ModelDef&)>& before_arm = {}) {
+    bool expect_reached = true) {
   Rng prng(29);
   for (const models::ModelDef& def : mini_zoo()) {
     SCOPED_TRACE(arm_spec + " / " + def.name);
@@ -147,7 +141,7 @@ void sweep_site_over_zoo(
     }
 
     // Armed run: serve the same batch through a BatchServer.
-    if (before_arm) before_arm(def);
+    PlanCache::instance().clear();
     FaultInjector::instance().configure(arm_spec);
     std::vector<ServedResult> results;
     {
@@ -199,61 +193,15 @@ struct FaultGuard {
   ~FaultGuard() { FaultInjector::instance().reset(); }
 };
 
-/// Saves/restores one environment variable on scope exit.
-class EnvGuard {
- public:
-  explicit EnvGuard(const char* name) : name_(name) {
-    const char* v = std::getenv(name);
-    had_ = v != nullptr;
-    if (had_) saved_ = v;
-  }
-  ~EnvGuard() {
-    if (had_)
-      setenv(name_.c_str(), saved_.c_str(), 1);
-    else
-      unsetenv(name_.c_str());
-  }
-  void set(const std::string& v) { setenv(name_.c_str(), v.c_str(), 1); }
-
- private:
-  std::string name_;
-  bool had_ = false;
-  std::string saved_;
-};
-
-/// A fresh, private artifact directory, so no artifact from another test
-/// can satisfy (or skip) the direct build below.
-std::string fresh_cache_dir() {
-  char tmpl[] = "/tmp/cortex-fault-sweep-XXXXXX";
-  const char* d = mkdtemp(tmpl);
-  EXPECT_NE(d, nullptr);
-  return d != nullptr ? d : "/tmp/cortex-fault-sweep-fallback";
-}
-
-/// Publishes an intact on-disk kernel for `program` and drops it from
-/// memory, so the next build of it takes the disk-reuse path.
-void publish_artifact(const ilir::Program& program, const MemoryPlan* plan,
-                      const MemoryPlanOptions& opts) {
-  ASSERT_TRUE(JitCache::instance().get_or_build(program, plan, opts) !=
-              nullptr);
-  JitCache::instance().clear_memory();
-}
-
 /// Arms one JIT site for a whole zoo serving sweep: no served request may
 /// reach it, every request succeeds bit-identically, and the server never
-/// reports itself degraded. Each armed run compiles from scratch (cold
-/// plan cache, cold kernel registry, fresh artifact dir), so a kernel
-/// build anywhere on the serving path would evaluate the build-path
-/// sites; for cache.read, the served program's kernel is published first,
-/// so any served artifact read would evaluate it. Then the same arm spec
-/// is applied to a direct kernel build, where the site must fire — so
-/// "never reached" cannot pass on a site name that nothing evaluates.
+/// reports itself degraded. Each armed run compiles cold, so a kernel
+/// build anywhere on the serving path would evaluate the site. Then the
+/// same arm spec is applied to a direct build_kernel, where the site must
+/// fire — so "never reached" cannot pass on a site name that nothing
+/// evaluates.
 void sweep_jit_site_over_zoo(const std::string& site) {
   FaultGuard fault_guard;
-  EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
-  JitCache& cache = JitCache::instance();
-  const bool reuse_site = site == "cache.read";
-
   sweep_site_over_zoo(
       site + "=*", /*expect_all_ok=*/true,
       [](const models::ModelDef&, BatchServer& server) {
@@ -261,35 +209,17 @@ void sweep_jit_site_over_zoo(const std::string& site) {
         EXPECT_FALSE(h.degraded);
         EXPECT_EQ(h.consecutive_failures, 0);
       },
-      /*expect_reached=*/false,
-      [&](const models::ModelDef& def) {
-        PlanCache::instance().clear();
-        cache.clear_memory();
-        dir_env.set(fresh_cache_dir());
-        if (reuse_site) {
-          const CompiledArtifacts a =
-              compile_artifacts(def, ra::Schedule{}, gpu());
-          publish_artifact(*a.optimized, a.plan.ilir_memory.get(),
-                           MemoryPlanOptions{{a.lowered->output}, {}});
-        }
-      });
+      /*expect_reached=*/false);
 
-  dir_env.set(fresh_cache_dir());
-  cache.clear_memory();
   const models::ModelDef def = models::make_treernn_fig1(16);
   const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
-  if (reuse_site) publish_artifact(lm.program, nullptr, {});
   FaultInjector::instance().configure(site + "=*");
-  try {
-    cache.get_or_build(lm.program, nullptr);
-  } catch (const cortex::Error&) {
-    // A build-path site throws; cache.read recompiles instead.
-  }
+  EXPECT_THROW(build_kernel(lm.program, nullptr), cortex::Error);
   EXPECT_GE(FaultInjector::instance().stats(site).fired, 1)
       << site << " never fired on a direct build";
 }
 
-// -- JIT compile/artifact faults: off the serving path, invisible to it --
+// -- JIT build faults: off the serving path, invisible to it --
 
 TEST(FaultSweep, ToolchainFailureDegradesAndServesBitIdentical) {
   sweep_jit_site_over_zoo("jit.cc");
@@ -297,18 +227,6 @@ TEST(FaultSweep, ToolchainFailureDegradesAndServesBitIdentical) {
 
 TEST(FaultSweep, DlopenFailureDegradesAndServesBitIdentical) {
   sweep_jit_site_over_zoo("jit.dlopen");
-}
-
-TEST(FaultSweep, DiskWriteFailureDegradesAndServesBitIdentical) {
-  sweep_jit_site_over_zoo("jit.disk.write");
-}
-
-TEST(FaultSweep, DiskRenameFailureDegradesAndServesBitIdentical) {
-  sweep_jit_site_over_zoo("jit.disk.rename");
-}
-
-TEST(FaultSweep, CorruptArtifactReadQuarantinesRecompilesAndServes) {
-  sweep_jit_site_over_zoo("cache.read");
 }
 
 // -- transient serve-path faults: retried when bounded, clean when not --

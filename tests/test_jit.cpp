@@ -1,22 +1,15 @@
-// JIT execution path (exec/jit.hpp): the zoo x schedule x batch-size
+// Kernel builds (exec/jit.hpp): the zoo x schedule x batch-size
 // differential battery (JIT'd kernels bit-identical to the interpreter on
-// every buffer, with the static verifier forced on), kernel sharing
-// through the in-process registry, on-disk artifact persistence (a
-// "second process" — simulated by dropping the in-memory registry —
-// reuses the .so with zero compiles), stale-source rebuilds,
-// toolchain-failure surfacing, every JIT fault-injection site armed
-// against JitCache::get_or_build, and the refusal to run a plan-built
-// kernel over any other memory plan.
+// every buffer, with the static verifier forced on), the refusal to run a
+// kernel over any program or memory plan other than the one it was built
+// from, the refusal to compile unverified IR, toolchain-failure
+// surfacing, and both JIT fault-injection sites armed against
+// build_kernel, which must throw and leave no build directory behind.
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -26,6 +19,7 @@
 #include "exec/ilir_runner.hpp"
 #include "exec/jit.hpp"
 #include "exec/memory_plan.hpp"
+#include "ilir/verify.hpp"
 #include "lowering/lower.hpp"
 #include "models/model_zoo.hpp"
 #include "runtime/device.hpp"
@@ -35,40 +29,11 @@
 namespace cortex::exec {
 namespace {
 
-/// Guard: saves/restores one environment variable on scope exit.
-class EnvGuard {
- public:
-  explicit EnvGuard(const char* name) : name_(name) {
-    const char* v = std::getenv(name);
-    had_ = v != nullptr;
-    if (had_) saved_ = v;
-  }
-  ~EnvGuard() {
-    if (had_)
-      setenv(name_.c_str(), saved_.c_str(), 1);
-    else
-      unsetenv(name_.c_str());
-  }
-  void set(const std::string& v) { setenv(name_.c_str(), v.c_str(), 1); }
-
- private:
-  std::string name_;
-  bool had_ = false;
-  std::string saved_;
+/// Disarms every fault site on scope exit, so a failed assertion cannot
+/// leave a site armed for the next test.
+struct FaultGuard {
+  ~FaultGuard() { support::FaultInjector::instance().reset(); }
 };
-
-/// One private artifact directory for the whole test binary, so disk
-/// counters are deterministic and parallel ctest jobs never share state.
-const std::string& test_cache_dir() {
-  static const std::string dir = [] {
-    char tmpl[] = "/tmp/cortex-jit-test-XXXXXX";
-    const char* d = mkdtemp(tmpl);
-    EXPECT_NE(d, nullptr);
-    setenv("CORTEX_JIT_CACHE_DIR", d, 1);
-    return std::string(d ? d : "/tmp/cortex-jit-test-fallback");
-  }();
-  return dir;
-}
 
 std::vector<models::ModelDef> zoo() {
   std::vector<models::ModelDef> defs;
@@ -146,18 +111,53 @@ void expect_runs_bit_identical(const IlirRun& jit, const IlirRun& interp,
   }
 }
 
-/// Builds (or fetches) the kernel for compiled artifacts exactly as an
-/// offline caller would: the optimized program plus its planned arena.
+/// Builds the kernel for compiled artifacts exactly as an offline caller
+/// would: the optimized program plus its planned arena.
 JitKernelPtr kernel_for(const CompiledArtifacts& a) {
   const MemoryPlanOptions mp_opts{{a.lowered->output}, {}};
-  return JitCache::instance().get_or_build(
-      *a.optimized, a.plan.ilir_memory.get(), mp_opts);
+  return build_kernel(*a.optimized, a.plan.ilir_memory.get(), mp_opts);
+}
+
+/// Runs the kernel and the interpreter over a small batch and requires
+/// bit-identical buffers.
+void expect_kernel_correct(const models::ModelDef& def,
+                           const lowering::LoweredModel& lm,
+                           const JitKernelPtr& kernel, std::uint64_t seed) {
+  Rng rng(seed);
+  const models::ModelParams params = models::init_params(def, rng);
+  const linearizer::Linearized lin = linearize_for(def, lm, 2, rng);
+  IlirRunOptions jit_opts;
+  jit_opts.jit = kernel.get();
+  const IlirRun jit_run = run_ilir(lm.program, lin, params, jit_opts);
+  const IlirRun interp_run = run_ilir(lm.program, lin, params);
+  expect_runs_bit_identical(jit_run, interp_run, "kernel");
+}
+
+/// The build directory a build_kernel error names: both the compile and
+/// the dlopen failure quote the path of the object inside it. Empty when
+/// the message names none.
+std::string build_dir_named_in(const std::string& what) {
+  const std::string prefix =
+      (std::filesystem::temp_directory_path() / "cortex-jit-").string();
+  const std::size_t at = what.find(prefix);
+  if (at == std::string::npos) return {};
+  return what.substr(at, what.find('/', at + prefix.size()) - at);
+}
+
+/// Builds `program` expecting a cortex::Error, and returns its message.
+std::string build_error(const ilir::Program& program) {
+  try {
+    build_kernel(program, nullptr);
+  } catch (const cortex::Error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "build_kernel did not throw";
+  return {};
 }
 
 // -- the acceptance battery ---------------------------------------------------
 
 TEST(JitDifferential, ZooTimesSchedulesTimesBatchesBitIdentical) {
-  test_cache_dir();
   Rng rng(41);
   for (const models::ModelDef& def : zoo()) {
     if (!def.model) continue;
@@ -165,7 +165,7 @@ TEST(JitDifferential, ZooTimesSchedulesTimesBatchesBitIdentical) {
     const bool dag = def.name == "DAG-RNN";
     for (const auto& [label, schedule] : schedule_variants(dag)) {
       SCOPED_TRACE(def.name + " / " + label);
-      // Verification is forced inside get_or_build.
+      // Verification is forced inside build_kernel.
       const CompiledArtifacts a =
           compile_artifacts(def, schedule, runtime::DeviceSpec::v100_gpu());
       ASSERT_TRUE(a.optimized.has_value());
@@ -193,14 +193,12 @@ TEST(JitDifferential, ZooTimesSchedulesTimesBatchesBitIdentical) {
 }
 
 TEST(JitDifferential, KernelWithoutMemoryPlanMatchesInterpreter) {
-  test_cache_dir();
   Rng rng(43);
   const models::ModelDef def = models::make_treelstm(16);
   const models::ModelParams params = models::init_params(def, rng);
   const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
   // Build against no plan: every float buffer routes through params[].
-  const JitKernelPtr kernel =
-      JitCache::instance().get_or_build(lm.program, nullptr);
+  const JitKernelPtr kernel = build_kernel(lm.program, nullptr);
   ASSERT_TRUE(kernel != nullptr);
   EXPECT_FALSE(kernel->has_arena());
   const linearizer::Linearized lin = linearize_for(def, lm, 3, rng);
@@ -217,7 +215,6 @@ TEST(JitDifferential, PlanBuiltKernelWithoutPlannerThrows) {
   // run_ilir refuses rather than letting the kernel index slots that do
   // not exist (or quietly interpreting: a set opts.jit means the kernel
   // runs).
-  test_cache_dir();
   Rng rng(45);
   const models::ModelDef def = models::make_treernn_fig1(16);
   const models::ModelParams params = models::init_params(def, rng);
@@ -237,361 +234,137 @@ TEST(JitDifferential, PlanBuiltKernelWithoutPlannerThrows) {
   EXPECT_TRUE(run_ilir(*a.optimized, lin, params, opts).ran_jit);
 }
 
-// -- caching ------------------------------------------------------------------
-
-TEST(JitCacheTest, RecompileSharesTheSameKernelHandle) {
-  test_cache_dir();
-  const models::ModelDef def = models::make_treegru(16);
-  const CompiledArtifacts a1 =
-      compile_artifacts(def, ra::Schedule{}, runtime::DeviceSpec::v100_gpu());
-  const CompiledArtifacts a2 =
-      compile_artifacts(def, ra::Schedule{}, runtime::DeviceSpec::v100_gpu());
-  const JitKernelPtr k1 = kernel_for(a1);
-  ASSERT_TRUE(k1 != nullptr);
-  const JitStats before = JitCache::instance().stats();
-  // Two independent compiles of one model produce programs with the same
-  // fingerprint -> the registry returns the same dlopen'd kernel.
-  EXPECT_EQ(kernel_for(a2).get(), k1.get());
-  const JitStats after = JitCache::instance().stats();
-  EXPECT_GE(after.memory_hits, before.memory_hits + 1);
+TEST(JitDifferential, KernelRefusesAProgramItWasNotBuiltFrom) {
+  // A kernel bakes its program's extents: a no-plan kernel built for
+  // TreeLSTM h16, handed the h32 program's same-named buffers, would run
+  // its h16 loops over them. run_ilir refuses; the h32 program still
+  // interprets.
+  Rng rng(47);
+  const models::ModelDef def16 = models::make_treelstm(16);
+  const models::ModelDef def32 = models::make_treelstm(32);
+  const lowering::LoweredModel lm16 =
+      lowering::lower(*def16.model, ra::Schedule{});
+  const lowering::LoweredModel lm32 =
+      lowering::lower(*def32.model, ra::Schedule{});
+  const JitKernelPtr kernel = build_kernel(lm16.program, nullptr);
+  const models::ModelParams params32 = models::init_params(def32, rng);
+  const linearizer::Linearized lin = linearize_for(def32, lm32, 2, rng);
+  IlirRunOptions opts;
+  opts.jit = kernel.get();
+  EXPECT_THROW(run_ilir(lm32.program, lin, params32, opts), cortex::Error);
+  EXPECT_FALSE(run_ilir(lm32.program, lin, params32).ran_jit);
 }
 
-TEST(JitCacheTest, DiskArtifactReusedWithZeroCompiles) {
-  test_cache_dir();
-  const models::ModelDef def = models::make_simple_treegru(16);
-  const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
-  const MemoryPlanOptions mp_opts{{lm.output}, {}};
-  const MemoryPlan plan = plan_memory(lm.program, mp_opts);
+TEST(JitSafety, UnverifiedProgramNeverReachesTheToolchain) {
+  // The off-by-one index mutation of the verifier's battery, applied to a
+  // lowered zoo program: every store to the output reaches one past its
+  // last column. build_kernel must reject it before invoking `cc`.
+  FaultGuard fault_guard;
+  const models::ModelDef def = models::make_treernn(16);
+  lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
+  const std::string out = lm.output;
+  lm.program.body = ilir::transform(
+      lm.program.body, [&](const ilir::Stmt& s) -> ilir::Stmt {
+        if (s->kind != ilir::StmtKind::kStore || s->buffer != out)
+          return nullptr;
+        std::vector<ra::Expr> idx = s->indices;
+        idx.back() = ra::add(idx.back(), ra::imm(1));
+        return ilir::make_store(out, idx, s->value);
+      });
+  ASSERT_TRUE(support::has_errors(ilir::verify(lm.program)));
 
-  JitCache& cache = JitCache::instance();
-  const JitKernelPtr first =
-      cache.get_or_build(lm.program, &plan, mp_opts);
-  ASSERT_TRUE(first != nullptr);
-
-  // "Second process": drop the in-memory registry; the persisted .so must
-  // satisfy the rebuild without invoking the toolchain.
-  cache.clear_memory();
-  const JitStats before = cache.stats();
-  const JitKernelPtr second = cache.get_or_build(lm.program, &plan, mp_opts);
-  const JitStats after = cache.stats();
-  ASSERT_TRUE(second != nullptr);
-  EXPECT_TRUE(second->from_disk());
-  EXPECT_EQ(after.compiles, before.compiles);  // zero new compiles
-  EXPECT_EQ(after.disk_hits, before.disk_hits + 1);
-  // And the reloaded kernel still computes the same bytes.
-  Rng rng(53);
-  const models::ModelParams params = models::init_params(def, rng);
-  const linearizer::Linearized lin = linearize_for(def, lm, 2, rng);
-  IlirRunOptions jit_opts;
-  jit_opts.plan = &plan;
-  jit_opts.jit = second.get();
-  const IlirRun jit_run = run_ilir(lm.program, lin, params, jit_opts);
-  IlirRunOptions interp_opts;
-  interp_opts.plan = &plan;
-  const IlirRun interp_run = run_ilir(lm.program, lin, params, interp_opts);
-  expect_runs_bit_identical(jit_run, interp_run, "disk-reloaded kernel");
-}
-
-TEST(JitCacheTest, StaleDiskSourceTriggersRebuild) {
-  test_cache_dir();
-  const models::ModelDef def = models::make_treefc(16);
-  const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
-
-  JitCache& cache = JitCache::instance();
-  const JitKernelPtr first = cache.get_or_build(lm.program, nullptr);
-  ASSERT_TRUE(first != nullptr);
-
-  // Corrupt the persisted source: the cache must refuse the .so (source
-  // comparison fails) and rebuild from scratch.
-  {
-    std::ofstream out(first->library_path().substr(
-                          0, first->library_path().size() - 3) +
-                          ".c",
-                      std::ios::trunc);
-    out << "/* stale */\n";
-  }
-  cache.clear_memory();
-  const JitStats before = cache.stats();
-  const JitKernelPtr second = cache.get_or_build(lm.program, nullptr);
-  const JitStats after = cache.stats();
-  ASSERT_TRUE(second != nullptr);
-  EXPECT_FALSE(second->from_disk());
-  EXPECT_EQ(after.compiles, before.compiles + 1);
+  support::FaultInjector::instance().configure("jit.cc=*");
+  const std::string what = build_error(lm.program);
+  EXPECT_NE(what.find("ILIR verification failed after 'jit'"),
+            std::string::npos)
+      << what;
+  EXPECT_EQ(support::FaultInjector::instance().stats("jit.cc").hits, 0);
 }
 
 TEST(JitCacheTest, ToolchainFailureSurfacesAsError) {
-  test_cache_dir();
-  EnvGuard cc_env("CORTEX_JIT_CC");
-  cc_env.set("/bin/false");
+  FaultGuard fault_guard;
   const models::ModelDef def = models::make_treernn(16);
   const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
-  const JitStats before = JitCache::instance().stats();
-  EXPECT_THROW(JitCache::instance().get_or_build(lm.program, nullptr),
-               cortex::Error);
-  const JitStats after = JitCache::instance().stats();
-  EXPECT_EQ(after.failures, before.failures + 1);
+  support::FaultInjector::instance().configure("jit.cc=*");
+  const std::string what = build_error(lm.program);
+  EXPECT_NE(what.find("JIT compile failed"), std::string::npos) << what;
+  EXPECT_EQ(support::FaultInjector::instance().stats("jit.cc").fired, 1);
 }
 
 TEST(JitCacheTest, CompileArtifactsBuildsNoKernel) {
-  // Serving never runs a kernel, so compilation never asks for one: the
-  // JitCache sees no lookup, build or failure from compile_artifacts.
+  // Serving never runs a kernel, so compilation never builds one: with
+  // the toolchain and loader sites armed, compile_artifacts reaches
+  // neither.
+  FaultGuard fault_guard;
   const models::ModelDef def = models::make_treernn(16);
-  const JitStats before = JitCache::instance().stats();
+  support::FaultInjector::instance().configure("jit.cc=*;jit.dlopen=*");
   const CompiledArtifacts a =
       compile_artifacts(def, ra::Schedule{}, runtime::DeviceSpec::v100_gpu());
   EXPECT_TRUE(a.optimized.has_value());
-  const JitStats after = JitCache::instance().stats();
-  EXPECT_EQ(after.compiles, before.compiles);
-  EXPECT_EQ(after.disk_hits, before.disk_hits);
-  EXPECT_EQ(after.memory_hits, before.memory_hits);
-  EXPECT_EQ(after.failures, before.failures);
-}
-
-// -- crash consistency: distrusted artifacts quarantine, never run -----------
-
-/// A fresh private artifact directory for one test (the shared
-/// test_cache_dir() would let other tests' artifacts interfere with
-/// directory-content assertions).
-std::string fresh_dir() {
-  char tmpl[] = "/tmp/cortex-jit-crash-XXXXXX";
-  const char* d = mkdtemp(tmpl);
-  EXPECT_NE(d, nullptr);
-  return d != nullptr ? d : "/tmp/cortex-jit-crash-fallback";
-}
-
-/// Runs the kernel and the interpreter over a small batch and requires
-/// bit-identical buffers — the "zero wrong answers" check every recovery
-/// test ends with.
-void expect_kernel_correct(const models::ModelDef& def,
-                           const lowering::LoweredModel& lm,
-                           const JitKernelPtr& kernel, std::uint64_t seed) {
-  Rng rng(seed);
-  const models::ModelParams params = models::init_params(def, rng);
-  const linearizer::Linearized lin = linearize_for(def, lm, 2, rng);
-  IlirRunOptions jit_opts;
-  jit_opts.jit = kernel.get();
-  const IlirRun jit_run = run_ilir(lm.program, lin, params, jit_opts);
-  const IlirRun interp_run = run_ilir(lm.program, lin, params);
-  expect_runs_bit_identical(jit_run, interp_run, "recovered kernel");
-}
-
-std::size_t count_quarantined(const std::string& dir) {
-  std::size_t n = 0;
-  for (const auto& e : std::filesystem::directory_iterator(dir))
-    if (e.path().filename().string().find(".quarantined.") !=
-        std::string::npos)
-      ++n;
-  return n;
-}
-
-TEST(JitCrashConsistency, TruncatedSharedObjectQuarantinesAndRecompiles) {
-  EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
-  const std::string dir = fresh_dir();
-  dir_env.set(dir);
-  const models::ModelDef def = models::make_treefc(16);
-  const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
-
-  JitCache& cache = JitCache::instance();
-  // Cold memory cache: a kernel left over from an earlier test (same
-  // program, different artifact dir) would satisfy the build without
-  // ever touching this test's private directory.
-  cache.clear_memory();
-  std::string lib;
-  {
-    const JitKernelPtr first = cache.get_or_build(lm.program, nullptr);
-    ASSERT_TRUE(first != nullptr);
-    lib = first->library_path();
-  }
-  // Drop every live handle before corrupting the file: truncating a
-  // still-mapped .so SIGBUSes the old mapping, which is not the scenario
-  // under test (corruption discovered on a fresh load after a restart).
-  cache.clear_memory();
-
-  // Simulate a torn write / disk corruption: truncate the published .so
-  // to half its bytes (its sidecar digest no longer matches).
-  const auto full = std::filesystem::file_size(lib);
-  std::filesystem::resize_file(lib, full / 2);
-
-  const JitStats before = cache.stats();
-  const JitKernelPtr second = cache.get_or_build(lm.program, nullptr);
-  const JitStats after = cache.stats();
-  ASSERT_TRUE(second != nullptr);
-  EXPECT_FALSE(second->from_disk());  // the corrupt artifact never loaded
-  EXPECT_EQ(after.compiles, before.compiles + 1);
-  EXPECT_EQ(after.quarantined, before.quarantined + 1);
-  // Quarantine renames aside (forensics), never deletes.
-  EXPECT_GE(count_quarantined(dir), 1u);
-  expect_kernel_correct(def, lm, second, 59);
-}
-
-TEST(JitCrashConsistency, GarbageSourceWithMatchingNameQuarantines) {
-  EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
-  const std::string dir = fresh_dir();
-  dir_env.set(dir);
-  const models::ModelDef def = models::make_treegru(16);
-  const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
-
-  JitCache& cache = JitCache::instance();
-  cache.clear_memory();  // force the build into this test's private dir
-  const JitKernelPtr first = cache.get_or_build(lm.program, nullptr);
-  ASSERT_TRUE(first != nullptr);
-  const std::string lib = first->library_path();
-  const std::string src = lib.substr(0, lib.size() - 3) + ".c";
-
-  // Garbage .c under the correct digest name: the source comparison
-  // fails, so the (intact!) .so next to it is still distrusted — renamed
-  // aside, never dlopen'd — and the kernel recompiles.
-  {
-    std::ofstream out(src, std::ios::trunc);
-    out << "int not_a_kernel;\n";
-  }
-  cache.clear_memory();
-  const JitStats before = cache.stats();
-  const JitKernelPtr second = cache.get_or_build(lm.program, nullptr);
-  const JitStats after = cache.stats();
-  ASSERT_TRUE(second != nullptr);
-  EXPECT_FALSE(second->from_disk());
-  EXPECT_EQ(after.compiles, before.compiles + 1);
-  EXPECT_EQ(after.quarantined, before.quarantined + 1);
-  EXPECT_GE(count_quarantined(dir), 1u);
-  expect_kernel_correct(def, lm, second, 61);
-}
-
-TEST(JitCrashConsistency, MissingSidecarQuarantinesAndRecompiles) {
-  EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
-  const std::string dir = fresh_dir();
-  dir_env.set(dir);
-  const models::ModelDef def = models::make_simple_treegru(16);
-  const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
-
-  JitCache& cache = JitCache::instance();
-  cache.clear_memory();  // force the build into this test's private dir
-  const JitKernelPtr first = cache.get_or_build(lm.program, nullptr);
-  ASSERT_TRUE(first != nullptr);
-
-  // Simulate a crash between publishing the .so and persisting its
-  // sidecar: the .so is intact but unsigned, and an unsigned artifact is
-  // never trusted.
-  std::filesystem::remove(first->library_path() + ".sig");
-  cache.clear_memory();
-  const JitStats before = cache.stats();
-  const JitKernelPtr second = cache.get_or_build(lm.program, nullptr);
-  const JitStats after = cache.stats();
-  ASSERT_TRUE(second != nullptr);
-  EXPECT_FALSE(second->from_disk());
-  EXPECT_EQ(after.compiles, before.compiles + 1);
-  EXPECT_EQ(after.quarantined, before.quarantined + 1);
-  expect_kernel_correct(def, lm, second, 67);
+  EXPECT_EQ(support::FaultInjector::instance().stats("jit.cc").hits, 0);
+  EXPECT_EQ(support::FaultInjector::instance().stats("jit.dlopen").hits, 0);
 }
 
 TEST(JitCrashConsistency, FailedCompileLeavesNoStrandedFiles) {
-  EnvGuard cc_env("CORTEX_JIT_CC");
-  EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
-  const std::string dir = fresh_dir();
-  dir_env.set(dir);
-  cc_env.set("/bin/false");
+  // The build directory goes with everything in it whether the build
+  // fails or succeeds; a loaded kernel keeps running from its mapping.
+  FaultGuard fault_guard;
   const models::ModelDef def = models::make_treernn(16);
   const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
-  EXPECT_THROW(JitCache::instance().get_or_build(lm.program, nullptr),
-               cortex::Error);
-  // A failed toolchain invocation must not strand the published source,
-  // the half-built object, or the log in the cache directory.
-  std::size_t files = 0;
-  for (const auto& e : std::filesystem::directory_iterator(dir)) {
-    ++files;
-    ADD_FAILURE() << "stranded file after failed compile: " << e.path();
-  }
-  EXPECT_EQ(files, 0u);
+
+  support::FaultInjector::instance().configure("jit.cc=*");
+  const std::string failed_dir = build_dir_named_in(build_error(lm.program));
+  ASSERT_FALSE(failed_dir.empty());
+  EXPECT_FALSE(std::filesystem::exists(failed_dir)) << failed_dir;
+
+  support::FaultInjector::instance().reset();
+  const JitKernelPtr kernel = build_kernel(lm.program, nullptr);
+  const std::filesystem::path built_dir =
+      std::filesystem::path(kernel->library_path()).parent_path();
+  EXPECT_NE(built_dir.string(), failed_dir);
+  EXPECT_FALSE(std::filesystem::exists(built_dir)) << built_dir;
+  expect_kernel_correct(def, lm, kernel, 59);
 }
 
 TEST(JitBackoffTest, SuccessAfterFailureClearsTheRecordAndServesKernels) {
   // A failed build leaves nothing behind that could block the next one:
-  // once the toolchain recovers, the very next ask compiles and serves a
-  // correct kernel, and the ask after that is a plain memory hit.
-  // A private artifact dir + cold memory cache: an artifact left behind
-  // by an earlier test would satisfy the ask before the armed jit.cc
-  // site is ever consulted.
-  EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
-  dir_env.set(fresh_dir());
-  struct FaultGuard {
-    ~FaultGuard() { support::FaultInjector::instance().reset(); }
-  } fault_guard;
-  JitCache& cache = JitCache::instance();
-  cache.clear_memory();
+  // once the toolchain recovers, the very next build compiles a correct
+  // kernel.
+  FaultGuard fault_guard;
   const models::ModelDef def = models::make_treelstm(16);
   const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
-
-  // Fail via the jit.cc fault site, NOT a different CORTEX_JIT_CC: the
-  // compiler command is part of the kernel key, so swapping compilers
-  // would put the failure and the recovery under different keys.
   support::FaultInjector::instance().configure("jit.cc=*");
-  EXPECT_THROW(cache.get_or_build(lm.program, nullptr), cortex::Error);
+  EXPECT_THROW(build_kernel(lm.program, nullptr), cortex::Error);
 
-  // Toolchain recovers: the next ask rebuilds and succeeds.
   support::FaultInjector::instance().reset();
-  const JitStats before_rebuild = cache.stats();
-  const JitKernelPtr ok = cache.get_or_build(lm.program, nullptr);
+  const JitKernelPtr ok = build_kernel(lm.program, nullptr);
   ASSERT_TRUE(ok != nullptr);
-  EXPECT_EQ(cache.stats().compiles, before_rebuild.compiles + 1);
   expect_kernel_correct(def, lm, ok, 71);
-
-  const JitStats before = cache.stats();
-  EXPECT_EQ(cache.get_or_build(lm.program, nullptr).get(), ok.get());
-  EXPECT_EQ(cache.stats().memory_hits, before.memory_hits + 1);
 }
 
 // -- fault-injection sites ----------------------------------------------------
 
 TEST(JitFaultSites, ArmedSiteThrowsOrRecompilesAndStrandsNoTempFile) {
-  // Every JIT fault site armed in turn against a direct get_or_build in a
-  // fresh artifact dir. A build-path site (toolchain, dlopen, publish)
-  // must throw cortex::Error; cache.read sits on the disk-reuse path, so
-  // it must quarantine the "corrupt" artifact and recompile instead.
-  // Either way no *.tmp.* file may be left behind, and once the injector
-  // is reset the next build must give a kernel bit-identical to the
+  // Both JIT fault sites armed in turn against a direct build_kernel: the
+  // build must throw cortex::Error, the site must have fired, and the
+  // build directory the error names must be gone. Once the injector is
+  // reset the next build must give a kernel bit-identical to the
   // interpreter.
-  struct FaultGuard {
-    ~FaultGuard() { support::FaultInjector::instance().reset(); }
-  } fault_guard;
-  EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
+  FaultGuard fault_guard;
   const models::ModelDef def = models::make_treelstm(16);
   const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
-  JitCache& cache = JitCache::instance();
   std::uint64_t seed = 73;
-  for (const char* site : {"jit.cc", "jit.dlopen", "jit.disk.write",
-                           "jit.disk.rename", "cache.read"}) {
+  for (const char* site : {"jit.cc", "jit.dlopen"}) {
     SCOPED_TRACE(site);
-    const std::string dir = fresh_dir();
-    dir_env.set(dir);
-    // Cold memory registry: the armed site must sit on the executed path.
-    cache.clear_memory();
-    const bool reuse_site = std::string(site) == "cache.read";
-    if (reuse_site) {
-      // Publish an intact artifact first, then force the disk path.
-      ASSERT_TRUE(cache.get_or_build(lm.program, nullptr) != nullptr);
-      cache.clear_memory();
-    }
-    const JitStats before = cache.stats();
     support::FaultInjector::instance().configure(std::string(site) + "=*");
-    if (reuse_site) {
-      const JitKernelPtr k = cache.get_or_build(lm.program, nullptr);
-      ASSERT_TRUE(k != nullptr);
-      EXPECT_FALSE(k->from_disk());  // the distrusted artifact never loaded
-      EXPECT_EQ(cache.stats().quarantined, before.quarantined + 1);
-      EXPECT_EQ(cache.stats().compiles, before.compiles + 1);
-    } else {
-      EXPECT_THROW(cache.get_or_build(lm.program, nullptr), cortex::Error);
-      EXPECT_EQ(cache.stats().failures, before.failures + 1);
-    }
+    const std::string dir = build_dir_named_in(build_error(lm.program));
     EXPECT_GE(support::FaultInjector::instance().stats(site).fired, 1)
         << site << " never fired";
-    for (const auto& e : std::filesystem::directory_iterator(dir))
-      EXPECT_EQ(e.path().filename().string().find(".tmp."), std::string::npos)
-          << "stranded temp file " << e.path();
+    ASSERT_FALSE(dir.empty());
+    EXPECT_FALSE(std::filesystem::exists(dir)) << "stranded " << dir;
 
     support::FaultInjector::instance().reset();
-    cache.clear_memory();
-    const JitKernelPtr recovered = cache.get_or_build(lm.program, nullptr);
+    const JitKernelPtr recovered = build_kernel(lm.program, nullptr);
     ASSERT_TRUE(recovered != nullptr);
     expect_kernel_correct(def, lm, recovered, seed++);
   }

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <set>
 #include <string>
@@ -474,7 +473,7 @@ TEST(MemPlanPipeline, ZooFinalProgramsPlanVerifierClean) {
   // compile_artifacts re-plans and re-proves after every pass when
   // CORTEX_ILIR_VERIFY=1 (the suite-wide setting); this re-checks the
   // final optimized program explicitly and pins the stored plan.
-  setenv("CORTEX_ILIR_VERIFY", "1", 1);
+  ASSERT_TRUE(ilir::verify_enabled());
   const runtime::DeviceSpec spec = runtime::DeviceSpec::v100_gpu();
   for (const models::ModelDef& def : zoo()) {
     if (!def.model) continue;
