@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "support/clock.hpp"
@@ -15,6 +16,15 @@ namespace {
 // Fires at the top of a batch dispatch with a TransientError, so the
 // retry-then-bisect path is exercisable on demand.
 support::FaultSite g_fault_dispatch("server.dispatch");
+
+/// `now_ns` plus `us` microseconds, saturated at the clock's end: a
+/// signed int64 overflow is UB, and a wrapped deadline would lie in the
+/// past. `us` >= 0, `now_ns` >= 0.
+std::int64_t add_us_saturating(std::int64_t now_ns, std::int64_t us) {
+  constexpr std::int64_t kEnd = std::numeric_limits<std::int64_t>::max();
+  if (us > (kEnd - now_ns) / 1000) return kEnd;
+  return now_ns + us * 1000;
+}
 
 }  // namespace
 
@@ -31,12 +41,12 @@ const char* to_string(RequestStatus status) {
 
 std::int64_t BatchServer::default_max_batch() { return 32; }
 
-std::int64_t BatchServer::default_max_wait_us() { return 1000; }
+std::int64_t BatchServer::default_max_wait_us() { return 0; }
 
 BatchServer::BatchServer(EnginePool& pool, BatchServerOptions opts)
     : pool_(pool), opts_(opts), queue_(opts.queue_capacity) {
   if (opts_.max_batch < 1) opts_.max_batch = default_max_batch();
-  if (opts_.max_wait_us < 0) opts_.max_wait_us = default_max_wait_us();
+  if (opts_.max_wait_us < 0) opts_.max_wait_us = 0;
   if (opts_.dispatchers < 1) opts_.dispatchers = 1;
   const models::ModelDef& def = pool_.def();
   model_is_dag_ =
@@ -79,7 +89,8 @@ std::future<ServedResult> BatchServer::submit(const ds::Tree* tree,
   Request req;
   req.tree = tree;
   req.submit_ns = support::monotonic_ns();
-  if (deadline_us > 0) req.deadline_ns = req.submit_ns + deadline_us * 1000;
+  if (deadline_us > 0)
+    req.deadline_ns = add_us_saturating(req.submit_ns, deadline_us);
   return submit_request(std::move(req));
 }
 
@@ -88,7 +99,8 @@ std::future<ServedResult> BatchServer::submit(const ds::Dag* dag,
   Request req;
   req.dag = dag;
   req.submit_ns = support::monotonic_ns();
-  if (deadline_us > 0) req.deadline_ns = req.submit_ns + deadline_us * 1000;
+  if (deadline_us > 0)
+    req.deadline_ns = add_us_saturating(req.submit_ns, deadline_us);
   return submit_request(std::move(req));
 }
 
@@ -171,7 +183,6 @@ void BatchServer::admit(Request req, std::vector<Request>& batch) {
 }
 
 void BatchServer::dispatcher_main() {
-  const std::int64_t wait_ns = opts_.max_wait_us * 1000;
   Request first;
   // pop() blocks for the next request; after shutdown() it drains the
   // remaining accepted requests, then returns false and the dispatcher
@@ -180,10 +191,13 @@ void BatchServer::dispatcher_main() {
     std::vector<Request> batch;
     batch.reserve(static_cast<std::size_t>(opts_.max_batch));
     admit(std::move(first), batch);
-    // Coalesce under the latency budget, anchored at the first
-    // admission: a zero budget degrades pop_until to a try-pop, i.e.
-    // "take whatever is already queued".
-    const std::int64_t window_end = support::monotonic_ns() + wait_ns;
+    // Coalesce what is already queued. The window end lies in the past
+    // at the default max_wait_us = 0, so pop_until is a try-pop and the
+    // batch runs at once: requests that arrive while the pool runs queue
+    // up and form the next batch. A positive max_wait_us holds the
+    // batch open that long after the first admission.
+    const std::int64_t window_end =
+        add_us_saturating(support::monotonic_ns(), opts_.max_wait_us);
     while (static_cast<std::int64_t>(batch.size()) < opts_.max_batch) {
       Request next;
       if (!queue_.pop_until(next, window_end)) break;

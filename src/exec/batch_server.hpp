@@ -10,11 +10,11 @@
 // mini-batches: one SST-sized tree alone runs one-row "panels" (GEMVs),
 // while 64 coalesced trees run the same depths as wide panel GEMMs that
 // are several times cheaper per structure. This server does that
-// coalescing under an explicit latency budget:
+// coalescing without adding latency at low load:
 //
 //   client threads ──submit()──► BoundedQueue ──► dispatcher(s)
-//        ▲                                          │  coalesce ≤ max_batch,
-//        └──────── std::future<ServedResult> ◄──────┘  wait ≤ max_wait_us,
+//        ▲                                          │  coalesce what is
+//        └──────── std::future<ServedResult> ◄──────┘  queued, ≤ max_batch,
 //                                                      EnginePool::run,
 //                                                      demux per request
 //
@@ -23,13 +23,17 @@
 //     instance must not be in flight twice at once (the linearizer
 //     writes per-node scratch into it), and it must stay alive until the
 //     future resolves.
-//   - A dispatcher pops the oldest request, then keeps admitting requests
-//     until the batch holds max_batch of them or max_wait_us elapses
-//     (max_wait_us = 0 admits whatever is queued right now — greedy,
-//     no added latency). The batch runs on the EnginePool, which shards
-//     it across worker engines; per-request root states are sliced back
-//     out of the merged result (runtime::split_by_request) in submission
-//     order.
+//   - A dispatcher pops the oldest request, admits whatever else is
+//     already queued (up to max_batch) and runs the batch at once: the
+//     default is greedy and work-conserving. A lone request on an idle
+//     server waits for nothing; under load, requests that arrive while
+//     the pool runs queue up and form the next, larger batch, so
+//     batching costs latency only when there is load to batch. A
+//     positive max_wait_us is an opt-in window that holds each batch
+//     open that long for more requests, trading latency for batch size.
+//     The batch runs on the EnginePool, which shards it across worker
+//     engines; per-request root states are sliced back out of the merged
+//     result (runtime::split_by_request) in submission order.
 //   - Deadlines: a request with deadline_us > 0 that is already expired
 //     when a dispatcher would admit it completes with kDeadlineExceeded
 //     and never occupies a batch slot.
@@ -108,10 +112,12 @@ struct ServedResult {
 struct BatchServerOptions {
   /// Largest coalesced mini-batch. < 1 uses default_max_batch() (32).
   std::int64_t max_batch = 0;
-  /// Latency budget: how long a dispatcher waits for co-batchable
-  /// requests after popping the first one. 0 = greedy (no added wait);
-  /// < 0 uses default_max_wait_us() (1000).
-  std::int64_t max_wait_us = -1;
+  /// Coalescing window: how long a dispatcher holds a batch open for more
+  /// requests after popping the first one. The default 0 is greedy: the
+  /// batch takes only what is already queued and runs at once. A positive
+  /// window is an opt-in that trades latency for larger batches (an open
+  /// loop past pass-through capacity). < 0 clamps to 0.
+  std::int64_t max_wait_us = 0;
   /// Bound of the admission queue (the backpressure knob).
   std::size_t queue_capacity = 1024;
   /// What submit() does when the queue is full.
@@ -201,8 +207,9 @@ class BatchServer {
   BatchServer& operator=(const BatchServer&) = delete;
 
   /// Enqueues a single-structure request. deadline_us > 0 bounds how
-  /// long it may sit in the queue before admission. The returned future
-  /// always resolves (never a broken promise).
+  /// long it may sit in the queue before admission; a deadline past the
+  /// clock's range is no deadline. The returned future always resolves
+  /// (never a broken promise).
   std::future<ServedResult> submit(const ds::Tree* tree,
                                    std::int64_t deadline_us = 0);
   std::future<ServedResult> submit(const ds::Dag* dag,
@@ -222,7 +229,7 @@ class BatchServer {
 
   /// max_batch when BatchServerOptions leaves it unset: 32.
   static std::int64_t default_max_batch();
-  /// max_wait_us when BatchServerOptions leaves it unset: 1000.
+  /// max_wait_us when BatchServerOptions leaves it unset: 0 (greedy).
   static std::int64_t default_max_wait_us();
 
  private:

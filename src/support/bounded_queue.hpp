@@ -9,10 +9,11 @@
 //     rejecting server can complete the request with a backpressure error
 //     instead of stalling the client.
 //   - Deadline pops: pop_until() gives up at an absolute steady-clock
-//     deadline, which is how the dispatcher bounds the time it spends
-//     waiting for co-batchable requests (the latency budget). A deadline
-//     already in the past degrades to a try-pop, so a zero budget means
-//     "take whatever is queued right now and go".
+//     deadline. A deadline already in the past degrades to a try-pop,
+//     which is how the dispatcher coalesces by default: it takes whatever
+//     is queued right now and goes. A later deadline is the opt-in
+//     coalescing window (BatchServerOptions::max_wait_us), which holds a
+//     batch open for requests that have not arrived yet.
 //   - close(): shuts the intake. Pushes fail immediately; pops keep
 //     draining until empty so no accepted request is ever dropped, then
 //     fail. All waiters are woken.

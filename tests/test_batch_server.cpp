@@ -1,18 +1,22 @@
 // BatchServer differential + unit battery. The serving contract under
-// test: for every zoo model x {1,4} workers x {1,8} client threads, the
-// per-request root states a client gets back from submit() are
-// bit-identical to a direct EnginePool::run over the same structures —
-// coalescing must never perturb numerics or misroute a slice. Plus the
-// serving semantics themselves: coalescing under the latency budget,
-// pass-through at max_batch=1, deadline expiry without occupying a batch
-// slot, backpressure (reject and block policies), shutdown draining,
-// structure-kind admission checks, DAG multi-sink demux, the defaults of
-// unset options, and metrics consistency. Runs in CI under ASan/UBSan and
-// TSan via the `serving` ctest label.
+// test: for every zoo model x {1,4} workers x {1,8} client threads, at
+// default options (greedy) and with a 2000 us window, the per-request
+// root states a client gets back from submit() are bit-identical to a
+// direct EnginePool::run over the same structures — coalescing must
+// never perturb numerics or misroute a slice. Plus the serving semantics
+// themselves: greedy coalescing of what is queued, no added wait for a
+// lone request at default options, pass-through at max_batch=1, deadline
+// expiry without occupying a batch slot, deadlines and windows past the
+// clock's range, backpressure (reject and block policies), shutdown
+// draining, structure-kind admission checks, DAG multi-sink demux, the
+// defaults of unset options, and metrics consistency. Runs in CI under
+// ASan/UBSan and TSan via the `serving` ctest label.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -22,6 +26,7 @@
 #include "ds/generators.hpp"
 #include "exec/batch_server.hpp"
 #include "models/model_zoo.hpp"
+#include "support/clock.hpp"
 #include "support/thread_pool.hpp"
 
 namespace cortex::exec {
@@ -88,7 +93,7 @@ std::vector<std::vector<std::vector<float>>> reference_slices(
   return runtime::split_by_request(std::move(ref), counts);
 }
 
-// -- differential battery: zoo x {1,4} workers x {1,8} client threads --------
+// -- differential battery: zoo x {1,4} workers x {1,8} clients x 2 windows --
 
 class ServerZoo : public ::testing::TestWithParam<int> {
  protected:
@@ -131,57 +136,66 @@ TEST_P(ServerZoo, PerRequestStatesBitIdenticalToDirectPoolRun) {
         expected.push_back(reference_slices(pool, def, batches.back()));
       }
 
-      BatchServerOptions opts;
-      opts.max_batch = 8;
-      opts.max_wait_us = 2000;
-      BatchServer server(pool, opts);
+      // Once at default options (greedy: the served path) and once with
+      // an explicit window that holds batches open for co-batching.
+      for (const bool window : {false, true}) {
+        SCOPED_TRACE(window ? "max_batch 8, 2000 us window"
+                            : "default options");
+        BatchServerOptions opts;
+        if (window) {
+          opts.max_batch = 8;
+          opts.max_wait_us = 2000;
+        }
+        BatchServer server(pool, opts);
 
-      // Clients submit request-by-request and join their own futures.
-      // gtest assertions are not thread-safe, so workers only record.
-      std::vector<std::string> failure(static_cast<std::size_t>(clients));
-      std::vector<std::thread> threads;
-      threads.reserve(static_cast<std::size_t>(clients));
-      for (int t = 0; t < clients; ++t) {
-        threads.emplace_back([&, t] {
-          const Batch& mine = batches[static_cast<std::size_t>(t)];
-          std::vector<std::future<ServedResult>> futs;
-          for (std::int64_t i = 0; i < mine.size(); ++i)
-            futs.push_back(
-                is_dag(def)
-                    ? server.submit(mine.dags[static_cast<std::size_t>(i)].get())
-                    : server.submit(
-                          mine.trees[static_cast<std::size_t>(i)].get()));
-          for (std::int64_t i = 0; i < mine.size(); ++i) {
-            ServedResult r = futs[static_cast<std::size_t>(i)].get();
-            auto& fail = failure[static_cast<std::size_t>(t)];
-            if (r.status != RequestStatus::kOk) {
-              fail = "request " + std::to_string(i) + ": " +
-                     to_string(r.status) + " " + r.error;
-              return;
+        // Clients submit request-by-request and join their own futures.
+        // gtest assertions are not thread-safe, so workers only record.
+        std::vector<std::string> failure(
+            static_cast<std::size_t>(clients));
+        std::vector<std::thread> threads;
+        threads.reserve(static_cast<std::size_t>(clients));
+        for (int t = 0; t < clients; ++t) {
+          threads.emplace_back([&, t] {
+            const Batch& mine = batches[static_cast<std::size_t>(t)];
+            std::vector<std::future<ServedResult>> futs;
+            for (std::int64_t i = 0; i < mine.size(); ++i) {
+              const auto k = static_cast<std::size_t>(i);
+              futs.push_back(is_dag(def)
+                                 ? server.submit(mine.dags[k].get())
+                                 : server.submit(mine.trees[k].get()));
             }
-            if (r.root_states !=
-                expected[static_cast<std::size_t>(t)]
-                        [static_cast<std::size_t>(i)]) {
-              fail = "request " + std::to_string(i) + ": states diverge";
-              return;
+            for (std::int64_t i = 0; i < mine.size(); ++i) {
+              ServedResult r = futs[static_cast<std::size_t>(i)].get();
+              auto& fail = failure[static_cast<std::size_t>(t)];
+              if (r.status != RequestStatus::kOk) {
+                fail = "request " + std::to_string(i) + ": " +
+                       to_string(r.status) + " " + r.error;
+                return;
+              }
+              if (r.root_states !=
+                  expected[static_cast<std::size_t>(t)]
+                          [static_cast<std::size_t>(i)]) {
+                fail = "request " + std::to_string(i) + ": states diverge";
+                return;
+              }
+              if (r.batch_size < 1 || r.e2e_ns <= 0.0) {
+                fail = "request " + std::to_string(i) + ": bad metadata";
+                return;
+              }
             }
-            if (r.batch_size < 1 || r.e2e_ns <= 0.0) {
-              fail = "request " + std::to_string(i) + ": bad metadata";
-              return;
-            }
-          }
-        });
+          });
+        }
+        for (std::thread& t : threads) t.join();
+        for (int t = 0; t < clients; ++t)
+          EXPECT_EQ(failure[static_cast<std::size_t>(t)], "")
+              << "client " << t;
+
+        const ServerMetrics m = server.metrics();
+        EXPECT_EQ(m.completed_ok,
+                  static_cast<std::int64_t>(clients) * kPerClient);
+        EXPECT_EQ(m.submitted, m.completed_ok);
+        EXPECT_EQ(m.failed + m.rejected + m.deadline_missed, 0);
       }
-      for (std::thread& t : threads) t.join();
-      for (int t = 0; t < clients; ++t)
-        EXPECT_EQ(failure[static_cast<std::size_t>(t)], "")
-            << "client " << t;
-
-      const ServerMetrics m = server.metrics();
-      EXPECT_EQ(m.completed_ok,
-                static_cast<std::int64_t>(clients) * kPerClient);
-      EXPECT_EQ(m.submitted, m.completed_ok);
-      EXPECT_EQ(m.failed + m.rejected + m.deadline_missed, 0);
     }
   }
 }
@@ -235,6 +249,41 @@ TEST(BatchServerCoalesce, QueuedRequestsFormOneBatch) {
   EXPECT_LE(m.e2e.p99_ns, m.e2e.p999_ns);
   EXPECT_LE(m.e2e.p999_ns, m.e2e.max_ns);
   EXPECT_EQ(m.queue.count, 6);
+}
+
+TEST(BatchServerCoalesce, LoneRequestIsNotHeldForAWindow) {
+  const models::ModelDef def = tree_model();
+  Rng prng(13);
+  const models::ModelParams params = models::init_params(def, prng);
+  EnginePool pool(def, params, ra::Schedule{}, gpu(),
+                  EnginePoolOptions{1, 1, 1});
+  const Batch b = make_batch(def, 1, 84);
+  const std::vector<const ds::Tree*> lone = baselines::raw(b.trees);
+  constexpr int kReps = 20;
+
+  // The floor a lone request pays anyway: a direct pool run.
+  double run_min_ns = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < kReps; ++i) {
+    const std::int64_t t0 = support::monotonic_ns();
+    (void)pool.run(lone);
+    run_min_ns = std::min(
+        run_min_ns, static_cast<double>(support::monotonic_ns() - t0));
+  }
+
+  // Sequential lone requests at default options: nothing else is ever
+  // queued, so a greedy dispatcher runs each one at once. A coalescing
+  // window would hold every one of them open for its full length.
+  BatchServer server(pool, {});
+  double served_min_ns = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < kReps; ++i) {
+    const ServedResult r = server.submit(lone[0]).get();
+    ASSERT_EQ(r.status, RequestStatus::kOk);
+    EXPECT_EQ(r.batch_size, 1);
+    served_min_ns = std::min(served_min_ns, r.e2e_ns);
+  }
+  EXPECT_LT(served_min_ns - run_min_ns, 500e3)
+      << "served " << served_min_ns << " ns vs direct run " << run_min_ns
+      << " ns";
 }
 
 TEST(BatchServerCoalesce, MaxBatchOneIsPassThrough) {
@@ -306,6 +355,39 @@ TEST(BatchServerDeadline, ExpiredRequestSkipsTheBatchAndReportsMiss) {
   EXPECT_EQ(m.deadline_missed, 1);
   EXPECT_EQ(m.completed_ok, 1);
   EXPECT_EQ(m.batch_size_hist[1], 1);
+}
+
+TEST(BatchServerDeadline, HugeDeadlineIsServed) {
+  const models::ModelDef def = tree_model();
+  Rng prng(14);
+  const models::ModelParams params = models::init_params(def, prng);
+  EnginePool pool(def, params, ra::Schedule{}, gpu(),
+                  EnginePoolOptions{1, 1, 1});
+  const Batch b = make_batch(def, 2, 85);
+  const auto expected = reference_slices(pool, def, b);
+  constexpr std::int64_t kHuge = std::numeric_limits<std::int64_t>::max();
+
+  BatchServerOptions opts;
+  opts.max_batch = 2;
+  // A window past the clock's range: the batch still runs once it is
+  // full.
+  opts.max_wait_us = kHuge;
+  opts.autostart = false;
+  BatchServer server(pool, opts);
+
+  // deadline_us * 1000 overflows int64. It must saturate to a deadline
+  // that never expires, not wrap into the past.
+  auto f0 = server.submit(b.trees[0].get(), kHuge);
+  auto f1 = server.submit(b.trees[1].get(), kHuge);
+  server.start();
+  const ServedResult r0 = f0.get();
+  const ServedResult r1 = f1.get();
+  ASSERT_EQ(r0.status, RequestStatus::kOk) << to_string(r0.status);
+  ASSERT_EQ(r1.status, RequestStatus::kOk) << to_string(r1.status);
+  EXPECT_EQ(r0.root_states, expected[0]);
+  EXPECT_EQ(r1.root_states, expected[1]);
+  EXPECT_EQ(r0.batch_size, 2);
+  EXPECT_EQ(server.metrics().deadline_missed, 0);
 }
 
 // -- backpressure -------------------------------------------------------------
@@ -388,8 +470,12 @@ TEST(BatchServerShutdown, QueuedRequestsFailAndNewSubmitsAreTurnedAway) {
   // Options left unset take the documented defaults.
   EXPECT_EQ(server.options().max_batch, 32);
   EXPECT_EQ(BatchServer::default_max_batch(), 32);
-  EXPECT_EQ(server.options().max_wait_us, 1000);
-  EXPECT_EQ(BatchServer::default_max_wait_us(), 1000);
+  EXPECT_EQ(server.options().max_wait_us, 0);
+  EXPECT_EQ(BatchServer::default_max_wait_us(), 0);
+  BatchServerOptions negative_wait;
+  negative_wait.max_wait_us = -5;
+  negative_wait.autostart = false;
+  EXPECT_EQ(BatchServer(pool, negative_wait).options().max_wait_us, 0);
   EXPECT_EQ(server.options().dispatch_retries, 1);
   EXPECT_EQ(EnginePoolOptions{}.transient_retries, 2);
   EXPECT_EQ(EnginePool::default_num_workers(),
