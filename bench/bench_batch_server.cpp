@@ -115,7 +115,7 @@ int main() {
   const models::ModelParams params = models::init_params(def, rng);
   const runtime::DeviceSpec spec = runtime::DeviceSpec::v100_gpu();
   exec::EnginePool pool(def, params, ra::Schedule{}, spec,
-                        exec::EnginePoolOptions{workers, 1, 1});
+                        exec::EnginePoolOptions{workers});
 
   Rng wrng(72);
   std::vector<std::unique_ptr<ds::Tree>> trees;

@@ -9,7 +9,7 @@
 // Part 2, the measurement behind keeping the JIT off the serving path:
 // for SeqLSTM h256 (length-100 chains), TreeLSTM h64 (SST-like trees)
 // and DAG-RNN h256 (10x10 grids) at batch {1, 8, 64}, the kernel built
-// from engine.optimized_program() + plan().ilir_memory against
+// from exec::compile_ilir's optimized program and memory plan against
 // CortexEngine::run_linearized (the served numeric path) at 1 thread and
 // at the default thread count, on the identical Linearized. The max
 // |diff| of root states is printed, not gated: the ILIR and the cell
@@ -179,19 +179,20 @@ int jit_vs_served() {
     const models::ModelParams params = models::init_params(def, rng);
     exec::CortexEngine engine(def, params, ra::Schedule{},
                               runtime::DeviceSpec::v100_gpu());
-    const ilir::Program& program = *engine.optimized_program();
-    const exec::MemoryPlan* plan = engine.plan().ilir_memory.get();
-    const std::string& output = engine.lowered()->output;
+    const exec::CompiledIlir compiled =
+        exec::compile_ilir(*def.model, ra::Schedule{});
+    const ilir::Program& program = compiled.optimized;
+    const std::string& output = compiled.lowered.output;
     const exec::MemoryPlanOptions mp_opts{{output}, {}};
     const exec::JitKernelPtr kernel =
-        exec::build_kernel(program, plan, mp_opts);
+        exec::build_kernel(program, &compiled.memory, mp_opts);
     exec::IlirRunOptions jit_opts;
-    jit_opts.plan = plan;
+    jit_opts.plan = &compiled.memory;
     jit_opts.jit = kernel.get();
 
     for (const std::int64_t batch : batches) {
       const linearizer::Linearized lin =
-          make_inputs(def, engine.lowered()->lin_spec, batch, rng);
+          make_inputs(def, compiled.lowered.lin_spec, batch, rng);
 
       const exec::IlirRun jit_run =
           exec::run_ilir(program, lin, params, jit_opts);

@@ -1,8 +1,9 @@
 // Plan-cache bench: cold vs warm CortexEngine construction cost.
 //
-// Cold = the cache bypassed, so every construction verifies, lowers, runs
-// the ILIR optimization passes and builds the launch plan. Warm = the
-// cache pre-populated, so construction is a fingerprint + one LRU lookup.
+// Cold = the cache bypassed, so every construction verifies, lowers and
+// builds the launch plan (the ILIR passes and memory planning are
+// exec::compile_ilir's, never run at construction). Warm = the cache
+// pre-populated, so construction is a fingerprint + one LRU lookup.
 // The headline row is the Fig. 9 GRNN configuration (sequential LSTM,
 // hidden 256, Cortex's lock-based barrier schedule): the acceptance bar
 // is warm >= 10x faster than cold there. Table-2 models ride along to

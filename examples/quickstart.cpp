@@ -2,9 +2,10 @@
 //
 // Builds the parse tree for "It is a dog .", expresses the treeRNN model
 // in the Recursive API, lowers it (dynamic batching + leaf
-// specialization, Listing 2), prints the generated ILIR and C++ target
-// code, and runs inference on the Cortex engine and the PyTorch-like
-// eager baseline.
+// specialization, Listing 2), prints the generated ILIR and the C++
+// target code of the schedule-optimized program (exec::compile_ilir),
+// and runs inference on the Cortex engine and the PyTorch-like eager
+// baseline.
 //
 //   $ ./example_quickstart
 
@@ -13,6 +14,7 @@
 #include "baselines/eager.hpp"
 #include "ds/tree.hpp"
 #include "exec/engine.hpp"
+#include "exec/ilir_runner.hpp"
 #include "ilir/codegen_c.hpp"
 #include "models/model_zoo.hpp"
 
@@ -50,10 +52,11 @@ int main() {
   std::printf("\nSchedule: %s\nPlan: %s\n\n",
               ra::to_string(schedule).c_str(),
               engine.plan().describe().c_str());
+  const exec::CompiledIlir compiled = exec::compile_ilir(*def.model, schedule);
   std::printf("Generated ILIR:\n%s\n",
-              ilir::to_string(engine.lowered()->program).c_str());
-  std::printf("Generated C++ target code:\n%s\n",
-              ilir::codegen_c(engine.lowered()->program).c_str());
+              ilir::to_string(compiled.lowered.program).c_str());
+  std::printf("Generated C++ target code (optimized ILIR):\n%s\n",
+              ilir::codegen_c(compiled.optimized).c_str());
 
   // -- 4. run -------------------------------------------------------------------
   std::vector<const ds::Tree*> batch = {&tree};

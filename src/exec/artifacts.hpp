@@ -9,19 +9,19 @@
 #include <optional>
 
 #include "exec/plan.hpp"
-#include "ilir/ilir.hpp"
 #include "lowering/lower.hpp"
 
 namespace cortex::exec {
 
 /// Everything CortexEngine construction compiles, immutable once cached.
-/// `lowered`/`optimized` are empty for cell-only models (no RA def).
-/// Holds no native kernel: serving runs the batched cell executor, and
-/// exec/jit.hpp builds kernels only for callers that ask build_kernel.
+/// `lowered` is empty for cell-only models (no RA def). Holds no
+/// optimized ILIR, memory plan or native kernel: serving runs the batched
+/// cell executor, and the offline tools build those on demand
+/// (exec::compile_ilir in exec/ilir_runner.hpp, exec/jit.hpp).
 struct CompiledArtifacts {
   Plan plan;
+  /// lower()'s output; serving reads only its linearizer spec.
   std::optional<lowering::LoweredModel> lowered;
-  std::optional<ilir::Program> optimized;
   /// Wall-clock cost of the cold compile that produced this entry (what a
   /// hit saves; feeds PlanCacheStats::compile_ns_saved).
   double compile_ns = 0.0;
@@ -30,9 +30,8 @@ struct CompiledArtifacts {
 using ArtifactsPtr = std::shared_ptr<const CompiledArtifacts>;
 
 /// Compiles (def, schedule, spec) from scratch: validates the cell,
-/// builds the launch plan, and for RA models lowers + runs the schedule's
-/// ILIR optimization passes (fusion, store forwarding, DSE, dense
-/// indexing, peeling, barrier insertion). This is the cold path
+/// builds the launch plan, and for RA models lowers the model (the
+/// P.1-P.3 and schedule-legality check). This is the cold path
 /// PlanCache::get_or_compile invokes; it throws cortex::Error on P.1-P.3
 /// violations and illegal schedules, and nothing is cached on a throw.
 CompiledArtifacts compile_artifacts(const models::ModelDef& def,

@@ -300,7 +300,7 @@ void BatchServer::complete(Request& req, RequestStatus status,
       case RequestStatus::kOk:
         ++m_ok_;
         m_consecutive_failures_ = 0;
-        m_e2e_ns_.push_back(res.e2e_ns);
+        m_e2e_ns_.add(res.e2e_ns);
         m_last_complete_ns_ = now;
         break;
       case RequestStatus::kError:
@@ -311,16 +311,25 @@ void BatchServer::complete(Request& req, RequestStatus status,
       case RequestStatus::kRejected: ++m_rejected_; break;
       case RequestStatus::kShutdown: ++m_shutdown_; break;
     }
-    if (req.admit_ns > 0) m_queue_ns_.push_back(res.queue_ns);
+    if (req.admit_ns > 0) m_queue_ns_.add(res.queue_ns);
   }
   req.promise.set_value(std::move(res));
 }
 
+void BatchServer::LatencyWindow::add(double ns) {
+  if (count < ServerMetrics::kLatencyWindow)
+    ring.push_back(ns);
+  else  // overwrite the oldest sample
+    ring[static_cast<std::size_t>(count % ServerMetrics::kLatencyWindow)] = ns;
+  ++count;
+}
+
 namespace {
 
-ServerMetrics::Latency latency_stats(std::vector<double> samples) {
+ServerMetrics::Latency latency_stats(std::vector<double> samples,
+                                     std::int64_t count) {
   ServerMetrics::Latency out;
-  out.count = static_cast<std::int64_t>(samples.size());
+  out.count = count;
   if (samples.empty()) return out;
   std::sort(samples.begin(), samples.end());
   const auto at = [&](double q) {
@@ -358,7 +367,7 @@ ServerHealth BatchServer::health() const {
 
 ServerMetrics BatchServer::metrics() const {
   ServerMetrics m;
-  std::vector<double> queue_samples, e2e_samples;
+  LatencyWindow queue, e2e;
   {
     std::lock_guard<std::mutex> lock(metrics_mu_);
     m.submitted = m_submitted_;
@@ -370,8 +379,8 @@ ServerMetrics BatchServer::metrics() const {
     m.batches = m_batches_;
     m.bisect_reruns = m_bisects_;
     m.batch_size_hist = m_batch_hist_;
-    queue_samples = m_queue_ns_;
-    e2e_samples = m_e2e_ns_;
+    queue = m_queue_ns_;
+    e2e = m_e2e_ns_;
     if (m_ok_ > 0 && m_last_complete_ns_ > m_first_submit_ns_)
       m.throughput_rps =
           static_cast<double>(m_ok_) /
@@ -388,8 +397,8 @@ ServerMetrics BatchServer::metrics() const {
   if (m.batches > 0)
     m.mean_batch_size = static_cast<double>(coalesced_total) /
                         static_cast<double>(m.batches);
-  m.queue = latency_stats(std::move(queue_samples));
-  m.e2e = latency_stats(std::move(e2e_samples));
+  m.queue = latency_stats(std::move(queue.ring), queue.count);
+  m.e2e = latency_stats(std::move(e2e.ring), e2e.count);
   return m;
 }
 

@@ -59,8 +59,8 @@
 // throws a TransientError at the top of a batch dispatch, exercising the
 // retry-then-bisect path above on demand.
 //   - Metrics: counters plus p50/p99/p999 of queue and end-to-end
-//     latency, an achieved-batch-size histogram and served throughput
-//     (metrics(), cheap enough to poll).
+//     latency over the most recent 16384 requests, an achieved-batch-size
+//     histogram and served throughput (metrics(), cheap enough to poll).
 //
 // Determinism: coalescing never perturbs numerics — each structure's node
 // states depend only on its own nodes (the engine-pool invariant), so a
@@ -164,6 +164,10 @@ struct ServerHealth {
 
 /// Point-in-time metrics snapshot (all counters since construction).
 struct ServerMetrics {
+  /// Latency samples each series keeps, in a fixed ring (bounded memory).
+  static constexpr std::int64_t kLatencyWindow = 16384;
+
+  /// `count` covers every sample; the rest cover the last kLatencyWindow.
   struct Latency {
     std::int64_t count = 0;
     double p50_ns = 0.0;
@@ -283,8 +287,14 @@ class BatchServer {
   std::int64_t m_dispatch_retries_ = 0;
   std::int64_t m_consecutive_failures_ = 0;
   std::vector<std::int64_t> m_batch_hist_;
-  std::vector<double> m_queue_ns_;
-  std::vector<double> m_e2e_ns_;
+  /// The last ServerMetrics::kLatencyWindow samples and the total count.
+  struct LatencyWindow {
+    std::vector<double> ring;
+    std::int64_t count = 0;
+    void add(double ns);
+  };
+  LatencyWindow m_queue_ns_;
+  LatencyWindow m_e2e_ns_;
   std::int64_t m_first_submit_ns_ = 0;
   std::int64_t m_last_complete_ns_ = 0;
 };

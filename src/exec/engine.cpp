@@ -36,9 +36,9 @@ runtime::RunResult empty_result(double linearization_ns) {
   return rr;
 }
 
-/// Compile-once-run-everywhere: a warm cache hit shares the verified/
-/// lowered/planned artifacts of an earlier engine with a structurally
-/// identical (model, schedule, device) triple; a cold miss compiles via
+/// Compile-once-run-everywhere: a warm cache hit shares the verified and
+/// lowered artifacts of an earlier engine with a structurally identical
+/// (model, schedule, device) triple; a cold miss compiles via
 /// compile_artifacts (which throws on P.1-P.3 or schedule violations —
 /// failures are never cached). With the cache disabled the (multi-KB)
 /// fingerprint is never built: compile directly. The enabled() check is

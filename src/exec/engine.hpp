@@ -3,11 +3,13 @@
 //
 // Compilation happens at construction — through the process-wide
 // PlanCache (plan_cache.hpp). On a cold miss the RA model is verified
-// (P.1-P.3), the schedule validated, the model lowered to ILIR (kept for
-// inspection, golden tests and the reference evaluator), and the
-// kernel-launch plan built (plan.hpp); on a warm hit every engine
-// constructed for a structurally identical (model, schedule, device)
-// triple shares the same immutable artifacts and skips all of that.
+// (P.1-P.3), the schedule validated, the model lowered to ILIR (the
+// engine keeps it for its linearizer spec) and the kernel-launch plan
+// built (plan.hpp); on a warm hit every engine constructed for a
+// structurally identical (model, schedule, device) triple shares the
+// same immutable artifacts and skips all of that. Construction runs no
+// ILIR pass and plans no ILIR memory: exec::compile_ilir
+// (ilir_runner.hpp) does that offline, for tests, benches and examples.
 // At run time the engine:
 //   1. linearizes the input structures on the host CPU (§4.2, timed),
 //   2. executes the model numerics bottom-up over the linearized arrays
@@ -20,9 +22,9 @@
 //      CellExecutor walk runs only where the input selects it — a
 //      schedule without dynamic_batching, or a cell the panel executor
 //      cannot run (!BatchedCellExecutor::supported()) — and is
-//      bit-identical by construction. The compiled ILIR (run_ilir, and
-//      the test/bench kernel builder in exec/jit.hpp) is never on the
-//      served path,
+//      bit-identical by construction. The compiled ILIR (compile_ilir,
+//      run_ilir, and the test/bench kernel builder in exec/jit.hpp) is
+//      never on the served path,
 //   3. accounts device cost on the virtual device model: kernel launches,
 //      off-chip traffic, barriers, per DESIGN.md §2's GPU substitution.
 
@@ -74,18 +76,10 @@ class CortexEngine {
 
   const Plan& plan() const { return artifacts_->plan; }
   const ra::Schedule& schedule() const { return schedule_; }
-  /// Lowered ILIR artifacts; nullptr for cell-only models (no RA def).
+  /// Lowered (unoptimized) ILIR artifacts; nullptr for cell-only models
+  /// (no RA def). The optimized program is exec::compile_ilir's.
   const lowering::LoweredModel* lowered() const {
     return artifacts_->lowered ? &*artifacts_->lowered : nullptr;
-  }
-  /// The ILIR after the schedule's optimization passes: operator fusion +
-  /// store forwarding + dead-store elimination (maximal fusion), dense
-  /// indexing of scratch intermediates (§5.1), loop peeling (§A.5) and
-  /// barrier insertion (§A.4). This is the program codegen_c renders as
-  /// the target kernel; tests hold it to the reference evaluator and to
-  /// the engine's own barrier accounting. Null for cell-only models.
-  const ilir::Program* optimized_program() const {
-    return artifacts_->optimized ? &*artifacts_->optimized : nullptr;
   }
   /// The compiled artifacts backing this engine. Engines constructed for
   /// structurally identical (model, schedule, device) triples share one

@@ -21,17 +21,12 @@ int EnginePool::default_num_workers() {
   return support::ThreadPool::default_num_threads();
 }
 
-std::vector<EnginePool::Shard> EnginePool::shard_plan(
-    std::int64_t batch, int workers, std::int64_t min_shard_size) {
+std::vector<EnginePool::Shard> EnginePool::shard_plan(std::int64_t batch,
+                                                     int workers) {
   if (batch <= 0) return {};
-  const std::int64_t w = std::max(workers, 1);
-  const std::int64_t floor = std::max<std::int64_t>(min_shard_size, 1);
-  // At most one shard per worker, and no shard below the size floor:
-  // splitting into S <= batch/floor contiguous near-even slices makes
-  // every slice at least floor(batch/S) >= floor elements. A batch
-  // smaller than the floor still runs, as one undersized shard.
+  // At most one shard per worker and never an empty one.
   const std::int64_t s =
-      std::min<std::int64_t>(w, std::max<std::int64_t>(1, batch / floor));
+      std::min<std::int64_t>(std::max(workers, 1), batch);
   std::vector<Shard> shards;
   shards.reserve(static_cast<std::size_t>(s));
   for (std::int64_t i = 0; i < s; ++i)
@@ -45,15 +40,13 @@ EnginePool::EnginePool(const models::ModelDef& def,
                        EnginePoolOptions opts)
     : def_(def), opts_(opts) {
   if (opts_.workers < 1) opts_.workers = default_num_workers();
-  if (opts_.min_shard_size < 1) opts_.min_shard_size = 1;
-  if (opts_.threads_per_worker < 1) opts_.threads_per_worker = 1;
   engines_.reserve(static_cast<std::size_t>(opts_.workers));
   for (int w = 0; w < opts_.workers; ++w) {
     // Worker 0's construction compiles (or warm-hits the plan cache);
     // workers 1..N-1 are guaranteed warm hits sharing the same artifacts.
     engines_.push_back(
         std::make_unique<CortexEngine>(def, params, schedule, spec));
-    engines_.back()->set_num_threads(opts_.threads_per_worker);
+    engines_.back()->set_num_threads(1);
   }
   tasks_ = std::make_unique<support::TaskPool>(opts_.workers);
 }
@@ -75,9 +68,8 @@ template <typename Item>
 runtime::RunResult EnginePool::run_sharded(const std::vector<Item>& batch) {
   if (batch.empty()) return runtime::RunResult{};
 
-  const std::vector<Shard> shards = shard_plan(
-      static_cast<std::int64_t>(batch.size()), num_workers(),
-      opts_.min_shard_size);
+  const std::vector<Shard> shards =
+      shard_plan(static_cast<std::int64_t>(batch.size()), num_workers());
   const auto num_shards = shards.size();
   std::vector<runtime::RunResult> results(num_shards);
   std::vector<runtime::ShardRecord> records(num_shards);

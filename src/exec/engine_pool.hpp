@@ -10,6 +10,9 @@
 // shared_ptr), splits an incoming mini-batch of trees/DAGs into contiguous
 // per-worker shards, runs the shards concurrently on a support::TaskPool,
 // and splices the per-shard RunResults back together in submission order.
+// Each worker engine runs serial wavefront numerics: the pool
+// parallelizes across shards, so nested per-engine pools would only
+// oversubscribe the host.
 //
 // Guarantees:
 //   - Determinism: pooled root_states are bit-identical to a single
@@ -63,16 +66,6 @@ struct EnginePoolOptions {
   /// Worker engines. < 1 uses default_num_workers() (the hardware thread
   /// count).
   int workers = 0;
-  /// Size floor for shards: the batch is split into at most
-  /// floor(batch / min_shard_size) shards (never more than `workers`), so
-  /// no shard is smaller than the floor — except a batch smaller than the
-  /// floor, which becomes one undersized shard. Floors keep per-shard
-  /// linearization overhead amortized for small batches.
-  std::int64_t min_shard_size = 1;
-  /// Wavefront threads inside each worker engine. Defaults to 1: the pool
-  /// parallelizes across shards, so nested per-engine pools would only
-  /// oversubscribe the host.
-  int threads_per_worker = 1;
   /// Times a shard that failed with cortex::TransientError is re-run
   /// (same worker, same inputs) before the error propagates; 0 lets the
   /// first one propagate. Deterministic errors never retry.
@@ -130,12 +123,11 @@ class EnginePool {
   /// thread count (ThreadPool::default_num_threads).
   static int default_num_workers();
 
-  /// The deterministic sharding plan: contiguous slices covering
-  /// [0, batch) exactly once, in order, sizes within 1 of each other, at
-  /// most `workers` shards and no more than floor(batch / min_shard_size)
-  /// of them (min 1). Exposed for the shard-boundary fuzz tests.
-  static std::vector<Shard> shard_plan(std::int64_t batch, int workers,
-                                       std::int64_t min_shard_size);
+  /// The deterministic sharding plan: contiguous, non-empty slices
+  /// covering [0, batch) exactly once, in order, sizes within 1 of each
+  /// other, min(batch, workers) of them. Exposed for the shard-boundary
+  /// fuzz tests.
+  static std::vector<Shard> shard_plan(std::int64_t batch, int workers);
 
  private:
   template <typename Item>

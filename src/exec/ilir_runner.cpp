@@ -7,9 +7,44 @@
 #include "exec/jit.hpp"
 #include "exec/memory_plan.hpp"
 #include "ilir/codegen_c.hpp"
-#include "runtime/profiler.hpp"
+#include "ilir/passes.hpp"
+#include "ilir/verify.hpp"
 
 namespace cortex::exec {
+
+CompiledIlir compile_ilir(const ra::Model& model,
+                          const ra::Schedule& schedule) {
+  lowering::LoweredModel lm = lowering::lower(model, schedule);
+  MemoryPlanOptions mp_opts;
+  mp_opts.live_out = {lm.output};
+  ilir::PassObserver observe;
+  if (ilir::verify_enabled()) {
+    ilir::verify_or_throw(lm.program, "lower");
+    observe = [&mp_opts](const std::string& pass, const ilir::Program& after) {
+      ilir::VerifyOptions opt;
+      // Barrier-presence legality only holds once barriers exist.
+      opt.require_barriers = pass == "insert_barriers";
+      ilir::verify_or_throw(after, pass, opt);
+      // Re-plan and re-prove the memory plan after every pass: a pass
+      // that moves or widens buffer lifetimes must still yield an
+      // overlap-free, in-bounds arena assignment.
+      verify_memory_plan_or_throw(after, plan_memory(after, mp_opts), pass,
+                                  mp_opts);
+    };
+  }
+  ilir::PipelineConfig cfg;
+  cfg.fuse = schedule.fusion == ra::FusionLevel::kMaximal;
+  cfg.dense_index = schedule.dense_intermediates && schedule.dynamic_batching;
+  cfg.peel = schedule.loop_peeling && schedule.dynamic_batching;
+  cfg.improved_barriers = schedule.improved_barrier_placement;
+  cfg.live_out = {lm.output};
+  ilir::Program optimized =
+      ilir::apply_schedule_passes(lm.program, cfg, observe);
+  MemoryPlan memory = plan_memory(optimized, mp_opts);
+  if (ilir::verify_enabled())
+    verify_memory_plan_or_throw(optimized, memory, "final", mp_opts);
+  return CompiledIlir{std::move(lm), std::move(optimized), std::move(memory)};
+}
 
 const Tensor& IlirRun::at(const std::string& name) const {
   auto it = buffers.find(name);
@@ -135,11 +170,6 @@ IlirRun run_ilir(const ilir::Program& program,
     run.barriers = ev.barriers_executed();
   }
 
-  if (opts.profiler != nullptr) {
-    opts.profiler->ilir_arena_bytes =
-        std::max(opts.profiler->ilir_arena_bytes, run.arena_bytes);
-    opts.profiler->ilir_buffers_reused += run.buffers_reused;
-  }
   return run;
 }
 

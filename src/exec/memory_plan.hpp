@@ -4,7 +4,7 @@
 // drives a greedy best-fit assignment of every program-allocated buffer
 // into slots of a single arena, where buffers with disjoint live ranges
 // share bytes. The plan is computed once per compiled program by
-// exec::compile_artifacts and stored in exec::Plan; at run time
+// exec::compile_ilir (exec/ilir_runner.hpp), offline; at run time
 // exec::run_ilir makes ONE zero-filled arena allocation per run (so
 // every EnginePool worker / thread gets its own arena) and binds each
 // buffer at its precomputed slot offset — the shape a dlopen'd kernel

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,8 +23,6 @@
 #include "runtime/device.hpp"
 
 namespace cortex::exec {
-
-struct MemoryPlan;
 
 /// One kernel launch template; per-node quantities are multiplied by the
 /// number of nodes in the batch when the engine instantiates a launch.
@@ -78,11 +75,6 @@ struct Plan {
   /// once per internal batch.
   std::int64_t host_panel_gemms_internal = 0;
   std::int64_t host_panel_gemms_leaf = 0;
-
-  /// Static memory plan for the optimized ILIR program (arena slots with
-  /// buffer reuse, exec/memory_plan.hpp), computed by compile_artifacts
-  /// after the pass pipeline. Null for cell-only models (no ILIR).
-  std::shared_ptr<const MemoryPlan> ilir_memory;
 
   std::string describe() const;
 };

@@ -1,11 +1,7 @@
 #include "exec/plan_cache.hpp"
 
 #include <optional>
-#include <string>
 
-#include "exec/memory_plan.hpp"
-#include "ilir/passes.hpp"
-#include "ilir/verify.hpp"
 #include "runtime/profiler.hpp"
 #include "support/logging.hpp"
 
@@ -19,47 +15,9 @@ CompiledArtifacts compile_artifacts(const models::ModelDef& def,
   a.plan = build_plan(def, schedule, spec);
   if (def.model) {
     // lower() verifies P.1-P.3 and validates the schedule against the
-    // model; the lowered program is the compiler's ILIR artifact.
-    lowering::LoweredModel lm = lowering::lower(*def.model, schedule);
-    // Apply the schedule's ILIR-level optimizations to produce the
-    // target program (what codegen_c would emit for the device). Under
-    // CORTEX_ILIR_VERIFY, the static verifier (def-use, bounds, barrier
-    // and scope legality) runs on the lowered program and after every
-    // pass, so the first pass to emit ill-formed IR is the one blamed.
-    ilir::PassObserver observe;
-    MemoryPlanOptions mp_opts;
-    mp_opts.live_out = {lm.output};
-    if (ilir::verify_enabled()) {
-      ilir::verify_or_throw(lm.program, "lower");
-      observe = [mp_opts](const std::string& pass,
-                          const ilir::Program& after) {
-        ilir::VerifyOptions opt;
-        // Barrier-presence legality only holds once barriers exist.
-        opt.require_barriers = pass == "insert_barriers";
-        ilir::verify_or_throw(after, pass, opt);
-        // Re-plan and re-prove the memory plan after every pass: a pass
-        // that moves or widens buffer lifetimes must still yield an
-        // overlap-free, in-bounds arena assignment.
-        verify_memory_plan_or_throw(after, plan_memory(after, mp_opts),
-                                    pass, mp_opts);
-      };
-    }
-    ilir::PipelineConfig cfg;
-    cfg.fuse = schedule.fusion == ra::FusionLevel::kMaximal;
-    cfg.dense_index =
-        schedule.dense_intermediates && schedule.dynamic_batching;
-    cfg.peel = schedule.loop_peeling && schedule.dynamic_batching;
-    cfg.improved_barriers = schedule.improved_barrier_placement;
-    cfg.live_out = {lm.output};
-    a.optimized = ilir::apply_schedule_passes(lm.program, cfg, observe);
-    // The memory plan of the final optimized program rides in the plan:
-    // run_ilir binds buffers at its offsets, and a kernel build_kernel
-    // makes for this program bakes them into generated code.
-    auto mem = std::make_shared<MemoryPlan>(plan_memory(*a.optimized, mp_opts));
-    if (ilir::verify_enabled())
-      verify_memory_plan_or_throw(*a.optimized, *mem, "final", mp_opts);
-    a.plan.ilir_memory = std::move(mem);
-    a.lowered = std::move(lm);
+    // model; the engine reads the linearizer spec from its output. The
+    // pass pipeline and memory planning are offline (exec::compile_ilir).
+    a.lowered = lowering::lower(*def.model, schedule);
   } else {
     // Cell-only models (the sequential Fig. 9 cells) still respect the
     // Appendix-D register-pressure constraint.

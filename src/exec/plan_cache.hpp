@@ -4,12 +4,14 @@
 // Cortex's premise (§4) is that recursive-model compilation happens ahead
 // of time, so the run loop touches only linearization and kernel
 // launches. The cache makes engine *construction* match that premise:
-// compiled artifacts (launch Plan, lowered ILIR, optimized ILIR) are
-// keyed on a structural fingerprint of (ModelDef, Schedule, DeviceSpec)
-// and shared, immutably, by every CortexEngine constructed for an
-// identical triple — across threads. A cold miss verifies, lowers,
-// optimizes and plans; a warm hit skips all of it and bumps the entry in
-// the LRU order. Parameter values are not part of the key: artifacts are
+// compiled artifacts (launch Plan, lowered ILIR) are keyed on a
+// structural fingerprint of (ModelDef, Schedule, DeviceSpec) and shared,
+// immutably, by every CortexEngine constructed for an identical triple —
+// across threads. A cold miss verifies, lowers and plans launches; a
+// warm hit skips all of it and bumps the entry in the LRU order. It
+// caches only what serving reads: the optimized ILIR and its memory plan
+// are exec::compile_ilir's, built on demand by offline callers.
+// Parameter values are not part of the key: artifacts are
 // weight-independent, so engines with different weights share one entry.
 //
 // Concurrency: lookups and insertions take one mutex; compilation runs

@@ -92,7 +92,7 @@ Program annotate_loop(const Program& p, const std::string& var,
 // -- pipeline driver -----------------------------------------------------------
 
 /// Called after every applied pass with the pass name and the program it
-/// produced. exec::compile_artifacts hooks the static verifier
+/// produced. exec::compile_ilir hooks the static verifier
 /// (ilir/verify.hpp) in here when CORTEX_ILIR_VERIFY is set, so a pass
 /// that emits ill-formed IR is attributed to the pass, not to whatever
 /// downstream consumer happens to trip over it first.

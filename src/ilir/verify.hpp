@@ -40,8 +40,8 @@ namespace cortex::ilir {
 struct VerifyOptions {
   /// Enforce barrier presence on dependence-carrying parallel loops.
   /// Off until insert_barriers has run (earlier pipeline stages are
-  /// legitimately barrier-free); exec::compile_artifacts turns it on for
-  /// the post-barrier-insertion and final programs.
+  /// legitimately barrier-free); exec::compile_ilir turns it on for
+  /// the post-barrier-insertion program.
   bool require_barriers = false;
   /// Additional free symbols to accept beyond Program::params (used by
   /// tests exercising hand-built fragments).
@@ -59,9 +59,9 @@ void verify_or_throw(const Program& program, const std::string& phase,
                      const VerifyOptions& options = {});
 
 /// True when CORTEX_ILIR_VERIFY is set to anything but "0"/"" — the
-/// pass-pipeline hook in exec::compile_artifacts verifies after every
-/// pass when enabled (tests/CI turn it on; the serving hot path keeps
-/// the overhead off by default). Read once, on first use, like
+/// pass-pipeline hook in exec::compile_ilir verifies after every pass
+/// when enabled (tests/CI turn it on; compile_ilir is offline, so
+/// serving never pays for it). Read once, on first use, like
 /// CORTEX_FAULTS, so later changes to the environment are not seen.
 bool verify_enabled();
 

@@ -36,10 +36,6 @@ void Profiler::accumulate(const Profiler& o) {
   // averaging pooled runs, and a merge of unpooled shards leaves it 0).
   pool_workers = std::max(pool_workers, o.pool_workers);
   pool_transient_retries += o.pool_transient_retries;
-  // Peak footprint is a high-water mark across merged runs; reuse counts
-  // accumulate like the other work counters.
-  ilir_arena_bytes = std::max(ilir_arena_bytes, o.ilir_arena_bytes);
-  ilir_buffers_reused += o.ilir_buffers_reused;
 }
 
 void Profiler::scale(double f) {
@@ -64,8 +60,6 @@ void Profiler::scale(double f) {
   pool_transient_retries =
       static_cast<std::int64_t>(pool_transient_retries * f);
   // max_panel_rows is a high-water mark; averaging leaves it unchanged.
-  ilir_buffers_reused = static_cast<std::int64_t>(ilir_buffers_reused * f);
-  // ilir_arena_bytes is a peak like max_panel_rows; leave it unscaled.
 }
 
 std::string Profiler::str() const {
@@ -84,9 +78,6 @@ std::string Profiler::str() const {
   if (pool_workers > 0) os << " pool_workers=" << pool_workers;
   if (pool_transient_retries > 0)
     os << " pool_retries=" << pool_transient_retries;
-  if (ilir_arena_bytes > 0)
-    os << " ilir_arena=" << ilir_arena_bytes
-       << "B reused=" << ilir_buffers_reused;
   os << " total=" << total_latency_ms() << "ms";
   return os.str();
 }

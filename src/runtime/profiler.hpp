@@ -68,16 +68,6 @@ struct Profiler {
   /// batch.
   std::int64_t pool_transient_retries = 0;
 
-  // -- ILIR arena (static memory planner) ------------------------------------
-  /// Peak bytes one run_ilir allocated for all program buffers (Fig. 12's
-  /// peak-memory axis): the arena plus any unplanned buffers, so an empty
-  /// MemoryPlan records the summed per-buffer bytes. 0 when no ILIR run
-  /// was profiled.
-  std::int64_t ilir_arena_bytes = 0;
-  /// Buffers the plan placed into an already-occupied slot (bytes shared
-  /// with a dead buffer instead of newly allocated).
-  std::int64_t ilir_buffers_reused = 0;
-
   void reset() { *this = Profiler{}; }
 
   /// End-to-end modeled inference latency: host framework work + host API

@@ -9,7 +9,8 @@
 // expiry without occupying a batch slot, deadlines and windows past the
 // clock's range, backpressure (reject and block policies), shutdown
 // draining, structure-kind admission checks, DAG multi-sink demux, the
-// defaults of unset options, and metrics consistency. Runs in CI under
+// defaults of unset options, metrics consistency, and latency
+// percentiles over a bounded window of recent requests. Runs in CI under
 // ASan/UBSan and TSan via the `serving` ctest label.
 
 #include <gtest/gtest.h>
@@ -119,7 +120,7 @@ TEST_P(ServerZoo, PerRequestStatesBitIdenticalToDirectPoolRun) {
 
   for (const int workers : {1, 4}) {
     EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                    EnginePoolOptions{workers, 1, 1});
+                    EnginePoolOptions{workers});
     for (const int clients : {1, 8}) {
       SCOPED_TRACE(def.name + " workers " + std::to_string(workers) +
                    " clients " + std::to_string(clients));
@@ -211,7 +212,7 @@ TEST(BatchServerCoalesce, QueuedRequestsFormOneBatch) {
   Rng prng(3);
   const models::ModelParams params = models::init_params(def, prng);
   EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                  EnginePoolOptions{2, 1, 1});
+                  EnginePoolOptions{2});
   const Batch b = make_batch(def, 6, 77);
   const auto expected = reference_slices(pool, def, b);
 
@@ -256,7 +257,7 @@ TEST(BatchServerCoalesce, LoneRequestIsNotHeldForAWindow) {
   Rng prng(13);
   const models::ModelParams params = models::init_params(def, prng);
   EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                  EnginePoolOptions{1, 1, 1});
+                  EnginePoolOptions{1});
   const Batch b = make_batch(def, 1, 84);
   const std::vector<const ds::Tree*> lone = baselines::raw(b.trees);
   constexpr int kReps = 20;
@@ -291,7 +292,7 @@ TEST(BatchServerCoalesce, MaxBatchOneIsPassThrough) {
   Rng prng(4);
   const models::ModelParams params = models::init_params(def, prng);
   EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                  EnginePoolOptions{2, 1, 1});
+                  EnginePoolOptions{2});
   const Batch b = make_batch(def, 5, 78);
   const auto expected = reference_slices(pool, def, b);
 
@@ -322,7 +323,7 @@ TEST(BatchServerDeadline, ExpiredRequestSkipsTheBatchAndReportsMiss) {
   Rng prng(5);
   const models::ModelParams params = models::init_params(def, prng);
   EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                  EnginePoolOptions{1, 1, 1});
+                  EnginePoolOptions{1});
   const Batch b = make_batch(def, 2, 79);
   const auto expected = reference_slices(pool, def, b);
 
@@ -362,7 +363,7 @@ TEST(BatchServerDeadline, HugeDeadlineIsServed) {
   Rng prng(14);
   const models::ModelParams params = models::init_params(def, prng);
   EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                  EnginePoolOptions{1, 1, 1});
+                  EnginePoolOptions{1});
   const Batch b = make_batch(def, 2, 85);
   const auto expected = reference_slices(pool, def, b);
   constexpr std::int64_t kHuge = std::numeric_limits<std::int64_t>::max();
@@ -397,7 +398,7 @@ TEST(BatchServerBackpressure, RejectPolicyFailsFastWhenFull) {
   Rng prng(6);
   const models::ModelParams params = models::init_params(def, prng);
   EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                  EnginePoolOptions{1, 1, 1});
+                  EnginePoolOptions{1});
   const Batch b = make_batch(def, 3, 80);
 
   BatchServerOptions opts;
@@ -429,7 +430,7 @@ TEST(BatchServerBackpressure, BlockPolicyWaitsForSpace) {
   Rng prng(7);
   const models::ModelParams params = models::init_params(def, prng);
   EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                  EnginePoolOptions{1, 1, 1});
+                  EnginePoolOptions{1});
   const Batch b = make_batch(def, 3, 81);
 
   BatchServerOptions opts;
@@ -461,7 +462,7 @@ TEST(BatchServerShutdown, QueuedRequestsFailAndNewSubmitsAreTurnedAway) {
   Rng prng(8);
   const models::ModelParams params = models::init_params(def, prng);
   EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                  EnginePoolOptions{1, 1, 1});
+                  EnginePoolOptions{1});
   const Batch b = make_batch(def, 3, 82);
 
   BatchServerOptions opts;
@@ -499,7 +500,7 @@ TEST(BatchServerShutdown, StartedServerDrainsAcceptedRequestsOnShutdown) {
   Rng prng(9);
   const models::ModelParams params = models::init_params(def, prng);
   EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                  EnginePoolOptions{2, 1, 1});
+                  EnginePoolOptions{2});
   const Batch b = make_batch(def, 6, 83);
   const auto expected = reference_slices(pool, def, b);
 
@@ -526,7 +527,7 @@ TEST(BatchServerAdmission, StructureKindMismatchFailsOnlyThatRequest) {
   const models::ModelDef tree_def = tree_model();
   const models::ModelParams tree_params = models::init_params(tree_def, prng);
   EnginePool tree_pool(tree_def, tree_params, ra::Schedule{}, gpu(),
-                       EnginePoolOptions{1, 1, 1});
+                       EnginePoolOptions{1});
   BatchServer tree_server(tree_pool, {});
   auto dag = ds::make_grid_dag(3, 3, prng);
   const ServedResult r = tree_server.submit(dag.get()).get();
@@ -536,7 +537,7 @@ TEST(BatchServerAdmission, StructureKindMismatchFailsOnlyThatRequest) {
   const models::ModelDef dag_def = models::make_dagrnn(16);
   const models::ModelParams dag_params = models::init_params(dag_def, prng);
   EnginePool dag_pool(dag_def, dag_params, ra::Schedule{}, gpu(),
-                      EnginePoolOptions{1, 1, 1});
+                      EnginePoolOptions{1});
   BatchServer dag_server(dag_pool, {});
   auto tree = ds::make_random_parse_tree(4, prng);
   const ServedResult r2 = dag_server.submit(tree.get()).get();
@@ -549,7 +550,7 @@ TEST(BatchServerAdmission, MalformedStructureFailsFastUnderValidation) {
   Rng prng(11);
   const models::ModelParams params = models::init_params(def, prng);
   EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                  EnginePoolOptions{1, 1, 1});
+                  EnginePoolOptions{1});
   BatchServerOptions opts;
   opts.autostart = false;  // proof the rejection needs no dispatcher
   BatchServer server(pool, opts);
@@ -564,6 +565,59 @@ TEST(BatchServerAdmission, MalformedStructureFailsFastUnderValidation) {
   EXPECT_EQ(server.metrics().failed, 1);
 }
 
+// -- metrics window -----------------------------------------------------------
+
+TEST(BatchServerMetrics, LatencyPercentilesCoverTheMostRecentWindow) {
+  // A server keeps the last kLatencyWindow samples of each latency
+  // series, not every request it ever served: stage one window of
+  // requests that each queue for at least 20 ms, then serve a second
+  // window back-to-back. The staged samples have left the window, so
+  // the queue p99 comes from the fast requests only; the counts still
+  // cover every request.
+  const models::ModelDef def = models::make_treernn_fig1(8);
+  Rng prng(17);
+  const models::ModelParams params = models::init_params(def, prng);
+  EnginePool pool(def, params, ra::Schedule{}, gpu(), EnginePoolOptions{1});
+  constexpr std::int64_t kWindow = ServerMetrics::kLatencyWindow;
+  constexpr std::int64_t kSlowNs = 20'000'000;
+
+  // Single-leaf trees: one distinct structure per staged request, since
+  // a batch may not hold one structure instance twice.
+  std::vector<std::unique_ptr<ds::Tree>> trees;
+  for (std::int64_t i = 0; i < kWindow; ++i) {
+    auto t = std::make_unique<ds::Tree>();
+    t->set_root(t->make_leaf(static_cast<std::int32_t>(i % 1000)));
+    trees.push_back(std::move(t));
+  }
+
+  BatchServerOptions opts;
+  opts.autostart = false;
+  opts.queue_capacity = static_cast<std::size_t>(kWindow);
+  BatchServer server(pool, opts);
+  std::vector<std::future<ServedResult>> staged;
+  staged.reserve(trees.size());
+  for (const auto& t : trees) staged.push_back(server.submit(t.get()));
+  std::this_thread::sleep_for(std::chrono::nanoseconds(kSlowNs));
+  server.start();
+  for (auto& f : staged) {
+    const ServedResult r = f.get();
+    ASSERT_EQ(r.status, RequestStatus::kOk);
+    ASSERT_GE(r.queue_ns, static_cast<double>(kSlowNs));
+  }
+
+  for (std::int64_t i = 0; i < kWindow; ++i)
+    ASSERT_EQ(server.submit(trees[static_cast<std::size_t>(i)].get())
+                  .get()
+                  .status,
+              RequestStatus::kOk);
+
+  const ServerMetrics m = server.metrics();
+  EXPECT_EQ(m.completed_ok, 2 * kWindow);
+  EXPECT_EQ(m.queue.count, 2 * kWindow);
+  EXPECT_EQ(m.e2e.count, 2 * kWindow);
+  EXPECT_LT(m.queue.p99_ns, static_cast<double>(kSlowNs));
+}
+
 // -- DAG demux ----------------------------------------------------------------
 
 TEST(BatchServerDag, MultiSinkDagGetsOneRootStatePerSink) {
@@ -571,7 +625,7 @@ TEST(BatchServerDag, MultiSinkDagGetsOneRootStatePerSink) {
   Rng prng(12);
   const models::ModelParams params = models::init_params(def, prng);
   EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                  EnginePoolOptions{2, 1, 1});
+                  EnginePoolOptions{2});
 
   // Node 0 feeds sinks 1 and 2; node 3 is isolated (leaf and sink): three
   // sinks total, so the request owns three root states.

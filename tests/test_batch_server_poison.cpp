@@ -57,7 +57,7 @@ void run_poison_battery(bool validate_on_submit) {
   Rng prng(51);
   const models::ModelParams params = models::init_params(def, prng);
   EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                  EnginePoolOptions{3, 1, 1});
+                  EnginePoolOptions{3});
 
   // Healthy clients' expected outputs, from a direct pool run over
   // identically-seeded structures (the pool is bit-identical to a single
@@ -172,7 +172,7 @@ TEST(BatchServerPoison, DeterministicMiddlePoisonBisectsToTheCulprit) {
   Rng prng(52);
   const models::ModelParams params = models::init_params(def, prng);
   EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                  EnginePoolOptions{2, 1, 1});
+                  EnginePoolOptions{2});
 
   std::vector<std::unique_ptr<ds::Tree>> trees = workload(77);
   {

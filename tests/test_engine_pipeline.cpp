@@ -1,5 +1,6 @@
-// The engine's compiled artifact: the schedule-optimized ILIR program.
-// These tests close the loop between the three layers of the system —
+// The compiler's artifact: the schedule-optimized ILIR program that
+// exec::compile_ilir builds. These tests close the loop between the
+// three layers of the system —
 // the optimized program must (a) still compute the reference numerics,
 // (b) reflect the schedule structurally (fusion removes the temporary
 // buffers; peeling appears; barrier placement follows §A.4), and
@@ -31,75 +32,67 @@ TEST(EnginePipeline, OptimizedProgramMatchesReferenceNumerics) {
     const models::ModelParams params = models::init_params(def, rng);
     auto trees = ds::make_sst_like_batch(4, rng);
 
-    CortexEngine engine(def, params, ra::Schedule{}, gpu());
-    ASSERT_NE(engine.optimized_program(), nullptr);
+    const CompiledIlir c = compile_ilir(*def.model, ra::Schedule{});
     const linearizer::Linearized lin = linearizer::linearize_trees(
-        baselines::raw(trees), engine.lowered()->lin_spec);
+        baselines::raw(trees), c.lowered.lin_spec);
 
-    const IlirRun unopt =
-        run_ilir(engine.lowered()->program, lin, params);
-    const IlirRun opt =
-        run_ilir(*engine.optimized_program(), lin, params);
-    const std::string& out = engine.lowered()->output;
+    const IlirRun unopt = run_ilir(c.lowered.program, lin, params);
+    const IlirRun opt = run_ilir(c.optimized, lin, params);
+    const std::string& out = c.lowered.output;
     EXPECT_TRUE(allclose(opt.at(out), unopt.at(out)));
   }
 }
 
 TEST(EnginePipeline, FusionPipelineRemovesTemporaryBuffers) {
   const models::ModelDef def = models::make_treernn_fig1(8);
-  Rng rng(62);
-  const models::ModelParams params = models::init_params(def, rng);
-  CortexEngine engine(def, params, ra::Schedule{}, gpu());
+  const CompiledIlir c = compile_ilir(*def.model, ra::Schedule{});
   // Listing 2's lh/rh temporaries are forwarded + dead-store-eliminated
   // in the optimized program (the Fig. 8 on-chip-reuse effect).
-  EXPECT_NE(engine.lowered()->program.find_buffer("lh"), nullptr);
-  EXPECT_EQ(engine.optimized_program()->find_buffer("lh"), nullptr);
-  EXPECT_EQ(engine.optimized_program()->find_buffer("rh"), nullptr);
-  EXPECT_NE(engine.optimized_program()->find_buffer("rnn"), nullptr);
+  EXPECT_NE(c.lowered.program.find_buffer("lh"), nullptr);
+  EXPECT_EQ(c.optimized.find_buffer("lh"), nullptr);
+  EXPECT_EQ(c.optimized.find_buffer("rh"), nullptr);
+  EXPECT_NE(c.optimized.find_buffer("rnn"), nullptr);
 
   // With fusion off, the temporaries stay materialized.
-  CortexEngine unfused(def, params, ra::Schedule::unoptimized(), gpu());
-  EXPECT_NE(unfused.optimized_program()->find_buffer("lh"), nullptr);
+  const CompiledIlir unfused =
+      compile_ilir(*def.model, ra::Schedule::unoptimized());
+  EXPECT_NE(unfused.optimized.find_buffer("lh"), nullptr);
 }
 
 TEST(EnginePipeline, PeelingAndBarriersAppearPerSchedule) {
   const models::ModelDef def = models::make_treelstm(8);
-  Rng rng(63);
-  const models::ModelParams params = models::init_params(def, rng);
 
   ra::Schedule with;  // defaults: peeling + improved barriers on
-  CortexEngine e_with(def, params, with, gpu());
-  const std::string s_with = ilir::to_string(*e_with.optimized_program());
-  EXPECT_NE(s_with.find("peeled: main loop"), std::string::npos);
-  EXPECT_EQ(ilir::static_barrier_count(*e_with.optimized_program()), 1);
+  const ilir::Program p_with = compile_ilir(*def.model, with).optimized;
+  EXPECT_NE(ilir::to_string(p_with).find("peeled: main loop"),
+            std::string::npos);
+  EXPECT_EQ(ilir::static_barrier_count(p_with), 1);
 
   ra::Schedule without;
   without.loop_peeling = false;
   without.improved_barrier_placement = false;
-  CortexEngine e_without(def, params, without, gpu());
-  const std::string s_without =
-      ilir::to_string(*e_without.optimized_program());
-  EXPECT_EQ(s_without.find("peeled: main loop"), std::string::npos);
+  const ilir::Program p_without =
+      compile_ilir(*def.model, without).optimized;
+  EXPECT_EQ(ilir::to_string(p_without).find("peeled: main loop"),
+            std::string::npos);
   // Conservative TVM-style placement: barriers in every node loop.
-  EXPECT_GT(ilir::static_barrier_count(*e_without.optimized_program()), 1);
+  EXPECT_GT(ilir::static_barrier_count(p_without), 1);
 }
 
 TEST(EnginePipeline, DenseIndexingFollowsScheduleKnob) {
   // With fusion disabled the temporaries survive to be dense-indexed.
   const models::ModelDef def = models::make_treernn_fig1(8);
-  Rng rng(64);
-  const models::ModelParams params = models::init_params(def, rng);
   ra::Schedule s = ra::Schedule::unoptimized();
   s.dense_intermediates = true;
-  CortexEngine engine(def, params, s, gpu());
-  const ilir::Buffer* lh = engine.optimized_program()->find_buffer("lh");
+  const CompiledIlir dense = compile_ilir(*def.model, s);
+  const ilir::Buffer* lh = dense.optimized.find_buffer("lh");
   ASSERT_NE(lh, nullptr);
   EXPECT_EQ(lh->scope, ilir::MemScope::kShared);
 
   ra::Schedule off = ra::Schedule::unoptimized();
   off.dense_intermediates = false;
-  CortexEngine plain(def, params, off, gpu());
-  EXPECT_EQ(plain.optimized_program()->find_buffer("lh")->scope,
+  const CompiledIlir plain = compile_ilir(*def.model, off);
+  EXPECT_EQ(plain.optimized.find_buffer("lh")->scope,
             ilir::MemScope::kGlobal);
 }
 
@@ -119,25 +112,24 @@ TEST(EnginePipeline, GeneratedBarriersAgreeWithCostModel) {
     auto trees = ds::make_sst_like_batch(5, rng);
 
     CortexEngine engine(def, params, ra::Schedule{}, gpu());
+    const CompiledIlir c = compile_ilir(*def.model, ra::Schedule{});
     const linearizer::Linearized lin = linearizer::linearize_trees(
-        baselines::raw(trees), engine.lowered()->lin_spec);
+        baselines::raw(trees), c.lowered.lin_spec);
     const runtime::RunResult r = engine.run_linearized(lin, 0.0);
-    const IlirRun ir =
-        run_ilir(*engine.optimized_program(), lin, params);
+    const IlirRun ir = run_ilir(c.optimized, lin, params);
     EXPECT_EQ(ir.barriers, r.profiler.barriers);
   }
 }
 
 TEST(EnginePipeline, CellOnlyModelsHaveNoProgram) {
   // A user-defined cell-only model (no RA definition) still executes,
-  // but exposes no compiled ILIR artifacts.
+  // but exposes no lowered ILIR (and has no ra::Model to compile_ilir).
   models::ModelDef def = models::make_seq_lstm(16);
   def.model.reset();
   Rng rng(66);
   const models::ModelParams params = models::init_params(def, rng);
   CortexEngine engine(def, params, ra::Schedule{}, gpu());
   EXPECT_EQ(engine.lowered(), nullptr);
-  EXPECT_EQ(engine.optimized_program(), nullptr);
   auto chain = ds::make_chain_tree(6, rng);
   std::vector<const ds::Tree*> batch = {chain.get()};
   EXPECT_EQ(engine.run(batch).root_states.size(), 1u);
@@ -159,15 +151,14 @@ TEST(EnginePipeline, SequentialModelsLowerAndMatchCellSemantics) {
       chains.push_back(ds::make_chain_tree(12, rng));
 
     CortexEngine engine(def, params, ra::Schedule{}, gpu());
+    const CompiledIlir c = compile_ilir(*def.model, ra::Schedule{});
     const linearizer::Linearized lin = linearizer::linearize_trees(
-        baselines::raw(chains), engine.lowered()->lin_spec);
-    const runtime::RunResult r = engine.run_linearized(lin, 0.0);
-    const IlirRun ir =
-        run_ilir(*engine.optimized_program(), lin, params);
-    const Tensor& out = ir.at(engine.lowered()->output);
+        baselines::raw(chains), c.lowered.lin_spec);
+    engine.run_linearized(lin, 0.0);
+    const IlirRun ir = run_ilir(c.optimized, lin, params);
+    const Tensor& out = ir.at(c.lowered.output);
     EXPECT_TRUE(allclose(out, engine.last_states(), 1e-3f, 1e-3f))
         << "max diff " << max_abs_diff(out, engine.last_states());
-    (void)r;
   }
 }
 

@@ -118,7 +118,7 @@ TEST_P(PoolZoo, PooledBitIdenticalToSingleEngineAcrossBatchAndWorkers) {
       for (const int w : workers) {
         SCOPED_TRACE("workers " + std::to_string(w));
         EnginePool pool(def, params, sched, gpu(),
-                        EnginePoolOptions{w, 1, 1});
+                        EnginePoolOptions{w});
         const runtime::RunResult out = run_pooled(pool, def, b);
         // Bit-identical outputs, order preserved (vector == is elementwise
         // and ordered), at every worker count.
@@ -160,7 +160,7 @@ TEST(EnginePoolEmpty, EmptyBatchReturnsEmptyResult) {
   Rng prng(1);
   const models::ModelParams params = models::init_params(def, prng);
   EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                  EnginePoolOptions{4, 1, 1});
+                  EnginePoolOptions{4});
   const runtime::RunResult r = pool.run(std::vector<const ds::Tree*>{});
   EXPECT_TRUE(r.root_states.empty());
   EXPECT_TRUE(r.shards.empty());
@@ -177,14 +177,14 @@ TEST(EnginePoolEmpty, KindGuardFiresBeforeEmptyReturnLikeTheEngine) {
   Rng prng(2);
   const models::ModelParams params = models::init_params(def, prng);
   EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                  EnginePoolOptions{2, 1, 1});
+                  EnginePoolOptions{2});
   EXPECT_THROW(pool.run(std::vector<const ds::Tree*>{}), Error);
   EXPECT_THROW(pool.run(std::vector<std::unique_ptr<ds::Tree>>{}), Error);
 
   const models::ModelDef tree_def = models::make_treelstm_embed(16);
   const models::ModelParams tree_params = models::init_params(tree_def, prng);
   EnginePool tree_pool(tree_def, tree_params, ra::Schedule{}, gpu(),
-                       EnginePoolOptions{2, 1, 1});
+                       EnginePoolOptions{2});
   EXPECT_THROW(tree_pool.run(std::vector<const ds::Dag*>{}), Error);
 }
 
@@ -199,7 +199,7 @@ TEST(EnginePoolArtifacts, WorkersShareArtifactsByPointerWhenCacheOn) {
   Rng prng(3);
   const models::ModelParams params = models::init_params(def, prng);
   EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                  EnginePoolOptions{4, 1, 1});
+                  EnginePoolOptions{4});
   // One compile, three warm hits; every worker runs off the same object.
   EXPECT_EQ(cache.stats().misses, 1);
   EXPECT_EQ(cache.stats().hits, 3);
@@ -216,7 +216,7 @@ TEST(EnginePoolArtifacts, WorkersShareArtifactsByPointerWhenCacheOn) {
 // -- sharding plan contract ---------------------------------------------------
 
 TEST(EnginePoolShardPlan, CoversInOrderWithNearEvenSizes) {
-  const auto shards = EnginePool::shard_plan(13, 4, 1);
+  const auto shards = EnginePool::shard_plan(13, 4);
   ASSERT_EQ(shards.size(), 4u);
   std::int64_t covered = 0;
   for (const auto& s : shards) {
@@ -229,22 +229,13 @@ TEST(EnginePoolShardPlan, CoversInOrderWithNearEvenSizes) {
   EXPECT_EQ(covered, 13);
 }
 
-TEST(EnginePoolShardPlan, SizeFloorLimitsShardCount) {
-  // 5 items with a floor of 4: one shard only (5/4 = 1).
-  EXPECT_EQ(EnginePool::shard_plan(5, 8, 4).size(), 1u);
-  // 8 items, floor 4: exactly two shards of 4.
-  const auto two = EnginePool::shard_plan(8, 8, 4);
-  ASSERT_EQ(two.size(), 2u);
-  EXPECT_EQ(two[0].end - two[0].begin, 4);
-  EXPECT_EQ(two[1].end - two[1].begin, 4);
-  // A batch smaller than the floor still runs as one undersized shard.
-  EXPECT_EQ(EnginePool::shard_plan(2, 8, 4).size(), 1u);
+TEST(EnginePoolShardPlan, NeverMoreShardsThanItems) {
   // More workers than items: one shard per item, never an empty shard.
-  const auto tiny = EnginePool::shard_plan(3, 8, 1);
+  const auto tiny = EnginePool::shard_plan(3, 8);
   ASSERT_EQ(tiny.size(), 3u);
   for (const auto& s : tiny) EXPECT_EQ(s.end - s.begin, 1);
   // Empty batch: no shards.
-  EXPECT_TRUE(EnginePool::shard_plan(0, 4, 1).empty());
+  EXPECT_TRUE(EnginePool::shard_plan(0, 4).empty());
 }
 
 // -- merged accounting --------------------------------------------------------
@@ -256,7 +247,7 @@ TEST(EnginePoolAccounting, MergedProfilerSumsShardsAndRecordsBreakdown) {
   const Batch b = make_batch(def, 12, 55);
 
   EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                  EnginePoolOptions{4, 1, 1});
+                  EnginePoolOptions{4});
   const runtime::RunResult out = run_pooled(pool, def, b);
   ASSERT_EQ(out.shards.size(), 4u);
 

@@ -51,7 +51,7 @@ TEST(EnginePoolStress, ConcurrentClientsGetBitIdenticalResults) {
   Rng prng(31);
   const models::ModelParams params = models::init_params(def, prng);
   EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                  EnginePoolOptions{3, 1, 1});
+                  EnginePoolOptions{3});
 
   // Per-thread expected outputs, computed on the main thread against a
   // single serial reference engine over identically-seeded structures.
@@ -95,7 +95,7 @@ TEST(EnginePoolStress, MisbehavingShardFailsItsBatchOnlyAndPoolRecovers) {
   Rng prng(37);
   const models::ModelParams params = models::init_params(def, prng);
   EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                  EnginePoolOptions{3, 1, 1});
+                  EnginePoolOptions{3});
 
   CortexEngine reference(def, params, ra::Schedule{}, gpu());
   reference.set_num_threads(1);
@@ -160,7 +160,7 @@ TEST(EnginePoolStress, StructureKindMismatchFailsWholeBatchAndRecovers) {
   Rng prng(43);
   const models::ModelParams tree_params = models::init_params(tree_def, prng);
   EnginePool tree_pool(tree_def, tree_params, ra::Schedule{}, gpu(),
-                       EnginePoolOptions{2, 1, 1});
+                       EnginePoolOptions{2});
 
   std::vector<std::unique_ptr<ds::Dag>> dags;
   dags.push_back(ds::make_grid_dag(3, 3, prng));
@@ -169,7 +169,7 @@ TEST(EnginePoolStress, StructureKindMismatchFailsWholeBatchAndRecovers) {
   const models::ModelDef dag_def = models::make_dagrnn(16);
   const models::ModelParams dag_params = models::init_params(dag_def, prng);
   EnginePool dag_pool(dag_def, dag_params, ra::Schedule{}, gpu(),
-                      EnginePoolOptions{2, 1, 1});
+                      EnginePoolOptions{2});
   const auto trees = workload(700);
   EXPECT_THROW(dag_pool.run(baselines::raw(trees)), Error);
 

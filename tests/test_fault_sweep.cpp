@@ -136,7 +136,7 @@ void sweep_site_over_zoo(
     std::vector<std::vector<std::vector<float>>> ref;
     {
       EnginePool ref_pool(def, params, ra::Schedule{}, gpu(),
-                          EnginePoolOptions{2, 1, 1});
+                          EnginePoolOptions{2});
       ref = reference_slices(ref_pool, def, batch);
     }
 
@@ -146,7 +146,7 @@ void sweep_site_over_zoo(
     std::vector<ServedResult> results;
     {
       EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                      EnginePoolOptions{2, 1, 1});
+                      EnginePoolOptions{2});
       BatchServer server(pool, server_opts());
       results = serve_batch(server, batch);
       if (extra_checks) extra_checks(def, server);
@@ -256,7 +256,7 @@ TEST(FaultSweep, ZeroPoolRetriesPropagateTheFirstTransientFault) {
   Rng prng(31);
   const models::ModelParams params = models::init_params(def, prng);
   const Batch batch = make_batch(def, kRequests, 97);
-  EnginePoolOptions opts{2, 1, 1};
+  EnginePoolOptions opts{2};
   opts.transient_retries = 0;
   EnginePool pool(def, params, ra::Schedule{}, gpu(), opts);
   FaultInjector::instance().configure("pool.worker=1");
@@ -277,7 +277,7 @@ TEST(FaultSweep, ZeroDispatchRetriesBisectAtOnceAndServeBitIdentical) {
   const models::ModelParams params = models::init_params(def, prng);
   const Batch batch = make_batch(def, kRequests, 97);
   EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                  EnginePoolOptions{2, 1, 1});
+                  EnginePoolOptions{2});
   const auto ref = reference_slices(pool, def, batch);
 
   BatchServerOptions opts = server_opts();

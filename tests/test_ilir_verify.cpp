@@ -13,11 +13,10 @@
 #include <string>
 #include <vector>
 
-#include "exec/artifacts.hpp"
+#include "exec/ilir_runner.hpp"
 #include "ilir/passes.hpp"
 #include "ilir/verify.hpp"
 #include "models/model_zoo.hpp"
-#include "runtime/device.hpp"
 
 namespace cortex::ilir {
 namespace {
@@ -398,23 +397,21 @@ std::vector<std::pair<std::string, ra::Schedule>> schedule_variants(
 }
 
 TEST(IlirVerifyPipeline, ZooTimesSchedulesVerifierClean) {
-  // compile_artifacts verifies after lowering and every pass when the
-  // flag is on (CTest sets it for every test); a violation anywhere
-  // throws and fails the test. The final program is re-checked
-  // explicitly with barrier enforcement.
+  // compile_ilir verifies after lowering and every pass when the flag
+  // is on (CTest sets it for every test); a violation anywhere throws
+  // and fails the test. The final program is re-checked explicitly with
+  // barrier enforcement.
   ASSERT_TRUE(verify_enabled());
-  const runtime::DeviceSpec spec = runtime::DeviceSpec::v100_gpu();
   for (const models::ModelDef& def : zoo()) {
     if (!def.model) continue;
     const bool dag = def.name == "DAG-RNN";
     for (const auto& [label, schedule] : schedule_variants(dag)) {
       SCOPED_TRACE(def.name + " / " + label);
-      exec::CompiledArtifacts a;
-      ASSERT_NO_THROW(a = exec::compile_artifacts(def, schedule, spec));
-      ASSERT_TRUE(a.optimized.has_value());
+      exec::CompiledIlir c;
+      ASSERT_NO_THROW(c = exec::compile_ilir(*def.model, schedule));
       VerifyOptions opt;
       opt.require_barriers = true;
-      const auto diags = verify(*a.optimized, opt);
+      const auto diags = verify(c.optimized, opt);
       EXPECT_FALSE(support::has_errors(diags))
           << def.name << " / " << label << ":\n"
           << support::format(diags);

@@ -111,11 +111,11 @@ void expect_runs_bit_identical(const IlirRun& jit, const IlirRun& interp,
   }
 }
 
-/// Builds the kernel for compiled artifacts exactly as an offline caller
+/// Builds the kernel for compiled ILIR exactly as an offline caller
 /// would: the optimized program plus its planned arena.
-JitKernelPtr kernel_for(const CompiledArtifacts& a) {
-  const MemoryPlanOptions mp_opts{{a.lowered->output}, {}};
-  return build_kernel(*a.optimized, a.plan.ilir_memory.get(), mp_opts);
+JitKernelPtr kernel_for(const CompiledIlir& c) {
+  const MemoryPlanOptions mp_opts{{c.lowered.output}, {}};
+  return build_kernel(c.optimized, &c.memory, mp_opts);
 }
 
 /// Runs the kernel and the interpreter over a small batch and requires
@@ -166,25 +166,23 @@ TEST(JitDifferential, ZooTimesSchedulesTimesBatchesBitIdentical) {
     for (const auto& [label, schedule] : schedule_variants(dag)) {
       SCOPED_TRACE(def.name + " / " + label);
       // Verification is forced inside build_kernel.
-      const CompiledArtifacts a =
-          compile_artifacts(def, schedule, runtime::DeviceSpec::v100_gpu());
-      ASSERT_TRUE(a.optimized.has_value());
-      const JitKernelPtr kernel = kernel_for(a);
+      const CompiledIlir c = compile_ilir(*def.model, schedule);
+      const JitKernelPtr kernel = kernel_for(c);
       ASSERT_TRUE(kernel != nullptr);
       ASSERT_TRUE(kernel->fn() != nullptr);
       for (int batch : {1, 3}) {
         SCOPED_TRACE("batch " + std::to_string(batch));
         const linearizer::Linearized lin =
-            linearize_for(def, *a.lowered, batch, rng);
+            linearize_for(def, c.lowered, batch, rng);
         IlirRunOptions jit_opts;
-        jit_opts.plan = a.plan.ilir_memory.get();
+        jit_opts.plan = &c.memory;
         jit_opts.jit = kernel.get();
-        const IlirRun jit_run = run_ilir(*a.optimized, lin, params, jit_opts);
+        const IlirRun jit_run = run_ilir(c.optimized, lin, params, jit_opts);
         ASSERT_TRUE(jit_run.ran_jit);
         IlirRunOptions interp_opts;
-        interp_opts.plan = a.plan.ilir_memory.get();
+        interp_opts.plan = &c.memory;
         const IlirRun interp_run =
-            run_ilir(*a.optimized, lin, params, interp_opts);
+            run_ilir(c.optimized, lin, params, interp_opts);
         expect_runs_bit_identical(jit_run, interp_run,
                                   def.name + " / " + label);
       }
@@ -218,20 +216,19 @@ TEST(JitDifferential, PlanBuiltKernelWithoutPlannerThrows) {
   Rng rng(45);
   const models::ModelDef def = models::make_treernn_fig1(16);
   const models::ModelParams params = models::init_params(def, rng);
-  const CompiledArtifacts a =
-      compile_artifacts(def, ra::Schedule{}, runtime::DeviceSpec::v100_gpu());
-  const JitKernelPtr kernel = kernel_for(a);
+  const CompiledIlir c = compile_ilir(*def.model, ra::Schedule{});
+  const JitKernelPtr kernel = kernel_for(c);
   ASSERT_TRUE(kernel->has_arena());
-  ASSERT_FALSE(a.plan.ilir_memory->slots.empty());
-  const linearizer::Linearized lin = linearize_for(def, *a.lowered, 2, rng);
+  ASSERT_FALSE(c.memory.slots.empty());
+  const linearizer::Linearized lin = linearize_for(def, c.lowered, 2, rng);
   const MemoryPlan no_slots;
   IlirRunOptions opts;
   opts.plan = &no_slots;
   opts.jit = kernel.get();
-  EXPECT_THROW(run_ilir(*a.optimized, lin, params, opts), cortex::Error);
+  EXPECT_THROW(run_ilir(c.optimized, lin, params, opts), cortex::Error);
   // The plan it was built against still runs it.
-  opts.plan = a.plan.ilir_memory.get();
-  EXPECT_TRUE(run_ilir(*a.optimized, lin, params, opts).ran_jit);
+  opts.plan = &c.memory;
+  EXPECT_TRUE(run_ilir(c.optimized, lin, params, opts).ran_jit);
 }
 
 TEST(JitDifferential, KernelRefusesAProgramItWasNotBuiltFrom) {
@@ -293,14 +290,15 @@ TEST(JitCacheTest, ToolchainFailureSurfacesAsError) {
 
 TEST(JitCacheTest, CompileArtifactsBuildsNoKernel) {
   // Serving never runs a kernel, so compilation never builds one: with
-  // the toolchain and loader sites armed, compile_artifacts reaches
-  // neither.
+  // the toolchain and loader sites armed, neither compile_artifacts nor
+  // the offline compile_ilir reaches them.
   FaultGuard fault_guard;
   const models::ModelDef def = models::make_treernn(16);
   support::FaultInjector::instance().configure("jit.cc=*;jit.dlopen=*");
   const CompiledArtifacts a =
       compile_artifacts(def, ra::Schedule{}, runtime::DeviceSpec::v100_gpu());
-  EXPECT_TRUE(a.optimized.has_value());
+  EXPECT_TRUE(a.lowered.has_value());
+  EXPECT_FALSE(compile_ilir(*def.model, ra::Schedule{}).memory.slots.empty());
   EXPECT_EQ(support::FaultInjector::instance().stats("jit.cc").hits, 0);
   EXPECT_EQ(support::FaultInjector::instance().stats("jit.dlopen").hits, 0);
 }

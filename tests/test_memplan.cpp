@@ -22,7 +22,6 @@
 #include "ilir/verify.hpp"
 #include "lowering/lower.hpp"
 #include "models/model_zoo.hpp"
-#include "runtime/profiler.hpp"
 
 namespace cortex::exec {
 namespace {
@@ -373,45 +372,18 @@ TEST(MemPlanDifferential, PrecomputedPlanMatchesLocalPlanning) {
   Rng rng(29);
   const models::ModelDef def = models::make_treelstm(16);
   const models::ModelParams params = models::init_params(def, rng);
-  CompiledArtifacts a =
-      compile_artifacts(def, ra::Schedule{}, runtime::DeviceSpec::v100_gpu());
-  ASSERT_TRUE(a.optimized.has_value());
-  ASSERT_TRUE(a.plan.ilir_memory != nullptr);
+  const CompiledIlir c = compile_ilir(*def.model, ra::Schedule{});
   auto trees = ds::make_sst_like_batch(3, rng);
   const linearizer::Linearized lin =
-      linearizer::linearize_trees(baselines::raw(trees), a.lowered->lin_spec);
+      linearizer::linearize_trees(baselines::raw(trees), c.lowered.lin_spec);
   IlirRunOptions with_plan;
-  with_plan.plan = a.plan.ilir_memory.get();
-  const IlirRun precomputed = run_ilir(*a.optimized, lin, params, with_plan);
-  const IlirRun local = run_ilir(*a.optimized, lin, params);
-  expect_bit_identical(precomputed.at(a.lowered->output),
-                       local.at(a.lowered->output), "precomputed vs local");
+  with_plan.plan = &c.memory;
+  const IlirRun precomputed = run_ilir(c.optimized, lin, params, with_plan);
+  const IlirRun local = run_ilir(c.optimized, lin, params);
+  expect_bit_identical(precomputed.at(c.lowered.output),
+                       local.at(c.lowered.output), "precomputed vs local");
   EXPECT_EQ(precomputed.arena_bytes, local.arena_bytes);
   EXPECT_EQ(precomputed.buffers_reused, local.buffers_reused);
-}
-
-TEST(MemPlanDifferential, ProfilerRecordsArenaPeakAndReuse) {
-  Rng rng(31);
-  const models::ModelDef def = models::make_seq_lstm(16);
-  const models::ModelParams params = models::init_params(def, rng);
-  const lowering::LoweredModel lm =
-      lowering::lower(*def.model, ra::Schedule{});
-  auto chain = ds::make_chain_tree(12, rng);
-  std::vector<const ds::Tree*> trees{chain.get()};
-  const linearizer::Linearized lin =
-      linearizer::linearize_trees(trees, lm.lin_spec);
-  runtime::Profiler prof;
-  IlirRunOptions opts;
-  opts.profiler = &prof;
-  const IlirRun run = run_ilir(lm.program, lin, params, opts);
-  EXPECT_EQ(prof.ilir_arena_bytes, run.arena_bytes);
-  EXPECT_EQ(prof.ilir_buffers_reused, run.buffers_reused);
-  EXPECT_GT(run.buffers_reused, 0);
-  // A second, smaller run keeps the high-water mark.
-  const std::int64_t peak = prof.ilir_arena_bytes;
-  run_ilir(lm.program, lin, params, opts);
-  EXPECT_EQ(prof.ilir_arena_bytes, peak);
-  EXPECT_GT(prof.ilir_buffers_reused, run.buffers_reused);
 }
 
 // -- Fig. 9 SeqLSTM footprint bound --------------------------------------------
@@ -427,6 +399,7 @@ TEST(MemPlanFootprint, SeqLstmArenaAtLeastThirtyPercentSmaller) {
   const linearizer::Linearized lin =
       linearizer::linearize_trees(trees, lm.lin_spec);
   const IlirRun run = run_ilir(lm.program, lin, params);
+  EXPECT_GT(run.buffers_reused, 0);
   ASSERT_GT(run.sum_buffer_bytes, 0);
   const double ratio = static_cast<double>(run.arena_bytes) /
                        static_cast<double>(run.sum_buffer_bytes);
@@ -459,7 +432,7 @@ TEST(MemPlanParity, EngineAndPoolBitIdenticalAcrossPlannerModes) {
   }
   for (const int workers : {1, 4}) {
     EnginePool pool(def, params, ra::Schedule{}, spec,
-                    EnginePoolOptions{workers, 1, 1});
+                    EnginePoolOptions{workers});
     const runtime::RunResult r = pool.run(raw);
     SCOPED_TRACE("workers=" + std::to_string(workers));
     ASSERT_FALSE(r.root_states.empty());
@@ -470,29 +443,25 @@ TEST(MemPlanParity, EngineAndPoolBitIdenticalAcrossPlannerModes) {
 // -- pipeline sweep with the overlap check on ----------------------------------
 
 TEST(MemPlanPipeline, ZooFinalProgramsPlanVerifierClean) {
-  // compile_artifacts re-plans and re-proves after every pass when
+  // compile_ilir re-plans and re-proves after every pass when
   // CORTEX_ILIR_VERIFY=1 (the suite-wide setting); this re-checks the
-  // final optimized program explicitly and pins the stored plan.
+  // final optimized program explicitly and pins the returned plan.
   ASSERT_TRUE(ilir::verify_enabled());
-  const runtime::DeviceSpec spec = runtime::DeviceSpec::v100_gpu();
   for (const models::ModelDef& def : zoo()) {
     if (!def.model) continue;
     const bool dag = def.name == "DAG-RNN";
     for (const auto& [label, schedule] : schedule_variants(dag)) {
       SCOPED_TRACE(def.name + " / " + label);
-      CompiledArtifacts a;
-      ASSERT_NO_THROW(a = compile_artifacts(def, schedule, spec));
-      ASSERT_TRUE(a.optimized.has_value());
-      ASSERT_TRUE(a.plan.ilir_memory != nullptr);
+      CompiledIlir c;
+      ASSERT_NO_THROW(c = compile_ilir(*def.model, schedule));
       MemoryPlanOptions opts;
-      opts.live_out = {a.lowered->output};
-      const auto diags =
-          verify_memory_plan(*a.optimized, *a.plan.ilir_memory, opts);
+      opts.live_out = {c.lowered.output};
+      const auto diags = verify_memory_plan(c.optimized, c.memory, opts);
       EXPECT_FALSE(support::has_errors(diags))
           << def.name << " / " << label << ":\n" << support::format(diags);
-      // Warm-vs-cold determinism: replanning yields the same digest.
-      EXPECT_EQ(fingerprint(*a.plan.ilir_memory),
-                fingerprint(plan_memory(*a.optimized, opts)));
+      // Determinism: replanning yields the same digest.
+      EXPECT_EQ(fingerprint(c.memory),
+                fingerprint(plan_memory(c.optimized, opts)));
     }
   }
 }

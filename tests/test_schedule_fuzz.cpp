@@ -1,14 +1,17 @@
-// Schedule fuzzing: randomly drawn *legal* schedules must (a) compile,
-// (b) produce exactly the reference numerics, and (c) satisfy the basic
-// accounting invariants — for every model kind. This is the property
-// backing the paper's premise that scheduling is a pure performance
-// decision, never a semantics decision.
+// Schedule fuzzing: randomly drawn *legal* schedules must (a) compile —
+// the engine, and the offline ILIR pipeline, whose static verifier runs
+// after every pass under CORTEX_ILIR_VERIFY — (b) produce exactly the
+// reference numerics, and (c) satisfy the basic accounting invariants —
+// for every model kind. This is the property backing the paper's premise
+// that scheduling is a pure performance decision, never a semantics
+// decision.
 
 #include <gtest/gtest.h>
 
 #include "baselines/common.hpp"
 #include "ds/generators.hpp"
 #include "exec/engine.hpp"
+#include "exec/ilir_runner.hpp"
 #include "models/model_zoo.hpp"
 
 namespace cortex::exec {
@@ -49,6 +52,7 @@ TEST_P(ScheduleFuzz, TreeModelNumericsScheduleInvariant) {
   for (int draw = 0; draw < 4; ++draw) {
     const ra::Schedule s = random_schedule(rng, /*dag_model=*/false);
     CortexEngine engine(def, params, s, runtime::DeviceSpec::v100_gpu());
+    EXPECT_NO_THROW(compile_ilir(*def.model, s)) << ra::to_string(s);
     const runtime::RunResult r = engine.run_linearized(lin, 0.0);
     EXPECT_EQ(r.root_states, ref) << ra::to_string(s);
     EXPECT_GE(r.profiler.kernel_launches, 1) << ra::to_string(s);
@@ -75,6 +79,7 @@ TEST_P(ScheduleFuzz, DagModelNumericsScheduleInvariant) {
   for (int draw = 0; draw < 4; ++draw) {
     const ra::Schedule s = random_schedule(rng, /*dag_model=*/true);
     CortexEngine engine(def, params, s, runtime::DeviceSpec::v100_gpu());
+    EXPECT_NO_THROW(compile_ilir(*def.model, s)) << ra::to_string(s);
     EXPECT_EQ(engine.run_linearized(lin, 0.0).root_states, ref)
         << ra::to_string(s);
   }
