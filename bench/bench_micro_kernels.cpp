@@ -5,13 +5,27 @@
 // gather/scatter primitives the baselines use for contiguity. The variant
 // kernels::gemm picked at load is printed in the context header
 // ("gemm_variant") and recorded in the JSON output.
+//
+// BM_WavefrontStep and BM_TeamWake measure what the engine's column split
+// (cross-core model persistence) trades: one served 1-row wavefront step
+// run whole on one thread versus split by columns over a team of two
+// (each member's weight slice staying in its own cache), and the cost of
+// waking a parked pool worker into a team. They set the engine's split
+// thresholds (exec/engine.cpp).
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "models/model_zoo.hpp"
 #include "support/rng.hpp"
+#include "support/task_group.hpp"
+#include "support/team.hpp"
 #include "tensor/activations.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/kernels_detail.hpp"
@@ -136,5 +150,114 @@ void BM_GatherRows(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * rows * width * 4);
 }
 BENCHMARK(BM_GatherRows)->Arg(256)->Arg(1024);
+
+// One served wavefront step of one row: node 0 over child rows 1 and 2 of
+// a 3-row state table. For SeqLSTM the W·x products are hoisted into a
+// window first, as the engine does for a chain, so the step reads only
+// its four U matrices (1 MiB at h256). With team = 2 a second thread
+// serves a support::Team and each step splits by columns across both;
+// the step time includes the barrier.
+void BM_WavefrontStep(benchmark::State& state, const std::string& model,
+                      std::int64_t hidden) {
+  const int team_size = static_cast<int>(state.range(0));
+  const models::ModelDef def = model == "SeqLSTM"
+                                   ? models::make_seq_lstm(hidden)
+                               : model == "DAG-RNN"
+                                   ? models::make_dagrnn(hidden)
+                                   : models::make_treelstm_embed(hidden);
+  Rng rng(7);
+  const models::ModelParams params = models::init_params(def, rng);
+  const models::BatchedCellExecutor exec(def.cell, params);
+  const std::int64_t sw = def.cell.state_width;
+  std::vector<float> states(static_cast<std::size_t>(3 * sw));
+  rng.fill_uniform(states.data(), states.size(), -1.0f, 1.0f);
+  const std::int32_t word = 3;
+  const std::int32_t offsets[2] = {0, 2};
+  const std::int32_t ids[2] = {1, 2};
+  std::vector<models::BatchedCellExecutor::Panels> panels(2);
+  std::vector<float> window;
+  models::BatchedCellExecutor::HoistWindow win;
+  const models::BatchedCellExecutor::HoistWindow* hoisted = nullptr;
+  if (model == "SeqLSTM") {
+    win.child = 1;
+    win.rows = 1;
+    window.resize(static_cast<std::size_t>(exec.hoist_width(1)));
+    win.data = window.data();
+    exec.run_hoisted(1, offsets, ids, states.data(), win, panels[0]);
+    hoisted = &win;
+  }
+  const auto step = [&](int member, int chunk) {
+    exec.run_batch(false, 1, &word, offsets, ids, states.data(),
+                   states.data(), panels[static_cast<std::size_t>(member)],
+                   hoisted, models::ColumnShare{chunk, team_size});
+  };
+  auto team = std::make_shared<support::Team>();
+  std::thread member;
+  if (team_size > 1)
+    member = std::thread([team] { team->serve(1, [] { return false; }); });
+  for (auto _ : state) {
+    if (team_size > 1)
+      team->run(team_size, step);
+    else
+      step(0, 0);
+    benchmark::DoNotOptimize(states.data());
+    benchmark::ClobberMemory();
+  }
+  team->dismiss();
+  if (member.joinable()) member.join();
+  state.counters["weight_KiB"] = static_cast<double>(
+      exec.split_weight_bytes(false, hoisted != nullptr ? 1 : -1) / 1024);
+}
+
+const bool kWavefrontStepRegistered = [] {
+  for (const auto& [model, hidden] :
+       {std::pair<std::string, std::int64_t>{"SeqLSTM", 256},
+        {"DAG-RNN", 256},
+        {"TreeLSTM", 64}})
+    benchmark::RegisterBenchmark(
+        ("BM_WavefrontStep/" + model + "/h" + std::to_string(hidden))
+            .c_str(),
+        BM_WavefrontStep, model, hidden)
+        ->ArgName("team")
+        ->Arg(1)
+        ->Arg(2);
+  return true;
+}();
+
+// Waking a parked pool worker into a team, up to the first barrier: the
+// worker is lent (TaskPool::lend), wakes, serves, and takes chunk 1 of a
+// 2-chunk step whose chunk 0 waits for it. Each iteration first lets the
+// worker park again. Reports the median and p99 next to the mean.
+void BM_TeamWake(benchmark::State& state) {
+  support::TaskPool pool(1);
+  std::vector<double> us;
+  for (auto _ : state) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    auto team = std::make_shared<support::Team>();
+    std::atomic<bool> joined{false};
+    const auto t0 = std::chrono::steady_clock::now();
+    const int lent = pool.lend(1, [&team](int m) {
+      return [team, m](int) { team->serve(m, [] { return false; }); };
+    });
+    if (lent == 1) {
+      team->run(2, [&](int, int chunk) {
+        if (chunk == 1) joined.store(true);
+        while (!joined.load()) std::this_thread::yield();
+      });
+    }
+    const double s = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    team->dismiss();
+    state.SetIterationTime(s);
+    us.push_back(s * 1e6);
+  }
+  std::sort(us.begin(), us.end());
+  if (!us.empty()) {
+    state.counters["p50_us"] = us[us.size() / 2];
+    state.counters["p99_us"] = us[us.size() * 99 / 100];
+  }
+}
+BENCHMARK(BM_TeamWake)->UseManualTime()->Iterations(200);
 
 }  // namespace

@@ -1,7 +1,7 @@
 #include "ds/tree.hpp"
 
 #include <algorithm>
-#include <functional>
+#include <utility>
 
 namespace cortex::ds {
 
@@ -30,22 +30,34 @@ std::int64_t Tree::num_leaves() const {
 
 std::int64_t Tree::height() const {
   CORTEX_CHECK(root_ != nullptr) << "height() on empty tree";
-  std::function<std::int64_t(const TreeNode*)> rec =
-      [&](const TreeNode* n) -> std::int64_t {
-    if (n->is_leaf()) return 0;
-    return 1 + std::max(rec(n->left), rec(n->right));
-  };
-  return rec(root_);
+  // Iterative post-order: a chain's depth grows with its length, so
+  // recursing per level would overflow the stack on a long one.
+  std::int64_t max_h = 0;
+  std::vector<std::pair<const TreeNode*, std::int64_t>> stack{{root_, 0}};
+  while (!stack.empty()) {
+    const auto [n, depth] = stack.back();
+    stack.pop_back();
+    max_h = std::max(max_h, depth);
+    if (n->is_leaf()) continue;
+    stack.emplace_back(n->left, depth + 1);
+    stack.emplace_back(n->right, depth + 1);
+  }
+  return max_h;
 }
 
 void Tree::validate() const {
-  // Runs on the linearization latency path (Â§7.5), so it is O(N) with no
+  // Runs on the linearization latency path (§7.5), so it is O(N) with no
   // hashing: the tree owns its nodes, letting the visited mark live in
-  // each node's scratch slot (reset first, then marked by the walk).
+  // each node's scratch slot (reset first, then marked by the walk). An
+  // explicit stack instead of recursion, so a deep chain cannot overflow
+  // the thread's stack.
   CORTEX_CHECK(root_ != nullptr) << "tree has no root";
   for (const auto& node : nodes_) node->lin_scratch = -1;
   std::int64_t reached = 0;
-  std::function<void(const TreeNode*)> rec = [&](const TreeNode* n) {
+  std::vector<const TreeNode*> stack{root_};
+  while (!stack.empty()) {
+    const TreeNode* n = stack.back();
+    stack.pop_back();
     CORTEX_CHECK(n->lin_scratch == -1)
         << "node reachable twice: structure is a DAG, not a tree";
     n->lin_scratch = 0;
@@ -55,13 +67,12 @@ void Tree::validate() const {
     CORTEX_CHECK(has_l == has_r)
         << "internal node must have exactly two children";
     if (has_l) {
-      rec(n->left);
-      rec(n->right);
+      stack.push_back(n->right);
+      stack.push_back(n->left);
     } else {
       CORTEX_CHECK(n->word >= 0) << "leaf without word id";
     }
-  };
-  rec(root_);
+  }
   CORTEX_CHECK(reached == num_nodes())
       << "unreachable nodes present: " << reached << " reachable of "
       << num_nodes();

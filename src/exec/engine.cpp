@@ -15,6 +15,22 @@ constexpr std::int64_t kF = sizeof(float);
 /// own panels are tall already.
 constexpr std::int64_t kHoistWindowBytes = std::int64_t{4} << 20;
 
+/// Threads a run borrows up to, itself included.
+constexpr int kMaxTeam = 4;
+/// A run borrows a team, and a wavefront narrower than its team splits by
+/// columns, only when one node's step reads at least this many bytes of
+/// kMatVec weights (BatchedCellExecutor::split_weight_bytes). The owner
+/// never waits for a lent thread, so what a split costs is its barrier and
+/// the gathers every member repeats. bench_micro_kernels, one 1-row step,
+/// median of 5, 4-vCPU AVX-512 Xeon, team of 1 -> 2 (BM_WavefrontStep):
+///   SeqLSTM h256, 1 MiB of U:   17.2 -> 11.8 µs
+///   DAG-RNN h256, 256 KiB:       4.5 ->  3.6 µs
+///   TreeLSTM h64, 80 KiB:        1.9 ->  3.0 µs (slower)
+/// so the smallest measured step that gains sets the bar. Waking a parked
+/// pool worker into a team (BM_TeamWake) takes ~27 µs at p50 and up to
+/// ~0.8 ms at p99, which the owner overlaps with the steps it runs alone.
+constexpr std::int64_t kSplitMinWeightBytes = std::int64_t{256} << 10;
+
 /// Device-resident bytes of the linearizer's arrays (they are shipped to
 /// the device for the generated code to index), summed per array from its
 /// own element size rather than assuming a uniform width.
@@ -113,10 +129,9 @@ runtime::RunResult CortexEngine::run(const std::vector<const ds::Dag*>& dags) {
 
 void CortexEngine::ensure_pool() {
   if (!pool_) pool_ = std::make_unique<support::ThreadPool>();
-  if (worker_scratch_.size() !=
+  if (worker_scratch_.size() <
       static_cast<std::size_t>(pool_->num_threads()))
-    worker_scratch_.assign(static_cast<std::size_t>(pool_->num_threads()),
-                           WorkerScratch{});
+    worker_scratch_.resize(static_cast<std::size_t>(pool_->num_threads()));
 }
 
 void CortexEngine::set_num_threads(int n) {
@@ -138,11 +153,24 @@ void CortexEngine::run_one(const linearizer::Linearized& lin,
                       sc.regs);
 }
 
+void CortexEngine::run_chunks(support::Team* team, int n,
+                              const support::Team::ChunkFn& fn) {
+  if (n <= 1) {
+    fn(0, 0);
+  } else if (team != nullptr) {
+    team->run(n, fn);
+  } else {
+    pool_->parallel_for(n, [&](int worker, std::int64_t c0, std::int64_t c1) {
+      for (std::int64_t c = c0; c < c1; ++c) fn(worker, static_cast<int>(c));
+    });
+  }
+}
+
 void CortexEngine::run_panel(
     const linearizer::Linearized& lin, std::int64_t first, std::int64_t n,
     models::BatchedCellExecutor::Panels& p,
     const models::BatchedCellExecutor::HoistWindow* win,
-    std::int64_t win_first) {
+    std::int64_t win_first, models::ColumnShare share) {
   // Split [first, first+n) into maximal runs of equal leaf-ness so every
   // run executes one cell program over contiguous state rows. With the
   // Appendix-B numbering a dynamic batch is homogeneous (batch 0 is
@@ -167,7 +195,7 @@ void CortexEngine::run_panel(
                              lin.child_offsets.data() + i0,
                              lin.child_ids.data(), states_.data(),
                              states_.row(first + r), p,
-                             win != nullptr ? &w : nullptr);
+                             win != nullptr ? &w : nullptr, share);
     r = e;
   }
 }
@@ -201,7 +229,8 @@ int CortexEngine::hoist_child(const linearizer::Linearized& lin) {
 
 std::int64_t CortexEngine::open_window(
     const linearizer::Linearized& lin, std::int64_t b,
-    models::BatchedCellExecutor::HoistWindow& win, std::int64_t& win_first) {
+    models::BatchedCellExecutor::HoistWindow& win, std::int64_t& win_first,
+    support::Team* team, int threads) {
   const std::int64_t width = batched_exec().hoist_width(win.child);
   const std::int64_t cap_rows = kHoistWindowBytes / (width * kF);
   const auto range = [&](std::int64_t g) {
@@ -231,15 +260,17 @@ std::int64_t CortexEngine::open_window(
   const auto need = static_cast<std::size_t>(win.rows * width);
   if (hoisted_.size() < need) hoisted_.resize(need);
   win.data = hoisted_.data();
-  pool_->parallel_for(
-      win.rows, [&](int worker, std::int64_t i0, std::int64_t i1) {
-        models::BatchedCellExecutor::HoistWindow w = win;
-        w.row0 = i0;
-        batched_exec().run_hoisted(
-            i1 - i0, lin.child_offsets.data() + lo + i0, lin.child_ids.data(),
-            states_.data(), w,
-            worker_scratch_[static_cast<std::size_t>(worker)].panels);
-      });
+  const auto chunks =
+      static_cast<int>(std::min<std::int64_t>(threads, win.rows));
+  run_chunks(team, chunks, [&](int thread, int c) {
+    models::BatchedCellExecutor::HoistWindow w = win;
+    w.row0 = win.rows * c / chunks;
+    batched_exec().run_hoisted(
+        win.rows * (c + 1) / chunks - w.row0,
+        lin.child_offsets.data() + lo + w.row0, lin.child_ids.data(),
+        states_.data(), w,
+        worker_scratch_[static_cast<std::size_t>(thread)].panels);
+  });
   return e;
 }
 
@@ -257,24 +288,43 @@ void CortexEngine::run_numerics(const linearizer::Linearized& lin,
 
   // Wavefront execution: each dynamic batch is a contiguous id range of
   // mutually independent nodes (ForKind::kParallel in the lowered ILIR),
-  // split across the pool; parallel_for's join is the inter-batch barrier
-  // (the host mirror of the §A.4 insert_barriers placement). Every node
-  // writes only its own state row and reads rows finished in earlier
+  // split across the run's threads; the end of each split step is the
+  // inter-batch barrier (the host mirror of the §A.4 insert_barriers
+  // placement). Every node writes only its own state row (or, split by
+  // columns, its own columns of it) and reads rows finished in earlier
   // batches, so outputs are bit-identical at any thread count.
   //
-  // Each worker's row range runs through the batched executor: child
+  // Each thread's row range runs through the batched executor: child
   // states gathered into contiguous panels, one GEMM per kMatVec op over
   // the whole panel (§5's compute-dense form of dynamic batching, the
   // Cavs/GRNN batching the per-node path leaves on the table). Rows are
   // computed independently inside a panel, so chunking — and hence the
   // thread count — cannot perturb any node's result.
   ensure_pool();
-  prof.host_threads = pool_->num_threads();
   // A cell only the per-node path can run (panel invariants are stricter)
   // falls back transparently: supported() is false and the per-node
   // executor below raises any actual model errors.
   const bool batched = batched_exec().supported();
-  // Reset the per-worker panel stats up front (not only after a run): a
+  // Input hoisting (BatchedCellExecutor's class comment): when child c
+  // of every internal node is computed in batch 0, the ops that read only
+  // child c run once per window of consecutive wavefronts, as tall
+  // panels, and each wavefront runs only the ops left.
+  models::BatchedCellExecutor::HoistWindow win;
+  win.child = batched ? hoist_child(lin) : -1;
+  // Model persistence across cores: a recurrent step heavy enough to
+  // split borrows the threads idle right now. The lease returns them when
+  // the run ends, or throws.
+  support::TeamLease lease;
+  if (lender_ && batched &&
+      batched_exec().split_weight_bytes(false, win.child) >=
+          kSplitMinWeightBytes)
+    lease = lender_(kMaxTeam - 1);
+  support::Team* const team = lease.team();
+  const int threads = team != nullptr ? lease.members() : pool_->num_threads();
+  prof.host_threads = threads;
+  if (worker_scratch_.size() < static_cast<std::size_t>(threads))
+    worker_scratch_.resize(static_cast<std::size_t>(threads));
+  // Reset the per-thread panel stats up front (not only after a run): a
   // run that throws mid-wavefront must not drain its partial counts into
   // the next run's profiler (EnginePool keeps serving an engine whose last
   // batch failed).
@@ -284,20 +334,16 @@ void CortexEngine::run_numerics(const linearizer::Linearized& lin,
     sc.panels.max_panel_rows = 0;
   }
   if (batched) {
-    // Static chunking hands each worker at most ceil(len / threads) rows
-    // of any wavefront, so reserve per-worker chunks, not whole batches.
-    const int threads = pool_->num_threads();
-    const std::int64_t worker_rows =
+    // A thread runs at most ceil(len / threads) rows of a row-split
+    // wavefront, so reserve per-thread chunks, not whole batches.
+    const std::int64_t thread_rows =
         (lin.max_batch_length() + threads - 1) / threads;
     for (WorkerScratch& sc : worker_scratch_)
-      batched_exec().reserve(worker_rows, sc.panels);
+      batched_exec().reserve(thread_rows, sc.panels);
   }
-  // Input hoisting (BatchedCellExecutor's class comment): when child c
-  // of every internal node is computed in batch 0, the ops that read only
-  // child c run once per window of consecutive wavefronts, as tall
-  // panels, and each wavefront runs only the ops left.
-  models::BatchedCellExecutor::HoistWindow win;
-  win.child = batched ? hoist_child(lin) : -1;
+  const auto scratch = [&](int thread) -> WorkerScratch& {
+    return worker_scratch_[static_cast<std::size_t>(thread)];
+  };
   std::int64_t win_first = 0;  // node id of the window's row 0
   std::int64_t win_end = 1;    // first batch past the window
   for (std::int64_t b = 0; b < lin.num_batches(); ++b) {
@@ -305,21 +351,38 @@ void CortexEngine::run_numerics(const linearizer::Linearized& lin,
     const std::int64_t begin = lin.batch_begin[bi];
     const std::int64_t len = lin.batch_length[bi];
     if (win.child >= 0 && b >= win_end)
-      win_end = open_window(lin, b, win, win_first);
-    const bool hoisted = win.child >= 0 && b > 0 && win.rows > 0;
-    if (pool_->num_threads() > 1 && len > 1) ++prof.parallel_batches;
-    pool_->parallel_for(
-        len, [&](int worker, std::int64_t i0, std::int64_t i1) {
-          WorkerScratch& sc =
-              worker_scratch_[static_cast<std::size_t>(worker)];
-          if (batched) {
-            run_panel(lin, begin + i0, i1 - i0, sc.panels,
-                      hoisted ? &win : nullptr, win_first);
-          } else {
-            for (std::int64_t i = i0; i < i1; ++i)
-              run_one(lin, begin + i, sc);
-          }
-        });
+      win_end = open_window(lin, b, win, win_first, team, threads);
+    const models::BatchedCellExecutor::HoistWindow* hoisted =
+        win.child >= 0 && b > 0 && win.rows > 0 ? &win : nullptr;
+    // Narrower than the team: split by output columns, so every member
+    // works on every step and reads only its slice of the weights.
+    const bool by_columns =
+        team != nullptr && len < threads &&
+        batched_exec().split_weight_bytes(
+            lin.child_offsets[static_cast<std::size_t>(begin)] ==
+                lin.child_offsets[static_cast<std::size_t>(begin) + 1],
+            hoisted != nullptr ? win.child : -1) >=
+            kSplitMinWeightBytes;
+    if (threads > 1 && (len > 1 || by_columns)) ++prof.parallel_batches;
+    if (by_columns) {
+      run_chunks(team, threads, [&](int thread, int c) {
+        run_panel(lin, begin, len, scratch(thread).panels, hoisted,
+                  win_first, {c, threads});
+      });
+      continue;
+    }
+    const auto chunks = static_cast<int>(std::min<std::int64_t>(threads, len));
+    run_chunks(team, chunks, [&](int thread, int c) {
+      const std::int64_t i0 = len * c / chunks;
+      const std::int64_t i1 = len * (c + 1) / chunks;
+      if (batched) {
+        run_panel(lin, begin + i0, i1 - i0, scratch(thread).panels, hoisted,
+                  win_first);
+      } else {
+        for (std::int64_t i = i0; i < i1; ++i)
+          run_one(lin, begin + i, scratch(thread));
+      }
+    });
   }
   // Drain the per-worker panel stats into the profiler (the next batched
   // run zeroes them before its wavefront loop).

@@ -18,7 +18,14 @@
 //      executor: each dynamic batch's per-node GEMVs fused into panel
 //      GEMMs, and ops that read only leaf children (a sequence cell's
 //      W·x) hoisted out of the wavefront loop into tall GEMMs over a
-//      window of wavefronts. This is the one served numeric path. The per-node
+//      window of wavefronts. Wavefronts and windows split by rows across
+//      the run's threads: the engine's own pool (set_num_threads), or a
+//      team of threads lent for the run (set_lender; EnginePool lends its
+//      idle workers). With a team, a wavefront narrower than the team
+//      splits by output columns instead, so each member keeps its column
+//      slice of the recurrent weights in its own cache for the whole run
+//      (model persistence, §5-6) and the team meets at one barrier per
+//      wavefront. This is the one served numeric path. The per-node
 //      CellExecutor walk runs only where the input selects it — a
 //      schedule without dynamic_batching, or a cell the panel executor
 //      cannot run (!BatchedCellExecutor::supported()) — and is
@@ -28,6 +35,7 @@
 //   3. accounts device cost on the virtual device model: kernel launches,
 //      off-chip traffic, barriers, per DESIGN.md §2's GPU substitution.
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -38,6 +46,7 @@
 #include "models/model_zoo.hpp"
 #include "runtime/device.hpp"
 #include "runtime/result.hpp"
+#include "support/team.hpp"
 #include "support/thread_pool.hpp"
 #include "tensor/workspace.hpp"
 
@@ -69,6 +78,18 @@ class CortexEngine {
   /// at every thread count: nodes within a wavefront batch are independent
   /// by construction and each writes only its own state row.
   void set_num_threads(int n);
+
+  /// Lends a run threads: called with how many more threads the run can
+  /// use, it returns a lease on a team of threads idle at that moment
+  /// (members() == 1 when none are). Runs call it when the cell's
+  /// recurrent step reads enough weights to be worth splitting
+  /// (BatchedCellExecutor::split_weight_bytes); with a team they split
+  /// wavefronts across it instead of across this engine's pool. Outputs
+  /// are bit-identical whatever the team size and whoever runs which
+  /// chunk. EnginePool sets it for each shard of a batch that has fewer
+  /// shards than workers, lending the workers idle when the run starts.
+  using Lender = std::function<support::TeamLease(int)>;
+  void set_lender(Lender lender) { lender_ = std::move(lender); }
   int num_threads() const {
     return pool_ ? pool_->num_threads()
                  : support::ThreadPool::default_num_threads();
@@ -115,7 +136,13 @@ class CortexEngine {
   void run_panel(const linearizer::Linearized& lin, std::int64_t first,
                  std::int64_t n, models::BatchedCellExecutor::Panels& p,
                  const models::BatchedCellExecutor::HoistWindow* win,
-                 std::int64_t win_first);
+                 std::int64_t win_first,
+                 models::ColumnShare share = {});
+  /// Runs chunks [0, n) of one step across the run's threads, fn(thread,
+  /// chunk): claimed by the members of `team`, or without one statically
+  /// over this engine's pool (chunk c on thread c when n <= threads).
+  void run_chunks(support::Team* team, int n,
+                  const support::Team::ChunkFn& fn);
   /// The child whose recurrence-free ops can be hoisted for this input:
   /// the first `c` with a hoist whose state is computed in batch 0 for
   /// every node of the later batches. -1 when there is none.
@@ -127,7 +154,8 @@ class CortexEngine {
   /// the first batch past the window.
   std::int64_t open_window(const linearizer::Linearized& lin, std::int64_t b,
                            models::BatchedCellExecutor::HoistWindow& win,
-                           std::int64_t& win_first);
+                           std::int64_t& win_first, support::Team* team,
+                           int threads);
   /// Lazily builds the pool (and per-worker scratch) on first parallel use
   /// so plan-only engines never spawn threads.
   void ensure_pool();
@@ -157,7 +185,9 @@ class CortexEngine {
   /// kHoistWindowBytes, whatever the input size.
   std::vector<float> hoisted_;
   std::unique_ptr<support::ThreadPool> pool_;
+  /// One per thread of a run: the pool's, or a team's members.
   std::vector<WorkerScratch> worker_scratch_;
+  Lender lender_;
 };
 
 }  // namespace cortex::exec

@@ -51,6 +51,18 @@ EnginePool::EnginePool(const models::ModelDef& def,
   tasks_ = std::make_unique<support::TaskPool>(opts_.workers);
 }
 
+support::TeamLease EnginePool::lend(int wanted) {
+  std::shared_ptr<support::Team> team;
+  support::TaskPool* const tasks = tasks_.get();
+  const int lent = tasks->lend(wanted, [&team, tasks](int member) {
+    if (!team) team = std::make_shared<support::Team>();
+    return [team, tasks, member](int) {
+      team->serve(member, [tasks] { return tasks->backlogged(); });
+    };
+  });
+  return support::TeamLease(std::move(team), 1 + lent);
+}
+
 PoolStats EnginePool::stats() const {
   PoolStats s;
   s.transient_retries = transient_retries_.load(std::memory_order_relaxed);
@@ -79,10 +91,15 @@ runtime::RunResult EnginePool::run_sharded(const std::vector<Item>& batch) {
   // with several client threads inside run() at once, in which case the
   // FIFO queue interleaves their shards across idle workers.
   std::atomic<std::int64_t> batch_retries{0};
+  // A batch that fills every worker leaves none to lend; a smaller one
+  // lets each shard borrow the workers idle when its run starts.
+  const bool may_lend = static_cast<int>(num_shards) < num_workers();
   support::TaskGroup group(*tasks_);
+  std::vector<support::TaskPool::Task> tasks;
+  tasks.reserve(num_shards);
   for (std::size_t si = 0; si < num_shards; ++si) {
-    group.run([this, &batch, &shards, &results, &records, &batch_retries,
-               si](int worker) {
+    tasks.emplace_back([this, &batch, &shards, &results, &records,
+                        &batch_retries, may_lend, si](int worker) {
       const Shard& sh = shards[si];
       const std::vector<Item> sub(
           batch.begin() + static_cast<std::ptrdiff_t>(sh.begin),
@@ -91,6 +108,11 @@ runtime::RunResult EnginePool::run_sharded(const std::vector<Item>& batch) {
       rec.worker = worker;
       rec.batch_begin = sh.begin;
       rec.batch_size = sh.end - sh.begin;
+      CortexEngine& engine = *engines_[static_cast<std::size_t>(worker)];
+      if (may_lend)
+        engine.set_lender([this](int n) { return lend(n); });
+      else
+        engine.set_lender(nullptr);
       const std::int64_t t0 = runtime::now_ns();
       // Transient failures (may succeed on retry) re-run the shard on
       // this same worker, bounded; deterministic errors propagate at
@@ -99,7 +121,7 @@ runtime::RunResult EnginePool::run_sharded(const std::vector<Item>& batch) {
         try {
           if (g_fault_pool_worker.fire())
             throw TransientError("injected pool.worker failure");
-          results[si] = engines_[static_cast<std::size_t>(worker)]->run(sub);
+          results[si] = engine.run(sub);
           break;
         } catch (const TransientError& e) {
           if (attempt >= opts_.transient_retries) throw;
@@ -114,6 +136,9 @@ runtime::RunResult EnginePool::run_sharded(const std::vector<Item>& batch) {
       records[si] = rec;
     });
   }
+  // All at once, so no shard's run counts a worker another shard of this
+  // batch is about to take as idle.
+  group.run(std::move(tasks));
   // Rethrows the first shard's error after every shard of this batch has
   // finished — a failing shard fails the whole batch, and no worker is
   // left running a stale task, so the pool serves the next batch cleanly.

@@ -10,21 +10,32 @@
 // shared_ptr), splits an incoming mini-batch of trees/DAGs into contiguous
 // per-worker shards, runs the shards concurrently on a support::TaskPool,
 // and splices the per-shard RunResults back together in submission order.
-// Each worker engine runs serial wavefront numerics: the pool
-// parallelizes across shards, so nested per-engine pools would only
-// oversubscribe the host.
+// The pool's workers are the process's CPU budget: each worker engine
+// runs on its own worker thread, with no pool of its own. A batch with
+// fewer shards than workers leaves workers idle, and its shards may
+// borrow them (CortexEngine::set_lender, support::Team): when the cell's
+// recurrent step reads enough weights, a shard's engine borrows the
+// workers idle when its run starts and splits each wavefront across
+// them, by columns when it is narrower than the team (cross-core model
+// persistence). The owner never waits for a lent worker to wake and never
+// borrows a busy one, a batch that fills every worker lends nothing, and
+// a lent worker returns as soon as tasks queue up with no idle worker
+// left, so a saturated pool runs as it would without lending.
 //
 // Guarantees:
 //   - Determinism: pooled root_states are bit-identical to a single
 //     engine's run() over the same batch, at every worker count and shard
-//     size. Each structure is linearized and executed by exactly one
-//     worker, and the cell numerics per node are input-structure-local,
-//     so sharding cannot perturb them; the merge preserves submission
-//     order. Pinned by tests/test_engine_pool*.cpp.
-//   - Exclusivity: worker w is the only thread that ever touches
+//     size. Each structure is linearized by exactly one worker, the cell
+//     numerics per node are input-structure-local, and lent workers
+//     compute whole rows or whole columns of the same chains, so neither
+//     sharding nor lending can perturb them; the merge preserves
+//     submission order. Pinned by tests/test_engine_pool*.cpp and
+//     tests/test_team_split.cpp.
+//   - Exclusivity: worker w is the only thread that ever runs
 //     engines_[w] (tasks carry the executing worker's index), so
 //     concurrent run() calls from many client threads are safe with no
-//     per-engine locking. One *structure instance* must still not be
+//     per-engine locking. Workers lent to that run touch only their own
+//     scratch and their share of its state rows, between its barriers. One *structure instance* must still not be
 //     submitted by two threads at once (the linearizer writes per-node
 //     scratch into it).
 //   - Exceptions: shard failures are *classified*. A
@@ -132,6 +143,8 @@ class EnginePool {
  private:
   template <typename Item>
   runtime::RunResult run_sharded(const std::vector<Item>& batch);
+  /// A shard's engine borrows up to `wanted` idle workers for its run.
+  support::TeamLease lend(int wanted);
 
   const models::ModelDef& def_;
   EnginePoolOptions opts_;

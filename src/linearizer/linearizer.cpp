@@ -1,9 +1,9 @@
 #include "linearizer/linearizer.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 
 #include "support/logging.hpp"
 
@@ -70,28 +70,38 @@ Linearized linearize_trees(const std::vector<const ds::Tree*>& trees,
   traversal.reserve(static_cast<std::size_t>(total_nodes));
   height_of.reserve(static_cast<std::size_t>(total_nodes));
   std::int32_t max_h = 0;
-  // Plain recursion (no std::function indirection): this traversal is the
-  // dominant term of the µs-scale linearization cost.
-  struct Walker {
-    std::vector<const ds::TreeNode*>& traversal;
-    std::vector<std::int32_t>& height_of;
-    std::int32_t max_h = 0;
-    std::int32_t visit(const ds::TreeNode* n) {
-      std::int32_t h = 0;
-      if (!n->is_leaf()) h = 1 + std::max(visit(n->left), visit(n->right));
+  // Post-order over an explicit stack (a chain is as deep as it is long,
+  // so recursion would overflow the thread's stack on a long one). This
+  // traversal is the dominant term of the µs-scale linearization cost.
+  // A node is pushed once to descend and once more, marked, to be emitted
+  // after both children: left subtree, right subtree, node.
+  std::vector<std::pair<const ds::TreeNode*, bool>> stack;
+  for (const ds::Tree* t : trees) {
+    tree_roots.push_back(t->root());
+    stack.emplace_back(t->root(), false);
+    while (!stack.empty()) {
+      const auto [n, children_done] = stack.back();
+      stack.pop_back();
+      if (!children_done && !n->is_leaf()) {
+        stack.emplace_back(n, true);
+        stack.emplace_back(n->right, false);
+        stack.emplace_back(n->left, false);
+        continue;
+      }
+      const std::int32_t h =
+          n->is_leaf()
+              ? 0
+              : 1 + std::max(
+                        height_of[static_cast<std::size_t>(
+                            n->left->lin_scratch)],
+                        height_of[static_cast<std::size_t>(
+                            n->right->lin_scratch)]);
       n->lin_scratch = static_cast<std::int32_t>(traversal.size());
       traversal.push_back(n);
       height_of.push_back(h);
       max_h = std::max(max_h, h);
-      return h;
     }
-  };
-  Walker walker{traversal, height_of};
-  for (const ds::Tree* t : trees) {
-    tree_roots.push_back(t->root());
-    walker.visit(t->root());
   }
-  max_h = walker.max_h;
 
   // Pass 2: Appendix-B numbering — hand out consecutive ids from the
   // tallest height group down to the leaves (counting sort by height).

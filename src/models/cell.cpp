@@ -26,6 +26,9 @@ namespace {
 /// param-pointer table; enforced at compile() so eval can never overrun.
 constexpr std::int32_t kMaxStackDepth = 32;
 constexpr std::size_t kMaxEltParams = 8;
+/// Column shares of a split step are whole multiples of this many floats
+/// (a 64-byte cache line), so two members never write one line.
+constexpr std::int64_t kSplitAlign = 16;
 /// Elements per interpreter strip in eval_panel (8 KiB of stack at max
 /// depth; long enough to amortize instruction dispatch, short enough to
 /// stay in L1).
@@ -776,6 +779,8 @@ BatchedCellExecutor::BatchedCellExecutor(const CellProgram& cell,
     if (b.kind == CellOpKind::kSliceChild)
       children = std::max(children, b.child + 1);
   for (int c = 0; c < children; ++c) hoists_.push_back(find_hoist(c));
+  leaf_split_ = plan_columns(leaf_bops_, leaf_order_);
+  internal_split_ = plan_columns(internal_bops_, internal_order_);
 }
 
 BatchedCellExecutor::Hoist BatchedCellExecutor::find_hoist(int c) const {
@@ -832,7 +837,87 @@ BatchedCellExecutor::Hoist BatchedCellExecutor::find_hoist(int c) const {
     }
   }
   if (h.live.empty()) return {};
+  h.split = plan_columns(internal_bops_, h.rest);
   return h;
+}
+
+BatchedCellExecutor::ColumnPlan BatchedCellExecutor::plan_columns(
+    const std::vector<BatchedOp>& bops, const std::vector<int>& order) const {
+  ColumnPlan plan;
+  plan.segs.resize(bops.size());
+  // The segments of each register's latest value; none = whole.
+  std::vector<std::vector<Segment>> reg(reg_width_.size());
+  const auto segs_or_whole = [&](int r, std::int64_t width) {
+    const auto& sg = reg[static_cast<std::size_t>(r)];
+    return sg.empty() ? std::vector<Segment>{{0, width}} : sg;
+  };
+  for (const int n : order) {
+    const BatchedOp& b = bops[static_cast<std::size_t>(n)];
+    const bool any_split =
+        std::any_of(b.in_regs.begin(), b.in_regs.end(), [&](int r) {
+          return !reg[static_cast<std::size_t>(r)].empty();
+        });
+    std::vector<Segment> out;
+    switch (b.kind) {
+      case CellOpKind::kMatVec:
+        // Needs its whole input on every member.
+        if (any_split) return {};
+        out = {{0, b.width}};
+        plan.weight_bytes +=
+            b.k * b.width * static_cast<std::int64_t>(sizeof(float));
+        break;
+      case CellOpKind::kEltwise:
+        // Whole when its inputs are whole, except the state's writer: two
+        // members must never write the same state columns.
+        if (!any_split && !b.is_last) break;
+        for (const int r : b.in_regs) {
+          const auto& sg = reg[static_cast<std::size_t>(r)];
+          if (sg.empty()) continue;
+          if (out.empty()) out = sg;
+          if (sg != out) return {};
+        }
+        if (out.empty()) out = {{0, b.width}};
+        break;
+      case CellOpKind::kConcat2: {
+        if (!any_split && !b.is_last) break;
+        const int in1 = b.in_regs[1];
+        const std::int64_t w0 =
+            reg_width_[static_cast<std::size_t>(b.in_regs[0])];
+        const std::int64_t w1 = b.width - w0;
+        if (!reg[static_cast<std::size_t>(in1)].empty() &&
+            reg_width_[static_cast<std::size_t>(in1)] != w1)
+          return {};
+        out = segs_or_whole(b.in_regs[0], w0);
+        for (Segment sg : segs_or_whole(in1, w1)) {
+          sg.offset += w0;
+          out.push_back(sg);
+        }
+        break;
+      }
+      case CellOpKind::kNodeMatVec:
+      case CellOpKind::kMatStack2:
+        return {};
+      default:
+        // Gathers run whole on every member, so one must not write the
+        // state.
+        if (b.is_last) return {};
+        break;
+    }
+    reg[static_cast<std::size_t>(b.out_reg)] = out;
+    plan.segs[static_cast<std::size_t>(n)] = std::move(out);
+  }
+  plan.ok = true;
+  return plan;
+}
+
+std::int64_t BatchedCellExecutor::split_weight_bytes(bool leaf,
+                                                     int hoist_child) const {
+  if (!supported_) return 0;
+  const ColumnPlan& plan =
+      hoist_width(hoist_child) > 0
+          ? hoists_[static_cast<std::size_t>(hoist_child)].split
+          : (leaf && !leaf_bops_.empty() ? leaf_split_ : internal_split_);
+  return plan.ok ? plan.weight_bytes : 0;
 }
 
 std::int64_t BatchedCellExecutor::hoist_width(int c) const {
@@ -944,16 +1029,20 @@ void BatchedCellExecutor::run_batch(bool leaf, std::int64_t rows,
                                     const std::int32_t* child_offsets,
                                     const std::int32_t* child_ids,
                                     const float* states, float* out,
-                                    Panels& p,
-                                    const HoistWindow* hoisted) const {
+                                    Panels& p, const HoistWindow* hoisted,
+                                    ColumnShare share) const {
   if (rows <= 0) return;
   CORTEX_CHECK(supported_)
       << "run_batch called on an unsupported BatchedCellExecutor";
+  CORTEX_CHECK(share.members >= 1 && share.member >= 0 &&
+               share.member < share.members)
+      << "column share " << share.member << " of " << share.members;
   // Mirror run_node's branch selection: a model without a leaf program
   // runs its single formula at leaves too (DAG-RNN).
   const bool leaf_prog = leaf && !leaf_bops_.empty();
   const std::vector<BatchedOp>& bops = leaf_prog ? leaf_bops_ : internal_bops_;
   const std::vector<int>* order = leaf_prog ? &leaf_order_ : &internal_order_;
+  const ColumnPlan* split = leaf_prog ? &leaf_split_ : &internal_split_;
   p.arena.resize(static_cast<std::size_t>(total_width_ * rows));
   p.regs.resize(reg_width_.size());
   for (std::size_t r = 0; r < reg_width_.size(); ++r)
@@ -969,11 +1058,19 @@ void BatchedCellExecutor::run_batch(bool leaf, std::int64_t rows,
     for (const Slot& s : h.live)
       p.written[static_cast<std::size_t>(s.reg)] = 1;
     order = &h.rest;
+    split = &h.split;
+  }
+  if (share.members == 1) {
+    split = nullptr;
+  } else if (!split->ok) {
+    // Cannot split: member 0 runs the whole program.
+    if (share.member != 0) return;
+    split = nullptr;
   }
   ++p.panels_run;
   p.max_panel_rows = std::max(p.max_panel_rows, rows);
   run_ops(bops, *order, rows, words, child_offsets, child_ids, states, out,
-          p);
+          p, split, share);
 }
 
 void BatchedCellExecutor::run_hoisted(std::int64_t rows,
@@ -1008,7 +1105,8 @@ void BatchedCellExecutor::run_ops(const std::vector<BatchedOp>& bops,
                                   const std::int32_t* child_offsets,
                                   const std::int32_t* child_ids,
                                   const float* states, float* out,
-                                  Panels& p) const {
+                                  Panels& p, const ColumnPlan* split,
+                                  ColumnShare share) const {
   const std::int64_t sw = cell_.state_width;
   const auto panel = [&](int reg) {
     return p.regs[static_cast<std::size_t>(reg)];
@@ -1024,6 +1122,15 @@ void BatchedCellExecutor::run_ops(const std::vector<BatchedOp>& bops,
   for (const int n : order) {
     const BatchedOp& b = bops[static_cast<std::size_t>(n)];
     float* outp = b.is_last ? out : panel(b.out_reg);
+    if (split != nullptr && !split->segs[static_cast<std::size_t>(n)].empty()) {
+      const float* ins[kMaxEltParams] = {nullptr};
+      for (std::size_t k = 0; k < b.in_regs.size(); ++k)
+        ins[k] = in_panel(b, k);
+      run_split_op(b, split->segs[static_cast<std::size_t>(n)], share, rows,
+                   ins, outp, p);
+      p.written[static_cast<std::size_t>(b.out_reg)] = 1;
+      continue;
+    }
     switch (b.kind) {
       case CellOpKind::kLeafEmbed: {
         const std::int64_t vocab = b.param.shape().dim(0);
@@ -1128,6 +1235,60 @@ void BatchedCellExecutor::run_ops(const std::vector<BatchedOp>& bops,
       }
     }
     p.written[static_cast<std::size_t>(b.out_reg)] = 1;
+  }
+}
+
+void BatchedCellExecutor::run_split_op(const BatchedOp& b,
+                                       const std::vector<Segment>& segs,
+                                       ColumnShare share, std::int64_t rows,
+                                       const float* const* ins, float* outp,
+                                       Panels& p) const {
+  for (const Segment& sg : segs) {
+    // The member's share of the segment, in whole cache lines of floats.
+    const std::int64_t units = (sg.width + kSplitAlign - 1) / kSplitAlign;
+    const auto edge = [&](int m) {
+      return sg.offset +
+             std::min(sg.width, kSplitAlign * (units * m / share.members));
+    };
+    const std::int64_t c0 = edge(share.member);
+    const std::int64_t c1 = edge(share.member + 1);
+    if (c0 >= c1) continue;
+    switch (b.kind) {
+      case CellOpKind::kMatVec:
+        kernels::gemm_cols(ins[0], b.param_t.data(), outp, rows, b.k, b.width,
+                           c0, c1);
+        ++p.gemm_calls;
+        break;
+      case CellOpKind::kEltwise: {
+        // Params are 1-D over the register width; inputs share its width.
+        const float* prm[kMaxEltParams] = {nullptr};
+        for (std::size_t k = 0; k < b.eparams.size(); ++k)
+          prm[k] = b.eparams[k] + c0;
+        const float* in_r[kMaxEltParams] = {nullptr};
+        for (std::int64_t r = 0; r < rows; ++r) {
+          for (std::size_t k = 0; k < b.in_regs.size(); ++k)
+            in_r[k] = ins[k] + r * b.width + c0;
+          b.compiled.eval_panel(1, c1 - c0, in_r, prm,
+                                outp + r * b.width + c0);
+        }
+        break;
+      }
+      case CellOpKind::kConcat2: {
+        // A segment lies inside one input (plan_columns builds it so).
+        const std::int64_t w0 =
+            reg_width_[static_cast<std::size_t>(b.in_regs[0])];
+        const std::int64_t w1s =
+            reg_width_[static_cast<std::size_t>(b.in_regs[1])];
+        for (std::int64_t r = 0; r < rows; ++r) {
+          const float* src = c0 < w0 ? ins[0] + r * w0 + c0
+                                     : ins[1] + r * w1s + (c0 - w0);
+          kernels::copy(src, outp + r * b.width + c0, c1 - c0);
+        }
+        break;
+      }
+      default:
+        CORTEX_CHECK(false) << "op kind cannot split by columns";
+    }
   }
 }
 

@@ -241,9 +241,29 @@ class CellExecutor {
 /// element is still one ascending-k add chain, so results stay
 /// bit-identical.
 ///
+/// Member `member` of a team of `members` splitting one step by output
+/// columns (BatchedCellExecutor::run_batch); the default runs it whole.
+struct ColumnShare {
+  int member = 0;
+  int members = 1;
+};
+
+/// Column split (cross-core model persistence): a wavefront narrower than
+/// the threads running it is split by output columns instead of rows.
+/// Each member of a team runs run_batch with its ColumnShare: every kMatVec
+/// computes only the member's columns of its output (kernels::gemm_cols
+/// over its column slice of the weight, which therefore stays in that
+/// member's cache across steps), eltwise ops take the same columns, and a
+/// kConcat2 maps onto both inputs' shares. Gathers (child slices and sums,
+/// embeddings) are cheap and run whole on every member. A program whose
+/// kMatVec reads a register only computed in shares (SeqGRU's
+/// Uh·(r⊙h)), or that has a kNodeMatVec / kMatStack2, cannot split: member
+/// 0 runs it whole and the others do nothing. Each output element is still
+/// the one chain per-node execution computes, so shares are bit-identical.
+///
 /// Immutable after construction: any number of threads may call run_batch
 /// concurrently as long as each passes its own Panels (the engine keeps
-/// one per pool worker and hands each worker a disjoint row range).
+/// one per thread and hands each a disjoint row range or column share).
 class BatchedCellExecutor {
  public:
   /// Per-thread workspace for run_batch, reused across calls: the
@@ -296,12 +316,20 @@ class BatchedCellExecutor {
   /// rows calls of CellExecutor::run_node, bit for bit. With `hoisted`
   /// (internal rows only), the hoisted ops are skipped and their
   /// registers read from the window, which run_hoisted filled for these
-  /// rows.
+  /// rows. With a `share` of a team, writes only that member's columns of
+  /// `out` (the class comment); all members' calls together write it
+  /// whole.
   void run_batch(bool leaf, std::int64_t rows, const std::int32_t* words,
                  const std::int32_t* child_offsets,
                  const std::int32_t* child_ids, const float* states,
-                 float* out, Panels& p,
-                 const HoistWindow* hoisted = nullptr) const;
+                 float* out, Panels& p, const HoistWindow* hoisted = nullptr,
+                 ColumnShare share = {}) const;
+
+  /// Bytes of kMatVec weights one node of a program reads, when the
+  /// program can be split by columns; 0 when it cannot. The program is the
+  /// leaf or internal one, or, with `hoist_child` >= 0, the internal ops
+  /// left after hoisting that child's.
+  std::int64_t split_weight_bytes(bool leaf, int hoist_child) const;
 
   /// Floats per node of child `c`'s hoisted registers; 0 when no internal
   /// op chain from kSliceChild(c) reaches a kMatVec (nothing to hoist).
@@ -349,6 +377,25 @@ class BatchedCellExecutor {
     std::int64_t offset = 0;
   };
 
+  /// Columns [offset, offset + width) of a register, which the members of
+  /// a column split divide among themselves.
+  struct Segment {
+    std::int64_t offset = 0;
+    std::int64_t width = 0;
+    bool operator==(const Segment& o) const {
+      return offset == o.offset && width == o.width;
+    }
+  };
+
+  /// How one program runs split by columns: by op index, the segments of
+  /// the op's output that each member computes its share of; none means
+  /// every member computes the whole register.
+  struct ColumnPlan {
+    bool ok = false;               ///< false: the program cannot split
+    std::int64_t weight_bytes = 0; ///< kMatVec weight bytes per node
+    std::vector<std::vector<Segment>> segs;
+  };
+
   /// Child `c`'s hoisting split of the internal program (op indices in
   /// program order). Empty `ops` means nothing to hoist for `c`.
   struct Hoist {
@@ -358,6 +405,7 @@ class BatchedCellExecutor {
     std::int64_t width = 0;     ///< sum of `live` widths
     std::vector<Slot> scratch;  ///< other hoisted registers: arena
     std::int64_t scratch_width = 0;
+    ColumnPlan split;           ///< of `rest`, the window read whole
   };
 
   std::vector<BatchedOp> compile_ops(const std::vector<CellOp>& ops) const;
@@ -366,11 +414,22 @@ class BatchedCellExecutor {
   /// of its [w.rows, width] block in the window.
   void bind_window(const std::vector<Slot>& live, const HoistWindow& w,
                    std::vector<float*>& regs) const;
+  /// The column plan of running `order` of `bops`; registers it reads
+  /// before writing them (the window's) count as whole.
+  ColumnPlan plan_columns(const std::vector<BatchedOp>& bops,
+                          const std::vector<int>& order) const;
+  /// With `split`, each op that has segments runs only `share`'s columns.
   void run_ops(const std::vector<BatchedOp>& bops,
                const std::vector<int>& order, std::int64_t rows,
                const std::int32_t* words, const std::int32_t* child_offsets,
                const std::int32_t* child_ids, const float* states,
-               float* out, Panels& p) const;
+               float* out, Panels& p, const ColumnPlan* split = nullptr,
+               ColumnShare share = {}) const;
+  /// One op's share of a column split (`segs` from its ColumnPlan) over
+  /// its input panels `ins`.
+  void run_split_op(const BatchedOp& b, const std::vector<Segment>& segs,
+                    ColumnShare share, std::int64_t rows,
+                    const float* const* ins, float* outp, Panels& p) const;
 
   const CellProgram& cell_;
   const ModelParams& params_;
@@ -383,6 +442,8 @@ class BatchedCellExecutor {
   std::vector<int> leaf_order_;      ///< 0..leaf_bops_.size()-1
   std::vector<int> internal_order_;  ///< 0..internal_bops_.size()-1
   std::vector<Hoist> hoists_;        ///< by child index
+  ColumnPlan leaf_split_;
+  ColumnPlan internal_split_;
   bool supported_ = false;
 };
 

@@ -29,16 +29,41 @@ void TaskPool::shutdown() {
   for (std::thread& t : workers_) t.join();
 }
 
-void TaskPool::enqueue(TaskGroup* group, Task task) {
+void TaskPool::update_backlog() {
+  backlogged_.store(queued_group_ > idle_, std::memory_order_relaxed);
+}
+
+void TaskPool::enqueue(TaskGroup* group, std::vector<Task> tasks) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     // Checked under the lock: once stop_ is set the workers exit as soon
     // as the queue drains, so a task slipped in afterwards would never
     // run and its group would wait forever.
     CORTEX_CHECK(!stop_) << "TaskPool::enqueue on a stopped pool";
-    queue_.emplace_back(group, std::move(task));
+    for (Task& t : tasks) queue_.emplace_back(group, std::move(t));
+    queued_group_ += static_cast<int>(tasks.size());
+    update_backlog();
   }
-  cv_.notify_one();
+  if (tasks.size() == 1)
+    cv_.notify_one();
+  else
+    cv_.notify_all();
+}
+
+int TaskPool::lend(int max, const std::function<Task(int)>& make) {
+  int k = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (stop_) return 0;
+    k = std::min(max, idle_ - static_cast<int>(queue_.size()));
+    for (int i = 1; i <= k; ++i) queue_.emplace_back(nullptr, make(i));
+  }
+  if (k <= 0) return 0;
+  if (k == 1)
+    cv_.notify_one();
+  else
+    cv_.notify_all();
+  return k;
 }
 
 void TaskPool::worker_main(int worker) {
@@ -47,11 +72,16 @@ void TaskPool::worker_main(int worker) {
     Task task;
     {
       std::unique_lock<std::mutex> lock(mu_);
+      ++idle_;
+      update_backlog();
       cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
+      --idle_;
       if (queue_.empty()) return;  // stop_ and nothing left to drain
       group = queue_.front().first;
       task = std::move(queue_.front().second);
       queue_.pop_front();
+      if (group != nullptr) --queued_group_;
+      update_backlog();
     }
     std::exception_ptr err;
     try {
@@ -62,8 +92,13 @@ void TaskPool::worker_main(int worker) {
     // Moved, not copied: the exception object may be rethrown to (and
     // read on) the waiting thread the instant finish() publishes it, so
     // this thread must not keep a reference whose release would race the
-    // waiter's use (exception_ptr rethrow shares the object).
-    group->finish(std::move(err));
+    // waiter's use (exception_ptr rethrow shares the object). A lent
+    // worker's task belongs to no group and must not throw; if it does,
+    // say so rather than lose the error.
+    if (group != nullptr)
+      group->finish(std::move(err));
+    else if (err)
+      warn("TaskPool: a lent worker's task threw");
   }
 }
 
@@ -76,17 +111,25 @@ TaskGroup::~TaskGroup() {
 }
 
 void TaskGroup::run(TaskPool::Task fn) {
+  std::vector<TaskPool::Task> fns;
+  fns.push_back(std::move(fn));
+  run(std::move(fns));
+}
+
+void TaskGroup::run(std::vector<TaskPool::Task> fns) {
+  const auto n = static_cast<std::int64_t>(fns.size());
+  if (n == 0) return;
   {
     std::lock_guard<std::mutex> lock(pool_.group_mu_);
-    ++pending_;
+    pending_ += n;
   }
   try {
-    pool_.enqueue(this, std::move(fn));
+    pool_.enqueue(this, std::move(fns));
   } catch (...) {
-    // The pool rejected the task (shutdown): no worker will ever finish()
-    // it, so unwind the pending count or wait() would hang forever.
+    // The pool rejected the tasks (shutdown): no worker will ever
+    // finish() them, so unwind the pending count or wait() would hang.
     std::lock_guard<std::mutex> lock(pool_.group_mu_);
-    --pending_;
+    pending_ -= n;
     throw;
   }
 }

@@ -18,7 +18,15 @@
 //     exactly those, independent of other callers sharing the pool. The
 //     first exception thrown by any task in the group is rethrown from
 //     wait(); the pool and the group both stay usable afterwards.
+//   - Lending: a task may borrow workers that are idle at that moment
+//     (TaskPool::lend) to run alongside it, e.g. as members of a
+//     support::Team splitting one inference. Only workers beyond those the
+//     queued tasks will take are lent, and a lent worker should come back
+//     as soon as tasks queue up with no idle worker left (backlogged()),
+//     so lending never delays a queued task by more than the lent
+//     worker's current chunk of work.
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -48,6 +56,18 @@ class TaskPool {
 
   int num_threads() const { return num_threads_; }
 
+  /// Lends up to `max` workers that are idle beyond the tasks already
+  /// queued: the i-th lent worker (i = 1..k) runs make(i)'s task, which
+  /// belongs to no group (nobody waits for it; it must not throw).
+  /// Returns k, 0 when no worker is idle. Never blocks on a worker.
+  int lend(int max, const std::function<Task(int)>& make);
+
+  /// True while queued group tasks outnumber the idle workers: a lent
+  /// worker should return to the pool. One relaxed load.
+  bool backlogged() const {
+    return backlogged_.load(std::memory_order_relaxed);
+  }
+
   /// Stops the pool: workers drain the queue (so every already-enqueued
   /// group is still completed and woken), then exit and are joined.
   /// Subsequent enqueues throw. Idempotent; the destructor calls it.
@@ -60,8 +80,10 @@ class TaskPool {
   /// pending count must already account for it. Throws cortex::Error if
   /// the pool is stopping or stopped: accepting the task would strand the
   /// group forever once the workers exit on the drained queue.
-  void enqueue(TaskGroup* group, Task task);
+  void enqueue(TaskGroup* group, std::vector<Task> tasks);
   void worker_main(int worker);
+  /// Recomputes backlogged_; mu_ held.
+  void update_backlog();
 
   const int num_threads_;
   std::vector<std::thread> workers_;
@@ -69,6 +91,9 @@ class TaskPool {
   std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::pair<TaskGroup*, Task>> queue_;
+  int idle_ = 0;         ///< workers waiting for a task
+  int queued_group_ = 0; ///< queue_ entries that belong to a group
+  std::atomic<bool> backlogged_{false};
   bool stop_ = false;
   bool joined_ = false;
 
@@ -105,6 +130,9 @@ class TaskGroup {
   /// Rethrows the pool's rejection (shutdown) with the group's pending
   /// count unwound, so a later wait() cannot hang on the rejected task.
   void run(TaskPool::Task fn);
+  /// Submits every task at once: no worker sees the queue holding only
+  /// some of them (so none lends a worker another of them needs).
+  void run(std::vector<TaskPool::Task> fns);
 
   /// Blocks until every task submitted via run() has finished, then
   /// rethrows the first exception any of them threw (clearing it, so the

@@ -1,9 +1,13 @@
 #pragma once
-// Fixed-size host thread pool backing the engine's parallel wavefront
-// executor (paper §4.2/§5: nodes within one dynamic batch are mutually
-// independent, so each batch is a parallel loop and the implicit join at
-// the end of parallel_for is the inter-batch barrier — the host-side
-// mirror of the device-wide barriers insert_barriers places in §A.4).
+// Fixed-size host thread pool backing a standalone engine's parallel
+// wavefront executor (CortexEngine::set_num_threads; paper §4.2/§5: nodes
+// within one dynamic batch are mutually independent, so each batch is a
+// parallel loop and the implicit join at the end of parallel_for is the
+// inter-batch barrier — the host-side mirror of the device-wide barriers
+// insert_barriers places in §A.4). Its workers block between loops, so
+// each wavefront pays a wake; EnginePool's worker engines have no pool of
+// their own and split a run across lent idle workers instead, whose
+// support::Team spins between steps (support/team.hpp).
 //
 // Deliberately work-stealing-free: parallel_for statically partitions
 // [0, n) into one contiguous chunk per worker. Static chunks keep the

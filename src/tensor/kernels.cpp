@@ -40,8 +40,11 @@ constexpr std::int64_t kTileM = 4;
 
 void gemm_impl(const float* __restrict a, const float* __restrict b,
                float* __restrict c, std::int64_t m, std::int64_t k,
-               std::int64_t n, bool accumulate) {
-  if (!accumulate) std::memset(c, 0, sizeof(float) * m * n);
+               std::int64_t n, std::int64_t j0, std::int64_t j1,
+               bool accumulate) {
+  if (!accumulate)
+    for (std::int64_t i = 0; i < m; ++i)
+      std::memset(c + i * n + j0, 0, sizeof(float) * (j1 - j0));
   for (std::int64_t p0 = 0; p0 < k; p0 += kBlockK) {
     const std::int64_t p1 = std::min(p0 + kBlockK, k);
     std::int64_t i = 0;
@@ -56,7 +59,7 @@ void gemm_impl(const float* __restrict a, const float* __restrict b,
         const float a2 = a[(i + 2) * k + p];
         const float a3 = a[(i + 3) * k + p];
         const float* __restrict brow = b + p * n;
-        for (std::int64_t j = 0; j < n; ++j) {
+        for (std::int64_t j = j0; j < j1; ++j) {
           c0[j] += a0 * brow[j];
           c1[j] += a1 * brow[j];
           c2[j] += a2 * brow[j];
@@ -69,7 +72,7 @@ void gemm_impl(const float* __restrict a, const float* __restrict b,
       for (std::int64_t p = p0; p < p1; ++p) {
         const float av = a[i * k + p];
         const float* __restrict brow = b + p * n;
-        for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+        for (std::int64_t j = j0; j < j1; ++j) crow[j] += av * brow[j];
       }
     }
   }
@@ -159,19 +162,21 @@ template <class V, int MR, int NV>
   row_tail<V, MR, NV>(a, b, c, i, m, k, n, j, accumulate);
 }
 
-// Columns [j, n): strips NV vectors wide, then at most one strip of each
-// halved width, then the remainder at half the vector width.
+// Columns [j, j1) of rows n floats apart: strips NV vectors wide, then
+// at most one strip of each halved width, then the remainder at half the
+// vector width.
 template <class V, int MR, int NV>
 [[gnu::always_inline]] inline void gemm_columns(
     const float* a, const float* b, float* c, std::int64_t m,
-    std::int64_t k, std::int64_t n, std::int64_t j, bool accumulate) {
+    std::int64_t k, std::int64_t n, std::int64_t j, std::int64_t j1,
+    bool accumulate) {
   constexpr std::int64_t kStrip = NV * kLanes<V>;
-  for (; j + kStrip <= n; j += kStrip)
+  for (; j + kStrip <= j1; j += kStrip)
     column_strip<V, MR, NV>(a, b, c, m, k, n, j, accumulate);
   if constexpr (NV > 1) {
-    gemm_columns<V, MR, NV / 2>(a, b, c, m, k, n, j, accumulate);
+    gemm_columns<V, MR, NV / 2>(a, b, c, m, k, n, j, j1, accumulate);
   } else if constexpr (kLanes<V> > 1) {
-    gemm_columns<typename Narrower<V>::type, MR, 1>(a, b, c, m, k, n, j,
+    gemm_columns<typename Narrower<V>::type, MR, 1>(a, b, c, m, k, n, j, j1,
                                                     accumulate);
   }
 }
@@ -183,27 +188,25 @@ template <class V, int MR, int NV>
 //
 // AVX-512: 2 x 8 or 4 x 4 zmm accumulators, plus the B vectors and the
 // broadcast — at most 26 of the 32 zmm registers.
-[[gnu::target("avx512f")]] void gemm_avx512(const float* a, const float* b,
-                                            float* c, std::int64_t m,
-                                            std::int64_t k, std::int64_t n,
-                                            bool accumulate) {
+[[gnu::target("avx512f")]] void gemm_avx512(
+    const float* a, const float* b, float* c, std::int64_t m, std::int64_t k,
+    std::int64_t n, std::int64_t j0, std::int64_t j1, bool accumulate) {
   if (m <= 2)
-    gemm_columns<F16, 2, 8>(a, b, c, m, k, n, 0, accumulate);
+    gemm_columns<F16, 2, 8>(a, b, c, m, k, n, j0, j1, accumulate);
   else
-    gemm_columns<F16, 4, 4>(a, b, c, m, k, n, 0, accumulate);
+    gemm_columns<F16, 4, 4>(a, b, c, m, k, n, j0, j1, accumulate);
 }
 
 // AVX2: 2 x 4 or 4 x 2 ymm accumulators, plus the B vectors, the
 // broadcast and a product — at most 14 of the 16 ymm registers (4 x 4
 // would spill).
-[[gnu::target("avx2")]] void gemm_avx2(const float* a, const float* b,
-                                       float* c, std::int64_t m,
-                                       std::int64_t k, std::int64_t n,
-                                       bool accumulate) {
+[[gnu::target("avx2")]] void gemm_avx2(
+    const float* a, const float* b, float* c, std::int64_t m, std::int64_t k,
+    std::int64_t n, std::int64_t j0, std::int64_t j1, bool accumulate) {
   if (m <= 2)
-    gemm_columns<F8, 2, 4>(a, b, c, m, k, n, 0, accumulate);
+    gemm_columns<F8, 2, 4>(a, b, c, m, k, n, j0, j1, accumulate);
   else
-    gemm_columns<F8, 4, 2>(a, b, c, m, k, n, 0, accumulate);
+    gemm_columns<F8, 4, 2>(a, b, c, m, k, n, j0, j1, accumulate);
 }
 #endif
 
@@ -218,20 +221,21 @@ detail::Isa detect_isa() {
   return detail::Isa::kPortable;
 }
 
+// Columns [j0, j1) of C[m, n] (+)= A[m, k] * B[k, n].
 void run_gemm(detail::Isa isa, const float* a, const float* b, float* c,
-              std::int64_t m, std::int64_t k, std::int64_t n,
-              bool accumulate) {
+              std::int64_t m, std::int64_t k, std::int64_t n, std::int64_t j0,
+              std::int64_t j1, bool accumulate) {
   switch (isa) {
 #ifdef CORTEX_X86_SIMD_VARIANTS
     case detail::Isa::kAvx512:
-      gemm_avx512(a, b, c, m, k, n, accumulate);
+      gemm_avx512(a, b, c, m, k, n, j0, j1, accumulate);
       return;
     case detail::Isa::kAvx2:
-      gemm_avx2(a, b, c, m, k, n, accumulate);
+      gemm_avx2(a, b, c, m, k, n, j0, j1, accumulate);
       return;
 #endif
     default:
-      gemm_impl(a, b, c, m, k, n, accumulate);
+      gemm_impl(a, b, c, m, k, n, j0, j1, accumulate);
       return;
   }
 }
@@ -273,21 +277,38 @@ Isa selected_isa() {
 void gemm_with(Isa isa, const float* a, const float* b, float* c,
                std::int64_t m, std::int64_t k, std::int64_t n,
                bool accumulate) {
+  gemm_cols_with(isa, a, b, c, m, k, n, 0, n, accumulate);
+}
+
+void gemm_cols_with(Isa isa, const float* a, const float* b, float* c,
+                    std::int64_t m, std::int64_t k, std::int64_t n,
+                    std::int64_t j0, std::int64_t j1, bool accumulate) {
   CORTEX_CHECK(supported(isa))
       << "gemm variant " << isa_name(isa) << " is not supported here";
-  run_gemm(isa, a, b, c, m, k, n, accumulate);
+  CORTEX_CHECK(0 <= j0 && j0 <= j1 && j1 <= n)
+      << "gemm columns [" << j0 << ", " << j1 << ") outside [0, " << n << ")";
+  run_gemm(isa, a, b, c, m, k, n, j0, j1, accumulate);
 }
 
 }  // namespace detail
 
 void gemm(const float* a, const float* b, float* c, std::int64_t m,
           std::int64_t k, std::int64_t n) {
-  run_gemm(detail::selected_isa(), a, b, c, m, k, n, /*accumulate=*/false);
+  run_gemm(detail::selected_isa(), a, b, c, m, k, n, 0, n,
+           /*accumulate=*/false);
+}
+
+void gemm_cols(const float* a, const float* b, float* c, std::int64_t m,
+               std::int64_t k, std::int64_t n, std::int64_t j0,
+               std::int64_t j1) {
+  run_gemm(detail::selected_isa(), a, b, c, m, k, n, j0, j1,
+           /*accumulate=*/false);
 }
 
 void gemm_acc(const float* a, const float* b, float* c, std::int64_t m,
               std::int64_t k, std::int64_t n) {
-  run_gemm(detail::selected_isa(), a, b, c, m, k, n, /*accumulate=*/true);
+  run_gemm(detail::selected_isa(), a, b, c, m, k, n, 0, n,
+           /*accumulate=*/true);
 }
 
 void gemv(const float* a, const float* x, float* y, std::int64_t m,

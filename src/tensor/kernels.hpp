@@ -27,6 +27,14 @@ void gemm_naive(const float* a, const float* b, float* c, std::int64_t m,
 void gemm(const float* a, const float* b, float* c, std::int64_t m,
           std::int64_t k, std::int64_t n);
 
+/// Columns [j0, j1) of C[m,n] = A[m,k] * B[k,n]: B and C keep their row
+/// stride n and no other column of C is written. Every element is the
+/// same ascending-k chain gemm computes, so threads that each take a
+/// column range of one product write exactly gemm's C, bit for bit.
+void gemm_cols(const float* a, const float* b, float* c, std::int64_t m,
+               std::int64_t k, std::int64_t n, std::int64_t j0,
+               std::int64_t j1);
+
 /// C[m,n] += A[m,k] * B[k,n].
 void gemm_acc(const float* a, const float* b, float* c, std::int64_t m,
               std::int64_t k, std::int64_t n);

@@ -40,4 +40,10 @@ void gemm_with(Isa isa, const float* a, const float* b, float* c,
                std::int64_t m, std::int64_t k, std::int64_t n,
                bool accumulate);
 
+/// gemm_with over columns [j0, j1) of the n-wide product only (the
+/// kernels::gemm_cols contract); 0 <= j0 <= j1 <= n.
+void gemm_cols_with(Isa isa, const float* a, const float* b, float* c,
+                    std::int64_t m, std::int64_t k, std::int64_t n,
+                    std::int64_t j0, std::int64_t j1, bool accumulate);
+
 }  // namespace cortex::kernels::detail

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -474,6 +475,61 @@ TEST(PanelKernels, PanelGemmBitIdenticalToPerRowGemv) {
             << " k=" << k << " m=" << m << " elem " << i;
     }
   }
+}
+
+TEST(PanelKernels, GemmColsBitIdenticalToTheSameColumnsOfFullGemm) {
+  // The column-split contract: a team member computing columns [j0, j1)
+  // of a product writes exactly those columns of the full gemm, bit for
+  // bit, and nothing else — in every variant, at panel heights 1..5, for
+  // ranges that start and end off the 16-float vector grid and in tails.
+  Rng rng(23);
+  for (const auto [k, n] : {std::array<std::int64_t, 2>{3, 7},
+                            std::array<std::int64_t, 2>{64, 48},
+                            std::array<std::int64_t, 2>{100, 141},
+                            std::array<std::int64_t, 2>{256, 256}}) {
+    for (std::int64_t m = 1; m <= 5; ++m) {
+      const Tensor a = Tensor::uniform(Shape{m, k}, rng, -1.0f, 1.0f);
+      const Tensor b = Tensor::uniform(Shape{k, n}, rng, -1.0f, 1.0f);
+      for (const kernels::detail::Isa isa :
+           kernels::detail::supported_isas()) {
+        Tensor full(Shape{m, n});
+        kernels::detail::gemm_with(isa, a.data(), b.data(), full.data(), m,
+                                   k, n, /*accumulate=*/false);
+        for (int draw = 0; draw < 12; ++draw) {
+          std::int64_t j0 = static_cast<std::int64_t>(
+              rng.next_below(static_cast<std::uint64_t>(n + 1)));
+          std::int64_t j1 = static_cast<std::int64_t>(
+              rng.next_below(static_cast<std::uint64_t>(n + 1)));
+          if (draw == 0) j0 = 0, j1 = n;
+          if (j0 > j1) std::swap(j0, j1);
+          Tensor part(Shape{m, n});
+          kernels::fill(part.data(), -3.0f, m * n);
+          kernels::detail::gemm_cols_with(isa, a.data(), b.data(),
+                                          part.data(), m, k, n, j0, j1,
+                                          /*accumulate=*/false);
+          for (std::int64_t i = 0; i < m; ++i)
+            for (std::int64_t j = 0; j < n; ++j) {
+              const float want =
+                  j >= j0 && j < j1 ? full.data()[i * n + j] : -3.0f;
+              ASSERT_EQ(part.data()[i * n + j], want)
+                  << kernels::detail::isa_name(isa) << " m=" << m
+                  << " k=" << k << " n=" << n << " cols [" << j0 << ", "
+                  << j1 << ") elem (" << i << ", " << j << ")";
+            }
+        }
+      }
+    }
+  }
+  // The public entry point runs the selected variant.
+  const Tensor a = Tensor::uniform(Shape{2, 32}, rng, -1.0f, 1.0f);
+  const Tensor b = Tensor::uniform(Shape{32, 40}, rng, -1.0f, 1.0f);
+  Tensor full(Shape{2, 40});
+  Tensor part(Shape{2, 40});
+  kernels::gemm(a.data(), b.data(), full.data(), 2, 32, 40);
+  kernels::gemm_cols(a.data(), b.data(), part.data(), 2, 32, 40, 0, 17);
+  kernels::gemm_cols(a.data(), b.data(), part.data(), 2, 32, 40, 17, 40);
+  for (std::int64_t i = 0; i < 80; ++i)
+    ASSERT_EQ(part.data()[i], full.data()[i]) << "elem " << i;
 }
 
 TEST(PanelKernels, TiledGemmMatchesNaiveReference) {
