@@ -8,8 +8,8 @@
 //
 // BM_WavefrontStep and BM_TeamWake measure what the engine's column split
 // (cross-core model persistence) trades: one served 1-row wavefront step
-// run whole on one thread versus split by columns over a team of two
-// (each member's weight slice staying in its own cache), and the cost of
+// run whole on one thread versus split by columns over a team of two to
+// four (each member's weight slice staying in its own cache), and the cost of
 // waking a parked pool worker into a team. They set the engine's split
 // thresholds (exec/engine.cpp).
 
@@ -154,8 +154,8 @@ BENCHMARK(BM_GatherRows)->Arg(256)->Arg(1024);
 // One served wavefront step of one row: node 0 over child rows 1 and 2 of
 // a 3-row state table. For SeqLSTM the W·x products are hoisted into a
 // window first, as the engine does for a chain, so the step reads only
-// its four U matrices (1 MiB at h256). With team = 2 a second thread
-// serves a support::Team and each step splits by columns across both;
+// its four U matrices (1 MiB at h256). With team = k, k - 1 more threads
+// serve a support::Team and each step splits by columns across all k;
 // the step time includes the barrier.
 void BM_WavefrontStep(benchmark::State& state, const std::string& model,
                       std::int64_t hidden) {
@@ -174,7 +174,8 @@ void BM_WavefrontStep(benchmark::State& state, const std::string& model,
   const std::int32_t word = 3;
   const std::int32_t offsets[2] = {0, 2};
   const std::int32_t ids[2] = {1, 2};
-  std::vector<models::BatchedCellExecutor::Panels> panels(2);
+  std::vector<models::BatchedCellExecutor::Panels> panels(
+      static_cast<std::size_t>(team_size));
   std::vector<float> window;
   models::BatchedCellExecutor::HoistWindow win;
   const models::BatchedCellExecutor::HoistWindow* hoisted = nullptr;
@@ -192,9 +193,9 @@ void BM_WavefrontStep(benchmark::State& state, const std::string& model,
                    hoisted, models::ColumnShare{chunk, team_size});
   };
   auto team = std::make_shared<support::Team>();
-  std::thread member;
-  if (team_size > 1)
-    member = std::thread([team] { team->serve(1, [] { return false; }); });
+  std::vector<std::thread> members;
+  for (int m = 1; m < team_size; ++m)
+    members.emplace_back([team, m] { team->serve(m, [] { return false; }); });
   for (auto _ : state) {
     if (team_size > 1)
       team->run(team_size, step);
@@ -204,7 +205,7 @@ void BM_WavefrontStep(benchmark::State& state, const std::string& model,
     benchmark::ClobberMemory();
   }
   team->dismiss();
-  if (member.joinable()) member.join();
+  for (std::thread& t : members) t.join();
   state.counters["weight_KiB"] = static_cast<double>(
       exec.split_weight_bytes(false, hoisted != nullptr ? 1 : -1) / 1024);
 }
@@ -219,8 +220,7 @@ const bool kWavefrontStepRegistered = [] {
             .c_str(),
         BM_WavefrontStep, model, hidden)
         ->ArgName("team")
-        ->Arg(1)
-        ->Arg(2);
+        ->DenseRange(1, 4);
   return true;
 }();
 
@@ -236,9 +236,7 @@ void BM_TeamWake(benchmark::State& state) {
     auto team = std::make_shared<support::Team>();
     std::atomic<bool> joined{false};
     const auto t0 = std::chrono::steady_clock::now();
-    const int lent = pool.lend(1, [&team](int m) {
-      return [team, m](int) { team->serve(m, [] { return false; }); };
-    });
+    const int lent = pool.lend(1, team);
     if (lent == 1) {
       team->run(2, [&](int, int chunk) {
         if (chunk == 1) joined.store(true);

@@ -15,19 +15,24 @@ constexpr std::int64_t kF = sizeof(float);
 /// own panels are tall already.
 constexpr std::int64_t kHoistWindowBytes = std::int64_t{4} << 20;
 
-/// Threads a run borrows up to, itself included.
-constexpr int kMaxTeam = 4;
+/// Threads a run borrows up to, itself included. A lent team serves
+/// EnginePool traffic, and the pool-level benchmarks (servebench,
+/// bench_batch_server) have only measured teams of two; larger teams form
+/// only in an engine's own pool (set_num_threads), whose size its caller
+/// picks.
+constexpr int kMaxTeam = 2;
 /// A run borrows a team, and a wavefront narrower than its team splits by
 /// columns, only when one node's step reads at least this many bytes of
 /// kMatVec weights (BatchedCellExecutor::split_weight_bytes). The owner
 /// never waits for a lent thread, so what a split costs is its barrier and
 /// the gathers every member repeats. bench_micro_kernels, one 1-row step,
-/// median of 5, 4-vCPU AVX-512 Xeon, team of 1 -> 2 (BM_WavefrontStep):
-///   SeqLSTM h256, 1 MiB of U:   17.2 -> 11.8 µs
-///   DAG-RNN h256, 256 KiB:       4.5 ->  3.6 µs
-///   TreeLSTM h64, 80 KiB:        1.9 ->  3.0 µs (slower)
+/// median of 5, 4-vCPU AVX-512 Xeon, teams of 1 / 2 / 3 / 4
+/// (BM_WavefrontStep):
+///   SeqLSTM h256, 1 MiB of U:   19.3 / 13.4 / 12.5 / 8.3 µs
+///   DAG-RNN h256, 256 KiB:       4.6 /  4.2 /  4.1 / 3.7 µs
+///   TreeLSTM h64, 80 KiB:        2.6 /  3.5 /  3.6 / 4.1 µs (slower)
 /// so the smallest measured step that gains sets the bar. Waking a parked
-/// pool worker into a team (BM_TeamWake) takes ~27 µs at p50 and up to
+/// pool worker into a team (BM_TeamWake) takes ~27-36 µs at p50 and up to
 /// ~0.8 ms at p99, which the owner overlaps with the steps it runs alone.
 constexpr std::int64_t kSplitMinWeightBytes = std::int64_t{256} << 10;
 
@@ -155,15 +160,10 @@ void CortexEngine::run_one(const linearizer::Linearized& lin,
 
 void CortexEngine::run_chunks(support::Team* team, int n,
                               const support::Team::ChunkFn& fn) {
-  if (n <= 1) {
+  if (n <= 1)
     fn(0, 0);
-  } else if (team != nullptr) {
+  else
     team->run(n, fn);
-  } else {
-    pool_->parallel_for(n, [&](int worker, std::int64_t c0, std::int64_t c1) {
-      for (std::int64_t c = c0; c < c1; ++c) fn(worker, static_cast<int>(c));
-    });
-  }
 }
 
 void CortexEngine::run_panel(
@@ -319,8 +319,10 @@ void CortexEngine::run_numerics(const linearizer::Linearized& lin,
       batched_exec().split_weight_bytes(false, win.child) >=
           kSplitMinWeightBytes)
     lease = lender_(kMaxTeam - 1);
-  support::Team* const team = lease.team();
-  const int threads = team != nullptr ? lease.members() : pool_->num_threads();
+  support::Team* const team =
+      lease.team() != nullptr ? lease.team() : pool_->team();
+  const int threads =
+      lease.team() != nullptr ? lease.members() : pool_->num_threads();
   prof.host_threads = threads;
   if (worker_scratch_.size() < static_cast<std::size_t>(threads))
     worker_scratch_.resize(static_cast<std::size_t>(threads));

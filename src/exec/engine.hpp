@@ -19,12 +19,13 @@
 //      GEMMs, and ops that read only leaf children (a sequence cell's
 //      W·x) hoisted out of the wavefront loop into tall GEMMs over a
 //      window of wavefronts. Wavefronts and windows split by rows across
-//      the run's threads: the engine's own pool (set_num_threads), or a
-//      team of threads lent for the run (set_lender; EnginePool lends its
-//      idle workers). With a team, a wavefront narrower than the team
-//      splits by output columns instead, so each member keeps its column
-//      slice of the recurrent weights in its own cache for the whole run
-//      (model persistence, §5-6) and the team meets at one barrier per
+//      the run's team of threads (support::Team): the engine's own pool
+//      (set_num_threads), or threads lent for the run (set_lender;
+//      EnginePool lends an idle worker). A wavefront narrower than the
+//      team splits by output columns instead, when the cell's step reads
+//      enough weights, so each member keeps its column slice of the
+//      recurrent weights in its own cache for the whole run (model
+//      persistence, §5-6) and the team meets at one barrier per
 //      wavefront. This is the one served numeric path. The per-node
 //      CellExecutor walk runs only where the input selects it — a
 //      schedule without dynamic_batching, or a cell the panel executor
@@ -72,22 +73,25 @@ class CortexEngine {
   runtime::RunResult run_linearized(const linearizer::Linearized& lin,
                                     double linearization_ns);
 
-  /// Host threads the numeric wavefront executor uses. Defaults to the
+  /// Host threads the numeric wavefront executor uses: this engine's own
+  /// team, the caller plus n - 1 dedicated threads. Defaults to the
   /// hardware thread count (ThreadPool::default_num_threads) on first
-  /// use; n < 1 resets to that default. Outputs are bit-identical
-  /// at every thread count: nodes within a wavefront batch are independent
-  /// by construction and each writes only its own state row.
+  /// use; n < 1 resets to that default. Outputs are bit-identical at
+  /// every thread count: nodes within a wavefront batch are independent
+  /// by construction and each writes only its own state row (or, split
+  /// by columns, its own columns of it).
   void set_num_threads(int n);
 
   /// Lends a run threads: called with how many more threads the run can
   /// use, it returns a lease on a team of threads idle at that moment
   /// (members() == 1 when none are). Runs call it when the cell's
   /// recurrent step reads enough weights to be worth splitting
-  /// (BatchedCellExecutor::split_weight_bytes); with a team they split
-  /// wavefronts across it instead of across this engine's pool. Outputs
-  /// are bit-identical whatever the team size and whoever runs which
-  /// chunk. EnginePool sets it for each shard of a batch that has fewer
-  /// shards than workers, lending the workers idle when the run starts.
+  /// (BatchedCellExecutor::split_weight_bytes), asking for one thread at
+  /// most; with a team they split wavefronts across it instead of across
+  /// this engine's own pool. Outputs are bit-identical whatever the team
+  /// size and whoever runs which chunk. EnginePool sets it for each shard
+  /// of a batch that has fewer shards than workers, lending a worker idle
+  /// when the run starts.
   using Lender = std::function<support::TeamLease(int)>;
   void set_lender(Lender lender) { lender_ = std::move(lender); }
   int num_threads() const {
@@ -138,9 +142,9 @@ class CortexEngine {
                  const models::BatchedCellExecutor::HoistWindow* win,
                  std::int64_t win_first,
                  models::ColumnShare share = {});
-  /// Runs chunks [0, n) of one step across the run's threads, fn(thread,
-  /// chunk): claimed by the members of `team`, or without one statically
-  /// over this engine's pool (chunk c on thread c when n <= threads).
+  /// Runs chunks [0, n) of one step across the run's team, fn(thread,
+  /// chunk), each claimed by one member; inline when n <= 1 (a run
+  /// without a team only ever has one chunk).
   void run_chunks(support::Team* team, int n,
                   const support::Team::ChunkFn& fn);
   /// The child whose recurrence-free ops can be hoisted for this input:
@@ -156,8 +160,8 @@ class CortexEngine {
                            models::BatchedCellExecutor::HoistWindow& win,
                            std::int64_t& win_first, support::Team* team,
                            int threads);
-  /// Lazily builds the pool (and per-worker scratch) on first parallel use
-  /// so plan-only engines never spawn threads.
+  /// Lazily builds the pool (and per-thread scratch) on the first run, so
+  /// plan-only engines never spawn threads.
   void ensure_pool();
   /// Lazily builds the batched executor on first batched run: its
   /// transposed weight copies cost memory, so engines that never take the
@@ -185,7 +189,7 @@ class CortexEngine {
   /// kHoistWindowBytes, whatever the input size.
   std::vector<float> hoisted_;
   std::unique_ptr<support::ThreadPool> pool_;
-  /// One per thread of a run: the pool's, or a team's members.
+  /// One per thread of a run: the own pool's, or a lent team's members.
   std::vector<WorkerScratch> worker_scratch_;
   Lender lender_;
 };

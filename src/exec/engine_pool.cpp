@@ -52,14 +52,9 @@ EnginePool::EnginePool(const models::ModelDef& def,
 }
 
 support::TeamLease EnginePool::lend(int wanted) {
-  std::shared_ptr<support::Team> team;
-  support::TaskPool* const tasks = tasks_.get();
-  const int lent = tasks->lend(wanted, [&team, tasks](int member) {
-    if (!team) team = std::make_shared<support::Team>();
-    return [team, tasks, member](int) {
-      team->serve(member, [tasks] { return tasks->backlogged(); });
-    };
-  });
+  auto team = std::make_shared<support::Team>();
+  const int lent = tasks_->lend(wanted, team);
+  if (lent == 0) return support::TeamLease();
   return support::TeamLease(std::move(team), 1 + lent);
 }
 

@@ -14,13 +14,16 @@
 // runs on its own worker thread, with no pool of its own. A batch with
 // fewer shards than workers leaves workers idle, and its shards may
 // borrow them (CortexEngine::set_lender, support::Team): when the cell's
-// recurrent step reads enough weights, a shard's engine borrows the
-// workers idle when its run starts and splits each wavefront across
-// them, by columns when it is narrower than the team (cross-core model
+// recurrent step reads enough weights, a shard's engine borrows a worker
+// idle when its run starts (one at most: teams of two are the size the
+// split thresholds were measured at) and splits each wavefront with it,
+// by columns when it is narrower than the team (cross-core model
 // persistence). The owner never waits for a lent worker to wake and never
 // borrows a busy one, a batch that fills every worker lends nothing, and
 // a lent worker returns as soon as tasks queue up with no idle worker
-// left, so a saturated pool runs as it would without lending.
+// left — after its current chunk if it is running one, at once if it is
+// spinning or parked between steps — so a saturated pool runs as it
+// would without lending.
 //
 // Guarantees:
 //   - Determinism: pooled root_states are bit-identical to a single
@@ -35,9 +38,9 @@
 //     engines_[w] (tasks carry the executing worker's index), so
 //     concurrent run() calls from many client threads are safe with no
 //     per-engine locking. Workers lent to that run touch only their own
-//     scratch and their share of its state rows, between its barriers. One *structure instance* must still not be
-//     submitted by two threads at once (the linearizer writes per-node
-//     scratch into it).
+//     scratch and their share of its state rows, between its barriers.
+//     One *structure instance* must still not be submitted by two
+//     threads at once (the linearizer writes per-node scratch into it).
 //   - Exceptions: shard failures are *classified*. A
 //     cortex::TransientError (resource exhaustion, an injected transient
 //     fault — failures that may succeed on retry) re-runs the shard on

@@ -222,6 +222,13 @@ class CellExecutor {
   Scratch regs_;
 };
 
+/// Member `member` of a team of `members` splitting one step by output
+/// columns (BatchedCellExecutor::run_batch); the default runs it whole.
+struct ColumnShare {
+  int member = 0;
+  int members = 1;
+};
+
 /// Batched wavefront executor: runs one cell program over a whole dynamic
 /// batch of nodes at once instead of node by node. Child states and
 /// embedding rows are gathered into contiguous [rows, width] register
@@ -241,13 +248,6 @@ class CellExecutor {
 /// element is still one ascending-k add chain, so results stay
 /// bit-identical.
 ///
-/// Member `member` of a team of `members` splitting one step by output
-/// columns (BatchedCellExecutor::run_batch); the default runs it whole.
-struct ColumnShare {
-  int member = 0;
-  int members = 1;
-};
-
 /// Column split (cross-core model persistence): a wavefront narrower than
 /// the threads running it is split by output columns instead of rows.
 /// Each member of a team runs run_batch with its ColumnShare: every kMatVec

@@ -30,7 +30,13 @@ void TaskPool::shutdown() {
 }
 
 void TaskPool::update_backlog() {
-  backlogged_.store(queued_group_ > idle_, std::memory_order_relaxed);
+  const bool backlogged = queued_group_ > idle_;
+  if (backlogged == backlogged_.load(std::memory_order_relaxed)) return;
+  backlogged_.store(backlogged, std::memory_order_relaxed);
+  // Team::wake takes the team's lock after the store, so a parked member
+  // either saw backlogged() before it blocked or is woken to see it now.
+  if (backlogged)
+    for (const std::shared_ptr<Team>& team : lent_) team->wake();
 }
 
 void TaskPool::enqueue(TaskGroup* group, std::vector<Task> tasks) {
@@ -50,13 +56,20 @@ void TaskPool::enqueue(TaskGroup* group, std::vector<Task> tasks) {
     cv_.notify_all();
 }
 
-int TaskPool::lend(int max, const std::function<Task(int)>& make) {
+int TaskPool::lend(int max, const std::shared_ptr<Team>& team) {
   int k = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_) return 0;
     k = std::min(max, idle_ - static_cast<int>(queue_.size()));
-    for (int i = 1; i <= k; ++i) queue_.emplace_back(nullptr, make(i));
+    for (int i = 1; i <= k; ++i) {
+      lent_.push_back(team);
+      queue_.emplace_back(nullptr, [this, team, i](int) {
+        team->serve(i, [this] { return backlogged(); });
+        std::lock_guard<std::mutex> lock(mu_);
+        lent_.erase(std::find(lent_.begin(), lent_.end(), team));
+      });
+    }
   }
   if (k <= 0) return 0;
   if (k == 1)

@@ -2,14 +2,13 @@
 // Queue-based task pool + submit-and-wait groups for the engine pool
 // (exec/engine_pool.hpp).
 //
-// Why not ThreadPool? ThreadPool::parallel_for statically chunks one index
-// range, runs the caller as worker 0 and is deliberately not reentrant —
-// exactly right for the engine's wavefront loops, where one run owns the
-// pool. A serving pool is the opposite shape: every worker owns *state*
-// (a CortexEngine with its scratch and states tensor), tasks are
-// heterogeneous (one shard each), and many client threads submit batches
-// concurrently. Static chunking does not fit that, so this file adds the
-// submit-and-wait group:
+// Why not ThreadPool? A ThreadPool is one Team (support/team.hpp) whose
+// caller runs every step as its owner — exactly right for the engine's
+// wavefront loops, where one run owns the pool. A serving pool is the
+// opposite shape: every worker owns *state* (a CortexEngine with its
+// scratch and states tensor), tasks are heterogeneous (one shard each),
+// and many client threads submit batches concurrently. One owner's steps
+// do not fit that, so this file adds the submit-and-wait group:
 //   - TaskPool: N dedicated worker threads draining one FIFO queue. A
 //     task receives the executing worker's index, so per-worker state
 //     (engines_[worker]) is exclusive by construction — a worker runs one
@@ -19,12 +18,12 @@
 //     first exception thrown by any task in the group is rethrown from
 //     wait(); the pool and the group both stay usable afterwards.
 //   - Lending: a task may borrow workers that are idle at that moment
-//     (TaskPool::lend) to run alongside it, e.g. as members of a
-//     support::Team splitting one inference. Only workers beyond those the
-//     queued tasks will take are lent, and a lent worker should come back
-//     as soon as tasks queue up with no idle worker left (backlogged()),
-//     so lending never delays a queued task by more than the lent
-//     worker's current chunk of work.
+//     (TaskPool::lend) as members of the support::Team splitting its
+//     inference. Only workers beyond those the queued tasks will take are
+//     lent, and a lent worker comes back as soon as tasks queue up with no
+//     idle worker left (backlogged()): a spinning member sees it at once
+//     and a parked one is woken for it, so lending never delays a queued
+//     task by more than the lent worker's current chunk of work.
 
 #include <atomic>
 #include <condition_variable>
@@ -32,10 +31,13 @@
 #include <deque>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include "support/team.hpp"
 
 namespace cortex::support {
 
@@ -44,7 +46,7 @@ class TaskGroup;
 class TaskPool {
  public:
   /// A unit of work: fn(worker) runs on worker thread `worker` (0-based,
-  /// < num_threads()). Unlike ThreadPool, the submitting thread never
+  /// < num_threads()). Unlike a Team's owner, the submitting thread never
   /// executes tasks — it blocks in TaskGroup::wait().
   using Task = std::function<void(int)>;
 
@@ -57,13 +59,13 @@ class TaskPool {
   int num_threads() const { return num_threads_; }
 
   /// Lends up to `max` workers that are idle beyond the tasks already
-  /// queued: the i-th lent worker (i = 1..k) runs make(i)'s task, which
-  /// belongs to no group (nobody waits for it; it must not throw).
-  /// Returns k, 0 when no worker is idle. Never blocks on a worker.
-  int lend(int max, const std::function<Task(int)>& make);
+  /// queued to `team`: the i-th lent worker (i = 1..k) serves it as member
+  /// i until it is dismissed or the pool is backlogged(). Returns k, 0
+  /// when no worker is idle. Never blocks on a worker.
+  int lend(int max, const std::shared_ptr<Team>& team);
 
   /// True while queued group tasks outnumber the idle workers: a lent
-  /// worker should return to the pool. One relaxed load.
+  /// worker returns to the pool. One relaxed load.
   bool backlogged() const {
     return backlogged_.load(std::memory_order_relaxed);
   }
@@ -82,7 +84,8 @@ class TaskPool {
   /// group forever once the workers exit on the drained queue.
   void enqueue(TaskGroup* group, std::vector<Task> tasks);
   void worker_main(int worker);
-  /// Recomputes backlogged_; mu_ held.
+  /// Recomputes backlogged_ and, when it turns true, wakes the members
+  /// of every lent team parked between steps so they leave; mu_ held.
   void update_backlog();
 
   const int num_threads_;
@@ -94,6 +97,8 @@ class TaskPool {
   int idle_ = 0;         ///< workers waiting for a task
   int queued_group_ = 0; ///< queue_ entries that belong to a group
   std::atomic<bool> backlogged_{false};
+  /// One entry per lent worker still serving: the team it serves.
+  std::vector<std::shared_ptr<Team>> lent_;
   bool stop_ = false;
   bool joined_ = false;
 

@@ -66,7 +66,7 @@ void Team::run_chunk(int member, int chunk) {
   }
 }
 
-void Team::wake_all() {
+void Team::wake() {
   // Taking the lock orders this wake after a waiter's last check of its
   // condition (it holds mu_ from that check into cv_.wait), so no wake is
   // lost between the two.
@@ -84,7 +84,7 @@ void Team::run(int n, const ChunkFn& fn) {
   const std::uint32_t mask =
       (n == kMaxChunks ? 0u : ~0u << static_cast<unsigned>(n)) | 1u;
   word_.store(std::uint64_t{step_} << 32 | mask, std::memory_order_seq_cst);
-  if (sleepers_.load(std::memory_order_seq_cst) > 0) wake_all();
+  if (sleepers_.load(std::memory_order_seq_cst) > 0) wake();
 
   // Chunk 0, then any chunk left unclaimed — unless members already
   // finished all the others, which saves reading the claim word back.
@@ -122,7 +122,7 @@ void Team::run(int n, const ChunkFn& fn) {
 void Team::dismiss() {
   word_.store(std::uint64_t{kDismissed} << 32 | 0xffffffffu,
               std::memory_order_seq_cst);
-  wake_all();
+  wake();
 }
 
 void Team::serve(int member, const std::function<bool()>& leave) {
@@ -140,7 +140,7 @@ void Team::serve(int member, const std::function<bool()>& leave) {
     if (!woke) {
       std::unique_lock<std::mutex> lock(mu_);
       sleepers_.fetch_add(1, std::memory_order_seq_cst);
-      cv_.wait(lock, fresh);
+      cv_.wait(lock, [&] { return fresh() || (left = leave()); });
       sleepers_.fetch_sub(1, std::memory_order_relaxed);
     }
     const std::uint32_t step = step_of(word_.load(std::memory_order_acquire));
@@ -149,7 +149,7 @@ void Team::serve(int member, const std::function<bool()>& leave) {
     for (int c = claim(step, member); c >= 0; c = claim(step, member)) {
       run_chunk(member, c);
       done_.fetch_add(1, std::memory_order_seq_cst);
-      if (owner_blocked_.load(std::memory_order_seq_cst)) wake_all();
+      if (owner_blocked_.load(std::memory_order_seq_cst)) wake();
     }
   }
 }

@@ -16,7 +16,9 @@
 // Waiting spins first and then blocks: members between steps, and the
 // owner at the end of a step. A member may also leave between steps (its
 // `leave` predicate, e.g. "the lending pool has queued work"); its chunks
-// then fall to the others.
+// then fall to the others. A spinning member polls `leave`; a blocked one
+// re-checks it when woken (wake()), so whoever makes it true wakes the
+// team.
 //
 // The team is shared (std::shared_ptr) by the owner and the lent threads:
 // a lent thread that arrives after dismiss() returns at once, so the owner
@@ -57,6 +59,9 @@ class Team {
   /// until `leave()` is true between steps.
   void serve(int member, const std::function<bool()>& leave);
 
+  /// Wakes members blocked between steps to re-check their `leave`.
+  void wake();
+
  private:
   static constexpr std::uint32_t kDismissed = 0xffffffffu;
 
@@ -65,7 +70,6 @@ class Team {
   int claim(std::uint32_t step, int prefer);
   /// Runs one chunk, recording its exception instead of throwing.
   void run_chunk(int member, int chunk);
-  void wake_all();
 
   // The owner writes the first cache line, members the second: each
   // step moves each line between cores as few times as it can.

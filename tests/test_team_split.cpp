@@ -1,8 +1,9 @@
 // Cross-core model persistence: support::Team (owner + lent threads
 // splitting each step into claimed chunks), TaskPool lending of idle
-// workers, the engine's column-split wavefronts at team sizes 1-4 against
-// the per-node oracle, EnginePool borrowing its idle workers, and inputs
-// deep enough that a recursive walk would overflow the stack.
+// workers, the engine's column-split wavefronts at team sizes 1-4 (its
+// own pool's team) and with a borrowed team against the per-node oracle,
+// EnginePool borrowing its idle workers, and inputs deep enough that a
+// recursive walk would overflow the stack.
 
 #include <gtest/gtest.h>
 
@@ -171,14 +172,7 @@ TEST(TaskPoolLend, LendsOnlyIdleWorkersAndSignalsBacklog) {
     cv.wait(lock, [&] { return started == 3; });
   }
   // Every worker is busy: nothing to lend, and nothing queued yet.
-  int made = 0;
-  EXPECT_EQ(pool.lend(2,
-                      [&](int) {
-                        ++made;
-                        return support::TaskPool::Task([](int) {});
-                      }),
-            0);
-  EXPECT_EQ(made, 0);
+  EXPECT_EQ(pool.lend(2, std::make_shared<Team>()), 0);
   EXPECT_FALSE(pool.backlogged());
   support::TaskGroup late(pool);
   late.run([](int) {});
@@ -190,6 +184,38 @@ TEST(TaskPoolLend, LendsOnlyIdleWorkersAndSignalsBacklog) {
   cv.notify_all();
   group.wait();
   late.wait();
+}
+
+TEST(TaskPoolLend, ParkedMemberLeavesWhenTasksQueueUp) {
+  // A worker lent to a team whose owner runs no step parks after its
+  // spin. Two tasks then queue with one idle worker left: the parked
+  // member must come back and take one, while the team still stands.
+  support::TaskPool pool(2);
+  auto team = std::make_shared<Team>();
+  int lent = 0;  // once the fresh pool's workers are idle
+  for (int i = 0; i < 1000 && lent == 0; ++i) {
+    lent = pool.lend(1, team);
+    if (lent == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(lent, 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  std::mutex mu;
+  std::condition_variable cv;
+  int running = 0;
+  int met = 0;  // tasks that saw the other one running
+  const auto meet = [&](int) {
+    std::unique_lock<std::mutex> lock(mu);
+    ++running;
+    cv.notify_all();
+    if (cv.wait_for(lock, std::chrono::seconds(5),
+                    [&] { return running == 2; }))
+      ++met;
+  };
+  support::TaskGroup group(pool);
+  group.run(std::vector<support::TaskPool::Task>{meet, meet});
+  group.wait();
+  EXPECT_EQ(met, 2) << "the lent worker stayed parked in its team";
+  team->dismiss();
 }
 
 // -- column splits against the per-node oracle ------------------------------------
@@ -264,24 +290,45 @@ TEST_P(TeamZoo, ColumnSplitMatchesPerNodeAtTeamSizesOneToFour) {
   // Every cell here either splits with >= 256 KiB of weights per step or
   // not at all.
   const bool splits = probe.split_weight_bytes(false, 1) > 0;
+  std::int64_t wide = 0;  // wavefronts that split by rows
+  for (const std::int32_t len : lin.batch_length) wide += len > 1 ? 1 : 0;
+  const auto states = [&](const exec::CortexEngine& engine) {
+    return std::vector<float>(engine.last_states().data(),
+                              engine.last_states().data() +
+                                  lin.num_nodes * sw);
+  };
+  // The engine's own pool: a team of `team` threads for every run.
   for (int team = 1; team <= 4; ++team) {
     exec::CortexEngine engine(def, params, ra::Schedule{}, gpu());
-    engine.set_num_threads(1);
-    auto lender = std::make_shared<ThreadLender>(team - 1);
-    engine.set_lender([lender](int wanted) { return (*lender)(wanted); });
+    engine.set_num_threads(team);
     for (int rep = 0; rep < 3; ++rep) {
       const runtime::RunResult r = engine.run_linearized(lin, 0.0);
-      const std::vector<float> got(
-          engine.last_states().data(),
-          engine.last_states().data() + lin.num_nodes * sw);
-      ASSERT_EQ(got, ref) << def.name << " team=" << team << " rep=" << rep;
-      // A team is borrowed, and wavefronts split, only for a step heavy
-      // enough; then every narrow wavefront splits by columns.
-      if (team == 1 || !splits)
+      ASSERT_EQ(states(engine), ref)
+          << def.name << " team=" << team << " rep=" << rep;
+      EXPECT_EQ(r.profiler.host_threads, team);
+      // Narrow wavefronts split by columns only for a step heavy enough.
+      if (team == 1)
         EXPECT_EQ(r.profiler.parallel_batches, 0);
+      else if (splits)
+        EXPECT_GT(r.profiler.parallel_batches, wide);
       else
-        EXPECT_GT(r.profiler.parallel_batches, 0);
+        EXPECT_EQ(r.profiler.parallel_batches, wide);
     }
+  }
+  // A borrowed team: only a step heavy enough borrows, and never more
+  // than one thread, however many the lender has.
+  exec::CortexEngine engine(def, params, ra::Schedule{}, gpu());
+  engine.set_num_threads(1);
+  auto lender = std::make_shared<ThreadLender>(3);
+  engine.set_lender([lender](int wanted) { return (*lender)(wanted); });
+  for (int rep = 0; rep < 3; ++rep) {
+    const runtime::RunResult r = engine.run_linearized(lin, 0.0);
+    ASSERT_EQ(states(engine), ref) << def.name << " borrowed, rep=" << rep;
+    EXPECT_EQ(r.profiler.host_threads, splits ? 2 : 1);
+    if (splits)
+      EXPECT_GT(r.profiler.parallel_batches, wide);
+    else
+      EXPECT_EQ(r.profiler.parallel_batches, 0);
   }
 }
 
