@@ -1,7 +1,8 @@
 // Microbenchmarks of the kernel substrate (the repo's "vendor BLAS"
 // stand-in that every framework calls) using google-benchmark: GEMM
 // (naive vs blocked), every GEMM variant this host supports at the served
-// panel shapes, GEMV, fused elementwise chains, activations, and the
+// panel shapes over row-major and packed weights, GEMV, fused elementwise
+// chains, activations, and the
 // gather/scatter primitives the baselines use for contiguity. The variant
 // kernels::gemm picked at load is printed in the context header
 // ("gemm_variant") and recorded in the JSON output.
@@ -20,6 +21,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "models/model_zoo.hpp"
@@ -70,22 +72,41 @@ void BM_GemmBlocked(benchmark::State& state) {
 BENCHMARK(BM_GemmBlocked)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
 // Panel GEMM C[m, kn] = A[m, kn] @ B[kn, kn] as the batched executor
-// issues it: m rows of a wavefront against one transposed weight. Each
-// iteration moves to the next of eight weights, as a SeqLSTM step does,
-// so at kn = 256 the 2 MB of weights stream from L2 rather than sit in L1.
-void BM_PanelGemm(benchmark::State& state, kernels::detail::Isa isa) {
+// issues it: m rows of a wavefront against one weight, either row-major
+// (B = W^T, as kMatStack2 and matmul pass it) or packed into 64-column
+// strips (kernels::pack_strips, as the executor serves kMatVec). Each
+// iteration moves to the next of eight weights, as an unhoisted SeqLSTM
+// step does, so at kn = 256 the 2 MiB of weights do not stay in L1, nor,
+// with A and C beside them, entirely in a 2 MiB L2: the h256 rows time
+// streaming weights from L2 and L3 as well as the arithmetic.
+// The served shapes: at h256, m 1 (a batch-1 chain step), 16 and 26
+// (wavefronts of pooled multi-request shards) and 1024 (a full hoisted
+// W·x window, kHoistWindowBytes); at h64, m 8 (a TreeLSTM wavefront). The
+// strip width and k-block in tensor/kernels_tile.hpp cite these rows.
+void BM_PanelGemm(benchmark::State& state, kernels::detail::Isa isa,
+                  bool packed) {
   constexpr std::size_t kWeights = 8;
   const std::int64_t m = state.range(0);
   const std::int64_t kn = state.range(1);
   const auto a = random_vec(m * kn, 1);
   std::vector<std::vector<float>> b;
-  for (std::size_t w = 0; w < kWeights; ++w)
+  for (std::size_t w = 0; w < kWeights; ++w) {
     b.push_back(random_vec(kn * kn, 2 + w));
+    if (packed) {
+      std::vector<float> bp(b.back().size());
+      kernels::pack_strips(b.back().data(), bp.data(), kn, kn);
+      b.back() = std::move(bp);
+    }
+  }
   std::vector<float> c(static_cast<std::size_t>(m * kn));
   std::size_t w = 0;
   for (auto _ : state) {
-    kernels::detail::gemm_with(isa, a.data(), b[w].data(), c.data(), m, kn,
-                               kn, /*accumulate=*/false);
+    if (packed)
+      kernels::detail::gemm_packed_with(isa, a.data(), b[w].data(), c.data(),
+                                        m, kn, kn, 0, kn);
+    else
+      kernels::detail::gemm_with(isa, a.data(), b[w].data(), c.data(), m,
+                                 kn, kn, /*accumulate=*/false);
     benchmark::DoNotOptimize(c.data());
     benchmark::ClobberMemory();
     w = (w + 1) % kWeights;
@@ -99,12 +120,18 @@ const bool kPanelGemmRegistered = [] {
       "gemm_variant",
       kernels::detail::isa_name(kernels::detail::selected_isa()));
   for (const auto isa : kernels::detail::supported_isas())
-    benchmark::RegisterBenchmark(
-        ("BM_PanelGemm/" + std::string(kernels::detail::isa_name(isa)))
-            .c_str(),
-        BM_PanelGemm, isa)
-        ->ArgsProduct({{1, 2, 10, 32}, {64, 256}})
-        ->ArgNames({"m", "kn"});
+    for (const bool packed : {false, true})
+      benchmark::RegisterBenchmark(
+          ("BM_PanelGemm/" + std::string(kernels::detail::isa_name(isa)) +
+           (packed ? "/packed" : "/rowmajor"))
+              .c_str(),
+          BM_PanelGemm, isa, packed)
+          ->Args({1, 256})
+          ->Args({16, 256})
+          ->Args({26, 256})
+          ->Args({1024, 256})
+          ->Args({8, 64})
+          ->ArgNames({"m", "kn"});
   return true;
 }();
 

@@ -25,13 +25,18 @@ constexpr int kMaxTeam = 2;
 /// columns, only when one node's step reads at least this many bytes of
 /// kMatVec weights (BatchedCellExecutor::split_weight_bytes). The owner
 /// never waits for a lent thread, so what a split costs is its barrier and
-/// the gathers every member repeats. bench_micro_kernels, one 1-row step,
-/// median of 5, 4-vCPU AVX-512 Xeon, teams of 1 / 2 / 3 / 4
-/// (BM_WavefrontStep):
-///   SeqLSTM h256, 1 MiB of U:   19.3 / 13.4 / 12.5 / 8.3 µs
-///   DAG-RNN h256, 256 KiB:       4.6 /  4.2 /  4.1 / 3.7 µs
-///   TreeLSTM h64, 80 KiB:        2.6 /  3.5 /  3.6 / 4.1 µs (slower)
-/// so the smallest measured step that gains sets the bar. Waking a parked
+/// the gathers every member repeats. bench_micro_kernels, one 1-row step
+/// over packed weights with fused multiply-add GEMMs, 4-vCPU AVX-512
+/// Xeon, teams of 1 / 2 / 3 / 4 (BM_WavefrontStep), median of 5 runs
+/// alternating with the unfused, row-major kernels (in parentheses):
+///   SeqLSTM h256, 1 MiB of U:  22.9 / 15.4 / 17.4 / 12.1 µs
+///                             (23.2 / 18.3 / 16.7 / 12.5)
+///   DAG-RNN h256, 256 KiB:      6.0 /  5.0 /  5.7 /  4.4 µs
+///                              (6.1 /  5.5 /  5.4 /  4.3)
+///   TreeLSTM h64, 80 KiB:       2.6 /  4.8 /  5.0 /  5.7 µs (slower)
+///                              (2.7 /  5.1 /  5.2 /  5.3)
+/// so the smallest measured step that gains sets the bar. A 1-row step
+/// streams its weights once, so fusing barely moves it. Waking a parked
 /// pool worker into a team (BM_TeamWake) takes ~27-36 µs at p50 and up to
 /// ~0.8 ms at p99, which the owner overlaps with the steps it runs alone.
 constexpr std::int64_t kSplitMinWeightBytes = std::int64_t{256} << 10;

@@ -164,7 +164,7 @@ class CortexEngine {
   /// plan-only engines never spawn threads.
   void ensure_pool();
   /// Lazily builds the batched executor on first batched run: its
-  /// transposed weight copies cost memory, so engines that never take the
+  /// packed weight copies cost memory, so engines that never take the
   /// batched path (no dynamic batching, plan-only) never pay for it. Safe without locking for the same reason states_
   /// is: one engine is driven by one thread at a time. Deliberately NOT
   /// part of the shared CompiledArtifacts: artifacts are weight-

@@ -970,10 +970,9 @@ std::vector<BatchedCellExecutor::BatchedOp> BatchedCellExecutor::compile_ops(
         CORTEX_CHECK(reg_width_[static_cast<std::size_t>(b.in_regs[0])] ==
                      b.k)
             << "kMatVec input register width != param cols for " << op.out;
-        // Transposed copy: the panel GEMM C = In @ W^T wants B = W^T laid
-        // out (k, m) so its inner loops stay unit-stride.
-        b.param_t = Tensor(Shape{b.k, op.width});
-        kernels::transpose(w.data(), b.param_t.data(), op.width, b.k);
+        // The panel GEMM C = In @ W^T reads B = W^T in 64-column strips.
+        b.packed = Tensor(Shape{b.k, op.width});
+        kernels::pack_strips(w.data(), b.packed.data(), op.width, b.k);
         break;
       }
       case CellOpKind::kMatStack2: {
@@ -1172,11 +1171,12 @@ void BatchedCellExecutor::run_ops(const std::vector<BatchedOp>& bops,
         break;
       }
       case CellOpKind::kMatVec: {
-        // The whole panel in one GEMM: [rows, k] @ [k, m]. Accumulation
-        // order over k inside gemm matches gemv's, so every row is
+        // The whole panel in one GEMM: [rows, k] @ [k, m]. Each element is
+        // the fused chain over k that gemv computes, so every row is
         // bit-identical to the per-node matvec.
         const float* in = in_panel(b, 0);
-        kernels::gemm(in, b.param_t.data(), outp, rows, b.k, b.width);
+        kernels::gemm_packed(in, b.packed.data(), outp, rows, b.k, b.width,
+                             0, b.width);
         ++p.gemm_calls;
         break;
       }
@@ -1255,8 +1255,8 @@ void BatchedCellExecutor::run_split_op(const BatchedOp& b,
     if (c0 >= c1) continue;
     switch (b.kind) {
       case CellOpKind::kMatVec:
-        kernels::gemm_cols(ins[0], b.param_t.data(), outp, rows, b.k, b.width,
-                           c0, c1);
+        kernels::gemm_packed(ins[0], b.packed.data(), outp, rows, b.k,
+                             b.width, c0, c1);
         ++p.gemm_calls;
         break;
       case CellOpKind::kEltwise: {

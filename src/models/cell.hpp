@@ -232,10 +232,11 @@ struct ColumnShare {
 /// Batched wavefront executor: runs one cell program over a whole dynamic
 /// batch of nodes at once instead of node by node. Child states and
 /// embedding rows are gathered into contiguous [rows, width] register
-/// panels, every kMatVec becomes ONE panel GEMM (In @ W^T with the weight
-/// pre-transposed; the k accumulation order inside kernels::gemm matches
-/// kernels::gemv, so outputs are bit-identical to per-node execution),
-/// and eltwise ops evaluate vectorized across the panel. Registers live
+/// panels, every kMatVec becomes ONE panel GEMM (In @ W^T, with W^T packed
+/// once into kernels::pack_strips' 64-column strips; each output element
+/// is the fused multiply-add chain over k that kernels::gemv computes, so
+/// outputs are bit-identical to per-node execution), and eltwise ops
+/// evaluate vectorized across the panel. Registers live
 /// in a flat, index-addressed arena — no string maps on the hot path.
 ///
 /// Input hoisting: the internal ops that read only child `c`'s state
@@ -245,13 +246,13 @@ struct ColumnShare {
 /// run_hoisted computes those ops once for the whole window as tall
 /// panels into a side buffer, and run_batch then runs only the remaining
 /// ops, reading the hoisted registers' rows from that buffer. Each output
-/// element is still one ascending-k add chain, so results stay
+/// element is still one fused chain over k ascending, so results stay
 /// bit-identical.
 ///
 /// Column split (cross-core model persistence): a wavefront narrower than
 /// the threads running it is split by output columns instead of rows.
 /// Each member of a team runs run_batch with its ColumnShare: every kMatVec
-/// computes only the member's columns of its output (kernels::gemm_cols
+/// computes only the member's columns of its output (kernels::gemm_packed
 /// over its column slice of the weight, which therefore stays in that
 /// member's cache across steps), eltwise ops take the same columns, and a
 /// kConcat2 maps onto both inputs' shares. Gathers (child slices and sums,
@@ -353,7 +354,7 @@ class BatchedCellExecutor {
 
  private:
   /// One cell op, pre-lowered for panel execution: register names
-  /// resolved to arena indices, weights resolved (and transposed for
+  /// resolved to arena indices, weights resolved (and packed for
   /// kMatVec), eltwise compiled with param pointers pre-bound.
   struct BatchedOp {
     CellOpKind kind = CellOpKind::kEltwise;
@@ -364,7 +365,7 @@ class BatchedCellExecutor {
     std::int64_t offset = 0;
     float constant = 0.0f;
     Tensor param;       ///< kLeafEmbed table / kMatStack2 weight
-    Tensor param_t;     ///< kMatVec weight, transposed to (k, m)
+    Tensor packed;      ///< kMatVec weight W^T, kernels::pack_strips
     std::int64_t k = 0; ///< kMatVec reduction width
     CompiledEltwise compiled;
     std::vector<const float*> eparams;

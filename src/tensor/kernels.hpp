@@ -3,11 +3,15 @@
 // calls into (see DESIGN.md §2). Raw-pointer kernels operate on contiguous
 // row-major buffers; Tensor-typed wrappers add shape checking.
 //
-// gemm_naive and gemv are scalar references (tests compare against them).
-// gemm and gemm_acc run one of several instruction-set variants, picked
-// from CPUID once per process (see tensor/kernels_detail.hpp): a
-// register-blocked AVX-512 or AVX2 micro-kernel, or the portable
-// cache-blocked loop. Every variant is bit-identical to the references.
+// Numerics contract of every matrix product here (gemm*, gemv*): each
+// output element is one chain of fused multiply-adds, s = fmaf(a, b, s),
+// over k ascending from +0.0f (gemm_acc: from C). gemm_naive spells the
+// chain out and is the reference the tests compare against. The other
+// products run one of several instruction-set variants, picked from CPUID
+// once per process (see tensor/kernels_detail.hpp): a register-blocked
+// AVX-512 or AVX2 micro-kernel with FMA instructions, or the portable
+// build over std::fmaf. Every variant is bit-identical to the reference.
+// Elementwise kernels are not fused: each op rounds on its own.
 
 #include <cstdint>
 
@@ -29,8 +33,8 @@ void gemm(const float* a, const float* b, float* c, std::int64_t m,
 
 /// Columns [j0, j1) of C[m,n] = A[m,k] * B[k,n]: B and C keep their row
 /// stride n and no other column of C is written. Every element is the
-/// same ascending-k chain gemm computes, so threads that each take a
-/// column range of one product write exactly gemm's C, bit for bit.
+/// same fused chain gemm computes, so threads that each take a column
+/// range of one product write exactly gemm's C, bit for bit.
 void gemm_cols(const float* a, const float* b, float* c, std::int64_t m,
                std::int64_t k, std::int64_t n, std::int64_t j0,
                std::int64_t j1);
@@ -39,11 +43,24 @@ void gemm_cols(const float* a, const float* b, float* c, std::int64_t m,
 void gemm_acc(const float* a, const float* b, float* c, std::int64_t m,
               std::int64_t k, std::int64_t n);
 
-/// y[m] = A[m,k] * x[k].
+/// Lays out B[k,n] = W^T, for row-major W[n,k], as gemm_packed reads it:
+/// strips of 64 columns, each [k][64] (the last one [k][n % 64] when n is
+/// not a multiple of 64), one after the other. `out` holds k * n floats.
+/// Each k row of a strip is a run of whole cache lines, so the
+/// micro-kernel streams B sequentially instead of at a stride of n.
+void pack_strips(const float* w, float* out, std::int64_t n, std::int64_t k);
+
+/// gemm_cols with B packed by pack_strips: columns [j0, j1) of
+/// C[m,n] = A[m,k] * B[k,n], bit-identical to gemm over the row-major B.
+void gemm_packed(const float* a, const float* bp, float* c, std::int64_t m,
+                 std::int64_t k, std::int64_t n, std::int64_t j0,
+                 std::int64_t j1);
+
+/// y[m] = A[m,k] * x[k]: row i is gemm's chain over A's row i and x.
 void gemv(const float* a, const float* x, float* y, std::int64_t m,
           std::int64_t k);
 
-/// y[m] += A[m,k] * x[k].
+/// y[m] += A[m,k] * x[k]: each row's chain runs from +0.0f, then adds to y.
 void gemv_acc(const float* a, const float* x, float* y, std::int64_t m,
               std::int64_t k);
 
@@ -82,8 +99,7 @@ void gather_rows_strided(const float* table, std::int64_t stride,
                          const std::int32_t* idx, float* out,
                          std::int64_t rows, std::int64_t width);
 
-/// out[k,m] = a^T for row-major a[m,k]. Used once at executor build time
-/// to lay weights out so panel GEMMs (C = In @ W^T) keep B unit-stride.
+/// out[k,m] = a^T for row-major a[m,k].
 void transpose(const float* a, float* out, std::int64_t m, std::int64_t k);
 
 /// Scatter rows: table[idx[r],:] = in[r,:] for r in [0,rows).

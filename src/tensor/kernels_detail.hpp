@@ -1,7 +1,8 @@
 #pragma once
 // Instruction-set variants of the panel kernels: kernels::gemm /
-// kernels::gemm_acc and models::CompiledEltwise::eval_panel. They are
-// exposed so tests and benches can run every variant the host supports.
+// gemm_acc / gemm_cols / gemm_packed / gemv / gemv_acc and
+// models::CompiledEltwise::eval_panel. They are exposed so tests and
+// benches can run every variant the host supports.
 // Serving code calls the public entry points, which use selected_isa();
 // nothing here selects or overrides that choice.
 
@@ -9,7 +10,9 @@
 #include <vector>
 
 // x86-64 builds with GCC or Clang compile the AVX2 and AVX-512 variants
-// (as functions with a target attribute); other builds have only kPortable.
+// (the GEMMs in their own translation units, built for those targets; the
+// eltwise panels as functions with a target attribute); other builds have
+// only kPortable.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define CORTEX_X86_SIMD_VARIANTS 1
 #endif
@@ -17,8 +20,12 @@
 namespace cortex::kernels::detail {
 
 /// kPortable is built for the baseline target every host runs (SSE2 on
-/// x86-64); kAvx2 and kAvx512 use 32- and 64-byte vectors (the GEMM as a
-/// register-blocked micro-kernel). All three produce bit-identical results.
+/// x86-64, where each fused multiply-add is a std::fmaf call); kAvx2 and
+/// kAvx512 use 32- and 64-byte vectors and FMA instructions (the GEMM as a
+/// register-blocked micro-kernel), and a host runs them only when CPUID
+/// reports FMA too. All three produce bit-identical results: every matrix
+/// product is one fused chain per element (tensor/kernels.hpp), and the
+/// eltwise panels round every op on its own.
 enum class Isa { kPortable, kAvx2, kAvx512 };
 
 /// Printable name ("portable", "avx2", "avx512").
@@ -45,5 +52,15 @@ void gemm_with(Isa isa, const float* a, const float* b, float* c,
 void gemm_cols_with(Isa isa, const float* a, const float* b, float* c,
                     std::int64_t m, std::int64_t k, std::int64_t n,
                     std::int64_t j0, std::int64_t j1, bool accumulate);
+
+/// kernels::gemm_packed with a given variant; 0 <= j0 <= j1 <= n.
+void gemm_packed_with(Isa isa, const float* a, const float* bp, float* c,
+                      std::int64_t m, std::int64_t k, std::int64_t n,
+                      std::int64_t j0, std::int64_t j1);
+
+/// kernels::gemv (accumulate = false) or gemv_acc (accumulate = true) with
+/// a given variant.
+void gemv_with(Isa isa, const float* a, const float* x, float* y,
+               std::int64_t m, std::int64_t k, bool accumulate);
 
 }  // namespace cortex::kernels::detail

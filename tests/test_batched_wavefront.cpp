@@ -445,9 +445,11 @@ TEST(BatchedEnginePool, PoolMatchesSingleEngineWithBatchingOn) {
 
 TEST(PanelKernels, PanelGemmBitIdenticalToPerRowGemv) {
   // The load-bearing numerics contract: C = In @ W^T computed by
-  // kernels::gemm must equal per-row kernels::gemv bit for bit, for sizes
-  // exercising every tile/tail path, in every GEMM variant this host
-  // supports (kernels::gemm runs the one selected at load).
+  // kernels::gemm over the transposed weight, and by kernels::gemm_packed
+  // over the packed one the executor serves from, must equal per-row
+  // kernels::gemv bit for bit, for sizes exercising every tile/tail path,
+  // in every GEMM and GEMV variant this host supports (the public entry
+  // points run the one selected at load).
   Rng rng(17);
   for (const auto [rows, k, m] :
        {std::array<std::int64_t, 3>{1, 3, 2},
@@ -461,6 +463,8 @@ TEST(PanelKernels, PanelGemmBitIdenticalToPerRowGemv) {
     const Tensor w = Tensor::uniform(Shape{m, k}, rng, -1.0f, 1.0f);
     Tensor wt(Shape{k, m});
     kernels::transpose(w.data(), wt.data(), m, k);
+    Tensor wp(Shape{k, m});
+    kernels::pack_strips(w.data(), wp.data(), m, k);
 
     Tensor by_gemv(Shape{rows, m});
     for (std::int64_t r = 0; r < rows; ++r)
@@ -469,10 +473,25 @@ TEST(PanelKernels, PanelGemmBitIdenticalToPerRowGemv) {
       Tensor by_gemm(Shape{rows, m});
       kernels::detail::gemm_with(isa, in.data(), wt.data(), by_gemm.data(),
                                  rows, k, m, /*accumulate=*/false);
-      for (std::int64_t i = 0; i < rows * m; ++i)
+      Tensor by_packed(Shape{rows, m});
+      kernels::detail::gemm_packed_with(isa, in.data(), wp.data(),
+                                        by_packed.data(), rows, k, m, 0, m);
+      Tensor by_isa_gemv(Shape{rows, m});
+      for (std::int64_t r = 0; r < rows; ++r)
+        kernels::detail::gemv_with(isa, w.data(), in.row(r),
+                                   by_isa_gemv.row(r), m, k,
+                                   /*accumulate=*/false);
+      for (std::int64_t i = 0; i < rows * m; ++i) {
         ASSERT_EQ(by_gemm.data()[i], by_gemv.data()[i])
             << kernels::detail::isa_name(isa) << " rows=" << rows
             << " k=" << k << " m=" << m << " elem " << i;
+        ASSERT_EQ(by_packed.data()[i], by_gemv.data()[i])
+            << kernels::detail::isa_name(isa) << " packed rows=" << rows
+            << " k=" << k << " m=" << m << " elem " << i;
+        ASSERT_EQ(by_isa_gemv.data()[i], by_gemv.data()[i])
+            << kernels::detail::isa_name(isa) << " gemv rows=" << rows
+            << " k=" << k << " m=" << m << " elem " << i;
+      }
     }
   }
 }

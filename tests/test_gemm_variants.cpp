@@ -1,9 +1,10 @@
-// Every instruction-set variant of kernels::gemm / gemm_acc that this host
-// supports, against the scalar references bit for bit: row tails, column
-// tails, accumulation into C, and inputs holding signed zeros, infinities,
-// NaNs and denormals. The served numerics are bit-identical to the
-// per-node gemv oracle only because every variant keeps the same
-// ascending multiply-add chain per output.
+// Every instruction-set variant of kernels::gemm / gemm_acc / gemm_cols /
+// gemm_packed / gemv that this host supports, against the scalar
+// references bit for bit: row tails, column tails, k-blocks, packed strips
+// and their tails, accumulation into C, and inputs holding signed zeros,
+// infinities, NaNs and denormals. The served numerics are bit-identical to
+// the per-node gemv oracle only because every variant computes each output
+// as the same chain of fused multiply-adds, fmaf over k ascending.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "support/rng.hpp"
@@ -47,7 +49,8 @@ void gemm_acc_reference(const float* a, const float* b, float* c,
   for (std::int64_t i = 0; i < m; ++i)
     for (std::int64_t j = 0; j < n; ++j) {
       float s = c[i * n + j];
-      for (std::int64_t p = 0; p < k; ++p) s = s + a[i * k + p] * b[p * n + j];
+      for (std::int64_t p = 0; p < k; ++p)
+        s = std::fmaf(a[i * k + p], b[p * n + j], s);
       c[i * n + j] = s;
     }
 }
@@ -106,9 +109,13 @@ TEST(GemmVariants, SelectedIsWidestSupported) {
   ASSERT_FALSE(isas.empty());
   EXPECT_EQ(isas.front(), Isa::kPortable);
   EXPECT_EQ(isas.back(), kernels::detail::selected_isa());
-  // Printed so a CI log shows which variants this runner exercised.
-  std::printf("selected gemm variant: %s; supported:",
-              kernels::detail::isa_name(kernels::detail::selected_isa()));
+  // Printed so a CI log shows which variants this runner exercised, and
+  // whether the served products fuse with FMA instructions (kAvx2 and
+  // kAvx512 are selected only with FMA) or with std::fmaf calls.
+  const Isa selected = kernels::detail::selected_isa();
+  std::printf("selected gemm variant: %s (FMA instructions: %s); supported:",
+              kernels::detail::isa_name(selected),
+              selected == Isa::kPortable ? "no, std::fmaf" : "yes");
   for (Isa isa : isas) std::printf(" %s", kernels::detail::isa_name(isa));
   std::printf("\n");
 }
@@ -183,6 +190,130 @@ TEST(GemmVariants, DenormalProductsAndSignedZeroSums) {
     kernels::detail::gemm_with(isa, neg_zero.data(), ones.data(), c.data(),
                                m, k, n, /*accumulate=*/true);
     EXPECT_EQ(bits(c[0]), bits(-0.0f)) << kernels::detail::isa_name(isa);
+  }
+}
+
+// W = B^T for row-major B[k, n], packed for gemm_packed.
+std::vector<float> packed_from(const std::vector<float>& b, std::int64_t k,
+                               std::int64_t n) {
+  std::vector<float> w(static_cast<std::size_t>(k * n));
+  kernels::transpose(b.data(), w.data(), k, n);
+  std::vector<float> bp(w.size());
+  kernels::pack_strips(w.data(), bp.data(), n, k);
+  return bp;
+}
+
+TEST(GemmVariants, ChainIsFused) {
+  // Row i of A is [-(1 + 2^-11), 0, ..., 0, 1 + 2^-12] and column j of B
+  // is [1, junk, ..., junk, 1 + 2^-12]. The last product is
+  // 1 + 2^-11 + 2^-24 exactly: a fused multiply-add keeps the 2^-24, a
+  // rounded multiply loses it (a tie, rounded to even) before the add. The
+  // k of 130 spans two k-blocks, so the chain also crosses C.
+  const std::int64_t k = 130, n = 70;
+  const float lead = -(1.0f + 0x1p-11f);
+  const float tail = 1.0f + 0x1p-12f;
+  const float fused = 0x1p-24f;
+  ASSERT_EQ(std::fmaf(tail, tail, lead), fused);
+  ASSERT_EQ(lead + tail * tail, 0.0f);  // -ffp-contract=off: not fused
+
+  Rng rng(43);
+  std::vector<float> b = uniform(static_cast<std::size_t>(k * n), rng);
+  for (std::int64_t j = 0; j < n; ++j) {
+    b[static_cast<std::size_t>(j)] = 1.0f;
+    b[static_cast<std::size_t>((k - 1) * n + j)] = tail;
+  }
+  const std::vector<float> bp = packed_from(b, k, n);
+  std::vector<float> x(static_cast<std::size_t>(k));
+  for (std::int64_t p = 0; p < k; ++p)
+    x[static_cast<std::size_t>(p)] = b[static_cast<std::size_t>(p * n)];
+
+  for (Isa isa : kernels::detail::supported_isas())
+    for (std::int64_t m : {1, 2, 3, 5}) {
+      std::vector<float> a(static_cast<std::size_t>(m * k), 0.0f);
+      for (std::int64_t i = 0; i < m; ++i) {
+        a[static_cast<std::size_t>(i * k)] = lead;
+        a[static_cast<std::size_t>(i * k + k - 1)] = tail;
+      }
+      const std::string where =
+          std::string(kernels::detail::isa_name(isa)) + " m=" +
+          std::to_string(m);
+      const auto expect_fused = [&](const std::vector<float>& c,
+                                    std::int64_t j0, std::int64_t j1,
+                                    const char* what) {
+        for (std::int64_t i = 0; i < m; ++i)
+          for (std::int64_t j = j0; j < j1; ++j)
+            ASSERT_EQ(bits(c[static_cast<std::size_t>(i * n + j)]),
+                      bits(fused))
+                << where << " " << what << " elem (" << i << ", " << j
+                << ")";
+      };
+      std::vector<float> c(static_cast<std::size_t>(m * n));
+      kernels::detail::gemm_with(isa, a.data(), b.data(), c.data(), m, k, n,
+                                 /*accumulate=*/false);
+      expect_fused(c, 0, n, "gemm");
+      kernels::detail::gemm_cols_with(isa, a.data(), b.data(), c.data(), m,
+                                      k, n, 16, 48, /*accumulate=*/false);
+      expect_fused(c, 16, 48, "gemm_cols");
+      kernels::detail::gemm_packed_with(isa, a.data(), bp.data(), c.data(),
+                                        m, k, n, 0, n);
+      expect_fused(c, 0, n, "gemm_packed");
+      std::vector<float> y(static_cast<std::size_t>(m));
+      kernels::detail::gemv_with(isa, a.data(), x.data(), y.data(), m, k,
+                                 /*accumulate=*/false);
+      for (std::int64_t i = 0; i < m; ++i)
+        ASSERT_EQ(bits(y[static_cast<std::size_t>(i)]), bits(fused))
+            << where << " gemv row " << i;
+    }
+}
+
+TEST(GemmVariants, PackedMatchesRowMajor) {
+  // gemm_packed over every share a column split can take (shares start
+  // and end on 16-column edges, or at n) against gemm_cols over the
+  // row-major B: n = 200 ends in an 8-wide strip, k = 130 in a 2-deep
+  // k-block, and m covers the 2-row pair tiles, 4-row tiles and their row
+  // tails. Inputs carry signed zeros, infinities and NaNs.
+  Rng rng(47);
+  const std::int64_t k = 130, n = 200;
+  std::vector<std::int64_t> edges;
+  for (std::int64_t j = 0; j < n; j += 16) edges.push_back(j);
+  edges.push_back(n);
+  std::vector<std::pair<std::int64_t, std::int64_t>> shares;
+  for (std::size_t e = 0; e + 1 < edges.size(); ++e) {
+    shares.emplace_back(edges[e], edges[e + 1]);
+    shares.emplace_back(edges[e], n);
+    shares.emplace_back(0, edges[e + 1]);
+  }
+  auto b = uniform(static_cast<std::size_t>(k * n), rng);
+  sprinkle_specials(b, rng, 200);
+  const std::vector<float> bp = packed_from(b, k, n);
+  for (std::int64_t m : {1, 2, 3, 4, 5, 17}) {
+    auto a = uniform(static_cast<std::size_t>(m * k), rng);
+    sprinkle_specials(a, rng, 200);
+    std::vector<float> want(static_cast<std::size_t>(m * n));
+    kernels::gemm_naive(a.data(), b.data(), want.data(), m, k, n);
+    for (Isa isa : kernels::detail::supported_isas())
+      for (const auto& [j0, j1] : shares) {
+        const std::string where =
+            std::string(kernels::detail::isa_name(isa)) +
+            " m=" + std::to_string(m) + " cols [" + std::to_string(j0) +
+            ", " + std::to_string(j1) + ")";
+        std::vector<float> row_major(want.size(), -3.0f);
+        kernels::detail::gemm_cols_with(isa, a.data(), b.data(),
+                                        row_major.data(), m, k, n, j0, j1,
+                                        /*accumulate=*/false);
+        std::vector<float> packed(want.size(), -3.0f);
+        kernels::detail::gemm_packed_with(isa, a.data(), bp.data(),
+                                          packed.data(), m, k, n, j0, j1);
+        for (std::int64_t i = 0; i < m; ++i)
+          for (std::int64_t j = 0; j < n; ++j) {
+            const std::size_t e = static_cast<std::size_t>(i * n + j);
+            ASSERT_TRUE(same_float(packed[e], row_major[e]))
+                << where << " elem (" << i << ", " << j << ")";
+            ASSERT_TRUE(same_float(
+                packed[e], j >= j0 && j < j1 ? want[e] : -3.0f))
+                << where << " elem (" << i << ", " << j << ")";
+          }
+      }
   }
 }
 
