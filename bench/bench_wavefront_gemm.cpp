@@ -10,9 +10,9 @@
 // each step runs 4 panel GEMMs, the U·h products: panel_gemms is
 // 4 per window + 4 per step.
 //
-// The per-node column walks exec_order through models::CellExecutor
-// (the engine's own per-node path, selected there only by a schedule
-// without dynamic batching or a panel-incompatible cell).
+// The per-node column walks exec_order through models::CellExecutor, the
+// per-node oracle. The engine has no per-node path: panels serve every
+// schedule and every cell that CellProgram::validate accepts.
 //
 // Acceptance (full-size runs): single-thread batched speedup >= 2x over
 // per-node at batch >= 64. Outputs must be bit-identical in every row;

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
       batch, engine.lowered()->lin_spec.kind == linearizer::StructureKind::kDag
                  ? engine.lowered()->lin_spec
                  : linearizer::LinearizerSpec{linearizer::StructureKind::kDag,
-                                              true, true, 8});
+                                              8});
   std::printf("Wavefront batches: %lld (grid anti-diagonals: %lld)\n",
               static_cast<long long>(lin.num_batches()),
               static_cast<long long>(2 * grid - 1));

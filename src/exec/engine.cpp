@@ -89,8 +89,7 @@ CortexEngine::CortexEngine(const models::ModelDef& def,
       params_(params),
       schedule_(schedule),
       spec_(std::move(spec)),
-      artifacts_(obtain_artifacts(def, schedule_, spec_)),
-      cell_exec_(def.cell, params) {}
+      artifacts_(obtain_artifacts(def, schedule_, spec_)) {}
 
 models::BatchedCellExecutor& CortexEngine::batched_exec() {
   if (!batched_exec_)
@@ -139,28 +138,13 @@ runtime::RunResult CortexEngine::run(const std::vector<const ds::Dag*>& dags) {
 
 void CortexEngine::ensure_pool() {
   if (!pool_) pool_ = std::make_unique<support::ThreadPool>();
-  if (worker_scratch_.size() <
-      static_cast<std::size_t>(pool_->num_threads()))
-    worker_scratch_.resize(static_cast<std::size_t>(pool_->num_threads()));
 }
 
 void CortexEngine::set_num_threads(int n) {
   pool_ = std::make_unique<support::ThreadPool>(
       n < 1 ? support::ThreadPool::default_num_threads() : n);
-  worker_scratch_.assign(static_cast<std::size_t>(pool_->num_threads()),
-                         WorkerScratch{});
-}
-
-void CortexEngine::run_one(const linearizer::Linearized& lin,
-                           std::int64_t id, WorkerScratch& sc) {
-  const auto n = static_cast<std::size_t>(id);
-  const std::int32_t off0 = lin.child_offsets[n];
-  const std::int32_t off1 = lin.child_offsets[n + 1];
-  sc.kids.clear();
-  for (std::int32_t c = off0; c < off1; ++c)
-    sc.kids.push_back(states_.row(lin.child_ids[static_cast<std::size_t>(c)]));
-  cell_exec_.run_node(off0 == off1, sc.kids, lin.word[n], states_.row(id),
-                      sc.regs);
+  panels_.assign(static_cast<std::size_t>(pool_->num_threads()),
+                 models::BatchedCellExecutor::Panels{});
 }
 
 void CortexEngine::run_chunks(support::Team* team, int n,
@@ -273,8 +257,7 @@ std::int64_t CortexEngine::open_window(
     batched_exec().run_hoisted(
         win.rows * (c + 1) / chunks - w.row0,
         lin.child_offsets.data() + lo + w.row0, lin.child_ids.data(),
-        states_.data(), w,
-        worker_scratch_[static_cast<std::size_t>(thread)].panels);
+        states_.data(), w, panels_[static_cast<std::size_t>(thread)]);
   });
   return e;
 }
@@ -282,16 +265,10 @@ std::int64_t CortexEngine::open_window(
 void CortexEngine::run_numerics(const linearizer::Linearized& lin,
                                 runtime::Profiler& prof) {
   const std::int64_t t0 = runtime::now_ns();
-
-  if (!plan().dynamic_batching || lin.num_batches() == 0) {
-    // No wavefront structure to exploit: serial walk in topological order.
-    WorkerScratch sc;
-    for (const std::int32_t id : lin.exec_order) run_one(lin, id, sc);
-    prof.numerics_host_ns += static_cast<double>(runtime::now_ns() - t0);
-    return;
-  }
-
-  // Wavefront execution: each dynamic batch is a contiguous id range of
+  // Wavefront execution under every schedule: the linearizer emits the
+  // dynamic batches whatever the schedule says (dynamic_batching changes
+  // only the modeled device cost, account_unbatched), and they must cover
+  // every node. Each dynamic batch is a contiguous id range of
   // mutually independent nodes (ForKind::kParallel in the lowered ILIR),
   // split across the run's threads; the end of each split step is the
   // inter-batch barrier (the host mirror of the §A.4 insert_barriers
@@ -302,54 +279,50 @@ void CortexEngine::run_numerics(const linearizer::Linearized& lin,
   // Each thread's row range runs through the batched executor: child
   // states gathered into contiguous panels, one GEMM per kMatVec op over
   // the whole panel (§5's compute-dense form of dynamic batching, the
-  // Cavs/GRNN batching the per-node path leaves on the table). Rows are
+  // Cavs/GRNN batching a node-by-node walk leaves on the table). Rows are
   // computed independently inside a panel, so chunking — and hence the
   // thread count — cannot perturb any node's result.
+  std::int64_t covered = 0;
+  for (const std::int32_t len : lin.batch_length) covered += len;
+  CORTEX_CHECK(covered == lin.num_nodes)
+      << "the linearization's batches hold " << covered << " of its "
+      << lin.num_nodes << " nodes";
   ensure_pool();
-  // A cell only the per-node path can run (panel invariants are stricter)
-  // falls back transparently: supported() is false and the per-node
-  // executor below raises any actual model errors.
-  const bool batched = batched_exec().supported();
   // Input hoisting (BatchedCellExecutor's class comment): when child c
   // of every internal node is computed in batch 0, the ops that read only
   // child c run once per window of consecutive wavefronts, as tall
   // panels, and each wavefront runs only the ops left.
   models::BatchedCellExecutor::HoistWindow win;
-  win.child = batched ? hoist_child(lin) : -1;
+  win.child = hoist_child(lin);
   // Model persistence across cores: a recurrent step heavy enough to
   // split borrows the threads idle right now. The lease returns them when
   // the run ends, or throws.
   support::TeamLease lease;
-  if (lender_ && batched &&
-      batched_exec().split_weight_bytes(false, win.child) >=
-          kSplitMinWeightBytes)
+  if (lender_ && batched_exec().split_weight_bytes(false, win.child) >=
+                     kSplitMinWeightBytes)
     lease = lender_(kMaxTeam - 1);
   support::Team* const team =
       lease.team() != nullptr ? lease.team() : pool_->team();
   const int threads =
       lease.team() != nullptr ? lease.members() : pool_->num_threads();
   prof.host_threads = threads;
-  if (worker_scratch_.size() < static_cast<std::size_t>(threads))
-    worker_scratch_.resize(static_cast<std::size_t>(threads));
+  if (panels_.size() < static_cast<std::size_t>(threads))
+    panels_.resize(static_cast<std::size_t>(threads));
   // Reset the per-thread panel stats up front (not only after a run): a
   // run that throws mid-wavefront must not drain its partial counts into
   // the next run's profiler (EnginePool keeps serving an engine whose last
-  // batch failed).
-  for (WorkerScratch& sc : worker_scratch_) {
-    sc.panels.gemm_calls = 0;
-    sc.panels.panels_run = 0;
-    sc.panels.max_panel_rows = 0;
+  // batch failed). A thread runs at most ceil(len / threads) rows of a
+  // row-split wavefront, so reserve per-thread chunks, not whole batches.
+  const std::int64_t thread_rows =
+      (lin.max_batch_length() + threads - 1) / threads;
+  for (models::BatchedCellExecutor::Panels& p : panels_) {
+    p.gemm_calls = 0;
+    p.panels_run = 0;
+    p.max_panel_rows = 0;
+    batched_exec().reserve(thread_rows, p);
   }
-  if (batched) {
-    // A thread runs at most ceil(len / threads) rows of a row-split
-    // wavefront, so reserve per-thread chunks, not whole batches.
-    const std::int64_t thread_rows =
-        (lin.max_batch_length() + threads - 1) / threads;
-    for (WorkerScratch& sc : worker_scratch_)
-      batched_exec().reserve(thread_rows, sc.panels);
-  }
-  const auto scratch = [&](int thread) -> WorkerScratch& {
-    return worker_scratch_[static_cast<std::size_t>(thread)];
+  const auto panels = [&](int thread) -> models::BatchedCellExecutor::Panels& {
+    return panels_[static_cast<std::size_t>(thread)];
   };
   std::int64_t win_first = 0;  // node id of the window's row 0
   std::int64_t win_end = 1;    // first batch past the window
@@ -373,8 +346,8 @@ void CortexEngine::run_numerics(const linearizer::Linearized& lin,
     if (threads > 1 && (len > 1 || by_columns)) ++prof.parallel_batches;
     if (by_columns) {
       run_chunks(team, threads, [&](int thread, int c) {
-        run_panel(lin, begin, len, scratch(thread).panels, hoisted,
-                  win_first, {c, threads});
+        run_panel(lin, begin, len, panels(thread), hoisted, win_first,
+                  {c, threads});
       });
       continue;
     }
@@ -382,22 +355,16 @@ void CortexEngine::run_numerics(const linearizer::Linearized& lin,
     run_chunks(team, chunks, [&](int thread, int c) {
       const std::int64_t i0 = len * c / chunks;
       const std::int64_t i1 = len * (c + 1) / chunks;
-      if (batched) {
-        run_panel(lin, begin + i0, i1 - i0, scratch(thread).panels, hoisted,
-                  win_first);
-      } else {
-        for (std::int64_t i = i0; i < i1; ++i)
-          run_one(lin, begin + i, scratch(thread));
-      }
+      run_panel(lin, begin + i0, i1 - i0, panels(thread), hoisted,
+                win_first);
     });
   }
-  // Drain the per-worker panel stats into the profiler (the next batched
-  // run zeroes them before its wavefront loop).
-  for (WorkerScratch& sc : worker_scratch_) {
-    prof.batched_gemm_calls += sc.panels.gemm_calls;
-    prof.batched_panels += sc.panels.panels_run;
-    prof.max_panel_rows =
-        std::max(prof.max_panel_rows, sc.panels.max_panel_rows);
+  // Drain the per-worker panel stats into the profiler (the next run
+  // zeroes them before its wavefront loop).
+  for (const models::BatchedCellExecutor::Panels& p : panels_) {
+    prof.batched_gemm_calls += p.gemm_calls;
+    prof.batched_panels += p.panels_run;
+    prof.max_panel_rows = std::max(prof.max_panel_rows, p.max_panel_rows);
   }
   prof.numerics_host_ns += static_cast<double>(runtime::now_ns() - t0);
 }

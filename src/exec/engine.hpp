@@ -15,24 +15,24 @@
 //   2. executes the model numerics bottom-up over the linearized arrays
 //      (the exact semantics every baseline shares, so outputs are
 //      bit-comparable across frameworks) with the batched wavefront
-//      executor: each dynamic batch's per-node GEMVs fused into panel
-//      GEMMs, and ops that read only leaf children (a sequence cell's
-//      W·x) hoisted out of the wavefront loop into tall GEMMs over a
-//      window of wavefronts. Wavefronts and windows split by rows across
-//      the run's team of threads (support::Team): the engine's own pool
-//      (set_num_threads), or threads lent for the run (set_lender;
-//      EnginePool lends an idle worker). A wavefront narrower than the
-//      team splits by output columns instead, when the cell's step reads
-//      enough weights, so each member keeps its column slice of the
-//      recurrent weights in its own cache for the whole run (model
-//      persistence, §5-6) and the team meets at one barrier per
-//      wavefront. This is the one served numeric path. The per-node
-//      CellExecutor walk runs only where the input selects it — a
-//      schedule without dynamic_batching, or a cell the panel executor
-//      cannot run (!BatchedCellExecutor::supported()) — and is
-//      bit-identical by construction. The compiled ILIR (compile_ilir,
-//      run_ilir, and the test/bench kernel builder in exec/jit.hpp) is
-//      never on the served path,
+//      executor, under every schedule and for every cell that
+//      CellProgram::validate accepts: each dynamic batch's per-node GEMVs
+//      fused into panel GEMMs, and ops that read only leaf children (a
+//      sequence cell's W·x) hoisted out of the wavefront loop into tall
+//      GEMMs over a window of wavefronts. Wavefronts and windows split by
+//      rows across the run's team of threads (support::Team): the
+//      engine's own pool (set_num_threads), or threads lent for the run
+//      (set_lender; EnginePool lends an idle worker). A wavefront
+//      narrower than the team splits by output columns instead, when the
+//      cell's step reads enough weights, so each member keeps its column
+//      slice of the recurrent weights in its own cache for the whole run
+//      (model persistence, §5-6) and the team meets at one barrier per
+//      wavefront. This is the one numeric path: a schedule without
+//      dynamic_batching changes only the modeled device cost (one launch
+//      per node), not how the host computes. The per-node executor in
+//      models/cell.hpp is the oracle it is tested against, bit for bit.
+//      The compiled ILIR (compile_ilir, run_ilir, and the test/bench
+//      kernel builder in exec/jit.hpp) is never on the served path,
 //   3. accounts device cost on the virtual device model: kernel launches,
 //      off-chip traffic, barriers, per DESIGN.md §2's GPU substitution.
 
@@ -115,22 +115,8 @@ class CortexEngine {
   const Tensor& last_states() const { return states_; }
 
  private:
-  /// Per-worker mutable state for the numeric executor: cell scratch
-  /// registers, the gathered child-state pointers, and the batched
-  /// executor's panel workspace.
-  struct WorkerScratch {
-    models::CellExecutor::Scratch regs;
-    std::vector<const float*> kids;
-    models::BatchedCellExecutor::Panels panels;
-  };
-
   void run_numerics(const linearizer::Linearized& lin,
                     runtime::Profiler& prof);
-  /// Executes one node's cell program into its state row — the single
-  /// per-node body shared by the serial and parallel paths, so they can
-  /// never diverge numerically.
-  void run_one(const linearizer::Linearized& lin, std::int64_t id,
-               WorkerScratch& sc);
   /// Batched wavefront body: runs `n` consecutively numbered nodes
   /// starting at `first` (a worker's row range of one dynamic batch)
   /// through the BatchedCellExecutor, splitting the range into maximal
@@ -160,12 +146,12 @@ class CortexEngine {
                            models::BatchedCellExecutor::HoistWindow& win,
                            std::int64_t& win_first, support::Team* team,
                            int threads);
-  /// Lazily builds the pool (and per-thread scratch) on the first run, so
-  /// plan-only engines never spawn threads.
+  /// Lazily builds the pool on the first run, so plan-only engines never
+  /// spawn threads.
   void ensure_pool();
-  /// Lazily builds the batched executor on first batched run: its
-  /// packed weight copies cost memory, so engines that never take the
-  /// batched path (no dynamic batching, plan-only) never pay for it. Safe without locking for the same reason states_
+  /// Lazily builds the batched executor on the first run: its packed
+  /// weight copies cost memory, so engines that never run (plan-only)
+  /// never pay for it. Safe without locking for the same reason states_
   /// is: one engine is driven by one thread at a time. Deliberately NOT
   /// part of the shared CompiledArtifacts: artifacts are weight-
   /// independent by design (engines with different weights share one
@@ -182,15 +168,15 @@ class CortexEngine {
   ra::Schedule schedule_;
   runtime::DeviceSpec spec_;
   ArtifactsPtr artifacts_;
-  models::CellExecutor cell_exec_;
   std::unique_ptr<models::BatchedCellExecutor> batched_exec_;
   Tensor states_;
   /// Side buffer of the current hoisting window; never more than
   /// kHoistWindowBytes, whatever the input size.
   std::vector<float> hoisted_;
   std::unique_ptr<support::ThreadPool> pool_;
-  /// One per thread of a run: the own pool's, or a lent team's members.
-  std::vector<WorkerScratch> worker_scratch_;
+  /// Panel workspace, one per thread of a run: the own pool's, or a lent
+  /// team's members.
+  std::vector<models::BatchedCellExecutor::Panels> panels_;
   Lender lender_;
 };
 

@@ -67,7 +67,7 @@ struct Plan {
   /// Panel GEMMs the host batched wavefront executor issues per internal
   /// wavefront batch / per leaf batch: the kMatVec op counts of the cell
   /// programs (the leaf count falls back to the internal program for
-  /// single-formula models, mirroring CellExecutor's branch selection).
+  /// single-formula models, mirroring run_batch's branch selection).
   /// Host-executor metadata only — device cost comes from the templates —
   /// but it pins the exact batched_gemm_calls a single-threaded run must
   /// report: leaf + (num_batches - 1) * internal when input hoisting

@@ -33,15 +33,10 @@ namespace cortex::linearizer {
 enum class StructureKind { kSequence, kTree, kDag };
 
 /// Static description of the linearizer to generate, produced by RA
-/// lowering (§4.1) from the model's scheduling primitives.
+/// lowering (§4.1) from the model's structure. Every schedule gets the
+/// same arrays: wavefront batches with the leaves numbered last.
 struct LinearizerSpec {
   StructureKind kind = StructureKind::kTree;
-  /// Dynamic batching requested (`dynamic_batch` scheduling primitive)?
-  bool dynamic_batching = true;
-  /// Leaf-check specialization requested (`specialize` primitive)?
-  /// When false, leaves are interleaved with internal nodes in id order
-  /// and the generated code carries a conditional operator instead.
-  bool specialize_leaves = true;
   /// Declared maximum children per node (2 for the binary-tree models).
   std::int64_t max_children = 2;
 };
@@ -50,7 +45,7 @@ struct LinearizerSpec {
 struct Linearized {
   std::int64_t num_nodes = 0;
   std::int64_t num_leaves = 0;
-  /// Leaves occupy ids [first_leaf_id, num_nodes) under specialization.
+  /// Leaves occupy ids [first_leaf_id, num_nodes).
   std::int64_t first_leaf_id = 0;
 
   /// Child ids per node (binary structures); -1 for leaves.
@@ -67,13 +62,14 @@ struct Linearized {
   std::vector<std::int32_t> roots;
 
   /// Dynamic batches in bottom-up execution order; batch 0 is the leaf
-  /// batch when specialization is on. Node ids in batch i are the
+  /// batch (for DAGs, the source wavefront). Node ids in batch i are the
   /// contiguous range [batch_begin[i], batch_begin[i]+batch_length[i]).
   std::vector<std::int32_t> batch_begin;
   std::vector<std::int32_t> batch_length;
 
-  /// Execution order over individual nodes when dynamic batching is off
-  /// (a valid topological order, children before parents).
+  /// A node-by-node topological order (children before parents), walked
+  /// by the ILIR lowered without dynamic batching, by the modeled cost of
+  /// such a schedule and by per-node reference executors.
   std::vector<std::int32_t> exec_order;
 
   std::int64_t max_fanin = 0;

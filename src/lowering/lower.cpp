@@ -121,8 +121,6 @@ LoweredModel lower(const ra::Model& model, const ra::Schedule& schedule) {
   lm.output = out_name;
   lm.lin_spec.kind = model.kind;
   lm.lin_spec.max_children = model.max_children;
-  lm.lin_spec.dynamic_batching = schedule.dynamic_batching;
-  lm.lin_spec.specialize_leaves = schedule.specialize_leaves;
 
   ilir::Program& prog = lm.program;
   prog.name = model.name;

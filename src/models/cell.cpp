@@ -26,6 +26,8 @@ namespace {
 /// param-pointer table; enforced at compile() so eval can never overrun.
 constexpr std::int32_t kMaxStackDepth = 32;
 constexpr std::size_t kMaxEltParams = 8;
+static_assert(CompiledEltwise::kMaxInputs <= 10,
+              "eltwise input names e0..e<k> are one digit");
 /// Column shares of a split step are whole multiples of this many floats
 /// (a 64-byte cache line), so two members never write one line.
 constexpr std::int64_t kSplitAlign = 16;
@@ -78,11 +80,16 @@ void CompiledEltwise::compile(const ra::Expr& e) {
       prog_.push_back({OpCode::kPushConst, 0, static_cast<float>(e->iimm)});
       return;
     case ExprKind::kVar: {
-      CORTEX_CHECK(e->name.size() >= 2 && e->name[0] == 'e')
-          << "eltwise expr may only reference inputs e0..ek, got "
-          << e->name;
-      const std::int32_t slot = std::stoi(e->name.substr(1));
-      prog_.push_back({OpCode::kPushInput, slot, 0.0f});
+      // e0..e7: one digit below kMaxInputs.
+      const std::string& name = e->name;
+      CORTEX_CHECK(name.size() == 2 && name[0] == 'e' && name[1] >= '0' &&
+                   name[1] < static_cast<char>('0' + kMaxInputs))
+          << "eltwise expr may only reference inputs e0..e"
+          << kMaxInputs - 1 << ", got " << name;
+      const auto slot = static_cast<std::size_t>(name[1] - '0');
+      num_inputs_ = std::max(num_inputs_, slot + 1);
+      prog_.push_back(
+          {OpCode::kPushInput, static_cast<std::int32_t>(slot), 0.0f});
       return;
     }
     case ExprKind::kLoad: {
@@ -219,25 +226,30 @@ float CompiledEltwise::eval(std::int64_t i, const float* const* ins,
 struct EltwisePanel {
   [[gnu::always_inline]] static inline void run(
       const CompiledEltwise& ce, std::int64_t rows, std::int64_t width,
-      const float* const* ins, const float* const* params, float* out);
+      const float* const* ins, const std::int64_t* in_strides,
+      const float* const* params, float* out, std::int64_t out_stride);
 
 #ifdef CORTEX_X86_SIMD_VARIANTS
   [[gnu::target("avx2")]] static void avx2(
       const CompiledEltwise& ce, std::int64_t rows, std::int64_t width,
-      const float* const* ins, const float* const* params, float* out) {
-    run(ce, rows, width, ins, params, out);
+      const float* const* ins, const std::int64_t* in_strides,
+      const float* const* params, float* out, std::int64_t out_stride) {
+    run(ce, rows, width, ins, in_strides, params, out, out_stride);
   }
   [[gnu::target("avx512f")]] static void avx512(
       const CompiledEltwise& ce, std::int64_t rows, std::int64_t width,
-      const float* const* ins, const float* const* params, float* out) {
-    run(ce, rows, width, ins, params, out);
+      const float* const* ins, const std::int64_t* in_strides,
+      const float* const* params, float* out, std::int64_t out_stride) {
+    run(ce, rows, width, ins, in_strides, params, out, out_stride);
   }
 #endif
 };
 
 inline void EltwisePanel::run(const CompiledEltwise& ce, std::int64_t rows,
                               std::int64_t width, const float* const* ins,
-                              const float* const* params, float* out) {
+                              const std::int64_t* in_strides,
+                              const float* const* params, float* out,
+                              std::int64_t out_stride) {
   using OpCode = CompiledEltwise::OpCode;
   using Instr = CompiledEltwise::Instr;
   // Strip-mined interpretation: each instruction runs over a strip of
@@ -247,15 +259,14 @@ inline void EltwisePanel::run(const CompiledEltwise& ce, std::int64_t rows,
   // bit-identical to per-element evaluation in any order.
   float stack[kMaxStackDepth][kEltStrip];
   for (std::int64_t r = 0; r < rows; ++r) {
-    const std::int64_t base = r * width;
     for (std::int64_t i0 = 0; i0 < width; i0 += kEltStrip) {
       const std::int64_t len = std::min(kEltStrip, width - i0);
       int sp = 0;
       for (const Instr& it : ce.prog_) {
         switch (it.op) {
           case OpCode::kPushInput: {
-            const float* src =
-                ins[static_cast<std::size_t>(it.slot)] + base + i0;
+            const auto slot = static_cast<std::size_t>(it.slot);
+            const float* src = ins[slot] + r * in_strides[slot] + i0;
             float* dst = stack[sp++];
             for (std::int64_t e = 0; e < len; ++e) dst[e] = src[e];
             break;
@@ -350,7 +361,7 @@ inline void EltwisePanel::run(const CompiledEltwise& ce, std::int64_t rows,
           }
         }
       }
-      float* dst = out + base + i0;
+      float* dst = out + r * out_stride + i0;
       const float* s0 = stack[0];
       for (std::int64_t e = 0; e < len; ++e) dst[e] = s0[e];
     }
@@ -359,31 +370,36 @@ inline void EltwisePanel::run(const CompiledEltwise& ce, std::int64_t rows,
 
 void CompiledEltwise::eval_panel(std::int64_t rows, std::int64_t width,
                                  const float* const* ins,
-                                 const float* const* params,
-                                 float* out) const {
-  eval_panel_with(kernels::detail::selected_isa(), rows, width, ins, params,
-                  out);
+                                 const std::int64_t* in_strides,
+                                 const float* const* params, float* out,
+                                 std::int64_t out_stride) const {
+  eval_panel_with(kernels::detail::selected_isa(), rows, width, ins,
+                  in_strides, params, out, out_stride);
 }
 
 void CompiledEltwise::eval_panel_with(kernels::detail::Isa isa,
                                       std::int64_t rows, std::int64_t width,
                                       const float* const* ins,
-                                      const float* const* params,
-                                      float* out) const {
+                                      const std::int64_t* in_strides,
+                                      const float* const* params, float* out,
+                                      std::int64_t out_stride) const {
   CORTEX_CHECK(kernels::detail::supported(isa))
       << "eltwise variant " << kernels::detail::isa_name(isa)
       << " is not supported here";
   switch (isa) {
 #ifdef CORTEX_X86_SIMD_VARIANTS
     case kernels::detail::Isa::kAvx512:
-      EltwisePanel::avx512(*this, rows, width, ins, params, out);
+      EltwisePanel::avx512(*this, rows, width, ins, in_strides, params, out,
+                           out_stride);
       return;
     case kernels::detail::Isa::kAvx2:
-      EltwisePanel::avx2(*this, rows, width, ins, params, out);
+      EltwisePanel::avx2(*this, rows, width, ins, in_strides, params, out,
+                         out_stride);
       return;
 #endif
     default:
-      EltwisePanel::run(*this, rows, width, ins, params, out);
+      EltwisePanel::run(*this, rows, width, ins, in_strides, params, out,
+                        out_stride);
       return;
   }
 }
@@ -469,10 +485,76 @@ std::int64_t CellProgram::leaf_flops() const {
   return f;
 }
 
+namespace {
+/// Every element `op` reads lies inside the register or state it reads
+/// (CellProgram::validate): the executors index without further checks.
+void check_reads(const CellOp& op,
+                 const std::map<std::string, std::int64_t>& widths,
+                 std::int64_t state_width) {
+  const auto arity = [&](std::size_t n) {
+    CORTEX_CHECK(op.ins.size() == n)
+        << "op " << op.out << " takes " << n << " inputs, got "
+        << op.ins.size();
+  };
+  const auto in_width = [&](std::size_t k) { return widths.at(op.ins[k]); };
+  switch (op.kind) {
+    case CellOpKind::kSliceChild:
+    case CellOpKind::kChildSum:
+      CORTEX_CHECK(op.offset >= 0 && op.offset + op.width <= state_width)
+          << "op " << op.out << " reads state columns [" << op.offset << ", "
+          << op.offset + op.width << ") of " << state_width;
+      break;
+    case CellOpKind::kMatVec:
+      arity(1);
+      break;
+    case CellOpKind::kNodeMatVec:
+      arity(2);
+      CORTEX_CHECK(in_width(0) >= op.width * op.width &&
+                   in_width(1) >= op.width)
+          << "kNodeMatVec " << op.out << " reads a " << op.width << " x "
+          << op.width << " matrix and a " << op.width << " vector";
+      break;
+    case CellOpKind::kMatStack2:
+      arity(2);
+      CORTEX_CHECK(in_width(0) >= op.width && in_width(1) >= op.width)
+          << "kMatStack2 " << op.out << " reads " << op.width
+          << " floats of each input";
+      break;
+    case CellOpKind::kEltwise: {
+      CORTEX_CHECK(op.ins.size() <= CompiledEltwise::kMaxInputs)
+          << "eltwise op " << op.out << " has more than "
+          << CompiledEltwise::kMaxInputs << " inputs";
+      CORTEX_CHECK(op.expr != nullptr)
+          << "eltwise op " << op.out << " has no expression";
+      const CompiledEltwise ce(op.expr);
+      CORTEX_CHECK(ce.num_inputs() <= op.ins.size())
+          << "eltwise op " << op.out << " reads e" << ce.num_inputs() - 1
+          << " but has " << op.ins.size() << " inputs";
+      for (std::size_t k = 0; k < op.ins.size(); ++k)
+        CORTEX_CHECK(in_width(k) >= op.width)
+            << "eltwise op " << op.out << " (" << op.width
+            << " wide) reads the narrower register " << op.ins[k];
+      break;
+    }
+    case CellOpKind::kConcat2:
+      arity(2);
+      CORTEX_CHECK(in_width(0) <= op.width &&
+                   in_width(1) >= op.width - in_width(0))
+          << "kConcat2 " << op.out << " (" << op.width << " wide) of "
+          << op.ins[0] << " (" << in_width(0) << ") and " << op.ins[1]
+          << " (" << in_width(1) << ")";
+      break;
+    default:
+      break;
+  }
+}
+}  // namespace
+
 void CellProgram::validate() const {
   CORTEX_CHECK(state_width > 0) << "cell has no state width";
   CORTEX_CHECK(!internal_ops.empty()) << "cell has no internal program";
-  (void)register_widths();  // throws on conflicting register widths
+  // Throws on conflicting register widths.
+  const std::map<std::string, std::int64_t> widths = register_widths();
   for (const auto* ops : {&leaf_ops, &internal_ops}) {
     // Define before use within each program: a register written only by
     // the other program, or only by a later op, holds whatever the
@@ -483,6 +565,7 @@ void CellProgram::validate() const {
         CORTEX_CHECK(defined.count(in) > 0)
             << "op " << op.out << " reads register " << in
             << " before an earlier op of its program defines it";
+      check_reads(op, widths, state_width);
       defined.insert(op.out);
     }
     if (!ops->empty()) {
@@ -757,19 +840,8 @@ BatchedCellExecutor::BatchedCellExecutor(const CellProgram& cell,
     reg_offset_.push_back(total_width_);
     total_width_ += w;
   }
-  // Panel lowering enforces stricter invariants than per-node execution
-  // (see the class comment); a cell that only the per-node path can run
-  // must not fail engine construction, so lowering failure just leaves
-  // the executor unsupported.
-  try {
-    leaf_bops_ = compile_ops(cell.leaf_ops);
-    internal_bops_ = compile_ops(cell.internal_ops);
-    supported_ = true;
-  } catch (const Error&) {
-    leaf_bops_.clear();
-    internal_bops_.clear();
-    supported_ = false;
-  }
+  leaf_bops_ = compile_ops(cell.leaf_ops);
+  internal_bops_ = compile_ops(cell.internal_ops);
   for (std::size_t n = 0; n < leaf_bops_.size(); ++n)
     leaf_order_.push_back(static_cast<int>(n));
   for (std::size_t n = 0; n < internal_bops_.size(); ++n)
@@ -870,9 +942,11 @@ BatchedCellExecutor::ColumnPlan BatchedCellExecutor::plan_columns(
         // Whole when its inputs are whole, except the state's writer: two
         // members must never write the same state columns.
         if (!any_split && !b.is_last) break;
-        for (const int r : b.in_regs) {
-          const auto& sg = reg[static_cast<std::size_t>(r)];
+        for (std::size_t k = 0; k < b.in_regs.size(); ++k) {
+          const auto& sg = reg[static_cast<std::size_t>(b.in_regs[k])];
           if (sg.empty()) continue;
+          // A wider input's shares are of its own columns, not the op's.
+          if (b.in_widths[k] != b.width) return {};
           if (out.empty()) out = sg;
           if (sg != out) return {};
         }
@@ -881,11 +955,10 @@ BatchedCellExecutor::ColumnPlan BatchedCellExecutor::plan_columns(
       case CellOpKind::kConcat2: {
         if (!any_split && !b.is_last) break;
         const int in1 = b.in_regs[1];
-        const std::int64_t w0 =
-            reg_width_[static_cast<std::size_t>(b.in_regs[0])];
+        const std::int64_t w0 = b.in_widths[0];
         const std::int64_t w1 = b.width - w0;
         if (!reg[static_cast<std::size_t>(in1)].empty() &&
-            reg_width_[static_cast<std::size_t>(in1)] != w1)
+            b.in_widths[1] != w1)
           return {};
         out = segs_or_whole(b.in_regs[0], w0);
         for (Segment sg : segs_or_whole(in1, w1)) {
@@ -912,7 +985,6 @@ BatchedCellExecutor::ColumnPlan BatchedCellExecutor::plan_columns(
 
 std::int64_t BatchedCellExecutor::split_weight_bytes(bool leaf,
                                                      int hoist_child) const {
-  if (!supported_) return 0;
   const ColumnPlan& plan =
       hoist_width(hoist_child) > 0
           ? hoists_[static_cast<std::size_t>(hoist_child)].split
@@ -938,19 +1010,14 @@ std::vector<BatchedCellExecutor::BatchedOp> BatchedCellExecutor::compile_ops(
     b.child = op.child;
     b.offset = op.offset;
     b.constant = static_cast<float>(op.constant);
-    b.is_last = n + 1 == ops.size();
     // The last op writes straight into the caller's [rows, state_width]
-    // destination; any other width would stride into other nodes' rows
-    // (the per-node path checks the same thing at run time).
-    CORTEX_CHECK(!b.is_last || op.width == cell_.state_width)
-        << "last op width " << op.width << " != state width "
-        << cell_.state_width;
+    // destination, which validate() made exactly as wide.
+    b.is_last = n + 1 == ops.size();
     b.out_reg = reg_index_.at(op.out);
     for (const std::string& in : op.ins) {
-      auto it = reg_index_.find(in);
-      CORTEX_CHECK(it != reg_index_.end())
-          << "op " << op.out << " reads undefined register " << in;
-      b.in_regs.push_back(it->second);
+      b.in_regs.push_back(reg_index_.at(in));
+      b.in_widths.push_back(reg_width_[static_cast<std::size_t>(
+          b.in_regs.back())]);
     }
     switch (op.kind) {
       case CellOpKind::kLeafEmbed: {
@@ -967,8 +1034,7 @@ std::vector<BatchedCellExecutor::BatchedOp> BatchedCellExecutor::compile_ops(
             << "kMatVec param " << op.param << " must have " << op.width
             << " rows";
         b.k = w.shape().dim(1);
-        CORTEX_CHECK(reg_width_[static_cast<std::size_t>(b.in_regs[0])] ==
-                     b.k)
+        CORTEX_CHECK(b.in_widths[0] == b.k)
             << "kMatVec input register width != param cols for " << op.out;
         // The panel GEMM C = In @ W^T reads B = W^T in 64-column strips.
         b.packed = Tensor(Shape{b.k, op.width});
@@ -984,17 +1050,6 @@ std::vector<BatchedCellExecutor::BatchedOp> BatchedCellExecutor::compile_ops(
       }
       case CellOpKind::kEltwise: {
         b.compiled = CompiledEltwise(op.expr);
-        CORTEX_CHECK(op.ins.size() <= kMaxEltParams)
-            << "eltwise op " << op.out << " has too many inputs";
-        // Panel evaluation addresses input element (r, i) at r*width + i,
-        // which requires every input panel to share the op's width (true
-        // for every gate/eltwise op in the zoo; per-node execution only
-        // needs width(in) >= width(out)).
-        for (const int in : b.in_regs)
-          CORTEX_CHECK(reg_width_[static_cast<std::size_t>(in)] == op.width)
-              << "eltwise op " << op.out
-              << " input width != output width (unsupported in batched "
-                 "execution)";
         for (const std::string& pn : b.compiled.param_names())
           b.eparams.push_back(params_.at(pn).data());
         break;
@@ -1031,8 +1086,6 @@ void BatchedCellExecutor::run_batch(bool leaf, std::int64_t rows,
                                     Panels& p, const HoistWindow* hoisted,
                                     ColumnShare share) const {
   if (rows <= 0) return;
-  CORTEX_CHECK(supported_)
-      << "run_batch called on an unsupported BatchedCellExecutor";
   CORTEX_CHECK(share.members >= 1 && share.member >= 0 &&
                share.member < share.members)
       << "column share " << share.member << " of " << share.members;
@@ -1079,7 +1132,7 @@ void BatchedCellExecutor::run_hoisted(std::int64_t rows,
                                       const HoistWindow& w,
                                       Panels& p) const {
   if (rows <= 0) return;
-  CORTEX_CHECK(supported_ && hoist_width(w.child) > 0 && w.row0 >= 0 &&
+  CORTEX_CHECK(hoist_width(w.child) > 0 && w.row0 >= 0 &&
                w.row0 + rows <= w.rows)
       << "run_hoisted outside its window or without a hoist";
   const Hoist& h = hoists_[static_cast<std::size_t>(w.child)];
@@ -1122,7 +1175,7 @@ void BatchedCellExecutor::run_ops(const std::vector<BatchedOp>& bops,
     const BatchedOp& b = bops[static_cast<std::size_t>(n)];
     float* outp = b.is_last ? out : panel(b.out_reg);
     if (split != nullptr && !split->segs[static_cast<std::size_t>(n)].empty()) {
-      const float* ins[kMaxEltParams] = {nullptr};
+      const float* ins[CompiledEltwise::kMaxInputs] = {nullptr};
       for (std::size_t k = 0; k < b.in_regs.size(); ++k)
         ins[k] = in_panel(b, k);
       run_split_op(b, split->segs[static_cast<std::size_t>(n)], share, rows,
@@ -1185,13 +1238,9 @@ void BatchedCellExecutor::run_ops(const std::vector<BatchedOp>& bops,
         // per-row gemv the per-node path runs.
         const float* m = in_panel(b, 0);
         const float* x = in_panel(b, 1);
-        const std::int64_t w0 =
-            reg_width_[static_cast<std::size_t>(b.in_regs[0])];
-        const std::int64_t w1 =
-            reg_width_[static_cast<std::size_t>(b.in_regs[1])];
         for (std::int64_t r = 0; r < rows; ++r)
-          kernels::gemv(m + r * w0, x + r * w1, outp + r * b.width, b.width,
-                        b.width);
+          kernels::gemv(m + r * b.in_widths[0], x + r * b.in_widths[1],
+                        outp + r * b.width, b.width, b.width);
         break;
       }
       case CellOpKind::kMatStack2: {
@@ -1199,37 +1248,31 @@ void BatchedCellExecutor::run_ops(const std::vector<BatchedOp>& bops,
         p.stacked.resize(static_cast<std::size_t>(2 * h * h));
         const float* in0 = in_panel(b, 0);
         const float* in1 = in_panel(b, 1);
-        const std::int64_t w0 =
-            reg_width_[static_cast<std::size_t>(b.in_regs[0])];
-        const std::int64_t w1 =
-            reg_width_[static_cast<std::size_t>(b.in_regs[1])];
         for (std::int64_t r = 0; r < rows; ++r) {
-          kernels::copy(in0 + r * w0, p.stacked.data(), h * h);
-          kernels::copy(in1 + r * w1, p.stacked.data() + h * h, h * h);
+          kernels::copy(in0 + r * b.in_widths[0], p.stacked.data(), h * h);
+          kernels::copy(in1 + r * b.in_widths[1], p.stacked.data() + h * h,
+                        h * h);
           kernels::gemm(b.param.data(), p.stacked.data(),
                         outp + r * b.width, h, 2 * h, h);
         }
         break;
       }
       case CellOpKind::kEltwise: {
-        const float* ins_arr[kMaxEltParams] = {nullptr};
+        const float* ins_arr[CompiledEltwise::kMaxInputs] = {nullptr};
         for (std::size_t k = 0; k < b.in_regs.size(); ++k)
           ins_arr[k] = in_panel(b, k);
-        b.compiled.eval_panel(rows, b.width, ins_arr, b.eparams.data(),
-                              outp);
+        b.compiled.eval_panel(rows, b.width, ins_arr, b.in_widths.data(),
+                              b.eparams.data(), outp, b.width);
         break;
       }
       case CellOpKind::kConcat2: {
         const float* in0 = in_panel(b, 0);
         const float* in1 = in_panel(b, 1);
-        const std::int64_t w0 =
-            reg_width_[static_cast<std::size_t>(b.in_regs[0])];
-        const std::int64_t w1s =
-            reg_width_[static_cast<std::size_t>(b.in_regs[1])];
-        const std::int64_t w1 = b.width - w0;
+        const std::int64_t w0 = b.in_widths[0];
         for (std::int64_t r = 0; r < rows; ++r) {
           kernels::copy(in0 + r * w0, outp + r * b.width, w0);
-          kernels::copy(in1 + r * w1s, outp + r * b.width + w0, w1);
+          kernels::copy(in1 + r * b.in_widths[1], outp + r * b.width + w0,
+                        b.width - w0);
         }
         break;
       }
@@ -1260,28 +1303,24 @@ void BatchedCellExecutor::run_split_op(const BatchedOp& b,
         ++p.gemm_calls;
         break;
       case CellOpKind::kEltwise: {
-        // Params are 1-D over the register width; inputs share its width.
+        // Columns [c0, c1) of every input and of the 1-D params.
         const float* prm[kMaxEltParams] = {nullptr};
         for (std::size_t k = 0; k < b.eparams.size(); ++k)
           prm[k] = b.eparams[k] + c0;
-        const float* in_r[kMaxEltParams] = {nullptr};
-        for (std::int64_t r = 0; r < rows; ++r) {
-          for (std::size_t k = 0; k < b.in_regs.size(); ++k)
-            in_r[k] = ins[k] + r * b.width + c0;
-          b.compiled.eval_panel(1, c1 - c0, in_r, prm,
-                                outp + r * b.width + c0);
-        }
+        const float* in_c[CompiledEltwise::kMaxInputs] = {nullptr};
+        for (std::size_t k = 0; k < b.in_regs.size(); ++k)
+          in_c[k] = ins[k] + c0;
+        b.compiled.eval_panel(rows, c1 - c0, in_c, b.in_widths.data(), prm,
+                              outp + c0, b.width);
         break;
       }
       case CellOpKind::kConcat2: {
         // A segment lies inside one input (plan_columns builds it so).
-        const std::int64_t w0 =
-            reg_width_[static_cast<std::size_t>(b.in_regs[0])];
-        const std::int64_t w1s =
-            reg_width_[static_cast<std::size_t>(b.in_regs[1])];
+        const std::int64_t w0 = b.in_widths[0];
         for (std::int64_t r = 0; r < rows; ++r) {
-          const float* src = c0 < w0 ? ins[0] + r * w0 + c0
-                                     : ins[1] + r * w1s + (c0 - w0);
+          const float* src = c0 < w0
+                                 ? ins[0] + r * w0 + c0
+                                 : ins[1] + r * b.in_widths[1] + (c0 - w0);
           kernels::copy(src, outp + r * b.width + c0, c1 - c0);
         }
         break;

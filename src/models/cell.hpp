@@ -72,24 +72,34 @@ class CompiledEltwise {
   float eval(std::int64_t i, const std::vector<const float*>& ins,
              const std::map<std::string, const float*>& params) const;
 
-  /// Evaluates the expression over a whole [rows, width] panel:
-  /// out[r*width + i] = expr(ins[j][r*width + i], params[k][i]). The
-  /// interpreter is strip-mined so each instruction runs over a vector of
-  /// elements; per element the arithmetic is the identical scalar op
-  /// sequence, so results are bit-identical to eval() element by element.
-  /// Runs the instruction-set variant kernels::gemm uses.
+  /// Evaluates the expression over the first `width` columns of `rows`
+  /// panel rows: out[r*out_stride + i] = expr(ins[j][r*in_strides[j] + i],
+  /// params[k][i]), so an input panel may be wider than the output (the
+  /// op reads its first `width` elements). The interpreter is strip-mined
+  /// so each instruction runs over a vector of elements; per element the
+  /// arithmetic is the identical scalar op sequence, so results are
+  /// bit-identical to eval() element by element. Runs the instruction-set
+  /// variant kernels::gemm uses.
   void eval_panel(std::int64_t rows, std::int64_t width,
-                  const float* const* ins, const float* const* params,
-                  float* out) const;
+                  const float* const* ins, const std::int64_t* in_strides,
+                  const float* const* params, float* out,
+                  std::int64_t out_stride) const;
   /// eval_panel with a given variant, which must be in
   /// kernels::detail::supported_isas() (tests and benches run each one).
   void eval_panel_with(kernels::detail::Isa isa, std::int64_t rows,
                        std::int64_t width, const float* const* ins,
-                       const float* const* params, float* out) const;
+                       const std::int64_t* in_strides,
+                       const float* const* params, float* out,
+                       std::int64_t out_stride) const;
+
+  /// Most inputs (e0..e7) an expression, and so an eltwise op, may read.
+  static constexpr std::size_t kMaxInputs = 8;
 
   bool empty() const { return prog_.empty(); }
   /// Number of arithmetic instructions (used in flop accounting).
   std::int64_t arith_ops() const { return arith_ops_; }
+  /// One more than the highest input index the expression reads.
+  std::size_t num_inputs() const { return num_inputs_; }
 
  private:
   enum class OpCode : std::uint8_t {
@@ -108,6 +118,7 @@ class CompiledEltwise {
   std::vector<Instr> prog_;
   std::vector<std::string> param_names_;
   std::int64_t arith_ops_ = 0;
+  std::size_t num_inputs_ = 0;
   std::int32_t max_depth_ = 0;  ///< peak operand-stack depth of prog_
 
  public:
@@ -139,9 +150,14 @@ struct CellProgram {
   std::int64_t internal_flops() const;
   /// Sum of per-node flops over leaf ops.
   std::int64_t leaf_flops() const;
-  /// Validates register/width consistency and define-before-use: every
-  /// op input must be written by an earlier op of the same (leaf or
-  /// internal) program. Throws on error.
+  /// Validates register/width consistency, define-before-use (every op
+  /// input must be written by an earlier op of the same (leaf or
+  /// internal) program) and that every read stays inside what it reads:
+  /// each op has its kind's inputs, wide enough for the elements it takes
+  /// from them, an eltwise expression reads only e0..e<inputs - 1> of at
+  /// most CompiledEltwise::kMaxInputs, and child slices lie inside the
+  /// state. Both executors run every cell that passes (given params
+  /// shaped as its ops read them). Throws on error.
   void validate() const;
 };
 
@@ -163,17 +179,21 @@ struct ModelParams {
   std::int64_t elems(const std::string& name) const;
 };
 
-/// Executes one node's cell program natively (the shared numeric kernel
-/// used by all engines). `child_states` holds num_children pointers to
-/// state vectors (may be empty for leaves). Scratch registers are managed
-/// by the caller via `regs` (register name -> buffer of its width).
+/// Executes one node's cell program natively: the per-node reference
+/// semantics every engine reproduces bit for bit. `child_states` holds
+/// num_children pointers to state vectors (may be empty for leaves).
+/// Scratch registers are managed by the caller via `regs` (register name
+/// -> buffer of its width).
 void run_cell_node(const std::vector<CellOp>& ops, const ModelParams& params,
                    const std::vector<const float*>& child_states,
                    std::int32_t word,
                    std::map<std::string, std::vector<float>>& regs,
                    float* out_state, std::int64_t state_width);
 
-/// Pre-compiled eltwise cache for hot loops (keyed by op pointer).
+/// The per-node executor: run_cell_node with eltwise expressions
+/// compiled and registers preallocated. It is the oracle the panel path
+/// is checked against (baselines::compute_states, tests); the engine
+/// serves every step with BatchedCellExecutor.
 ///
 /// After construction the executor is read-only, so any number of threads
 /// may call the Scratch-taking run_node overload concurrently as long as
@@ -258,9 +278,11 @@ struct ColumnShare {
 /// kConcat2 maps onto both inputs' shares. Gathers (child slices and sums,
 /// embeddings) are cheap and run whole on every member. A program whose
 /// kMatVec reads a register only computed in shares (SeqGRU's
-/// Uh·(r⊙h)), or that has a kNodeMatVec / kMatStack2, cannot split: member
-/// 0 runs it whole and the others do nothing. Each output element is still
-/// the one chain per-node execution computes, so shares are bit-identical.
+/// Uh·(r⊙h)), whose eltwise reads a register computed in shares but wider
+/// than the op, or that has a kNodeMatVec / kMatStack2, cannot split:
+/// member 0 runs it whole and the others do nothing. Each output element
+/// is still the one chain per-node execution computes, so shares are
+/// bit-identical.
 ///
 /// Immutable after construction: any number of threads may call run_batch
 /// concurrently as long as each passes its own Panels (the engine keeps
@@ -295,18 +317,11 @@ class BatchedCellExecutor {
     std::int64_t row0 = 0;
   };
 
-  /// Throws when the cell fails CellProgram::validate(). Otherwise never
-  /// throws for shapes the per-node path accepts: panel execution
-  /// needs strictly more than per-node execution does (e.g. eltwise input
-  /// registers exactly as wide as the output, <= 8 eltwise inputs), so a
-  /// cell that violates a panel-only invariant — or whose params are
-  /// malformed — just marks the executor unsupported() and callers fall
-  /// back to per-node execution (which raises the reference diagnostics).
+  /// Runs every cell that passes CellProgram::validate(). Throws when the
+  /// cell fails it, or when a param the cell reads is missing or shaped
+  /// unlike its op (an embedding table or kMatVec weight not as wide as
+  /// the register it fills or reads, a kMatStack2 weight not (H, 2H)).
   BatchedCellExecutor(const CellProgram& cell, const ModelParams& params);
-
-  /// False when the cell program cannot run as panels; run_batch must
-  /// not be called then (the engine falls back to the per-node path).
-  bool supported() const { return supported_; }
 
   /// Executes the leaf or internal program for `rows` consecutively
   /// numbered nodes. `words` holds the per-row word ids; `child_offsets`
@@ -361,6 +376,7 @@ class BatchedCellExecutor {
     std::int64_t width = 0;
     int out_reg = -1;
     std::vector<int> in_regs;
+    std::vector<std::int64_t> in_widths;  ///< row stride of each input
     int child = 0;
     std::int64_t offset = 0;
     float constant = 0.0f;
@@ -445,7 +461,6 @@ class BatchedCellExecutor {
   std::vector<Hoist> hoists_;        ///< by child index
   ColumnPlan leaf_split_;
   ColumnPlan internal_split_;
-  bool supported_ = false;
 };
 
 }  // namespace cortex::models

@@ -36,21 +36,5 @@ inline float sigmoid_rational(float x) {
 
 /// out[i] = tanh(a[i]) using the rational approximation.
 void tanh_vec(const float* a, float* out, std::int64_t n);
-/// out[i] = sigmoid(a[i]) using the rational approximation.
-void sigmoid_vec(const float* a, float* out, std::int64_t n);
-/// out[i] = max(a[i], 0).
-void relu_vec(const float* a, float* out, std::int64_t n);
-
-/// Enumeration of pointwise activations used by model definitions and IRs.
-enum class Activation { kTanh, kSigmoid, kRelu, kIdentity };
-
-/// Scalar application of an Activation (rational variants).
-float apply_activation(Activation act, float x);
-/// Vector application of an Activation (rational variants).
-void apply_activation_vec(Activation act, const float* a, float* out,
-                          std::int64_t n);
-
-/// Printable name ("tanh", "sigmoid", ...).
-const char* activation_name(Activation act);
 
 }  // namespace cortex::kernels

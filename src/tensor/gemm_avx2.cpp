@@ -39,8 +39,8 @@ template <> inline float fmadd(float a, float b, float c) {
 void gemm_avx2(const GemmArgs& g) { gemm_tiles<F8, 4, 6, 2>(g); }
 
 void gemv_avx2(const float* a, const float* x, float* y, std::int64_t m,
-               std::int64_t k, bool accumulate) {
-  gemv_rows<8>(a, x, y, m, k, accumulate);
+               std::int64_t k) {
+  gemv_rows<8>(a, x, y, m, k);
 }
 
 }  // namespace cortex::kernels::detail

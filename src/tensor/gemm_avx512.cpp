@@ -43,8 +43,8 @@ template <> inline float fmadd(float a, float b, float c) {
 void gemm_avx512(const GemmArgs& g) { gemm_tiles<F16, 8, 6, 4>(g); }
 
 void gemv_avx512(const float* a, const float* x, float* y, std::int64_t m,
-                 std::int64_t k, bool accumulate) {
-  gemv_rows<8>(a, x, y, m, k, accumulate);
+                 std::int64_t k) {
+  gemv_rows<8>(a, x, y, m, k);
 }
 
 }  // namespace cortex::kernels::detail

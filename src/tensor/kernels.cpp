@@ -45,8 +45,8 @@ template <> inline float fmadd(float a, float b, float c) {
 void gemm_portable(const GemmArgs& g) { gemm_tiles<float, 8, 4, 4>(g); }
 
 void gemv_portable(const float* a, const float* x, float* y, std::int64_t m,
-                   std::int64_t k, bool accumulate) {
-  gemv_rows<4>(a, x, y, m, k, accumulate);
+                   std::int64_t k) {
+  gemv_rows<4>(a, x, y, m, k);
 }
 
 }  // namespace detail
@@ -81,16 +81,16 @@ void run_gemm(detail::Isa isa, const detail::GemmArgs& g) {
 }
 
 void run_gemv(detail::Isa isa, const float* a, const float* x, float* y,
-              std::int64_t m, std::int64_t k, bool accumulate) {
+              std::int64_t m, std::int64_t k) {
   switch (isa) {
 #ifdef CORTEX_X86_SIMD_VARIANTS
     case detail::Isa::kAvx512:
-      return detail::gemv_avx512(a, x, y, m, k, accumulate);
+      return detail::gemv_avx512(a, x, y, m, k);
     case detail::Isa::kAvx2:
-      return detail::gemv_avx2(a, x, y, m, k, accumulate);
+      return detail::gemv_avx2(a, x, y, m, k);
 #endif
     default:
-      return detail::gemv_portable(a, x, y, m, k, accumulate);
+      return detail::gemv_portable(a, x, y, m, k);
   }
 }
 
@@ -139,13 +139,7 @@ Isa selected_isa() {
 void gemm_with(Isa isa, const float* a, const float* b, float* c,
                std::int64_t m, std::int64_t k, std::int64_t n,
                bool accumulate) {
-  gemm_cols_with(isa, a, b, c, m, k, n, 0, n, accumulate);
-}
-
-void gemm_cols_with(Isa isa, const float* a, const float* b, float* c,
-                    std::int64_t m, std::int64_t k, std::int64_t n,
-                    std::int64_t j0, std::int64_t j1, bool accumulate) {
-  const GemmArgs g{a, b, c, m, k, n, j0, j1, /*packed=*/false, accumulate};
+  const GemmArgs g{a, b, c, m, k, n, 0, n, /*packed=*/false, accumulate};
   check_args(isa, g);
   run_gemm(isa, g);
 }
@@ -160,10 +154,10 @@ void gemm_packed_with(Isa isa, const float* a, const float* bp, float* c,
 }
 
 void gemv_with(Isa isa, const float* a, const float* x, float* y,
-               std::int64_t m, std::int64_t k, bool accumulate) {
+               std::int64_t m, std::int64_t k) {
   CORTEX_CHECK(supported(isa))
       << "gemv variant " << isa_name(isa) << " is not supported here";
-  run_gemv(isa, a, x, y, m, k, accumulate);
+  run_gemv(isa, a, x, y, m, k);
 }
 
 }  // namespace detail
@@ -172,19 +166,6 @@ void gemm(const float* a, const float* b, float* c, std::int64_t m,
           std::int64_t k, std::int64_t n) {
   run_gemm(detail::selected_isa(),
            {a, b, c, m, k, n, 0, n, /*packed=*/false, /*accumulate=*/false});
-}
-
-void gemm_cols(const float* a, const float* b, float* c, std::int64_t m,
-               std::int64_t k, std::int64_t n, std::int64_t j0,
-               std::int64_t j1) {
-  run_gemm(detail::selected_isa(),
-           {a, b, c, m, k, n, j0, j1, /*packed=*/false, /*accumulate=*/false});
-}
-
-void gemm_acc(const float* a, const float* b, float* c, std::int64_t m,
-              std::int64_t k, std::int64_t n) {
-  run_gemm(detail::selected_isa(),
-           {a, b, c, m, k, n, 0, n, /*packed=*/false, /*accumulate=*/true});
 }
 
 void pack_strips(const float* w, float* out, std::int64_t n,
@@ -207,12 +188,7 @@ void gemm_packed(const float* a, const float* bp, float* c, std::int64_t m,
 
 void gemv(const float* a, const float* x, float* y, std::int64_t m,
           std::int64_t k) {
-  run_gemv(detail::selected_isa(), a, x, y, m, k, /*accumulate=*/false);
-}
-
-void gemv_acc(const float* a, const float* x, float* y, std::int64_t m,
-              std::int64_t k) {
-  run_gemv(detail::selected_isa(), a, x, y, m, k, /*accumulate=*/true);
+  run_gemv(detail::selected_isa(), a, x, y, m, k);
 }
 
 void add(const float* a, const float* b, float* out, std::int64_t n) {
@@ -227,18 +203,6 @@ void mul(const float* a, const float* b, float* out, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
 }
 
-void mul_acc(const float* a, const float* b, float* out, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) out[i] += a[i] * b[i];
-}
-
-void add_scalar(const float* a, float s, float* out, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) out[i] = a[i] + s;
-}
-
-void scale(const float* a, float s, float* out, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) out[i] = a[i] * s;
-}
-
 void fill(float* out, float v, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) out[i] = v;
 }
@@ -251,11 +215,6 @@ void acc(const float* a, float* accum, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) accum[i] += a[i];
 }
 
-void concat2(const float* a, const float* b, float* out, std::int64_t n) {
-  std::memcpy(out, a, sizeof(float) * n);
-  std::memcpy(out + n, b, sizeof(float) * n);
-}
-
 void gather_rows(const float* table, const std::int32_t* idx, float* out,
                  std::int64_t rows, std::int64_t width) {
   gather_rows_strided(table, width, idx, out, rows, width);
@@ -266,18 +225,6 @@ void gather_rows_strided(const float* table, std::int64_t stride,
                          std::int64_t rows, std::int64_t width) {
   for (std::int64_t r = 0; r < rows; ++r)
     std::memcpy(out + r * width, table + idx[r] * stride,
-                sizeof(float) * width);
-}
-
-void transpose(const float* a, float* out, std::int64_t m, std::int64_t k) {
-  for (std::int64_t i = 0; i < m; ++i)
-    for (std::int64_t p = 0; p < k; ++p) out[p * m + i] = a[i * k + p];
-}
-
-void scatter_rows(float* table, const std::int32_t* idx, const float* in,
-                  std::int64_t rows, std::int64_t width) {
-  for (std::int64_t r = 0; r < rows; ++r)
-    std::memcpy(table + idx[r] * width, in + r * width,
                 sizeof(float) * width);
 }
 

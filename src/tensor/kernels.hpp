@@ -3,9 +3,9 @@
 // calls into (see DESIGN.md §2). Raw-pointer kernels operate on contiguous
 // row-major buffers; Tensor-typed wrappers add shape checking.
 //
-// Numerics contract of every matrix product here (gemm*, gemv*): each
+// Numerics contract of every matrix product here (gemm*, gemv): each
 // output element is one chain of fused multiply-adds, s = fmaf(a, b, s),
-// over k ascending from +0.0f (gemm_acc: from C). gemm_naive spells the
+// over k ascending from +0.0f. gemm_naive spells the
 // chain out and is the reference the tests compare against. The other
 // products run one of several instruction-set variants, picked from CPUID
 // once per process (see tensor/kernels_detail.hpp): a register-blocked
@@ -31,18 +31,6 @@ void gemm_naive(const float* a, const float* b, float* c, std::int64_t m,
 void gemm(const float* a, const float* b, float* c, std::int64_t m,
           std::int64_t k, std::int64_t n);
 
-/// Columns [j0, j1) of C[m,n] = A[m,k] * B[k,n]: B and C keep their row
-/// stride n and no other column of C is written. Every element is the
-/// same fused chain gemm computes, so threads that each take a column
-/// range of one product write exactly gemm's C, bit for bit.
-void gemm_cols(const float* a, const float* b, float* c, std::int64_t m,
-               std::int64_t k, std::int64_t n, std::int64_t j0,
-               std::int64_t j1);
-
-/// C[m,n] += A[m,k] * B[k,n].
-void gemm_acc(const float* a, const float* b, float* c, std::int64_t m,
-              std::int64_t k, std::int64_t n);
-
 /// Lays out B[k,n] = W^T, for row-major W[n,k], as gemm_packed reads it:
 /// strips of 64 columns, each [k][64] (the last one [k][n % 64] when n is
 /// not a multiple of 64), one after the other. `out` holds k * n floats.
@@ -50,8 +38,11 @@ void gemm_acc(const float* a, const float* b, float* c, std::int64_t m,
 /// micro-kernel streams B sequentially instead of at a stride of n.
 void pack_strips(const float* w, float* out, std::int64_t n, std::int64_t k);
 
-/// gemm_cols with B packed by pack_strips: columns [j0, j1) of
-/// C[m,n] = A[m,k] * B[k,n], bit-identical to gemm over the row-major B.
+/// Columns [j0, j1) of C[m,n] = A[m,k] * B[k,n], with B packed by
+/// pack_strips: C keeps its row stride n and no other column of C is
+/// written. Every element is the same fused chain gemm computes over the
+/// row-major B, so threads that each take a column range of one product
+/// write exactly gemm's C, bit for bit.
 void gemm_packed(const float* a, const float* bp, float* c, std::int64_t m,
                  std::int64_t k, std::int64_t n, std::int64_t j0,
                  std::int64_t j1);
@@ -60,31 +51,18 @@ void gemm_packed(const float* a, const float* bp, float* c, std::int64_t m,
 void gemv(const float* a, const float* x, float* y, std::int64_t m,
           std::int64_t k);
 
-/// y[m] += A[m,k] * x[k]: each row's chain runs from +0.0f, then adds to y.
-void gemv_acc(const float* a, const float* x, float* y, std::int64_t m,
-              std::int64_t k);
-
 /// out[i] = a[i] + b[i].
 void add(const float* a, const float* b, float* out, std::int64_t n);
 /// out[i] = a[i] - b[i].
 void sub(const float* a, const float* b, float* out, std::int64_t n);
 /// out[i] = a[i] * b[i].
 void mul(const float* a, const float* b, float* out, std::int64_t n);
-/// out[i] += a[i] * b[i].
-void mul_acc(const float* a, const float* b, float* out, std::int64_t n);
-/// out[i] = a[i] + s.
-void add_scalar(const float* a, float s, float* out, std::int64_t n);
-/// out[i] = a[i] * s.
-void scale(const float* a, float s, float* out, std::int64_t n);
 /// out[i] = v.
 void fill(float* out, float v, std::int64_t n);
 /// out[i] = a[i].
 void copy(const float* a, float* out, std::int64_t n);
 /// acc[i] += a[i].
 void acc(const float* a, float* accum, std::int64_t n);
-
-/// Concatenate two length-n vectors into out[0:2n].
-void concat2(const float* a, const float* b, float* out, std::int64_t n);
 
 /// Gather rows: out[r,:] = table[idx[r],:] for r in [0,rows).
 void gather_rows(const float* table, const std::int32_t* idx, float* out,
@@ -98,13 +76,6 @@ void gather_rows(const float* table, const std::int32_t* idx, float* out,
 void gather_rows_strided(const float* table, std::int64_t stride,
                          const std::int32_t* idx, float* out,
                          std::int64_t rows, std::int64_t width);
-
-/// out[k,m] = a^T for row-major a[m,k].
-void transpose(const float* a, float* out, std::int64_t m, std::int64_t k);
-
-/// Scatter rows: table[idx[r],:] = in[r,:] for r in [0,rows).
-void scatter_rows(float* table, const std::int32_t* idx, const float* in,
-                  std::int64_t rows, std::int64_t width);
 
 // ---------------------------------------------------------------------------
 // Tensor-typed wrappers (shape-checked; examples/tests/baselines).

@@ -1,8 +1,7 @@
 #pragma once
 // Instruction-set variants of the panel kernels: kernels::gemm /
-// gemm_acc / gemm_cols / gemm_packed / gemv / gemv_acc and
-// models::CompiledEltwise::eval_panel. They are exposed so tests and
-// benches can run every variant the host supports.
+// gemm_packed / gemv and models::CompiledEltwise::eval_panel. They are
+// exposed so tests and benches can run every variant the host supports.
 // Serving code calls the public entry points, which use selected_isa();
 // nothing here selects or overrides that choice.
 
@@ -41,26 +40,21 @@ std::vector<Isa> supported_isas();
 /// read from CPUID once per process.
 Isa selected_isa();
 
-/// gemm (accumulate = false) or gemm_acc (accumulate = true) run with a
-/// given variant, which must be in supported_isas().
+/// kernels::gemm run with a given variant, which must be in
+/// supported_isas(). With `accumulate`, each chain starts from C instead
+/// of +0.0f: the form every k-block after the first runs in, exposed so
+/// tests can start that continuation from any C.
 void gemm_with(Isa isa, const float* a, const float* b, float* c,
                std::int64_t m, std::int64_t k, std::int64_t n,
                bool accumulate);
-
-/// gemm_with over columns [j0, j1) of the n-wide product only (the
-/// kernels::gemm_cols contract); 0 <= j0 <= j1 <= n.
-void gemm_cols_with(Isa isa, const float* a, const float* b, float* c,
-                    std::int64_t m, std::int64_t k, std::int64_t n,
-                    std::int64_t j0, std::int64_t j1, bool accumulate);
 
 /// kernels::gemm_packed with a given variant; 0 <= j0 <= j1 <= n.
 void gemm_packed_with(Isa isa, const float* a, const float* bp, float* c,
                       std::int64_t m, std::int64_t k, std::int64_t n,
                       std::int64_t j0, std::int64_t j1);
 
-/// kernels::gemv (accumulate = false) or gemv_acc (accumulate = true) with
-/// a given variant.
+/// kernels::gemv with a given variant.
 void gemv_with(Isa isa, const float* a, const float* x, float* y,
-               std::int64_t m, std::int64_t k, bool accumulate);
+               std::int64_t m, std::int64_t k);
 
 }  // namespace cortex::kernels::detail

@@ -33,14 +33,14 @@ struct GemmArgs {
 
 void gemm_portable(const GemmArgs& g);
 void gemv_portable(const float* a, const float* x, float* y, std::int64_t m,
-                   std::int64_t k, bool accumulate);
+                   std::int64_t k);
 #ifdef CORTEX_X86_SIMD_VARIANTS
 void gemm_avx2(const GemmArgs& g);
 void gemv_avx2(const float* a, const float* x, float* y, std::int64_t m,
-               std::int64_t k, bool accumulate);
+               std::int64_t k);
 void gemm_avx512(const GemmArgs& g);
 void gemv_avx512(const float* a, const float* x, float* y, std::int64_t m,
-                 std::int64_t k, bool accumulate);
+                 std::int64_t k);
 #endif
 
 namespace {
@@ -221,14 +221,12 @@ template <class V, int NV2, int MR, int NV>
     blocked<V, MR, NV>(g, kBlockK);
 }
 
-// y[i] (+)= the chain over row i of A[m, k] and x, kRows rows at a time
-// so that many independent chains hide the FMA latency. Each row's chain
-// runs from +0.0f; accumulating adds the finished chain to y[i].
+// y[i] = the chain over row i of A[m, k] and x from +0.0f, kRows rows at
+// a time so that many independent chains hide the FMA latency.
 template <int kRows>
 [[gnu::always_inline]] inline void gemv_rows(const float* a, const float* x,
                                              float* y, std::int64_t m,
-                                             std::int64_t k,
-                                             bool accumulate) {
+                                             std::int64_t k) {
   std::int64_t i = 0;
   for (; i + kRows <= m; i += kRows) {
     float s[kRows] = {};
@@ -236,13 +234,12 @@ template <int kRows>
 #pragma GCC unroll 8
       for (int r = 0; r < kRows; ++r)
         s[r] = fmadd(a[(i + r) * k + p], x[p], s[r]);
-    for (int r = 0; r < kRows; ++r)
-      y[i + r] = accumulate ? y[i + r] + s[r] : s[r];
+    for (int r = 0; r < kRows; ++r) y[i + r] = s[r];
   }
   for (; i < m; ++i) {
     float s = 0.0f;
     for (std::int64_t p = 0; p < k; ++p) s = fmadd(a[i * k + p], x[p], s);
-    y[i] = accumulate ? y[i] + s : s;
+    y[i] = s;
   }
 }
 

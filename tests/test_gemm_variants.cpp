@@ -1,13 +1,15 @@
-// Every instruction-set variant of kernels::gemm / gemm_acc / gemm_cols /
-// gemm_packed / gemv that this host supports, against the scalar
-// references bit for bit: row tails, column tails, k-blocks, packed strips
-// and their tails, accumulation into C, and inputs holding signed zeros,
-// infinities, NaNs and denormals. The served numerics are bit-identical to
-// the per-node gemv oracle only because every variant computes each output
-// as the same chain of fused multiply-adds, fmaf over k ascending.
+// Every instruction-set variant of kernels::gemm / gemm_packed / gemv that
+// this host supports, against the scalar references bit for bit: row
+// tails, column tails, k-blocks, packed strips and their tails,
+// accumulation into C (the form later k-blocks run in), and inputs
+// holding signed zeros, infinities, NaNs and denormals. The served
+// numerics are bit-identical to the per-node gemv oracle only because
+// every variant computes each output as the same chain of fused
+// multiply-adds, fmaf over k ascending.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -43,9 +45,9 @@ std::uint32_t bits(float x) {
          << " (0x" << bits(want) << ")";
 }
 
-// gemm_acc's contract: the chain starts from C, not from zero.
-void gemm_acc_reference(const float* a, const float* b, float* c,
-                        std::int64_t m, std::int64_t k, std::int64_t n) {
+// The accumulating form's contract: the chain starts from C, not zero.
+void accumulate_reference(const float* a, const float* b, float* c,
+                          std::int64_t m, std::int64_t k, std::int64_t n) {
   for (std::int64_t i = 0; i < m; ++i)
     for (std::int64_t j = 0; j < n; ++j) {
       float s = c[i * n + j];
@@ -76,8 +78,8 @@ void sprinkle_specials(std::vector<float>& v, Rng& rng, std::uint64_t every) {
       x = specials[rng.next_below(sizeof specials / sizeof specials[0])];
 }
 
-// Runs gemm and gemm_acc with `isa` on (a, b, c0) and checks both against
-// the scalar references, element by element.
+// Runs gemm with `isa` on (a, b), and accumulating into c0, and checks
+// both against the scalar references, element by element.
 void expect_variant_matches(Isa isa, const std::vector<float>& a,
                             const std::vector<float>& b,
                             const std::vector<float>& c0, std::int64_t m,
@@ -95,13 +97,13 @@ void expect_variant_matches(Isa isa, const std::vector<float>& a,
     ASSERT_TRUE(same_float(got[i], want[i])) << where << " gemm elem " << i;
 
   std::vector<float> want_acc = c0;
-  gemm_acc_reference(a.data(), b.data(), want_acc.data(), m, k, n);
+  accumulate_reference(a.data(), b.data(), want_acc.data(), m, k, n);
   std::vector<float> got_acc = c0;
   kernels::detail::gemm_with(isa, a.data(), b.data(), got_acc.data(), m, k,
                              n, /*accumulate=*/true);
   for (std::size_t i = 0; i < want_acc.size(); ++i)
     ASSERT_TRUE(same_float(got_acc[i], want_acc[i]))
-        << where << " gemm_acc elem " << i;
+        << where << " accumulating elem " << i;
 }
 
 TEST(GemmVariants, SelectedIsWidestSupported) {
@@ -177,7 +179,7 @@ TEST(GemmVariants, DenormalProductsAndSignedZeroSums) {
     expect_variant_matches(isa, a, b, c0, m, k, n);
 
     // -0 * positive = -0 everywhere: gemm starts from +0 (+0 + -0 = +0),
-    // gemm_acc from C = -0 (-0 + -0 = -0).
+    // accumulating from C = -0 (-0 + -0 = -0).
     const std::vector<float> neg_zero(static_cast<std::size_t>(m * k),
                                       -0.0f);
     const std::vector<float> ones(static_cast<std::size_t>(k * n), 1.0f);
@@ -197,7 +199,10 @@ TEST(GemmVariants, DenormalProductsAndSignedZeroSums) {
 std::vector<float> packed_from(const std::vector<float>& b, std::int64_t k,
                                std::int64_t n) {
   std::vector<float> w(static_cast<std::size_t>(k * n));
-  kernels::transpose(b.data(), w.data(), k, n);
+  for (std::int64_t p = 0; p < k; ++p)
+    for (std::int64_t j = 0; j < n; ++j)
+      w[static_cast<std::size_t>(j * k + p)] =
+          b[static_cast<std::size_t>(p * n + j)];
   std::vector<float> bp(w.size());
   kernels::pack_strips(w.data(), bp.data(), n, k);
   return bp;
@@ -251,15 +256,15 @@ TEST(GemmVariants, ChainIsFused) {
       kernels::detail::gemm_with(isa, a.data(), b.data(), c.data(), m, k, n,
                                  /*accumulate=*/false);
       expect_fused(c, 0, n, "gemm");
-      kernels::detail::gemm_cols_with(isa, a.data(), b.data(), c.data(), m,
-                                      k, n, 16, 48, /*accumulate=*/false);
-      expect_fused(c, 16, 48, "gemm_cols");
       kernels::detail::gemm_packed_with(isa, a.data(), bp.data(), c.data(),
                                         m, k, n, 0, n);
       expect_fused(c, 0, n, "gemm_packed");
+      std::fill(c.begin(), c.end(), 0.0f);
+      kernels::detail::gemm_packed_with(isa, a.data(), bp.data(), c.data(),
+                                        m, k, n, 16, 48);
+      expect_fused(c, 16, 48, "gemm_packed columns");
       std::vector<float> y(static_cast<std::size_t>(m));
-      kernels::detail::gemv_with(isa, a.data(), x.data(), y.data(), m, k,
-                                 /*accumulate=*/false);
+      kernels::detail::gemv_with(isa, a.data(), x.data(), y.data(), m, k);
       for (std::int64_t i = 0; i < m; ++i)
         ASSERT_EQ(bits(y[static_cast<std::size_t>(i)]), bits(fused))
             << where << " gemv row " << i;
@@ -268,10 +273,10 @@ TEST(GemmVariants, ChainIsFused) {
 
 TEST(GemmVariants, PackedMatchesRowMajor) {
   // gemm_packed over every share a column split can take (shares start
-  // and end on 16-column edges, or at n) against gemm_cols over the
-  // row-major B: n = 200 ends in an 8-wide strip, k = 130 in a 2-deep
-  // k-block, and m covers the 2-row pair tiles, 4-row tiles and their row
-  // tails. Inputs carry signed zeros, infinities and NaNs.
+  // and end on 16-column edges, or at n) against the same columns of gemm
+  // over the row-major B: n = 200 ends in an 8-wide strip, k = 130 in a
+  // 2-deep k-block, and m covers the 2-row pair tiles, 4-row tiles and
+  // their row tails. Inputs carry signed zeros, infinities and NaNs.
   Rng rng(47);
   const std::int64_t k = 130, n = 200;
   std::vector<std::int64_t> edges;
@@ -291,29 +296,30 @@ TEST(GemmVariants, PackedMatchesRowMajor) {
     sprinkle_specials(a, rng, 200);
     std::vector<float> want(static_cast<std::size_t>(m * n));
     kernels::gemm_naive(a.data(), b.data(), want.data(), m, k, n);
-    for (Isa isa : kernels::detail::supported_isas())
+    for (Isa isa : kernels::detail::supported_isas()) {
+      std::vector<float> row_major(want.size());
+      kernels::detail::gemm_with(isa, a.data(), b.data(), row_major.data(),
+                                 m, k, n, /*accumulate=*/false);
       for (const auto& [j0, j1] : shares) {
         const std::string where =
             std::string(kernels::detail::isa_name(isa)) +
             " m=" + std::to_string(m) + " cols [" + std::to_string(j0) +
             ", " + std::to_string(j1) + ")";
-        std::vector<float> row_major(want.size(), -3.0f);
-        kernels::detail::gemm_cols_with(isa, a.data(), b.data(),
-                                        row_major.data(), m, k, n, j0, j1,
-                                        /*accumulate=*/false);
         std::vector<float> packed(want.size(), -3.0f);
         kernels::detail::gemm_packed_with(isa, a.data(), bp.data(),
                                           packed.data(), m, k, n, j0, j1);
         for (std::int64_t i = 0; i < m; ++i)
           for (std::int64_t j = 0; j < n; ++j) {
             const std::size_t e = static_cast<std::size_t>(i * n + j);
-            ASSERT_TRUE(same_float(packed[e], row_major[e]))
+            const bool in_share = j >= j0 && j < j1;
+            ASSERT_TRUE(
+                same_float(packed[e], in_share ? row_major[e] : -3.0f))
                 << where << " elem (" << i << ", " << j << ")";
-            ASSERT_TRUE(same_float(
-                packed[e], j >= j0 && j < j1 ? want[e] : -3.0f))
+            ASSERT_TRUE(same_float(packed[e], in_share ? want[e] : -3.0f))
                 << where << " elem (" << i << ", " << j << ")";
           }
       }
+    }
   }
 }
 
@@ -322,7 +328,6 @@ TEST(GemmVariants, PublicEntryPointsUseTheSelectedVariant) {
   const std::int64_t m = 3, k = 50, n = 70;
   const auto a = uniform(static_cast<std::size_t>(m * k), rng);
   const auto b = uniform(static_cast<std::size_t>(k * n), rng);
-  const auto c0 = uniform(static_cast<std::size_t>(m * n), rng);
   const Isa isa = kernels::detail::selected_isa();
   std::vector<float> want(static_cast<std::size_t>(m * n));
   kernels::detail::gemm_with(isa, a.data(), b.data(), want.data(), m, k, n,
@@ -331,20 +336,25 @@ TEST(GemmVariants, PublicEntryPointsUseTheSelectedVariant) {
   kernels::gemm(a.data(), b.data(), got.data(), m, k, n);
   for (std::size_t i = 0; i < got.size(); ++i)
     ASSERT_EQ(bits(got[i]), bits(want[i])) << "gemm elem " << i;
-  std::vector<float> want_acc = c0;
-  kernels::detail::gemm_with(isa, a.data(), b.data(), want_acc.data(), m, k,
-                             n, /*accumulate=*/true);
-  std::vector<float> got_acc = c0;
-  kernels::gemm_acc(a.data(), b.data(), got_acc.data(), m, k, n);
-  for (std::size_t i = 0; i < got_acc.size(); ++i)
-    ASSERT_EQ(bits(got_acc[i]), bits(want_acc[i])) << "gemm_acc elem " << i;
+  const std::vector<float> bp = packed_from(b, k, n);
+  std::vector<float> got_packed(want.size());
+  kernels::gemm_packed(a.data(), bp.data(), got_packed.data(), m, k, n, 0, n);
+  for (std::size_t i = 0; i < got_packed.size(); ++i)
+    ASSERT_EQ(bits(got_packed[i]), bits(want[i])) << "gemm_packed elem " << i;
+  // y = A x with x the first k floats of b.
+  std::vector<float> want_y(static_cast<std::size_t>(m));
+  kernels::detail::gemv_with(isa, a.data(), b.data(), want_y.data(), m, k);
+  std::vector<float> got_y(want_y.size());
+  kernels::gemv(a.data(), b.data(), got_y.data(), m, k);
+  for (std::size_t i = 0; i < got_y.size(); ++i)
+    ASSERT_EQ(bits(got_y[i]), bits(want_y[i])) << "gemv elem " << i;
 }
 
 TEST(GemmVariants, EmptyDimensionsAreNoOps) {
   for (Isa isa : kernels::detail::supported_isas()) {
     std::vector<float> c(4, 3.0f);
     const std::vector<float> a(4, 1.0f), b(4, 1.0f);
-    // k == 0: gemm writes zeros, gemm_acc leaves C.
+    // k == 0: gemm writes zeros, accumulating leaves C.
     kernels::detail::gemm_with(isa, a.data(), b.data(), c.data(), 2, 0, 2,
                                /*accumulate=*/true);
     for (float x : c) EXPECT_EQ(x, 3.0f) << kernels::detail::isa_name(isa);

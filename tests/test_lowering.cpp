@@ -48,7 +48,6 @@ TEST(Lowering, UnspecializedFormCarriesConditionalOperator) {
   const LoweredModel lm = lower(*def.model, sched);
   // §5.2: one conditional operator guards the two branch bodies.
   EXPECT_EQ(count_kind(lm.program.body, ilir::StmtKind::kIf), 1);
-  EXPECT_FALSE(lm.lin_spec.specialize_leaves);
 }
 
 TEST(Lowering, NoDynamicBatchingIteratesExecOrder) {

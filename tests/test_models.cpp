@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "models/model_zoo.hpp"
 #include "ra/verify.hpp"
 #include "tensor/activations.hpp"
@@ -200,6 +204,90 @@ TEST(CellProgram, ValidateRejectsUseBeforeDefinition) {
   CellProgram fixed = leaf_only;
   fixed.internal_ops = {slice, leaf_a, sum};
   EXPECT_NO_THROW(fixed.validate());
+}
+
+/// An op of width `width` reading `ins` (eltwise: expression `expr`).
+CellOp make_op(CellOpKind kind, const std::string& out, std::int64_t width,
+               std::vector<std::string> ins = {}, ra::Expr expr = nullptr) {
+  CellOp op;
+  op.kind = kind;
+  op.out = out;
+  op.width = width;
+  op.ins = std::move(ins);
+  op.expr = std::move(expr);
+  return op;
+}
+
+/// validate() and both executors refuse the cell whose internal program
+/// is `ops` over a `state_width`-wide state: each op must read only
+/// elements that exist.
+void expect_rejected(std::int64_t state_width, std::vector<CellOp> ops) {
+  CellProgram cell;
+  cell.state_width = state_width;
+  cell.internal_ops = std::move(ops);
+  const ModelParams params;
+  EXPECT_THROW(cell.validate(), Error);
+  EXPECT_THROW(CellExecutor(cell, params), Error);
+  EXPECT_THROW(BatchedCellExecutor(cell, params), Error);
+}
+
+TEST(CellProgram, ValidateRejectsEltwiseInputIndexOutsideItsInputs) {
+  const CellOp b = make_op(CellOpKind::kSliceChild, "b", 4);
+  // e1 of a one-input op, and a negative index.
+  expect_rejected(4, {b, make_op(CellOpKind::kEltwise, "st", 4, {"b"},
+                                 ra::add(ra::var("e0"), ra::var("e1")))});
+  expect_rejected(4, {b, make_op(CellOpKind::kEltwise, "st", 4, {"b"},
+                                 ra::var("e-1"))});
+}
+
+TEST(CellProgram, ValidateRejectsMalformedEltwiseVar) {
+  expect_rejected(4, {make_op(CellOpKind::kSliceChild, "b", 4),
+                      make_op(CellOpKind::kEltwise, "st", 4, {"b"},
+                              ra::var("ex"))});
+}
+
+TEST(CellProgram, ValidateRejectsMoreThanEightEltwiseInputs) {
+  const std::vector<std::string> nine(9, "b");
+  expect_rejected(4, {make_op(CellOpKind::kSliceChild, "b", 4),
+                      make_op(CellOpKind::kEltwise, "st", 4, nine,
+                              ra::var("e0"))});
+}
+
+TEST(CellProgram, ValidateRejectsEltwiseInputNarrowerThanOutput) {
+  expect_rejected(4, {make_op(CellOpKind::kSliceChild, "b", 2),
+                      make_op(CellOpKind::kEltwise, "st", 4, {"b"},
+                              ra::call(ra::CallFn::kTanh, ra::var("e0")))});
+}
+
+TEST(CellProgram, ValidateRejectsChildReadsOutsideTheState) {
+  CellOp slice = make_op(CellOpKind::kSliceChild, "st", 4);
+  slice.offset = 2;  // columns [2, 6) of a 4-wide state
+  expect_rejected(4, {slice});
+  CellOp sum = make_op(CellOpKind::kChildSum, "st", 4);
+  sum.offset = 1;
+  expect_rejected(4, {sum});
+}
+
+TEST(CellProgram, ValidateRejectsConcatInputsThatDoNotFit) {
+  // The first input wider than the output.
+  expect_rejected(4, {make_op(CellOpKind::kLeafConst, "a", 6),
+                      make_op(CellOpKind::kLeafConst, "b", 2),
+                      make_op(CellOpKind::kConcat2, "st", 4, {"a", "b"})});
+  // The second input narrower than the 2 columns left after the first.
+  expect_rejected(4, {make_op(CellOpKind::kLeafConst, "a", 2),
+                      make_op(CellOpKind::kLeafConst, "b", 1),
+                      make_op(CellOpKind::kConcat2, "st", 4, {"a", "b"})});
+}
+
+TEST(CellProgram, ValidateRejectsMatrixOperandsNarrowerThanTheyRead) {
+  // kNodeMatVec of width 2 reads a 2 x 2 matrix from its first input.
+  expect_rejected(2, {make_op(CellOpKind::kLeafConst, "m", 3),
+                      make_op(CellOpKind::kLeafConst, "x", 2),
+                      make_op(CellOpKind::kNodeMatVec, "st", 2, {"m", "x"})});
+  // kMatStack2 of width 4 (H = 2) reads 4 floats from each input.
+  expect_rejected(4, {make_op(CellOpKind::kLeafConst, "m0", 4),
+                      make_op(CellOpKind::kLeafConst, "m1", 3),
+                      make_op(CellOpKind::kMatStack2, "st", 4, {"m0", "m1"})});
 }
 
 TEST(CellProgram, ConcatOfUndefinedRegisterThrows) {

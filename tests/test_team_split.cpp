@@ -15,7 +15,9 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "baselines/common.hpp"
@@ -243,12 +245,12 @@ std::vector<float> per_node_states(const models::ModelDef& def,
 }
 
 /// One narrow input per model: a single chain, tree or grid DAG, whose
-/// upper wavefronts have one row.
+/// upper wavefronts have one row (a tree for cell-only models).
 linearizer::Linearized narrow_input(const models::ModelDef& def,
                                     std::uint64_t seed) {
   Rng rng(seed);
   linearizer::LinearizerSpec spec;
-  spec.kind = def.model->kind;
+  if (def.model) spec.kind = def.model->kind;
   if (spec.kind == linearizer::StructureKind::kDag) {
     auto dag = ds::make_grid_dag(5, 4, rng);
     return linearizer::linearize_dags({dag.get()}, spec);
@@ -257,6 +259,56 @@ linearizer::Linearized narrow_input(const models::ModelDef& def,
                   ? ds::make_chain_tree(12, rng)
                   : ds::make_sst_like_tree(rng);
   return linearizer::linearize_trees({tree.get()}, spec);
+}
+
+models::CellOp cell_op(models::CellOpKind kind, const std::string& out,
+                       std::int64_t width,
+                       std::vector<std::string> ins = {}) {
+  models::CellOp op;
+  op.kind = kind;
+  op.out = out;
+  op.width = width;
+  op.ins = std::move(ins);
+  return op;
+}
+
+/// A cell-only model whose eltwise ops read registers wider than they are
+/// (each row's first `width` floats). Over h = child 0's state and
+/// a = W·h, both `sw` wide:
+///  - `split` false, sw = 8: st = concat(t, t) with t = tanh(a) 4 wide; a
+///    is computed in column shares, which t cannot take, so a split runs
+///    whole on member 0;
+///  - `split` true, sw = 40: st = a * tanh(hh) with hh = concat(h, h);
+///    each member's share of st reads its columns of the 80-wide hh.
+models::ModelDef wide_eltwise_def(bool split) {
+  using models::CellOpKind;
+  const std::int64_t sw = split ? 40 : 8;
+  models::ModelDef def;
+  def.name = split ? "WideEltwiseSplit" : "WideEltwise";
+  def.hidden = sw;
+  def.cell.state_width = sw;
+  def.param_shapes = {{"W", {sw, sw}}};
+  models::CellOp leaf = cell_op(CellOpKind::kLeafConst, "st", sw);
+  leaf.constant = 0.25;
+  def.cell.leaf_ops = {leaf};
+  models::CellOp a = cell_op(CellOpKind::kMatVec, "a", sw, {"h"});
+  a.param = "W";
+  def.cell.internal_ops = {cell_op(CellOpKind::kSliceChild, "h", sw), a};
+  if (split) {
+    def.cell.internal_ops.push_back(
+        cell_op(CellOpKind::kConcat2, "hh", 2 * sw, {"h", "h"}));
+    models::CellOp st = cell_op(CellOpKind::kEltwise, "st", sw, {"a", "hh"});
+    st.expr = ra::mul(ra::var("e0"), ra::call(ra::CallFn::kTanh,
+                                              ra::var("e1")));
+    def.cell.internal_ops.push_back(st);
+  } else {
+    models::CellOp t = cell_op(CellOpKind::kEltwise, "t", sw / 2, {"a"});
+    t.expr = ra::call(ra::CallFn::kTanh, ra::var("e0"));
+    def.cell.internal_ops.push_back(t);
+    def.cell.internal_ops.push_back(
+        cell_op(CellOpKind::kConcat2, "st", sw, {"t", "t"}));
+  }
+  return def;
 }
 
 class TeamZoo : public ::testing::TestWithParam<int> {
@@ -337,19 +389,20 @@ INSTANTIATE_TEST_SUITE_P(Zoo, TeamZoo, ::testing::Range(0, 9));
 TEST(TeamZooExecutor, EveryShareTogetherWritesThePerNodeStates) {
   // The executor contract without threads: members' run_batch calls, one
   // after another, write every column exactly as the whole call would —
-  // including widths that are not a multiple of the 16-float share unit
-  // and cells that decline (member 0 then runs the whole program).
+  // including widths that are not a multiple of the 16-float share unit,
+  // cells that decline (member 0 then runs the whole program) and eltwise
+  // ops that read wider registers.
   const std::vector<models::ModelDef> zoo = {
       models::make_treernn_fig1(40), models::make_treefc_embed(40),
       models::make_treegru_embed(40), models::make_treelstm_embed(40),
       models::make_mvrnn(6),          models::make_dagrnn(40),
       models::make_seq_lstm(40),      models::make_seq_gru(40),
-      models::make_treernn(40)};
+      models::make_treernn(40),       wide_eltwise_def(false),
+      wide_eltwise_def(true)};
   for (const models::ModelDef& def : zoo) {
     Rng rng(5);
     const models::ModelParams params = models::init_params(def, rng);
     const models::BatchedCellExecutor exec(def.cell, params);
-    if (!exec.supported()) continue;
     const linearizer::Linearized lin = narrow_input(def, 3);
     const std::vector<float> ref = per_node_states(def, params, lin);
     const std::int64_t sw = def.cell.state_width;
@@ -390,6 +443,10 @@ TEST(TeamZooExecutor, SplitPlansDeclineExactlyTheCellsThatNeedAWholeSplitRegiste
   // SeqLSTM: all eight gate matrices per step; DAG-RNN: U.
   EXPECT_EQ(weight(models::make_seq_lstm(32)), 8 * 32 * 32 * 4);
   EXPECT_EQ(weight(models::make_dagrnn(32)), 32 * 32 * 4);
+  // An eltwise op takes the shares of a register as wide as itself only;
+  // a whole wider register it reads at any columns.
+  EXPECT_EQ(weight(wide_eltwise_def(false)), 0);
+  EXPECT_EQ(weight(wide_eltwise_def(true)), 40 * 40 * 4);
 }
 
 // -- EnginePool borrowing its idle workers ----------------------------------------

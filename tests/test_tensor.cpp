@@ -13,6 +13,7 @@
 #include "support/rng.hpp"
 #include "tensor/activations.hpp"
 #include "tensor/kernels.hpp"
+#include "tensor/kernels_detail.hpp"
 #include "tensor/tensor.hpp"
 #include "tensor/workspace.hpp"
 
@@ -104,6 +105,8 @@ TEST_P(GemmShapes, BlockedMatchesNaive) {
 }
 
 TEST_P(GemmShapes, GemmAccAccumulates) {
+  // The accumulating form (each chain starts from C), which every k-block
+  // after the first continues in.
   const auto [m, k, n] = GetParam();
   Rng rng(7);
   std::vector<float> a(static_cast<std::size_t>(m * k));
@@ -113,7 +116,9 @@ TEST_P(GemmShapes, GemmAccAccumulates) {
   std::vector<float> base(static_cast<std::size_t>(m * n), 1.0f);
   std::vector<float> ref(static_cast<std::size_t>(m * n));
   kernels::gemm_naive(a.data(), b.data(), ref.data(), m, k, n);
-  kernels::gemm_acc(a.data(), b.data(), base.data(), m, k, n);
+  kernels::detail::gemm_with(kernels::detail::selected_isa(), a.data(),
+                             b.data(), base.data(), m, k, n,
+                             /*accumulate=*/true);
   for (std::size_t i = 0; i < ref.size(); ++i)
     EXPECT_NEAR(base[i], ref[i] + 1.0f, 1e-3f);
 }
@@ -142,13 +147,6 @@ TEST(Kernels, GemvMatchesGemm) {
   for (std::int64_t i = 0; i < m; ++i) EXPECT_NEAR(y[i], ref[i], 1e-4f);
 }
 
-TEST(Kernels, GemvAccAccumulates) {
-  const std::int64_t m = 8, k = 8;
-  std::vector<float> a(64, 0.5f), x(8, 1.0f), y(8, 2.0f);
-  kernels::gemv_acc(a.data(), x.data(), y.data(), m, k);
-  for (float v : y) EXPECT_NEAR(v, 2.0f + 4.0f, 1e-5f);
-}
-
 TEST(Kernels, ElementwiseOps) {
   const std::int64_t n = 17;
   std::vector<float> a(17), b(17), out(17);
@@ -163,22 +161,11 @@ TEST(Kernels, ElementwiseOps) {
   kernels::mul(a.data(), b.data(), out.data(), n);
   EXPECT_EQ(out[3], 18.0f);
   kernels::fill(out.data(), 1.0f, n);
-  kernels::mul_acc(a.data(), b.data(), out.data(), n);
-  EXPECT_EQ(out[3], 19.0f);
-  kernels::add_scalar(a.data(), 0.5f, out.data(), n);
-  EXPECT_EQ(out[3], 3.5f);
-  kernels::scale(a.data(), 3.0f, out.data(), n);
-  EXPECT_EQ(out[3], 9.0f);
+  EXPECT_EQ(out[3], 1.0f);
   kernels::copy(a.data(), out.data(), n);
   EXPECT_EQ(out[3], 3.0f);
   kernels::acc(a.data(), out.data(), n);
   EXPECT_EQ(out[3], 6.0f);
-}
-
-TEST(Kernels, Concat2) {
-  std::vector<float> a{1, 2}, b{3, 4}, out(4);
-  kernels::concat2(a.data(), b.data(), out.data(), 2);
-  EXPECT_EQ(out, (std::vector<float>{1, 2, 3, 4}));
 }
 
 TEST(Kernels, GatherScatterRoundTrip) {
@@ -191,9 +178,13 @@ TEST(Kernels, GatherScatterRoundTrip) {
   kernels::gather_rows(table.data(), idx.data(), gathered.data(), rows,
                        width);
   EXPECT_EQ(gathered[0], 12.0f);  // row 4 starts at 12
+  // Scattering each gathered row back to its index restores the table.
   std::vector<float> back(15, -1.0f);
-  kernels::scatter_rows(back.data(), idx.data(), gathered.data(), rows,
-                        width);
+  for (std::int64_t r = 0; r < rows; ++r)
+    for (std::int64_t c = 0; c < width; ++c)
+      back[static_cast<std::size_t>(idx[static_cast<std::size_t>(r)] * width +
+                                    c)] =
+          gathered[static_cast<std::size_t>(r * width + c)];
   EXPECT_EQ(back, table);
 }
 
@@ -267,18 +258,6 @@ TEST(Activations, VectorFormsMatchScalar) {
   for (int i = 0; i < 5; ++i)
     EXPECT_EQ(out[static_cast<std::size_t>(i)],
               kernels::tanh_rational(in[static_cast<std::size_t>(i)]));
-  kernels::relu_vec(in.data(), out.data(), 5);
-  EXPECT_EQ(out[0], 0.0f);
-  EXPECT_EQ(out[3], 0.7f);
-}
-
-TEST(Activations, ApplyActivationDispatch) {
-  using kernels::Activation;
-  EXPECT_EQ(kernels::apply_activation(Activation::kIdentity, 0.3f), 0.3f);
-  EXPECT_EQ(kernels::apply_activation(Activation::kRelu, -2.0f), 0.0f);
-  EXPECT_EQ(kernels::apply_activation(Activation::kTanh, 0.5f),
-            kernels::tanh_rational(0.5f));
-  EXPECT_STREQ(kernels::activation_name(Activation::kSigmoid), "sigmoid");
 }
 
 // -- workspace -----------------------------------------------------------------
