@@ -1,8 +1,8 @@
 // Appendix C / Fig. 14: roofline operational-intensity analysis for the
 // TreeFC model. Prints the analytic operational intensities of the three
 // execution regimes, the paper's closed-form approximations, and the
-// *measured* off-chip traffic of our engines for comparison. Paper shape:
-// O_cortex > O_dynet > O_pytorch (~0.5).
+// off-chip traffic our engines' device model counts, for comparison.
+// Paper shape: O_cortex > O_dynet > O_pytorch (~0.5).
 
 #include "common.hpp"
 #include "roofline/roofline.hpp"
@@ -34,7 +34,9 @@ int main() {
                 roofline::approx_oi_pytorch());
   }
 
-  // Measured off-chip traffic from the engines (device-model counters).
+  // Off-chip traffic counted by the engines' device-model counters
+  // (Cortex's by exec::model_cost); "measured" in the labels sets these
+  // counts apart from the closed forms above.
   std::printf("\nMeasured operational intensity (engine traffic "
               "counters, batch 10):\n");
   Rng rng(3);

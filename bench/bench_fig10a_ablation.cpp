@@ -60,7 +60,7 @@ int main() {
       for (int stage = 0; stage < 4; ++stage) {
         exec::CortexEngine engine(def, params, stage_schedule(stage), spec);
         std::printf(" %12.4f",
-                    bench::run_cortex(engine, w, 2).latency_ms());
+                    bench::run_cortex(engine, w, 2).modeled_latency_ms());
       }
       std::printf("\n");
     }

@@ -32,8 +32,8 @@ int main() {
       exec::CortexEngine e_unroll(def, params, unrolled, spec);
       std::printf("%-10s %-6lld %16.4f %14.4f\n", name.c_str(),
                   static_cast<long long>(b),
-                  bench::run_cortex(e_base, w, 2).latency_ms(),
-                  bench::run_cortex(e_unroll, w, 2).latency_ms());
+                  bench::run_cortex(e_base, w, 2).modeled_latency_ms(),
+                  bench::run_cortex(e_unroll, w, 2).modeled_latency_ms());
     }
   }
   return 0;

@@ -29,8 +29,8 @@ int main() {
 
       exec::CortexEngine e_base(def, params, base, spec);
       exec::CortexEngine e_ref(def, params, refactored, spec);
-      const double t0 = bench::run_cortex(e_base, w, 2).latency_ms();
-      const double t1 = bench::run_cortex(e_ref, w, 2).latency_ms();
+      const double t0 = bench::run_cortex(e_base, w, 2).modeled_latency_ms();
+      const double t1 = bench::run_cortex(e_ref, w, 2).modeled_latency_ms();
       std::printf("%-14s %-6lld %14.4f %12.4f %8.1f%%\n", name.c_str(),
                   static_cast<long long>(b), t0, t1,
                   100.0 * (t0 - t1) / t0);

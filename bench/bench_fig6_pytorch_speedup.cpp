@@ -34,8 +34,9 @@ void run_backend(const runtime::DeviceSpec& spec) {
       exec::CortexEngine cortex_engine(def, params, ra::Schedule{}, spec);
       baselines::EagerEngine eager(def, params, spec);
       const double t_cortex =
-          bench::run_cortex(cortex_engine, w, 2).latency_ms();
-      const double t_eager = bench::run_eager(eager, w, 2).latency_ms();
+          bench::run_cortex(cortex_engine, w, 2).modeled_latency_ms();
+      const double t_eager =
+          bench::run_eager(eager, w, 2).modeled_latency_ms();
       std::printf("%11.1fx", t_eager / t_cortex);
     }
     std::printf("\n");

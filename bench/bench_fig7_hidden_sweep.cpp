@@ -28,9 +28,9 @@ void sweep(const runtime::DeviceSpec& spec) {
     exec::CortexEngine cortex_engine(def, params, ra::Schedule{}, spec);
 
     std::printf("%-8lld %14.3f %14.3f %14.3f\n", static_cast<long long>(h),
-                bench::run_cavs(cavs, w, 2).latency_ms(),
-                bench::run_dynet(dynet, w, 2).latency_ms(),
-                bench::run_cortex(cortex_engine, w, 2).latency_ms());
+                bench::run_cavs(cavs, w, 2).modeled_latency_ms(),
+                bench::run_dynet(dynet, w, 2).modeled_latency_ms(),
+                bench::run_cortex(cortex_engine, w, 2).modeled_latency_ms());
   }
 }
 

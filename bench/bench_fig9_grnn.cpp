@@ -30,10 +30,10 @@ void run_model(const models::ModelDef& def, bool refactor) {
               "GRNN lock-based (ms)", "Cortex (ms)");
   bench::print_rule(70);
   for (const std::int64_t b : {std::int64_t{1}, big_batch}) {
-    std::vector<std::unique_ptr<ds::Tree>> chains;
+    bench::Workload chains;
     for (std::int64_t i = 0; i < b; ++i)
-      chains.push_back(ds::make_chain_tree(seq_len, rng));
-    const std::vector<const ds::Tree*> raw = baselines::raw(chains);
+      chains.trees.push_back(ds::make_chain_tree(seq_len, rng));
+    const std::vector<const ds::Tree*> raw = baselines::raw(chains.trees);
 
     baselines::GrnnConfig lockfree{/*lock_free_barrier=*/true, refactor};
     baselines::GrnnConfig locked{/*lock_free_barrier=*/false, refactor};
@@ -42,20 +42,20 @@ void run_model(const models::ModelDef& def, bool refactor) {
             [&] { return baselines::run_grnn(def, params, raw, spec,
                                              lockfree); },
             3)
-            .latency_ms();
+            .modeled_latency_ms();
     const double t_lock =
         bench::average_runs(
             [&] { return baselines::run_grnn(def, params, raw, spec,
                                              locked); },
             3)
-            .latency_ms();
+            .modeled_latency_ms();
 
     ra::Schedule sched;
     sched.lock_free_barrier = false;  // Cortex's prototype barrier (§7.2)
     sched.refactor = refactor;
     exec::CortexEngine engine(def, params, sched, spec);
     const double t_cortex =
-        bench::average_runs([&] { return engine.run(raw); }, 3).latency_ms();
+        bench::run_cortex(engine, chains, 3).modeled_latency_ms();
 
     std::printf("%-8lld %18.3f %24.3f %14.3f\n", static_cast<long long>(b),
                 t_free, t_lock, t_cortex);

@@ -51,9 +51,10 @@ int main() {
                 median_linearize_us(fc, tree_spec));
   }
 
-  // Context: linearization as a fraction of Cortex end-to-end latency on
-  // the GPU backend, batch 10, hidden hs (paper: 1.2% .. 24.4%).
-  std::printf("\nLinearization share of end-to-end latency "
+  // Context: linearization as a fraction of Cortex's modeled end-to-end
+  // latency on the GPU backend, batch 10, hidden hs (paper: 1.2% ..
+  // 24.4%).
+  std::printf("\nLinearization share of modeled end-to-end latency "
               "(GPU, batch 10, hs):\n");
   for (const std::string name :
        {"MV-RNN", "TreeLSTM", "TreeGRU", "TreeFC", "DAG-RNN"}) {
@@ -67,7 +68,7 @@ int main() {
     const runtime::RunResult r = bench::run_cortex(engine, w, 5);
     std::printf("  %-10s %5.1f%%\n", name.c_str(),
                 100.0 * r.profiler.linearization_ns /
-                    r.profiler.total_latency_ns());
+                    r.profiler.modeled_latency_ns());
   }
   return 0;
 }

@@ -36,9 +36,10 @@ int main() {
                                          ra::Schedule::cavs_comparable(),
                                          spec);
 
-        const double t_cavs = bench::run_cavs(cavs, w, 2).latency_ms();
+        const double t_cavs =
+            bench::run_cavs(cavs, w, 2).modeled_latency_ms();
         const double t_cortex =
-            bench::run_cortex(cortex_engine, w, 2).latency_ms();
+            bench::run_cortex(cortex_engine, w, 2).modeled_latency_ms();
         std::printf(" %7.3f/%-7.3f %5.2fx |", t_cavs, t_cortex,
                     t_cavs / t_cortex);
       }

@@ -40,9 +40,10 @@ int main() {
           baselines::DynetEngine dynet(def, params, spec);
           exec::CortexEngine cortex_engine(def, params, ra::Schedule{},
                                            spec);
-          const double t_dynet = bench::run_dynet(dynet, w, 2).latency_ms();
+          const double t_dynet =
+              bench::run_dynet(dynet, w, 2).modeled_latency_ms();
           const double t_cortex =
-              bench::run_cortex(cortex_engine, w, 2).latency_ms();
+              bench::run_cortex(cortex_engine, w, 2).modeled_latency_ms();
           std::printf(" | %6.2f/%-6.2f %5.2fx", t_dynet, t_cortex,
                       t_dynet / t_cortex);
         }

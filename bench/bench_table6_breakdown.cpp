@@ -19,7 +19,7 @@ void print_row(const char* name, const runtime::RunResult& r) {
               (p.mem_mgmt_host_ns + p.device_memcpy_ns) * 1e-6,
               p.device_compute_ns * 1e-6,
               static_cast<long long>(p.kernel_launches), p.host_api_ns * 1e-6,
-              p.total_latency_ms());
+              p.modeled_latency_ms());
 }
 
 }  // namespace

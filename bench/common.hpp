@@ -17,7 +17,7 @@
 #include "baselines/eager.hpp"
 #include "baselines/grnn_like.hpp"
 #include "ds/generators.hpp"
-#include "exec/engine.hpp"
+#include "exec/cost_model.hpp"
 #include "models/model_zoo.hpp"
 
 namespace cortex::bench {
@@ -111,13 +111,19 @@ runtime::RunResult average_runs(F&& fn, int iters = 3) {
   return avg;
 }
 
-/// Runs the Cortex engine on a workload (trees or DAGs).
-inline runtime::RunResult run_cortex(exec::CortexEngine& engine,
+/// Models the Cortex engine on a workload (trees or DAGs): linearizes it
+/// (timed, as a run does) and returns exec::model_cost's modeled counters
+/// and peak memory. Runs no numerics and returns no root states: the
+/// paper's figures print modeled numbers only.
+inline runtime::RunResult run_cortex(const exec::CortexEngine& engine,
                                      const Workload& w, int iters = 3) {
   return average_runs(
       [&] {
-        return w.is_dag() ? engine.run(baselines::raw(w.dags))
-                          : engine.run(baselines::raw(w.trees));
+        double lin_ns = 0.0;
+        const linearizer::Linearized lin =
+            w.is_dag() ? engine.linearize(baselines::raw(w.dags), lin_ns)
+                       : engine.linearize(baselines::raw(w.trees), lin_ns);
+        return exec::model_cost(engine, lin, lin_ns);
       },
       iters);
 }

@@ -11,7 +11,7 @@
 
 #include "baselines/eager.hpp"
 #include "ds/generators.hpp"
-#include "exec/engine.hpp"
+#include "exec/cost_model.hpp"
 #include "models/model_zoo.hpp"
 
 using namespace cortex;
@@ -34,13 +34,10 @@ int main(int argc, char** argv) {
 
   const runtime::DeviceSpec spec = runtime::DeviceSpec::v100_gpu();
   exec::CortexEngine engine(def, params, ra::Schedule{}, spec);
-  const runtime::RunResult r = engine.run(batch);
-
-  const linearizer::Linearized lin = linearizer::linearize_dags(
-      batch, engine.lowered()->lin_spec.kind == linearizer::StructureKind::kDag
-                 ? engine.lowered()->lin_spec
-                 : linearizer::LinearizerSpec{linearizer::StructureKind::kDag,
-                                              8});
+  double lin_ns = 0.0;
+  const linearizer::Linearized lin = engine.linearize(batch, lin_ns);
+  const runtime::RunResult r = engine.run_linearized(lin, lin_ns);
+  const runtime::RunResult cost = exec::model_cost(engine, lin, lin_ns);
   std::printf("Wavefront batches: %lld (grid anti-diagonals: %lld)\n",
               static_cast<long long>(lin.num_batches()),
               static_cast<long long>(2 * grid - 1));
@@ -84,8 +81,8 @@ int main(int argc, char** argv) {
   const runtime::RunResult e = eager.run(batch);
   std::printf("\nModeled GPU latency: Cortex %.3f ms | eager %.3f ms "
               "(%.0fx)\n",
-              r.latency_ms(), e.latency_ms(),
-              e.latency_ms() / r.latency_ms());
+              cost.modeled_latency_ms(), e.modeled_latency_ms(),
+              e.modeled_latency_ms() / cost.modeled_latency_ms());
   std::printf("Sink-state outputs match eager: %s\n",
               r.root_states == e.root_states ? "yes" : "NO");
   return 0;

@@ -11,7 +11,7 @@
 
 #include "baselines/common.hpp"
 #include "ds/generators.hpp"
-#include "exec/engine.hpp"
+#include "exec/cost_model.hpp"
 #include "exec/tuner.hpp"
 #include "models/model_zoo.hpp"
 
@@ -67,20 +67,23 @@ int main(int argc, char** argv) {
             if (unroll > 1 && persist) continue;  // Appendix D
             exec::CortexEngine engine(def, params, s,
                                       runtime::DeviceSpec::v100_gpu());
-            // Best of three runs: the modeled part is deterministic, the
-            // measured linearization time is not.
-            runtime::RunResult r = engine.run(raw);
-            for (int rep = 0; rep < 2; ++rep) {
-              runtime::RunResult r2 = engine.run(raw);
-              if (r2.latency_ms() < r.latency_ms()) r = std::move(r2);
+            // Best of three linearizations: the modeled part is
+            // deterministic, the measured linearization time is not.
+            runtime::RunResult r;
+            for (int rep = 0; rep < 3; ++rep) {
+              double lin_ns = 0.0;
+              const linearizer::Linearized lin = engine.linearize(raw, lin_ns);
+              runtime::RunResult r2 = exec::model_cost(engine, lin, lin_ns);
+              if (rep == 0 || r2.modeled_latency_ms() < r.modeled_latency_ms())
+                r = std::move(r2);
             }
             const std::string desc = ra::to_string(s);
             std::printf("%-56s %12.4f %10lld %9lld\n", desc.c_str(),
-                        r.latency_ms(),
+                        r.modeled_latency_ms(),
                         static_cast<long long>(r.profiler.kernel_launches),
                         static_cast<long long>(r.profiler.barriers));
-            if (r.latency_ms() < best) {
-              best = r.latency_ms();
+            if (r.modeled_latency_ms() < best) {
+              best = r.modeled_latency_ms();
               best_desc = desc;
             }
           }
@@ -96,8 +99,8 @@ int main(int argc, char** argv) {
   // model, excluding the schedule-independent linearization time.
   const linearizer::Linearized lin = linearizer::linearize_trees(
       raw, linearizer::LinearizerSpec{});
-  const exec::TuneResult tuned = exec::autotune(
-      def, params, lin, runtime::DeviceSpec::v100_gpu());
+  const exec::TuneResult tuned =
+      exec::autotune(def, lin, runtime::DeviceSpec::v100_gpu());
   std::printf("Auto-tuner:                   %s\n",
               tuned.summary().c_str());
   return 0;

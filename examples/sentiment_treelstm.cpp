@@ -12,7 +12,7 @@
 #include "baselines/dynet_like.hpp"
 #include "baselines/eager.hpp"
 #include "ds/generators.hpp"
-#include "exec/engine.hpp"
+#include "exec/cost_model.hpp"
 #include "models/model_zoo.hpp"
 #include "tensor/activations.hpp"
 
@@ -43,7 +43,11 @@ int main(int argc, char** argv) {
   baselines::EagerEngine eager(def, params, spec);
   baselines::DynetEngine dynet(def, params, spec);
 
-  const runtime::RunResult rc = cortex_engine.run(raw);
+  double lin_ns = 0.0;
+  const linearizer::Linearized lin = cortex_engine.linearize(raw, lin_ns);
+  const runtime::RunResult rc = cortex_engine.run_linearized(lin, lin_ns);
+  const double cortex_ms =
+      exec::model_cost(cortex_engine, lin, lin_ns).modeled_latency_ms();
   const runtime::RunResult re = eager.run(raw);
   const runtime::RunResult rd = dynet.run(raw);
 
@@ -65,9 +69,9 @@ int main(int argc, char** argv) {
 
   std::printf("\nModeled GPU latency:  Cortex %.3f ms | eager %.3f ms "
               "(%.0fx) | DyNet-like %.3f ms (%.1fx)\n",
-              rc.latency_ms(), re.latency_ms(),
-              re.latency_ms() / rc.latency_ms(), rd.latency_ms(),
-              rd.latency_ms() / rc.latency_ms());
+              cortex_ms, re.modeled_latency_ms(),
+              re.modeled_latency_ms() / cortex_ms, rd.modeled_latency_ms(),
+              rd.modeled_latency_ms() / cortex_ms);
   std::printf("Cross-framework outputs identical: %s\n",
               (rc.root_states == re.root_states &&
                rc.root_states == rd.root_states)

@@ -41,21 +41,8 @@ constexpr int kMaxTeam = 2;
 /// ~0.8 ms at p99, which the owner overlaps with the steps it runs alone.
 constexpr std::int64_t kSplitMinWeightBytes = std::int64_t{256} << 10;
 
-/// Device-resident bytes of the linearizer's arrays (they are shipped to
-/// the device for the generated code to index), summed per array from its
-/// own element size rather than assuming a uniform width.
-std::int64_t linearized_bytes(const linearizer::Linearized& lin) {
-  const auto bytes = [](const auto& v) {
-    return static_cast<std::int64_t>(v.size() * sizeof(v[0]));
-  };
-  return bytes(lin.left) + bytes(lin.right) + bytes(lin.word) +
-         bytes(lin.height) + bytes(lin.child_offsets) + bytes(lin.child_ids) +
-         bytes(lin.batch_begin) + bytes(lin.batch_length) +
-         bytes(lin.exec_order);
-}
-
-/// A well-formed result for a zero-node run: nothing computed, nothing
-/// accounted, only the (measured) host linearization time reported.
+/// A well-formed result for a zero-node run: nothing computed, only the
+/// (measured) host linearization time reported.
 runtime::RunResult empty_result(double linearization_ns) {
   runtime::RunResult rr;
   rr.profiler.linearization_ns = linearization_ns;
@@ -98,17 +85,35 @@ models::BatchedCellExecutor& CortexEngine::batched_exec() {
   return *batched_exec_;
 }
 
+linearizer::Linearized CortexEngine::linearize(
+    const std::vector<const ds::Tree*>& trees, double& ns) const {
+  const linearizer::LinearizerSpec lspec =
+      lowered() ? lowered()->lin_spec : linearizer::LinearizerSpec{};
+  const std::int64_t t0 = runtime::now_ns();
+  linearizer::Linearized lin = linearizer::linearize_trees(trees, lspec);
+  ns = static_cast<double>(runtime::now_ns() - t0);
+  return lin;
+}
+
+linearizer::Linearized CortexEngine::linearize(
+    const std::vector<const ds::Dag*>& dags, double& ns) const {
+  linearizer::LinearizerSpec lspec =
+      lowered() ? lowered()->lin_spec : linearizer::LinearizerSpec{};
+  lspec.kind = linearizer::StructureKind::kDag;
+  const std::int64_t t0 = runtime::now_ns();
+  linearizer::Linearized lin = linearizer::linearize_dags(dags, lspec);
+  ns = static_cast<double>(runtime::now_ns() - t0);
+  return lin;
+}
+
 runtime::RunResult CortexEngine::run(
     const std::vector<const ds::Tree*>& trees) {
   CORTEX_CHECK(def_.model ? def_.model->kind != linearizer::StructureKind::kDag
                           : true)
       << "model " << def_.name << " expects DAG inputs";
   if (trees.empty()) return empty_result(0.0);
-  const linearizer::LinearizerSpec lspec =
-      lowered() ? lowered()->lin_spec : linearizer::LinearizerSpec{};
-  const std::int64_t t0 = runtime::now_ns();
-  const linearizer::Linearized lin = linearizer::linearize_trees(trees, lspec);
-  const double lin_ns = static_cast<double>(runtime::now_ns() - t0);
+  double lin_ns = 0.0;
+  const linearizer::Linearized lin = linearize(trees, lin_ns);
   return run_linearized(lin, lin_ns);
 }
 
@@ -127,12 +132,8 @@ runtime::RunResult CortexEngine::run(const std::vector<const ds::Dag*>& dags) {
                           : true)
       << "model " << def_.name << " expects tree inputs, not DAGs";
   if (dags.empty()) return empty_result(0.0);
-  linearizer::LinearizerSpec lspec =
-      lowered() ? lowered()->lin_spec : linearizer::LinearizerSpec{};
-  lspec.kind = linearizer::StructureKind::kDag;
-  const std::int64_t t0 = runtime::now_ns();
-  const linearizer::Linearized lin = linearizer::linearize_dags(dags, lspec);
-  const double lin_ns = static_cast<double>(runtime::now_ns() - t0);
+  double lin_ns = 0.0;
+  const linearizer::Linearized lin = linearize(dags, lin_ns);
   return run_linearized(lin, lin_ns);
 }
 
@@ -267,7 +268,7 @@ void CortexEngine::run_numerics(const linearizer::Linearized& lin,
   const std::int64_t t0 = runtime::now_ns();
   // Wavefront execution under every schedule: the linearizer emits the
   // dynamic batches whatever the schedule says (dynamic_batching changes
-  // only the modeled device cost, account_unbatched), and they must cover
+  // only the modeled device cost, exec/cost_model.hpp), and they must cover
   // every node. Each dynamic batch is a contiguous id range of
   // mutually independent nodes (ForKind::kParallel in the lowered ILIR),
   // split across the run's threads; the end of each split step is the
@@ -369,139 +370,15 @@ void CortexEngine::run_numerics(const linearizer::Linearized& lin,
   prof.numerics_host_ns += static_cast<double>(runtime::now_ns() - t0);
 }
 
-void CortexEngine::account_batched(const linearizer::Linearized& lin,
-                                   runtime::Device& device, Workspace& ws) {
-  runtime::Profiler& prof = device.profiler();
-  const bool mega = plan().megakernel;
-  const std::int64_t d = plan().unroll_depth;
-  bool weights_charged = false;
-
-  if (mega) {
-    // One launch for the whole inference; steps separated by device-wide
-    // barriers inside the kernel (Table 6: Cortex => 1 kernel call).
-    prof.kernel_launches += 1;
-    prof.host_api_ns += spec_.kernel_launch_ns;
-  }
-
-  // Per-step transient intermediates exist only at vendor-library
-  // granularity; a fused kernel keeps them on-chip (Fig. 8).
-  std::int64_t step_tmp_width = 0;
-  if (schedule_.fusion == ra::FusionLevel::kNone)
-    for (const auto& [reg, w] : def_.cell.register_widths())
-      step_tmp_width += w;
-
-  // Nothing linearized, nothing to launch (run({}) / empty Linearized).
-  if (lin.num_batches() == 0) return;
-
-  auto run_step = [&](const std::vector<KernelTemplate>& step,
-                      std::int64_t nodes) {
-    std::int64_t tmp_ticket = -1;
-    if (step_tmp_width > 0 && step.size() > 1)
-      tmp_ticket = ws.allocate(nodes * step_tmp_width * kF);
-    for (const KernelTemplate& t : step) {
-      runtime::KernelDesc k;
-      k.flops = t.flops_per_node * nodes;
-      k.bytes_read = t.bytes_read_per_node * nodes;
-      k.bytes_written = t.bytes_written_per_node * nodes;
-      k.parallelism = nodes * std::max<std::int64_t>(t.width, 1);
-      if (plan().persistent) {
-        if (!weights_charged) {
-          k.bytes_weights += plan().persisted_weight_bytes;
-          weights_charged = true;
-        }
-      } else {
-        k.bytes_weights += t.weight_bytes;
-      }
-      if (mega) {
-        prof.device_compute_ns += device.kernel_exec_ns(k);
-        prof.device_bytes_read += k.bytes_read + k.bytes_weights;
-        prof.device_bytes_written += k.bytes_written;
-        prof.device_flops += k.flops;
-      } else {
-        device.launch(k);
-      }
-    }
-    if (tmp_ticket >= 0) ws.release(tmp_ticket);
-  };
-
-  // Batch 0: the leaf batch (or the source wavefront for DAGs).
-  run_step(plan().leaf_step, lin.batch_length.front());
-
-  // Internal batches, grouped by the unroll depth: an unrolled schedule
-  // covers `d` consecutive height levels per kernel instance (Fig. 3).
-  const std::int64_t num_batches = lin.num_batches();
-  for (std::int64_t b = 1; b < num_batches; b += d) {
-    std::int64_t nodes = 0;
-    for (std::int64_t g = b; g < std::min(b + d, num_batches); ++g)
-      nodes += lin.batch_length[static_cast<std::size_t>(g)];
-    if (mega) {
-      // Barriers separating this step group from the previous one. A
-      // block-local schedule synchronizes unrolled sub-levels inside the
-      // thread block for free; a batched global schedule needs extra
-      // device-wide barriers per unrolled level and cannot amortize them
-      // across the batch (Fig. 11).
-      std::int64_t barriers = plan().sync_points_per_step;
-      if (d > 1) barriers = plan().block_local ? plan().sync_points_per_step
-                                              : 2 * d * barriers;
-      for (std::int64_t k = 0; k < barriers; ++k)
-        device.barrier(plan().lock_free_barrier);
-    }
-    run_step(plan().internal_step, nodes);
-  }
-}
-
-void CortexEngine::account_unbatched(const linearizer::Linearized& lin,
-                                     runtime::Device& device, Workspace& ws) {
-  // No dynamic batching: one (set of) launch(es) per node in topological
-  // order — the degenerate schedule that shows why batching matters.
-  std::int64_t step_tmp_width = 0;
-  if (schedule_.fusion == ra::FusionLevel::kNone)
-    for (const auto& [reg, w] : def_.cell.register_widths())
-      step_tmp_width += w;
-  std::int64_t tmp_ticket = -1;
-  if (step_tmp_width > 0) tmp_ticket = ws.allocate(step_tmp_width * kF);
-
-  for (const std::int32_t id : lin.exec_order) {
-    const bool leaf = lin.is_leaf(id);
-    const auto& step = leaf ? plan().leaf_step : plan().internal_step;
-    for (const KernelTemplate& t : step) {
-      runtime::KernelDesc k;
-      k.flops = t.flops_per_node;
-      k.bytes_read = t.bytes_read_per_node;
-      k.bytes_weights = t.weight_bytes;
-      k.bytes_written = t.bytes_written_per_node;
-      k.parallelism = std::max<std::int64_t>(t.width, 1);
-      device.launch(k);
-    }
-  }
-  if (tmp_ticket >= 0) ws.release(tmp_ticket);
-}
-
 runtime::RunResult CortexEngine::run_linearized(
     const linearizer::Linearized& lin, double linearization_ns) {
-  if (lin.num_nodes == 0) return empty_result(linearization_ns);
+  runtime::RunResult rr = empty_result(linearization_ns);
+  if (lin.num_nodes == 0) return rr;
 
-  runtime::Device device(spec_);
-  Workspace ws;
-  device.profiler().linearization_ns = linearization_ns;
-
-  const std::int64_t n = lin.num_nodes;
   const std::int64_t sw = def_.cell.state_width;
-  ws.allocate(linearized_bytes(lin));
-  states_ = Tensor::zeros(Shape{n, sw});
-  const std::int64_t state_ticket = ws.allocate(n * sw * kF);
-  (void)state_ticket;  // live for the whole inference
+  states_ = Tensor::zeros(Shape{lin.num_nodes, sw});
+  run_numerics(lin, rr.profiler);
 
-  run_numerics(lin, device.profiler());
-
-  if (plan().dynamic_batching)
-    account_batched(lin, device, ws);
-  else
-    account_unbatched(lin, device, ws);
-
-  runtime::RunResult rr;
-  rr.profiler = device.profiler();
-  rr.peak_memory_bytes = ws.peak_bytes();
   rr.root_states.reserve(lin.roots.size());
   for (const std::int32_t r : lin.roots) {
     const float* row = states_.row(r);

@@ -33,8 +33,13 @@
 //      models/cell.hpp is the oracle it is tested against, bit for bit.
 //      The compiled ILIR (compile_ilir, run_ilir, and the test/bench
 //      kernel builder in exec/jit.hpp) is never on the served path,
-//   3. accounts device cost on the virtual device model: kernel launches,
-//      off-chip traffic, barriers, per DESIGN.md §2's GPU substitution.
+//   3. returns the root states with measured host numbers only: the
+//      linearization and numerics times, the team size and the panel
+//      counts. The engine builds no device model. The modeled device
+//      cost of a run (kernel launches, off-chip traffic, barriers, peak
+//      device memory, per DESIGN.md §2's GPU substitution) is computed
+//      offline from the plan and the linearization by exec/cost_model.hpp,
+//      for the paper's figures and the schedule tuner.
 
 #include <functional>
 #include <memory>
@@ -49,7 +54,6 @@
 #include "runtime/result.hpp"
 #include "support/team.hpp"
 #include "support/thread_pool.hpp"
-#include "tensor/workspace.hpp"
 
 namespace cortex::exec {
 
@@ -66,6 +70,13 @@ class CortexEngine {
   runtime::RunResult run(const std::vector<std::unique_ptr<ds::Tree>>& trees);
   /// Runs inference over a mini-batch of DAGs.
   runtime::RunResult run(const std::vector<const ds::Dag*>& dags);
+
+  /// Linearizes a mini-batch with this engine's linearizer spec, as run()
+  /// does before run_linearized; `ns` receives the host time it took.
+  linearizer::Linearized linearize(const std::vector<const ds::Tree*>& trees,
+                                   double& ns) const;
+  linearizer::Linearized linearize(const std::vector<const ds::Dag*>& dags,
+                                   double& ns) const;
 
   /// Runs over an already-linearized structure; `linearization_ns` is the
   /// host time the caller spent linearizing (0 when amortized/cached).
@@ -99,8 +110,10 @@ class CortexEngine {
                  : support::ThreadPool::default_num_threads();
   }
 
+  const models::ModelDef& def() const { return def_; }
   const Plan& plan() const { return artifacts_->plan; }
   const ra::Schedule& schedule() const { return schedule_; }
+  const runtime::DeviceSpec& spec() const { return spec_; }
   /// Lowered (unoptimized) ILIR artifacts; nullptr for cell-only models
   /// (no RA def). The optimized program is exec::compile_ilir's.
   const lowering::LoweredModel* lowered() const {
@@ -158,10 +171,6 @@ class CortexEngine {
   /// cached plan), while this executor bakes in weight data — so pooled
   /// workers each hold their own copy.
   models::BatchedCellExecutor& batched_exec();
-  void account_batched(const linearizer::Linearized& lin,
-                       runtime::Device& device, Workspace& ws);
-  void account_unbatched(const linearizer::Linearized& lin,
-                         runtime::Device& device, Workspace& ws);
 
   const models::ModelDef& def_;
   const models::ModelParams& params_;

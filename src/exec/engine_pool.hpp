@@ -60,11 +60,12 @@
 // throws a TransientError at the top of a shard execution, exercising
 // the retry path above on demand.
 //
-// Accounting: the merged profiler sums the shards (aggregate work:
-// launches, flops, bytes, modeled times); RunResult::pooled_latency_ns()
-// models the serving latency as the slowest shard's modeled time, and
-// RunResult::shards carries worker / shard-size / per-shard wall+modeled
-// ns for each shard.
+// Accounting: measured only, like the engines it merges. The merged
+// profiler sums the shards' measured counters (linearization and numerics
+// time, panels, GEMM calls), and RunResult::shards carries the worker,
+// the slice and the measured wall time of each shard. bench_engine_pool
+// models a pooled batch's device cost offline (exec/cost_model.hpp), as
+// the slowest of the shard_plan slices.
 
 #include <atomic>
 #include <cstdint>

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <sstream>
 
+#include "exec/artifacts.hpp"
+#include "exec/cost_model.hpp"
+
 namespace cortex::exec {
 
 std::string TuneResult::summary() const {
@@ -13,7 +16,6 @@ std::string TuneResult::summary() const {
 }
 
 TuneResult autotune(const models::ModelDef& def,
-                    const models::ModelParams& params,
                     const linearizer::Linearized& lin,
                     const runtime::DeviceSpec& spec) {
   const bool is_dag =
@@ -37,10 +39,11 @@ TuneResult autotune(const models::ModelDef& def,
               s.persistence = persist;
               s.unroll_depth = unroll;
               s.refactor = refactor;
-              CortexEngine engine(def, params, s, spec);
               // Deterministic score: modeled device time only.
-              const runtime::RunResult r = engine.run_linearized(lin, 0.0);
-              result.trials.emplace_back(s, r.latency_ms());
+              const CompiledArtifacts a = compile_artifacts(def, s, spec);
+              result.trials.emplace_back(
+                  s, model_cost(a.plan, s, def.cell, spec, lin, 0.0)
+                         .modeled_latency_ms());
             }
           }
         }

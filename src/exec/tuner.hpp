@@ -10,7 +10,9 @@
 #include <string>
 #include <vector>
 
-#include "exec/engine.hpp"
+#include "exec/plan.hpp"
+#include "linearizer/linearizer.hpp"
+#include "models/model_zoo.hpp"
 
 namespace cortex::exec {
 
@@ -29,7 +31,6 @@ struct TuneResult {
 /// unroll/refactor, unroll+persistence) are skipped, mirroring
 /// validate_schedule.
 TuneResult autotune(const models::ModelDef& def,
-                    const models::ModelParams& params,
                     const linearizer::Linearized& lin,
                     const runtime::DeviceSpec& spec);
 

@@ -78,7 +78,7 @@ std::string Profiler::str() const {
   if (pool_workers > 0) os << " pool_workers=" << pool_workers;
   if (pool_transient_retries > 0)
     os << " pool_retries=" << pool_transient_retries;
-  os << " total=" << total_latency_ms() << "ms";
+  os << " modeled_latency=" << modeled_latency_ms() << "ms";
   return os.str();
 }
 

@@ -2,6 +2,8 @@
 // Profiler: the counters behind the paper's Table 6 ("time spent in various
 // activities") and Fig. 12 (peak memory). Device-side numbers come from the
 // Device model; host-side numbers come from real measured framework code.
+// A served Cortex run fills only the measured fields; the Cortex engine's
+// device-side numbers come from exec::model_cost, offline.
 
 #include <cstdint>
 #include <string>
@@ -37,18 +39,17 @@ struct Profiler {
   std::int64_t host_threads = 1;
   /// Wavefront batches dispatched across more than one thread.
   std::int64_t parallel_batches = 0;
-  /// Host wall time inside the numeric executor. Diagnostic only — not
-  /// part of total_latency_ns(), because the host numerics stand in for
-  /// the modeled device's work, which device_compute_ns already accounts
-  /// (DESIGN.md §2's GPU substitution).
+  /// Host wall time inside the numeric executor: what a served run's
+  /// numerics measurably cost. Not part of modeled_latency_ns(), because
+  /// the host numerics stand in for the modeled device's work, which
+  /// device_compute_ns already accounts (DESIGN.md §2's GPU substitution).
   double numerics_host_ns = 0.0;
 
   // -- batched wavefront GEMMs (numeric executor) ----------------------------
   /// Panel GEMMs the batched wavefront executor issued: each is one
   /// kMatVec cell op run as a single [rows,k]x[k,m] GEMM over a whole
-  /// wavefront panel instead of rows separate GEMVs. 0 when the engine
-  /// walks nodes one by one (no dynamic batching, or a cell only the
-  /// per-node executor can run).
+  /// wavefront panel instead of rows separate GEMVs. 0 for the baselines,
+  /// which run no panels.
   std::int64_t batched_gemm_calls = 0;
   /// Node panels the batched executor gathered and ran (one per
   /// contiguous row range per wavefront batch per worker thread).
@@ -58,7 +59,7 @@ struct Profiler {
 
   // -- engine pool (sharded serving) ----------------------------------------
   /// Worker engines the pooled run sharded across (0 = not a pooled run).
-  /// Per-shard sizes and per-worker wall/modeled times live in
+  /// Per-shard sizes and per-shard wall times live in
   /// RunResult::shards; counters here are sums over all shards, i.e. the
   /// aggregate work of the whole mini-batch.
   std::int64_t pool_workers = 0;
@@ -73,12 +74,12 @@ struct Profiler {
   /// End-to-end modeled inference latency: host framework work + host API
   /// + device timeline (compute, copies). Mirrors how the paper reports
   /// latency with async execution disabled (Table 6 footnote 4).
-  double total_latency_ns() const {
+  double modeled_latency_ns() const {
     return graph_construction_ns + dynamic_batching_ns + mem_mgmt_host_ns +
            linearization_ns + host_other_ns + host_api_ns +
            device_compute_ns + device_memcpy_ns;
   }
-  double total_latency_ms() const { return total_latency_ns() * 1e-6; }
+  double modeled_latency_ms() const { return modeled_latency_ns() * 1e-6; }
 
   /// Merge another run's counters into this one (for averaging).
   void accumulate(const Profiler& other);

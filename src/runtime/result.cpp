@@ -1,55 +1,18 @@
 #include "runtime/result.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "support/logging.hpp"
 
 namespace cortex::runtime {
 
-double RunResult::pooled_latency_ns() const {
-  if (shards.empty()) return profiler.total_latency_ns();
-  // The sharding plan caps shards at the worker count, so the serving
-  // model puts every shard on its own worker: the pool completes when
-  // the slowest shard does. Deliberately NOT grouped by the observed
-  // ShardRecord::worker — that assignment depends on which workers other
-  // client batches were occupying, which would make the modeled number
-  // scheduling-dependent.
-  double slowest = 0.0;
-  for (const ShardRecord& s : shards) slowest = std::max(slowest, s.modeled_ns);
-  return slowest;
-}
-
 void append_shard(RunResult& merged, RunResult&& shard, ShardRecord rec) {
-  rec.modeled_ns = shard.profiler.total_latency_ns();
-  rec.peak_bytes = shard.peak_memory_bytes;
   merged.root_states.reserve(merged.root_states.size() +
                              shard.root_states.size());
   for (std::vector<float>& r : shard.root_states)
     merged.root_states.push_back(std::move(r));
   merged.profiler.accumulate(shard.profiler);
   merged.shards.push_back(rec);
-  // Peak footprint: workers are resident concurrently, but one worker's
-  // shards run sequentially on one engine — per observed worker take the
-  // largest shard, then sum across workers. Recomputed from the records
-  // each append so the helper stays a pure fold over shards.
-  std::vector<std::pair<int, std::int64_t>> per_worker;  // (worker, max)
-  for (const ShardRecord& s : merged.shards) {
-    const auto it = std::find_if(
-        per_worker.begin(), per_worker.end(),
-        [&](const std::pair<int, std::int64_t>& w) {
-          return w.first == s.worker;
-        });
-    if (it == per_worker.end())
-      per_worker.emplace_back(s.worker, s.peak_bytes);
-    else
-      it->second = std::max(it->second, s.peak_bytes);
-  }
-  merged.peak_memory_bytes = 0;
-  for (const auto& [worker, bytes] : per_worker) {
-    (void)worker;
-    merged.peak_memory_bytes += bytes;
-  }
 }
 
 std::vector<std::vector<std::vector<float>>> split_by_request(

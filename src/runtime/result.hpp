@@ -1,15 +1,22 @@
 #pragma once
 // The result every execution engine in this repo (Cortex + the baseline
 // frameworks) returns, so benches and equivalence tests treat them
-// uniformly. Latency is the modeled end-to-end inference latency
-// (Profiler::total_latency_*), matching how the paper reports Tables 4-6.
+// uniformly. What it holds depends on who filled it in:
+//   - A served Cortex run (exec::CortexEngine, exec::EnginePool) carries
+//     root states and measured host numbers only: linearization and
+//     numerics time, team size, panel counts. Every modeled field reads 0.
+//   - exec::model_cost (exec/cost_model.hpp) carries the modeled device
+//     counters and peak memory of a Cortex run, and no root states.
+//   - The baselines carry both: they model their framework overheads and
+//     device time as they run. modeled_latency_ms() is the modeled
+//     end-to-end inference latency (Profiler::modeled_latency_*), as the
+//     paper reports Tables 4-6.
 //
 // Pooled runs (exec::EnginePool) shard a mini-batch across worker engines
 // and splice the per-shard results back together with append_shard():
 // root_states are concatenated in shard (= submission) order, profiler
 // counters are summed (aggregate work), and one ShardRecord per shard
-// keeps the per-worker breakdown so serving latency can be modeled as the
-// slowest worker rather than the sum.
+// keeps the per-worker breakdown.
 
 #include <cstdint>
 #include <vector>
@@ -31,44 +38,28 @@ struct ShardRecord {
   std::int64_t batch_size = 0;
   /// Measured host wall time of the shard's run() on its worker.
   double run_ns = 0.0;
-  /// The shard's modeled end-to-end latency (its Profiler::
-  /// total_latency_ns() before merging).
-  double modeled_ns = 0.0;
-  /// The shard's own peak device-memory footprint.
-  std::int64_t peak_bytes = 0;
 };
 
 struct RunResult {
   /// Final state vector of each root, in mini-batch order (one entry per
   /// tree; DAGs contribute one entry per sink node, in node order).
   std::vector<std::vector<float>> root_states;
-  /// Activity breakdown + modeled latency for this run.
+  /// Activity breakdown for this run: measured host phases, plus the
+  /// modeled device counters when a cost model or a baseline filled them.
   Profiler profiler;
-  /// Peak device-memory footprint of the run (Fig. 12). For pooled runs:
-  /// workers are resident concurrently but one worker's shards run
-  /// sequentially on one engine, so this is the sum over workers of each
-  /// worker's largest shard footprint.
+  /// Modeled peak device-memory footprint of the run (Fig. 12); 0 for
+  /// served runs.
   std::int64_t peak_memory_bytes = 0;
   /// One record per shard of a pooled run, in shard (= submission) order;
   /// empty for single-engine runs.
   std::vector<ShardRecord> shards;
 
-  double latency_ms() const { return profiler.total_latency_ms(); }
-
-  /// Modeled serving latency of this result. Single-engine runs: the
-  /// profiler's total. Pooled runs: the slowest *shard's* modeled time —
-  /// the sharding plan never produces more shards than workers, so the
-  /// model is one batch on an idle pool with every shard on its own
-  /// worker. Deterministic for fixed inputs (unlike ShardRecord::worker,
-  /// the observed assignment, which depends on which workers were free).
-  double pooled_latency_ns() const;
-  double pooled_latency_ms() const { return pooled_latency_ns() * 1e-6; }
+  double modeled_latency_ms() const { return profiler.modeled_latency_ms(); }
 };
 
 /// Splices one shard's result onto `merged`: appends its root_states
-/// (preserving within-shard order), sums its profiler counters and peak
-/// memory, and records `rec` (with rec.modeled_ns filled from the shard's
-/// profiler). Appending shards in submission order reproduces the
+/// (preserving within-shard order), sums its profiler counters, and
+/// records `rec`. Appending shards in submission order reproduces the
 /// root_states order of a single-engine run over the whole batch.
 void append_shard(RunResult& merged, RunResult&& shard, ShardRecord rec);
 

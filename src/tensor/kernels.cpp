@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "support/logging.hpp"
 #include "tensor/kernels_detail.hpp"
 #include "tensor/kernels_tile.hpp"
 
@@ -191,18 +192,6 @@ void gemv(const float* a, const float* x, float* y, std::int64_t m,
   run_gemv(detail::selected_isa(), a, x, y, m, k);
 }
 
-void add(const float* a, const float* b, float* out, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
-}
-
-void sub(const float* a, const float* b, float* out, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
-}
-
-void mul(const float* a, const float* b, float* out, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
-}
-
 void fill(float* out, float v, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) out[i] = v;
 }
@@ -226,90 +215,6 @@ void gather_rows_strided(const float* table, std::int64_t stride,
   for (std::int64_t r = 0; r < rows; ++r)
     std::memcpy(out + r * width, table + idx[r] * stride,
                 sizeof(float) * width);
-}
-
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  CORTEX_CHECK(a.shape().rank() == 2 && b.shape().rank() == 2 &&
-               a.shape().dim(1) == b.shape().dim(0))
-      << "matmul shapes " << a.shape().str() << " x " << b.shape().str();
-  Tensor c({a.shape().dim(0), b.shape().dim(1)});
-  gemm(a.data(), b.data(), c.data(), a.shape().dim(0), a.shape().dim(1),
-       b.shape().dim(1));
-  return c;
-}
-
-Tensor linear(const Tensor& in, const Tensor& w) {
-  CORTEX_CHECK(in.shape().rank() == 2 && w.shape().rank() == 2 &&
-               in.shape().dim(1) == w.shape().dim(1))
-      << "linear shapes " << in.shape().str() << " with W "
-      << w.shape().str();
-  const std::int64_t rows = in.shape().dim(0);
-  const std::int64_t k = in.shape().dim(1);
-  const std::int64_t m = w.shape().dim(0);
-  Tensor out({rows, m});
-  // out = in @ W^T; implemented row-by-row as GEMV to match how the
-  // frameworks dispatch per-node work.
-  for (std::int64_t r = 0; r < rows; ++r)
-    gemv(w.data(), in.row(r), out.row(r), m, k);
-  return out;
-}
-
-namespace {
-Tensor binary_elementwise(const Tensor& a, const Tensor& b,
-                          void (*f)(const float*, const float*, float*,
-                                    std::int64_t)) {
-  CORTEX_CHECK(a.shape() == b.shape())
-      << "elementwise shapes " << a.shape().str() << " vs "
-      << b.shape().str();
-  Tensor out(a.shape());
-  f(a.data(), b.data(), out.data(), a.numel());
-  return out;
-}
-}  // namespace
-
-Tensor add(const Tensor& a, const Tensor& b) {
-  return binary_elementwise(a, b, &add);
-}
-Tensor sub(const Tensor& a, const Tensor& b) {
-  return binary_elementwise(a, b, &sub);
-}
-Tensor mul(const Tensor& a, const Tensor& b) {
-  return binary_elementwise(a, b, &mul);
-}
-
-Tensor add_bias(const Tensor& a, const Tensor& bias) {
-  CORTEX_CHECK(bias.shape().rank() == 1 && a.shape().rank() >= 1 &&
-               a.shape().dim(a.shape().rank() - 1) == bias.shape().dim(0))
-      << "add_bias shapes " << a.shape().str() << " + " << bias.shape().str();
-  Tensor out(a.shape());
-  const std::int64_t w = bias.shape().dim(0);
-  const std::int64_t rows = a.numel() / w;
-  for (std::int64_t r = 0; r < rows; ++r)
-    add(a.data() + r * w, bias.data(), out.data() + r * w, w);
-  return out;
-}
-
-Tensor concat_last(const Tensor& a, const Tensor& b) {
-  CORTEX_CHECK(a.shape().rank() == b.shape().rank() && a.shape().rank() >= 1)
-      << "concat_last ranks";
-  const std::size_t rk = a.shape().rank();
-  for (std::size_t i = 0; i + 1 < rk; ++i)
-    CORTEX_CHECK(a.shape().dim(i) == b.shape().dim(i))
-        << "concat_last leading dims " << a.shape().str() << " vs "
-        << b.shape().str();
-  std::vector<std::int64_t> dims = a.shape().dims();
-  const std::int64_t wa = a.shape().dim(rk - 1);
-  const std::int64_t wb = b.shape().dim(rk - 1);
-  dims[rk - 1] = wa + wb;
-  Tensor out{Shape(dims)};
-  const std::int64_t rows = a.numel() / (wa == 0 ? 1 : wa);
-  for (std::int64_t r = 0; r < rows; ++r) {
-    std::memcpy(out.data() + r * (wa + wb), a.data() + r * wa,
-                sizeof(float) * wa);
-    std::memcpy(out.data() + r * (wa + wb) + wa, b.data() + r * wb,
-                sizeof(float) * wb);
-  }
-  return out;
 }
 
 }  // namespace cortex::kernels

@@ -1,7 +1,7 @@
 #pragma once
 // Kernel library: the "vendor BLAS" substitute every framework in this repo
-// calls into (see DESIGN.md §2). Raw-pointer kernels operate on contiguous
-// row-major buffers; Tensor-typed wrappers add shape checking.
+// calls into (see DESIGN.md §2). Every kernel takes raw pointers to
+// contiguous row-major buffers; callers own the shapes and the layout.
 //
 // Numerics contract of every matrix product here (gemm*, gemv): each
 // output element is one chain of fused multiply-adds, s = fmaf(a, b, s),
@@ -15,13 +15,7 @@
 
 #include <cstdint>
 
-#include "tensor/tensor.hpp"
-
 namespace cortex::kernels {
-
-// ---------------------------------------------------------------------------
-// Raw-pointer kernels (hot paths).
-// ---------------------------------------------------------------------------
 
 /// C[m,n] = A[m,k] * B[k,n]. Naive triple loop; reference implementation.
 void gemm_naive(const float* a, const float* b, float* c, std::int64_t m,
@@ -51,12 +45,6 @@ void gemm_packed(const float* a, const float* bp, float* c, std::int64_t m,
 void gemv(const float* a, const float* x, float* y, std::int64_t m,
           std::int64_t k);
 
-/// out[i] = a[i] + b[i].
-void add(const float* a, const float* b, float* out, std::int64_t n);
-/// out[i] = a[i] - b[i].
-void sub(const float* a, const float* b, float* out, std::int64_t n);
-/// out[i] = a[i] * b[i].
-void mul(const float* a, const float* b, float* out, std::int64_t n);
 /// out[i] = v.
 void fill(float* out, float v, std::int64_t n);
 /// out[i] = a[i].
@@ -76,23 +64,6 @@ void gather_rows(const float* table, const std::int32_t* idx, float* out,
 void gather_rows_strided(const float* table, std::int64_t stride,
                          const std::int32_t* idx, float* out,
                          std::int64_t rows, std::int64_t width);
-
-// ---------------------------------------------------------------------------
-// Tensor-typed wrappers (shape-checked; examples/tests/baselines).
-// ---------------------------------------------------------------------------
-
-/// C = A @ B for 2-D tensors.
-Tensor matmul(const Tensor& a, const Tensor& b);
-/// Row-wise A @ B^T convenience: out[r,:] = W @ in[r,:] for each row r.
-/// in: (rows, k), w: (m, k) -> out: (rows, m).
-Tensor linear(const Tensor& in, const Tensor& w);
-Tensor add(const Tensor& a, const Tensor& b);
-Tensor sub(const Tensor& a, const Tensor& b);
-Tensor mul(const Tensor& a, const Tensor& b);
-/// Broadcasting add of a rank-1 bias over the last dimension.
-Tensor add_bias(const Tensor& a, const Tensor& bias);
-/// Concatenation along the last dimension of two equal-leading tensors.
-Tensor concat_last(const Tensor& a, const Tensor& b);
 
 /// Count of floating-point operations for a GEMM of these dimensions.
 inline std::int64_t gemm_flops(std::int64_t m, std::int64_t k,

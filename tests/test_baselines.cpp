@@ -12,13 +12,22 @@
 #include "baselines/eager.hpp"
 #include "baselines/grnn_like.hpp"
 #include "ds/generators.hpp"
-#include "exec/engine.hpp"
+#include "exec/cost_model.hpp"
 #include "models/model_zoo.hpp"
 
 namespace cortex::baselines {
 namespace {
 
 runtime::DeviceSpec gpu() { return runtime::DeviceSpec::v100_gpu(); }
+
+/// Cortex's modeled cost over `batch` (exec::model_cost), linearization
+/// time included as a run measures it.
+runtime::RunResult cortex_cost(const exec::CortexEngine& engine,
+                               const std::vector<const ds::Tree*>& batch) {
+  double lin_ns = 0.0;
+  const linearizer::Linearized lin = engine.linearize(batch, lin_ns);
+  return exec::model_cost(engine, lin, lin_ns);
+}
 
 struct Fixture {
   models::ModelDef def;
@@ -73,7 +82,7 @@ TEST(Baselines, Table6OverheadStructure) {
   DynetEngine dynet(s.def, s.params, gpu());
   CavsEngine cavs(s.def, s.params, gpu());
 
-  const runtime::RunResult rc = cortex_engine.run(s.batch);
+  const runtime::RunResult rc = cortex_cost(cortex_engine, s.batch);
   const runtime::RunResult re = eager.run(s.batch);
   const runtime::RunResult rd = dynet.run(s.batch);
   const runtime::RunResult rv = cavs.run(s.batch);
@@ -102,9 +111,9 @@ TEST(Baselines, Table6OverheadStructure) {
   EXPECT_EQ(re.profiler.memcpy_calls, 0);  // eager never batches
 
   // End-to-end: Cortex < Cavs < DyNet < PyTorch.
-  EXPECT_LT(rc.latency_ms(), rv.latency_ms());
-  EXPECT_LT(rv.latency_ms(), rd.latency_ms());
-  EXPECT_LT(rd.latency_ms(), re.latency_ms());
+  EXPECT_LT(rc.modeled_latency_ms(), rv.modeled_latency_ms());
+  EXPECT_LT(rv.modeled_latency_ms(), rd.modeled_latency_ms());
+  EXPECT_LT(rd.modeled_latency_ms(), re.modeled_latency_ms());
 }
 
 TEST(Baselines, DynetKernelCountMatchesGroupStructure) {
@@ -147,7 +156,7 @@ TEST(Baselines, MemoryOrderingMatchesFig12) {
   CavsEngine cavs(s.def, s.params, gpu());
 
   const auto m_eager = eager.run(s.batch).peak_memory_bytes;
-  const auto m_cortex = cortex_engine.run(s.batch).peak_memory_bytes;
+  const auto m_cortex = cortex_cost(cortex_engine, s.batch).peak_memory_bytes;
   const auto m_dynet = dynet.run(s.batch).peak_memory_bytes;
   const auto m_dynet_inf = dynet_inf.run(s.batch).peak_memory_bytes;
   const auto m_cavs = cavs.run(s.batch).peak_memory_bytes;
@@ -185,9 +194,9 @@ TEST(Grnn, LockFreeBarrierBeatsLockBased) {
   const auto batch = raw(chains);
 
   const auto free_ms =
-      run_grnn(def, params, batch, gpu(), {true, false}).latency_ms();
+      run_grnn(def, params, batch, gpu(), {true, false}).modeled_latency_ms();
   const auto locked_ms =
-      run_grnn(def, params, batch, gpu(), {false, false}).latency_ms();
+      run_grnn(def, params, batch, gpu(), {false, false}).modeled_latency_ms();
   EXPECT_LT(free_ms, locked_ms);
 }
 

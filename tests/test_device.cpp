@@ -132,8 +132,8 @@ TEST(Profiler, TotalLatencySumsAllComponents) {
   p.host_api_ns = 6;
   p.device_compute_ns = 7;
   p.device_memcpy_ns = 8;
-  EXPECT_DOUBLE_EQ(p.total_latency_ns(), 36.0);
-  EXPECT_DOUBLE_EQ(p.total_latency_ms(), 36.0 * 1e-6);
+  EXPECT_DOUBLE_EQ(p.modeled_latency_ns(), 36.0);
+  EXPECT_DOUBLE_EQ(p.modeled_latency_ms(), 36.0 * 1e-6);
 }
 
 TEST(Profiler, AccumulateAndScaleAverageRuns) {
@@ -156,7 +156,7 @@ TEST(Device, ResetClearsProfiler) {
   d.launch(KernelDesc{100, 100, 100, 0, 64});
   d.reset();
   EXPECT_EQ(d.profiler().kernel_launches, 0);
-  EXPECT_DOUBLE_EQ(d.profiler().total_latency_ns(), 0.0);
+  EXPECT_DOUBLE_EQ(d.profiler().modeled_latency_ns(), 0.0);
 }
 
 }  // namespace

@@ -1,15 +1,16 @@
 // CortexEngine: cross-framework numeric equality, schedule-invariant
-// numerics, and the device accounting that drives every table/figure —
-// launch counts, barrier counts, persistence, unrolling and refactoring
-// effects, memory footprints. Modeled quantities are asserted exactly
-// (run_linearized with zero linearization time is deterministic).
+// numerics, and the modeled device cost of its plans (exec::model_cost)
+// that drives every table/figure — launch counts, barrier counts,
+// persistence, unrolling and refactoring effects, memory footprints.
+// Modeled quantities are asserted exactly (model_cost with zero
+// linearization time is deterministic).
 
 #include <gtest/gtest.h>
 
 #include "baselines/common.hpp"
 #include "baselines/eager.hpp"
 #include "ds/generators.hpp"
-#include "exec/engine.hpp"
+#include "exec/cost_model.hpp"
 #include "models/model_zoo.hpp"
 
 namespace cortex::exec {
@@ -21,6 +22,13 @@ runtime::DeviceSpec gpu() { return runtime::DeviceSpec::v100_gpu(); }
 runtime::RunResult run_det(CortexEngine& engine,
                            const linearizer::Linearized& lin) {
   return engine.run_linearized(lin, 0.0);
+}
+
+/// Modeled device cost of one inference of `engine` over `lin`, with zero
+/// host-linearization time.
+runtime::RunResult cost(const CortexEngine& engine,
+                        const linearizer::Linearized& lin) {
+  return model_cost(engine, lin, 0.0);
 }
 
 linearizer::Linearized lin_for(const models::ModelDef& def,
@@ -111,7 +119,7 @@ TEST(EngineAccounting, DefaultScheduleIsOneMegakernelLaunch) {
   const linearizer::Linearized lin = lin_for(def, 10, 7);
 
   CortexEngine engine(def, params, ra::Schedule{}, gpu());
-  const runtime::RunResult r = run_det(engine, lin);
+  const runtime::RunResult r = cost(engine, lin);
   EXPECT_EQ(r.profiler.kernel_launches, 1);
   EXPECT_EQ(r.profiler.memcpy_calls, 0);
   EXPECT_EQ(r.profiler.graph_construction_ns, 0.0);
@@ -127,7 +135,7 @@ TEST(EngineAccounting, UnfusedScheduleLaunchesPerOpPerBatch) {
   const linearizer::Linearized lin = lin_for(def, 4, 9);
 
   CortexEngine engine(def, params, ra::Schedule::unoptimized(), gpu());
-  const runtime::RunResult r = run_det(engine, lin);
+  const runtime::RunResult r = cost(engine, lin);
   // Leaf batch: leaf+internal ops (conditional form); internal batches:
   // one launch per combined-branch operator.
   const auto ops_per_step = static_cast<std::int64_t>(
@@ -146,7 +154,7 @@ TEST(EngineAccounting, NoBatchingLaunchesPerNode) {
   ra::Schedule s;
   s.dynamic_batching = false;
   CortexEngine engine(def, params, s, gpu());
-  const runtime::RunResult r = run_det(engine, lin);
+  const runtime::RunResult r = cost(engine, lin);
   // One fused launch per leaf + one per internal node.
   EXPECT_EQ(r.profiler.kernel_launches, lin.num_nodes);
 }
@@ -162,16 +170,16 @@ TEST(EngineAccounting, PersistenceRemovesWeightRereads) {
   without.persistence = false;
   CortexEngine e_with(def, params, with, gpu());
   CortexEngine e_without(def, params, without, gpu());
-  const runtime::RunResult r_with = run_det(e_with, lin);
-  const runtime::RunResult r_without = run_det(e_without, lin);
+  const runtime::RunResult r_with = cost(e_with, lin);
+  const runtime::RunResult r_without = cost(e_without, lin);
   EXPECT_TRUE(e_with.plan().persistent);
   EXPECT_FALSE(e_without.plan().persistent);
   // Weights read once vs once per step: strictly less off-chip traffic,
   // strictly lower modeled latency. Launches identical (megakernel).
   EXPECT_LT(r_with.profiler.device_bytes_read,
             r_without.profiler.device_bytes_read);
-  EXPECT_LT(r_with.profiler.total_latency_ns(),
-            r_without.profiler.total_latency_ns());
+  EXPECT_LT(r_with.profiler.modeled_latency_ns(),
+            r_without.profiler.modeled_latency_ns());
   EXPECT_EQ(r_with.profiler.kernel_launches,
             r_without.profiler.kernel_launches);
 }
@@ -199,11 +207,11 @@ TEST(EngineAccounting, SpecializationCollapsesLeafBatch) {
   EXPECT_FALSE(e_cond.plan().leaf_collapsed);
   // §4.3: the collapsed leaf batch does no flops; the conditional form
   // pays the full internal computation over the (majority) leaves.
-  const runtime::RunResult r_spec = run_det(e_spec, lin);
-  const runtime::RunResult r_cond = run_det(e_cond, lin);
+  const runtime::RunResult r_spec = cost(e_spec, lin);
+  const runtime::RunResult r_cond = cost(e_cond, lin);
   EXPECT_LT(r_spec.profiler.device_flops, r_cond.profiler.device_flops);
-  EXPECT_LT(r_spec.profiler.total_latency_ns(),
-            r_cond.profiler.total_latency_ns());
+  EXPECT_LT(r_spec.profiler.modeled_latency_ns(),
+            r_cond.profiler.modeled_latency_ns());
 }
 
 TEST(EngineAccounting, SpecializationIsNoopForDagRnn) {
@@ -214,12 +222,12 @@ TEST(EngineAccounting, SpecializationIsNoopForDagRnn) {
 
   CortexEngine e_spec(def, params, ra::Schedule{}, gpu());
   CortexEngine e_cond(def, params, ra::Schedule::cavs_comparable(), gpu());
-  const runtime::RunResult a = run_det(e_spec, lin);
-  const runtime::RunResult b = run_det(e_cond, lin);
+  const runtime::RunResult a = cost(e_spec, lin);
+  const runtime::RunResult b = cost(e_cond, lin);
   // Single-formula model: identical cost either way (Fig. 10a).
   EXPECT_EQ(a.profiler.device_flops, b.profiler.device_flops);
-  EXPECT_DOUBLE_EQ(a.profiler.total_latency_ns(),
-                   b.profiler.total_latency_ns());
+  EXPECT_DOUBLE_EQ(a.profiler.modeled_latency_ns(),
+                   b.profiler.modeled_latency_ns());
 }
 
 // -- Fig. 10b/10c properties as invariants ------------------------------------------
@@ -236,7 +244,7 @@ TEST(EngineAccounting, UnrollingHelpsBlockLocalHurtsBatched) {
     s.unroll_depth = depth;
     if (depth > 1) s.persistence = false;  // Appendix D
     CortexEngine engine(def, params, s, gpu());
-    return run_det(engine, lin).profiler.total_latency_ns();
+    return cost(engine, lin).profiler.modeled_latency_ns();
   };
   // TreeRNN (block-local): unrolling halves device-wide barriers.
   const models::ModelDef rnn = models::make_treernn(256);
@@ -257,7 +265,7 @@ TEST(EngineAccounting, RefactoringHelpsSimpleGruOnly) {
     ra::Schedule s;
     s.refactor = refactor;
     CortexEngine engine(def, params, s, gpu());
-    return run_det(engine, lin).profiler.total_latency_ns();
+    return cost(engine, lin).profiler.modeled_latency_ns();
   };
   const models::ModelDef simple = models::make_simple_treegru(256);
   const models::ModelDef full = models::make_treegru(256);
@@ -278,8 +286,8 @@ TEST(EngineMemory, FusedFootprintBelowUnfused) {
 
   CortexEngine fused(def, params, ra::Schedule{}, gpu());
   CortexEngine unfused(def, params, ra::Schedule::unoptimized(), gpu());
-  EXPECT_LT(run_det(fused, lin).peak_memory_bytes,
-            run_det(unfused, lin).peak_memory_bytes);
+  EXPECT_LT(cost(fused, lin).peak_memory_bytes,
+            cost(unfused, lin).peak_memory_bytes);
 }
 
 TEST(EngineMemory, StateTableDominatesFusedFootprint) {
@@ -288,7 +296,7 @@ TEST(EngineMemory, StateTableDominatesFusedFootprint) {
   const models::ModelParams params = models::init_params(def, rng);
   const linearizer::Linearized lin = lin_for(def, 4, 29);
   CortexEngine engine(def, params, ra::Schedule{}, gpu());
-  const runtime::RunResult r = run_det(engine, lin);
+  const runtime::RunResult r = cost(engine, lin);
   const std::int64_t state_bytes =
       lin.num_nodes * def.cell.state_width * 4;
   EXPECT_GE(r.peak_memory_bytes, state_bytes);

@@ -11,7 +11,7 @@
 
 #include "baselines/common.hpp"
 #include "ds/generators.hpp"
-#include "exec/engine.hpp"
+#include "exec/cost_model.hpp"
 #include "exec/ilir_runner.hpp"
 #include "ilir/passes.hpp"
 #include "models/model_zoo.hpp"
@@ -115,7 +115,7 @@ TEST(EnginePipeline, GeneratedBarriersAgreeWithCostModel) {
     const CompiledIlir c = compile_ilir(*def.model, ra::Schedule{});
     const linearizer::Linearized lin = linearizer::linearize_trees(
         baselines::raw(trees), c.lowered.lin_spec);
-    const runtime::RunResult r = engine.run_linearized(lin, 0.0);
+    const runtime::RunResult r = model_cost(engine, lin, 0.0);
     const IlirRun ir = run_ilir(c.optimized, lin, params);
     EXPECT_EQ(ir.barriers, r.profiler.barriers);
   }

@@ -123,14 +123,11 @@ TEST_P(PoolZoo, PooledBitIdenticalToSingleEngineAcrossBatchAndWorkers) {
         // Bit-identical outputs, order preserved (vector == is elementwise
         // and ordered), at every worker count.
         EXPECT_EQ(out.root_states, ref.root_states);
-        // Aggregate device work is sharding-invariant for the flop and
-        // byte counters (per-node quantities summed over the same nodes).
-        EXPECT_EQ(out.profiler.device_flops, ref.profiler.device_flops);
         if (n == 0) {
           EXPECT_TRUE(out.root_states.empty());
           EXPECT_TRUE(out.shards.empty());
           EXPECT_EQ(out.peak_memory_bytes, 0);
-          EXPECT_DOUBLE_EQ(out.profiler.total_latency_ns(), 0.0);
+          EXPECT_DOUBLE_EQ(out.profiler.modeled_latency_ns(), 0.0);
         } else {
           EXPECT_EQ(out.profiler.pool_workers, w);
           std::int64_t covered = 0;
@@ -139,12 +136,10 @@ TEST_P(PoolZoo, PooledBitIdenticalToSingleEngineAcrossBatchAndWorkers) {
             covered += s.batch_size;
             EXPECT_GE(s.worker, 0);
             EXPECT_LT(s.worker, w);
-            EXPECT_GT(s.modeled_ns, 0.0);
+            EXPECT_GT(s.run_ns, 0.0);
           }
           EXPECT_EQ(covered, n);
-          EXPECT_GT(out.pooled_latency_ns(), 0.0);
-          EXPECT_LE(out.pooled_latency_ns(),
-                    out.profiler.total_latency_ns() * (1.0 + 1e-9));
+          EXPECT_GT(out.profiler.numerics_host_ns, 0.0);
         }
       }
     }
@@ -166,8 +161,7 @@ TEST(EnginePoolEmpty, EmptyBatchReturnsEmptyResult) {
   EXPECT_TRUE(r.shards.empty());
   EXPECT_EQ(r.profiler.kernel_launches, 0);
   EXPECT_EQ(r.peak_memory_bytes, 0);
-  EXPECT_DOUBLE_EQ(r.profiler.total_latency_ns(), 0.0);
-  EXPECT_DOUBLE_EQ(r.pooled_latency_ns(), 0.0);
+  EXPECT_DOUBLE_EQ(r.profiler.modeled_latency_ns(), 0.0);
 }
 
 TEST(EnginePoolEmpty, KindGuardFiresBeforeEmptyReturnLikeTheEngine) {
@@ -245,27 +239,43 @@ TEST(EnginePoolAccounting, MergedProfilerSumsShardsAndRecordsBreakdown) {
   Rng prng(5);
   const models::ModelParams params = models::init_params(def, prng);
   const Batch b = make_batch(def, 12, 55);
+  const std::vector<const ds::Tree*> raw = baselines::raw(b.trees);
 
   EnginePool pool(def, params, ra::Schedule{}, gpu(),
                   EnginePoolOptions{4});
   const runtime::RunResult out = run_pooled(pool, def, b);
   ASSERT_EQ(out.shards.size(), 4u);
 
-  // The merged modeled counters are the sums of the per-shard modeled
-  // latencies; the pooled serving latency is the slowest worker, which is
-  // at most the sum and at least the sum divided by the worker count.
-  double shard_sum = 0.0;
+  // The merged profiler sums the shards' measured counters. A batch that
+  // fills every worker lends none, so each shard ran on one thread, and
+  // its panel counts equal a one-thread engine's over the same slice.
+  CortexEngine single(def, params, ra::Schedule{}, gpu());
+  single.set_num_threads(1);
+  std::int64_t gemm_calls = 0;
+  std::int64_t panels = 0;
+  double run_sum = 0.0;
   for (const runtime::ShardRecord& s : out.shards) {
-    shard_sum += s.modeled_ns;
     EXPECT_EQ(s.batch_size, 3);
     EXPECT_GT(s.run_ns, 0.0);
+    run_sum += s.run_ns;
+    const runtime::RunResult r = single.run(std::vector<const ds::Tree*>(
+        raw.begin() + s.batch_begin,
+        raw.begin() + s.batch_begin + s.batch_size));
+    gemm_calls += r.profiler.batched_gemm_calls;
+    panels += r.profiler.batched_panels;
   }
-  EXPECT_NEAR(out.profiler.total_latency_ns(), shard_sum,
-              1e-6 * shard_sum);
-  EXPECT_LE(out.pooled_latency_ns(), shard_sum * (1.0 + 1e-9));
-  EXPECT_GE(out.pooled_latency_ns(), shard_sum / 4.0 * (1.0 - 1e-9));
-  // Workers are resident concurrently: peak memory sums across shards.
-  EXPECT_GT(out.peak_memory_bytes, 0);
+  EXPECT_EQ(out.profiler.batched_gemm_calls, gemm_calls);
+  EXPECT_EQ(out.profiler.batched_panels, panels);
+  EXPECT_EQ(out.profiler.host_threads, 1);
+  EXPECT_EQ(out.profiler.pool_workers, 4);
+  // Each shard's wall time holds its linearization and its numerics.
+  EXPECT_GT(out.profiler.numerics_host_ns, 0.0);
+  EXPECT_GT(out.profiler.linearization_ns, 0.0);
+  EXPECT_GE(run_sum,
+            out.profiler.linearization_ns + out.profiler.numerics_host_ns);
+  // Nothing modeled: the pool merges measured numbers only.
+  EXPECT_EQ(out.profiler.kernel_launches, 0);
+  EXPECT_EQ(out.peak_memory_bytes, 0);
 }
 
 }  // namespace

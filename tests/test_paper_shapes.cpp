@@ -1,7 +1,7 @@
 // The paper's headline result *shapes*, pinned as regression tests.
 // Each test encodes the qualitative claim of a table or figure (the
 // benches print the full quantitative version) against the deterministic
-// device model (run_linearized with zero host-linearization time), so a
+// device model (exec::model_cost with zero host-linearization time), so a
 // cost-model regression that silently flips a paper conclusion fails CI.
 
 #include <gtest/gtest.h>
@@ -11,7 +11,7 @@
 #include "baselines/dynet_like.hpp"
 #include "baselines/eager.hpp"
 #include "ds/generators.hpp"
-#include "exec/engine.hpp"
+#include "exec/cost_model.hpp"
 #include "models/model_zoo.hpp"
 
 // Sanitizer instrumentation inflates the *measured* host-side phases
@@ -44,11 +44,10 @@ double cortex_ms(const models::ModelDef& def,
                  const std::vector<const ds::Tree*>& batch,
                  const runtime::DeviceSpec& spec,
                  ra::Schedule sched = {}) {
-  exec::CortexEngine engine(def, params, sched, spec);
-  const linearizer::Linearized lin = linearizer::linearize_trees(
-      batch, engine.lowered() ? engine.lowered()->lin_spec
-                              : linearizer::LinearizerSpec{});
-  return engine.run_linearized(lin, 0.0).latency_ms();
+  const exec::CortexEngine engine(def, params, sched, spec);
+  double lin_ns = 0.0;
+  const linearizer::Linearized lin = engine.linearize(batch, lin_ns);
+  return exec::model_cost(engine, lin, 0.0).modeled_latency_ms();
 }
 
 TEST(PaperShapes, Fig6SpeedupOverPyTorchGrowsWithBatch) {
@@ -60,7 +59,7 @@ TEST(PaperShapes, Fig6SpeedupOverPyTorchGrowsWithBatch) {
 
   auto speedup = [&](const std::vector<const ds::Tree*>& batch) {
     baselines::EagerEngine eager(def, params, gpu());
-    return eager.run(batch).latency_ms() /
+    return eager.run(batch).modeled_latency_ms() /
            cortex_ms(def, params, batch, gpu());
   };
   const double s1 = speedup(baselines::raw(b1_trees));
@@ -78,7 +77,7 @@ TEST(PaperShapes, Fig6GpuSpeedupsExceedCpuSpeedups) {
 
   auto speedup = [&](const runtime::DeviceSpec& spec) {
     baselines::EagerEngine eager(def, params, spec);
-    return eager.run(batch).latency_ms() /
+    return eager.run(batch).modeled_latency_ms() /
            cortex_ms(def, params, batch, spec);
   };
   EXPECT_GT(speedup(gpu()), speedup(runtime::DeviceSpec::intel_cpu()));
@@ -94,7 +93,7 @@ TEST(PaperShapes, Table4CortexBeatsCavsAndGapShrinksWithHidden) {
     const models::ModelDef def = models::make_treelstm(h);
     const models::ModelParams params = models::init_params(def, prng);
     baselines::CavsEngine cavs(def, params, gpu());
-    return cavs.run(batch).latency_ms() /
+    return cavs.run(batch).modeled_latency_ms() /
            cortex_ms(def, params, batch, gpu(),
                      ra::Schedule::cavs_comparable());
   };
@@ -115,7 +114,7 @@ TEST(PaperShapes, Table5BackendOrderingGpuIntelArm) {
 
   auto speedup = [&](const runtime::DeviceSpec& spec) {
     baselines::DynetEngine dynet(def, params, spec);
-    return dynet.run(batch).latency_ms() /
+    return dynet.run(batch).modeled_latency_ms() /
            cortex_ms(def, params, batch, spec);
   };
   const double s_gpu = speedup(gpu());
@@ -140,7 +139,7 @@ TEST(PaperShapes, Fig7OverheadsDominateSmallHiddenSizes) {
     // Best of 3 (graph construction / batching are measured phases).
     double best = 1e30;
     for (int i = 0; i < 3; ++i)
-      best = std::min(best, dynet.run(batch).latency_ms());
+      best = std::min(best, dynet.run(batch).modeled_latency_ms());
     return best;
   };
   // GPU: overheads dominate across the whole sweep — near-flat even to
@@ -159,8 +158,10 @@ TEST(PaperShapes, Table6CortexEliminatesFrameworkOverheads) {
   auto trees = ds::make_sst_like_batch(10, rng);
   const auto batch = baselines::raw(trees);
 
-  exec::CortexEngine engine(def, params, ra::Schedule{}, gpu());
-  const runtime::RunResult r = engine.run(batch);
+  const exec::CortexEngine engine(def, params, ra::Schedule{}, gpu());
+  double lin_ns = 0.0;
+  const linearizer::Linearized lin = engine.linearize(batch, lin_ns);
+  const runtime::RunResult r = exec::model_cost(engine, lin, lin_ns);
   // The paper's Table 6 row: 1 kernel, no memcpys, no graph/batching
   // work; the only host-side cost is the µs-scale linearizer.
   EXPECT_EQ(r.profiler.kernel_launches, 1);

@@ -7,7 +7,7 @@
 
 #include "baselines/eager.hpp"
 #include "ds/generators.hpp"
-#include "exec/engine.hpp"
+#include "exec/cost_model.hpp"
 #include "exec/ilir_runner.hpp"
 #include "models/model_zoo.hpp"
 
@@ -61,9 +61,11 @@ TEST(PipelineSmoke, CortexUsesOneKernelLaunchWithDefaultSchedule) {
   const models::ModelParams params = models::init_params(def, rng);
   auto trees = ds::make_sst_like_batch(3, rng);
 
-  exec::CortexEngine engine(def, params, ra::Schedule{},
-                            runtime::DeviceSpec::v100_gpu());
-  const runtime::RunResult r = engine.run(baselines::raw(trees));
+  const exec::CortexEngine engine(def, params, ra::Schedule{},
+                                  runtime::DeviceSpec::v100_gpu());
+  double lin_ns = 0.0;
+  const runtime::RunResult r = exec::model_cost(
+      engine, engine.linearize(baselines::raw(trees), lin_ns), lin_ns);
   // Table 6: persistence + maximal fusion => a single mega-kernel launch.
   EXPECT_EQ(r.profiler.kernel_launches, 1);
   EXPECT_EQ(r.profiler.memcpy_calls, 0);

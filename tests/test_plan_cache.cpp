@@ -14,7 +14,7 @@
 
 #include "baselines/common.hpp"
 #include "ds/generators.hpp"
-#include "exec/engine.hpp"
+#include "exec/cost_model.hpp"
 #include "exec/plan_cache.hpp"
 #include "models/model_zoo.hpp"
 
@@ -88,6 +88,28 @@ runtime::RunResult run_workload(CortexEngine& engine,
   return engine.run(baselines::raw(trees));
 }
 
+/// exec::model_cost of the same workload, with zero linearization time.
+runtime::RunResult cost_workload(const CortexEngine& engine,
+                                 const models::ModelDef& def,
+                                 std::uint64_t seed = 7) {
+  Rng rng(seed);
+  double lin_ns = 0.0;
+  if (is_dag(def)) {
+    std::vector<std::unique_ptr<ds::Dag>> dags;
+    for (int i = 0; i < 3; ++i) dags.push_back(ds::make_grid_dag(5, 5, rng));
+    return model_cost(engine, engine.linearize(baselines::raw(dags), lin_ns),
+                      0.0);
+  }
+  std::vector<std::unique_ptr<ds::Tree>> trees;
+  if (is_seq(def)) {
+    for (int i = 0; i < 3; ++i) trees.push_back(ds::make_chain_tree(9, rng));
+  } else {
+    trees = ds::make_sst_like_batch(4, rng);
+  }
+  return model_cost(engine, engine.linearize(baselines::raw(trees), lin_ns),
+                    0.0);
+}
+
 class PlanCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -128,9 +150,13 @@ TEST_F(PlanCacheTest, WarmEnginesBitIdenticalToColdAcrossZooAndSchedules) {
       // Bit-identical outputs and identical modeled accounting.
       const runtime::RunResult warm_out = run_workload(warm, def);
       EXPECT_EQ(cold_out.root_states, warm_out.root_states);
-      EXPECT_EQ(cold_out.profiler.kernel_launches,
-                warm_out.profiler.kernel_launches);
-      EXPECT_EQ(cold_out.peak_memory_bytes, warm_out.peak_memory_bytes);
+      const runtime::RunResult cold_cost = cost_workload(cold, def);
+      const runtime::RunResult warm_cost = cost_workload(warm, def);
+      EXPECT_EQ(cold_cost.profiler.kernel_launches,
+                warm_cost.profiler.kernel_launches);
+      EXPECT_EQ(cold_cost.profiler.device_compute_ns,
+                warm_cost.profiler.device_compute_ns);
+      EXPECT_EQ(cold_cost.peak_memory_bytes, warm_cost.peak_memory_bytes);
     }
   }
 }

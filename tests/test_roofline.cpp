@@ -8,7 +8,7 @@
 #include "baselines/dynet_like.hpp"
 #include "baselines/eager.hpp"
 #include "ds/generators.hpp"
-#include "exec/engine.hpp"
+#include "exec/cost_model.hpp"
 #include "models/model_zoo.hpp"
 #include "roofline/roofline.hpp"
 
@@ -76,7 +76,9 @@ TEST(Roofline, MeasuredEngineTrafficReproducesOrdering) {
                                runtime::DeviceSpec::v100_gpu());
   baselines::EagerEngine eager(def, params,
                                runtime::DeviceSpec::v100_gpu());
-  const double oc = oi(cortex_engine.run(batch));
+  double lin_ns = 0.0;
+  const double oc = oi(exec::model_cost(
+      cortex_engine, cortex_engine.linearize(batch, lin_ns), lin_ns));
   const double od = oi(dynet.run(batch));
   const double op = oi(eager.run(batch));
   EXPECT_GT(oc, od);

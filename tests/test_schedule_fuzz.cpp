@@ -1,7 +1,7 @@
 // Schedule fuzzing: randomly drawn *legal* schedules must (a) compile —
 // the engine, and the offline ILIR pipeline, whose static verifier runs
 // after every pass under CORTEX_ILIR_VERIFY — (b) produce exactly the
-// reference numerics, and (c) satisfy the basic accounting invariants —
+// reference numerics, and (c) satisfy the basic modeled-cost invariants —
 // for every model kind. This is the property backing the paper's premise
 // that scheduling is a pure performance decision, never a semantics
 // decision.
@@ -10,7 +10,7 @@
 
 #include "baselines/common.hpp"
 #include "ds/generators.hpp"
-#include "exec/engine.hpp"
+#include "exec/cost_model.hpp"
 #include "exec/ilir_runner.hpp"
 #include "models/model_zoo.hpp"
 
@@ -53,11 +53,12 @@ TEST_P(ScheduleFuzz, TreeModelNumericsScheduleInvariant) {
     const ra::Schedule s = random_schedule(rng, /*dag_model=*/false);
     CortexEngine engine(def, params, s, runtime::DeviceSpec::v100_gpu());
     EXPECT_NO_THROW(compile_ilir(*def.model, s)) << ra::to_string(s);
-    const runtime::RunResult r = engine.run_linearized(lin, 0.0);
-    EXPECT_EQ(r.root_states, ref) << ra::to_string(s);
-    EXPECT_GE(r.profiler.kernel_launches, 1) << ra::to_string(s);
-    EXPECT_GT(r.profiler.total_latency_ns(), 0.0) << ra::to_string(s);
-    EXPECT_GT(r.peak_memory_bytes, 0) << ra::to_string(s);
+    EXPECT_EQ(engine.run_linearized(lin, 0.0).root_states, ref)
+        << ra::to_string(s);
+    const runtime::RunResult cost = model_cost(engine, lin, 0.0);
+    EXPECT_GE(cost.profiler.kernel_launches, 1) << ra::to_string(s);
+    EXPECT_GT(cost.profiler.modeled_latency_ns(), 0.0) << ra::to_string(s);
+    EXPECT_GT(cost.peak_memory_bytes, 0) << ra::to_string(s);
   }
 }
 
