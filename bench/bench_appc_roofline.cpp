@@ -35,9 +35,9 @@ int main() {
   }
 
   // Off-chip traffic counted by the engines' device-model counters
-  // (Cortex's by exec::model_cost); "measured" in the labels sets these
-  // counts apart from the closed forms above.
-  std::printf("\nMeasured operational intensity (engine traffic "
+  // (Cortex's by exec::model_cost): modeled, like every device number,
+  // but counted over real workloads rather than the closed forms above.
+  std::printf("\nModeled operational intensity (engine traffic "
               "counters, batch 10):\n");
   Rng rng(3);
   const models::ModelDef def = models::make_treefc(h);
@@ -53,11 +53,11 @@ int main() {
                                    runtime::DeviceSpec::v100_gpu());
   baselines::DynetEngine dynet(def, params, runtime::DeviceSpec::v100_gpu());
   baselines::EagerEngine eager(def, params, runtime::DeviceSpec::v100_gpu());
-  std::printf("  measured O_cortex  = %8.2f\n",
+  std::printf("  modeled O_cortex   = %8.2f\n",
               oi(bench::run_cortex(cortex_engine, w, 1)));
-  std::printf("  measured O_dynet   = %8.2f\n",
+  std::printf("  modeled O_dynet    = %8.2f\n",
               oi(bench::run_dynet(dynet, w, 1)));
-  std::printf("  measured O_pytorch = %8.2f\n",
+  std::printf("  modeled O_pytorch  = %8.2f\n",
               oi(bench::run_eager(eager, w, 1)));
   return 0;
 }

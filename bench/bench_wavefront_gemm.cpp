@@ -10,8 +10,8 @@
 // each step runs 4 panel GEMMs, the U·h products: panel_gemms is
 // 4 per window + 4 per step.
 //
-// The per-node column walks exec_order through models::CellExecutor, the
-// per-node oracle. The engine has no per-node path: panels serve every
+// The per-node column is the per-node oracle, baselines::compute_states
+// (models::CellExecutor::run_node node by node, into a fresh state table). The engine has no per-node path: panels serve every
 // schedule and every cell that CellProgram::validate accepts.
 //
 // Acceptance (full-size runs): single-thread batched speedup >= 2x over
@@ -39,26 +39,6 @@ double best_ms(F&& fn, int iters) {
   return best;
 }
 
-/// Per-node reference: one CellExecutor::run_node per node in exec_order,
-/// into `states` (N x state_width, row-major).
-void run_per_node(const models::CellExecutor& cell,
-                  const linearizer::Linearized& lin, std::int64_t sw,
-                  std::vector<float>& states) {
-  states.assign(static_cast<std::size_t>(lin.num_nodes * sw), 0.0f);
-  models::CellExecutor::Scratch regs;
-  std::vector<const float*> kids;
-  for (const std::int32_t id : lin.exec_order) {
-    const auto n = static_cast<std::size_t>(id);
-    kids.clear();
-    for (std::int32_t c = lin.child_offsets[n]; c < lin.child_offsets[n + 1];
-         ++c)
-      kids.push_back(states.data() +
-                     lin.child_ids[static_cast<std::size_t>(c)] * sw);
-    cell.run_node(kids.empty(), kids, lin.word[n], states.data() + id * sw,
-                  regs);
-  }
-}
-
 }  // namespace
 
 int main() {
@@ -82,8 +62,6 @@ int main() {
   exec::CortexEngine engine(def, params, ra::Schedule{},
                             runtime::DeviceSpec::v100_gpu());
   engine.set_num_threads(1);
-  const models::CellExecutor cell(def.cell, params);
-  const std::int64_t sw = def.cell.state_width;
 
   std::printf("%-8s %8s %14s %14s %10s %12s %10s\n", "batch", "nodes",
               "per-node (ms)", "batched (ms)", "speedup", "panel_gemms",
@@ -101,9 +79,12 @@ int main() {
     const linearizer::Linearized lin =
         linearizer::linearize_trees(raw, linearizer::LinearizerSpec{});
 
-    std::vector<float> per_node_states;
+    Tensor per_node_states;
     const double t_node = best_ms(
-        [&] { run_per_node(cell, lin, sw, per_node_states); }, iters);
+        [&] {
+          per_node_states = baselines::compute_states(def, params, lin).states;
+        },
+        iters);
     runtime::RunResult batched;
     const double t_batch =
         best_ms([&] { batched = engine.run_linearized(lin, 0.0); }, iters);
@@ -111,7 +92,8 @@ int main() {
     // Every node state, not just the roots: a regression in an
     // intermediate wavefront must fail the gate too.
     const bool identical = std::equal(
-        per_node_states.begin(), per_node_states.end(),
+        per_node_states.data(),
+        per_node_states.data() + per_node_states.numel(),
         engine.last_states().data());
     all_identical = all_identical && identical;
     const double speedup = t_node / t_batch;

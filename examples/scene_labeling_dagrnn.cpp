@@ -52,6 +52,7 @@ int main(int argc, char** argv) {
   // Node (r,c) of the single DAG was renumbered; recover via wavefront
   // depth r+c and order within it. For the demo we just label the first
   // `grid` nodes of the linearization per row of output.
+  const std::vector<std::int32_t> order = linearizer::node_order(lin);
   for (std::int64_t rr = 0; rr < grid; ++rr) {
     std::printf("  ");
     for (std::int64_t cc = 0; cc < grid; ++cc) {
@@ -61,8 +62,8 @@ int main(int argc, char** argv) {
       const std::int64_t flat = rr * grid + cc;
       std::int64_t best = 0;
       float best_v = -1e30f;
-      const float* h = states.row(lin.exec_order[
-          static_cast<std::size_t>(flat % lin.num_nodes)]);
+      const float* h =
+          states.row(order[static_cast<std::size_t>(flat % lin.num_nodes)]);
       for (std::int64_t l = 0; l < num_labels; ++l) {
         float dot = 0.0f;
         for (std::int64_t i = 0; i < hidden; ++i)

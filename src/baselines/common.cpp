@@ -1,21 +1,20 @@
 #include "baselines/common.hpp"
 
+#include <utility>
+
 namespace cortex::baselines {
 
-namespace {
-
-SharedStates states_from_lin(const models::ModelDef& def,
-                             const models::ModelParams& params,
-                             linearizer::Linearized lin) {
+SharedStates compute_states(const models::ModelDef& def,
+                            const models::ModelParams& params,
+                            linearizer::Linearized lin) {
   SharedStates ss;
   ss.lin = std::move(lin);
-  const std::int64_t n = ss.lin.num_nodes;
   const std::int64_t sw = def.cell.state_width;
-  ss.states = Tensor::zeros(Shape{n, sw});
+  ss.states = Tensor::zeros(Shape{ss.lin.num_nodes, sw});
 
   models::CellExecutor exec(def.cell, params);
   std::vector<const float*> kids;
-  for (const std::int32_t id : ss.lin.exec_order) {
+  linearizer::for_each_node(ss.lin, [&](std::int32_t id, std::int32_t) {
     const auto i = static_cast<std::size_t>(id);
     const std::int32_t off0 = ss.lin.child_offsets[i];
     const std::int32_t off1 = ss.lin.child_offsets[i + 1];
@@ -24,7 +23,7 @@ SharedStates states_from_lin(const models::ModelDef& def,
       kids.push_back(
           ss.states.row(ss.lin.child_ids[static_cast<std::size_t>(c)]));
     exec.run_node(off0 == off1, kids, ss.lin.word[i], ss.states.row(id));
-  }
+  });
 
   ss.root_states.reserve(ss.lin.roots.size());
   for (const std::int32_t r : ss.lin.roots) {
@@ -34,14 +33,12 @@ SharedStates states_from_lin(const models::ModelDef& def,
   return ss;
 }
 
-}  // namespace
-
 SharedStates compute_states(const models::ModelDef& def,
                             const models::ModelParams& params,
                             const std::vector<const ds::Tree*>& trees) {
   linearizer::LinearizerSpec spec;
   spec.kind = linearizer::StructureKind::kTree;
-  return states_from_lin(def, params, linearizer::linearize_trees(trees, spec));
+  return compute_states(def, params, linearizer::linearize_trees(trees, spec));
 }
 
 SharedStates compute_states(const models::ModelDef& def,
@@ -49,7 +46,7 @@ SharedStates compute_states(const models::ModelDef& def,
                             const std::vector<const ds::Dag*>& dags) {
   linearizer::LinearizerSpec spec;
   spec.kind = linearizer::StructureKind::kDag;
-  return states_from_lin(def, params, linearizer::linearize_dags(dags, spec));
+  return compute_states(def, params, linearizer::linearize_dags(dags, spec));
 }
 
 std::vector<const ds::Tree*> raw(

@@ -33,6 +33,15 @@ struct SharedStates {
   std::vector<std::vector<float>> root_states;
 };
 
+/// The per-node oracle: every node state of `lin`, one
+/// models::CellExecutor::run_node per node in linearizer::for_each_node
+/// order, into a fresh zeroed table. The panel executor, the ILIR
+/// interpreter and the JIT kernel are all checked against it bitwise or
+/// to tolerance. Takes `lin` by value: SharedStates keeps it.
+SharedStates compute_states(const models::ModelDef& def,
+                            const models::ModelParams& params,
+                            linearizer::Linearized lin);
+
 SharedStates compute_states(const models::ModelDef& def,
                             const models::ModelParams& params,
                             const std::vector<const ds::Tree*>& trees);

@@ -58,7 +58,7 @@ runtime::RunResult DynetEngine::run_shared(SharedStates ss) {
     runtime::ScopedHostTimer timer(prof.graph_construction_ns);
     graph.reserve(static_cast<std::size_t>(n_nodes) *
                   def_.cell.internal_ops.size());
-    for (const std::int32_t id : lin.exec_order) {
+    linearizer::for_each_node(lin, [&](std::int32_t id, std::int32_t batch) {
       const auto i = static_cast<std::size_t>(id);
       const bool leaf =
           lin.child_offsets[i] == lin.child_offsets[i + 1] && has_leaf_ops;
@@ -70,7 +70,7 @@ runtime::RunResult DynetEngine::run_shared(SharedStates ss) {
         g.node = id;
         g.op = static_cast<std::int16_t>(k);
         g.leaf_branch = leaf ? 1 : 0;
-        g.height = lin.height[i];
+        g.height = batch;
         const models::CellOp& op = ops[k];
         if (op.kind == models::CellOpKind::kSliceChild ||
             op.kind == models::CellOpKind::kChildSum) {
@@ -90,12 +90,13 @@ runtime::RunResult DynetEngine::run_shared(SharedStates ss) {
         graph.push_back(std::move(g));
         if (k + 1 == ops.size()) state_gnode[i] = gid;
       }
-    }
+    });
   }
 
   // -- 2. agenda-based dynamic batching (real, measured host work) -----------
-  // Groups operators by signature (branch, op index) and ready depth; the
-  // linearizer's height plays the role of DyNet's agenda timestamp.
+  // Groups operators by signature (branch, op index) and ready depth; a
+  // node's batch index (its height) plays the role of DyNet's agenda
+  // timestamp.
   std::map<std::int64_t, std::vector<std::int32_t>> groups;
   std::vector<std::int32_t> state_last_use(
       static_cast<std::size_t>(n_nodes), 0);
@@ -111,15 +112,15 @@ runtime::RunResult DynetEngine::run_shared(SharedStates ss) {
     }
     // Last level at which each node's state is still consumed (for the
     // inference-memory variant's deallocation points).
-    for (std::int64_t v = 0; v < n_nodes; ++v) {
-      const auto i = static_cast<std::size_t>(v);
+    linearizer::for_each_node(lin, [&](std::int32_t id, std::int32_t batch) {
+      const auto i = static_cast<std::size_t>(id);
       for (std::int32_t c = lin.child_offsets[i];
            c < lin.child_offsets[i + 1]; ++c) {
         auto& lu = state_last_use[static_cast<std::size_t>(
             lin.child_ids[static_cast<std::size_t>(c)])];
-        lu = std::max(lu, lin.height[i]);
+        lu = std::max(lu, batch);
       }
-    }
+    });
   }
 
   // -- 3. batched execution ----------------------------------------------------

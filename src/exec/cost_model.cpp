@@ -11,16 +11,18 @@ namespace {
 constexpr std::int64_t kF = sizeof(float);
 
 /// Device-resident bytes of the linearizer's arrays (they are shipped to
-/// the device for the generated code to index), summed per array from its
-/// own element size rather than assuming a uniform width.
+/// the device for the generated code to index). The modeled device copy
+/// is 32-bit ints: per node, the two binary child slots, the word, the
+/// height and the node-order entry; the N + 1 CSR offsets and the child
+/// ids; and the begin/length pair of each batch. The host linearization
+/// keeps only the CSR, word and batch arrays, but the modeled figure
+/// stays this layout's so the paper's memory figures do not move.
 std::int64_t linearized_bytes(const linearizer::Linearized& lin) {
-  const auto bytes = [](const auto& v) {
-    return static_cast<std::int64_t>(v.size() * sizeof(v[0]));
-  };
-  return bytes(lin.left) + bytes(lin.right) + bytes(lin.word) +
-         bytes(lin.height) + bytes(lin.child_offsets) + bytes(lin.child_ids) +
-         bytes(lin.batch_begin) + bytes(lin.batch_length) +
-         bytes(lin.exec_order);
+  const std::int64_t ints =
+      5 * lin.num_nodes + (lin.num_nodes + 1) +
+      static_cast<std::int64_t>(lin.child_ids.size()) +
+      2 * lin.num_batches();
+  return ints * static_cast<std::int64_t>(sizeof(std::int32_t));
 }
 
 /// Per-step transient intermediates exist only at vendor-library
@@ -121,7 +123,7 @@ void account_unbatched(const Plan& plan, const ra::Schedule& schedule,
   std::int64_t tmp_ticket = -1;
   if (tmp_width > 0) tmp_ticket = ws.allocate(tmp_width * kF);
 
-  for (const std::int32_t id : lin.exec_order) {
+  linearizer::for_each_node(lin, [&](std::int32_t id, std::int32_t) {
     const bool leaf = lin.is_leaf(id);
     const auto& step = leaf ? plan.leaf_step : plan.internal_step;
     for (const KernelTemplate& t : step) {
@@ -133,7 +135,7 @@ void account_unbatched(const Plan& plan, const ra::Schedule& schedule,
       k.parallelism = std::max<std::int64_t>(t.width, 1);
       device.launch(k);
     }
-  }
+  });
   if (tmp_ticket >= 0) ws.release(tmp_ticket);
 }
 }  // namespace

@@ -17,21 +17,19 @@ CompiledIlir compile_ilir(const ra::Model& model,
   lowering::LoweredModel lm = lowering::lower(model, schedule);
   MemoryPlanOptions mp_opts;
   mp_opts.live_out = {lm.output};
-  ilir::PassObserver observe;
-  if (ilir::verify_enabled()) {
-    ilir::verify_or_throw(lm.program, "lower");
-    observe = [&mp_opts](const std::string& pass, const ilir::Program& after) {
-      ilir::VerifyOptions opt;
-      // Barrier-presence legality only holds once barriers exist.
-      opt.require_barriers = pass == "insert_barriers";
-      ilir::verify_or_throw(after, pass, opt);
-      // Re-plan and re-prove the memory plan after every pass: a pass
-      // that moves or widens buffer lifetimes must still yield an
-      // overlap-free, in-bounds arena assignment.
-      verify_memory_plan_or_throw(after, plan_memory(after, mp_opts), pass,
-                                  mp_opts);
-    };
-  }
+  ilir::verify_or_throw(lm.program, "lower");
+  const ilir::PassObserver observe = [&mp_opts](const std::string& pass,
+                                                const ilir::Program& after) {
+    ilir::VerifyOptions opt;
+    // Barrier-presence legality only holds once barriers exist.
+    opt.require_barriers = pass == "insert_barriers";
+    ilir::verify_or_throw(after, pass, opt);
+    // Re-plan and re-prove the memory plan after every pass: a pass that
+    // moves or widens buffer lifetimes must still yield an overlap-free,
+    // in-bounds arena assignment.
+    verify_memory_plan_or_throw(after, plan_memory(after, mp_opts), pass,
+                                mp_opts);
+  };
   ilir::PipelineConfig cfg;
   cfg.fuse = schedule.fusion == ra::FusionLevel::kMaximal;
   cfg.dense_index = schedule.dense_intermediates && schedule.dynamic_batching;
@@ -41,8 +39,7 @@ CompiledIlir compile_ilir(const ra::Model& model,
   ilir::Program optimized =
       ilir::apply_schedule_passes(lm.program, cfg, observe);
   MemoryPlan memory = plan_memory(optimized, mp_opts);
-  if (ilir::verify_enabled())
-    verify_memory_plan_or_throw(optimized, memory, "final", mp_opts);
+  verify_memory_plan_or_throw(optimized, memory, "final", mp_opts);
   return CompiledIlir{std::move(lm), std::move(optimized), std::move(memory)};
 }
 
@@ -62,10 +59,7 @@ IlirRun run_ilir(const ilir::Program& program,
   scalars["first_leaf_id"] = lin.first_leaf_id;
   scalars["num_batches"] = lin.num_batches();
   scalars["num_internal_batches"] = lin.num_batches() - 1;
-  std::int64_t max_batch = 0;
-  for (std::int32_t len : lin.batch_length)
-    max_batch = std::max<std::int64_t>(max_batch, len);
-  scalars["max_batch_size"] = max_batch;
+  scalars["max_batch_size"] = lin.max_batch_length();
 
   IlirRun run;
   ilir::Evaluator ev(program, lin);
@@ -152,11 +146,11 @@ IlirRun run_ilir(const ilir::Program& program,
         param_table.push_back(bit->second.data());
       }
     }
+    const std::vector<std::int32_t> exec_order = linearizer::node_order(lin);
     const std::int32_t* lin_table[ilir::kNumStructureArrays] = {
-        lin.left.data(),          lin.right.data(),
         lin.word.data(),          lin.batch_begin.data(),
         lin.batch_length.data(),  lin.child_offsets.data(),
-        lin.child_ids.data(),     lin.exec_order.data()};
+        lin.child_ids.data(),     exec_order.data()};
     std::int64_t scalar_table[ilir::kNumScalars];
     for (std::size_t i = 0; i < ilir::kNumScalars; ++i)
       scalar_table[i] = scalars.at(ilir::kScalarNames[i]);

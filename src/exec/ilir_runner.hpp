@@ -47,10 +47,9 @@ struct CompiledIlir {
 
 /// Lowers `model` under `schedule` (throws cortex::Error on P.1-P.3
 /// violations and illegal schedules), runs the schedule's pass pipeline
-/// and plans the final program's memory. Under CORTEX_ILIR_VERIFY the
-/// verifiers check the lowered program, the program and a fresh memory
-/// plan after every pass (so the first bad pass is the one blamed), and
-/// the returned plan.
+/// and plans the final program's memory. The verifiers check the lowered
+/// program, the program and a fresh memory plan after every pass (so the
+/// first bad pass is the one blamed), and the returned plan.
 CompiledIlir compile_ilir(const ra::Model& model, const ra::Schedule& schedule);
 
 struct IlirRun {

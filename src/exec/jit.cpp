@@ -79,8 +79,8 @@ support::Fingerprint kernel_fingerprint(const ilir::Program& program,
 
 JitKernelPtr build_kernel(const ilir::Program& program, const MemoryPlan* plan,
                           const MemoryPlanOptions& plan_opts) {
-  // Forced regardless of CORTEX_ILIR_VERIFY: the kernel will execute with
-  // no interpreter safety net (see header).
+  // Verified again here: the kernel will execute with no interpreter
+  // safety net (see header).
   ilir::verify_or_throw(program, "jit");
   if (plan != nullptr)
     verify_memory_plan_or_throw(program, *plan, "jit", plan_opts);

@@ -11,7 +11,7 @@
 // compiles afresh.
 //
 // Safety: the ILIR static verifier and the memory-plan verifier run on
-// every build regardless of CORTEX_ILIR_VERIFY. A dlopen'd kernel executes
+// every build. A dlopen'd kernel executes
 // whatever the pass pipeline emitted with no interpreter bounds checks,
 // so it never runs unverified IR. The interpreter stays the differential
 // oracle: the JitDifferential tests require bit-identical buffers and
@@ -57,7 +57,7 @@ support::Fingerprint kernel_fingerprint(const ilir::Program& program,
 /// One dlopen'd kernel; immutable once built, closed on destruction.
 class JitKernel {
  public:
-  /// The cortex-jit-abi 1 signature (ilir/codegen_c.hpp documents the
+  /// The cortex-jit-abi 2 signature (ilir/codegen_c.hpp documents the
   /// argument tables).
   using Fn = void (*)(float* arena, const std::int64_t* slot_offsets,
                       float* const* params, const std::int32_t* const* lin,

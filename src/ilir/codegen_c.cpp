@@ -564,7 +564,7 @@ class Emitter {
 
   std::string assemble(const std::string& symbol) {
     std::ostringstream os;
-    os << "/* generated by cortex ILIR codegen (cortex-jit-abi 1) */\n";
+    os << "/* generated by cortex ILIR codegen (cortex-jit-abi 2) */\n";
     os << "/* program: " << prog_.name << " */\n";
     os << "#include <math.h>\n";
     os << "#include <stdint.h>\n\n";

@@ -20,7 +20,7 @@
 //     branch stays lazy (the hoisted loop is guarded by the select
 //     condition, matching the evaluator's short-circuit evaluation).
 //
-// ABI (cortex-jit-abi 1) — every kernel has the same signature:
+// ABI (cortex-jit-abi 2) — every kernel has the same signature:
 //   void <symbol>(float* arena, const int64_t* slot_offsets,
 //                 float* const* params, const int32_t* const* lin,
 //                 const int64_t* scalars, int64_t* counters);
@@ -44,10 +44,11 @@ namespace cortex::ilir {
 
 /// Linearizer arrays in `lin[]` argument order (shared with the host
 /// binding code in exec/ilir_runner.cpp). "words" is Linearized::word.
+/// "exec_order" is linearizer::node_order.
 inline constexpr const char* kStructureArrayNames[] = {
-    "left",          "right",     "words",     "batch_begin",
-    "batch_length",  "child_offsets", "child_ids", "exec_order"};
-inline constexpr std::size_t kNumStructureArrays = 8;
+    "words",         "batch_begin", "batch_length",
+    "child_offsets", "child_ids",   "exec_order"};
+inline constexpr std::size_t kNumStructureArrays = 6;
 
 /// Runtime scalars in `scalars[]` argument order (the same set the
 /// evaluator binds in bind_structure()).

@@ -35,23 +35,19 @@ void Evaluator::bind_scalar(const std::string& name, std::int64_t v) {
 }
 
 void Evaluator::bind_structure() {
-  bind("left", Binding::ints(lin_.left));
-  bind("right", Binding::ints(lin_.right));
   bind("words", Binding::ints(lin_.word));
   bind("batch_begin", Binding::ints(lin_.batch_begin));
   bind("batch_length", Binding::ints(lin_.batch_length));
   bind("child_offsets", Binding::ints(lin_.child_offsets));
   bind("child_ids", Binding::ints(lin_.child_ids));
-  bind("exec_order", Binding::ints(lin_.exec_order));
+  exec_order_ = linearizer::node_order(lin_);
+  bind("exec_order", Binding::ints(exec_order_));
   bind_scalar("N", lin_.num_nodes);
   bind_scalar("num_leaves", lin_.num_leaves);
   bind_scalar("first_leaf_id", lin_.first_leaf_id);
   bind_scalar("num_batches", lin_.num_batches());
   bind_scalar("num_internal_batches", lin_.num_batches() - 1);
-  std::int64_t max_batch = 0;
-  for (std::int32_t len : lin_.batch_length)
-    max_batch = std::max<std::int64_t>(max_batch, len);
-  bind_scalar("max_batch_size", max_batch);
+  bind_scalar("max_batch_size", lin_.max_batch_length());
 }
 
 std::int64_t Evaluator::flat_index(const Binding& b,

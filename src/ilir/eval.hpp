@@ -40,8 +40,9 @@ class Evaluator {
   void bind_scalar(const std::string& name, std::int64_t v);
 
   /// Binds the standard linearizer arrays under their conventional names
-  /// (left, right, words, batch_begin, batch_length, child_offsets,
-  /// child_ids) plus the scalars N, H is caller's concern.
+  /// (words, batch_begin, batch_length, child_offsets, child_ids, and
+  /// exec_order: linearizer::node_order, owned by this evaluator) plus the
+  /// runtime scalars (N, num_leaves, ...; H is the caller's concern).
   void bind_structure();
 
   /// Executes the program body.
@@ -67,6 +68,7 @@ class Evaluator {
 
   const Program& program_;
   const linearizer::Linearized& lin_;
+  std::vector<std::int32_t> exec_order_;  ///< bound by bind_structure()
   std::map<std::string, Binding> buffers_;
   std::map<std::string, std::int64_t> vars_;
   std::int64_t barriers_ = 0;

@@ -93,7 +93,7 @@ Program annotate_loop(const Program& p, const std::string& var,
 
 /// Called after every applied pass with the pass name and the program it
 /// produced. exec::compile_ilir hooks the static verifier
-/// (ilir/verify.hpp) in here when CORTEX_ILIR_VERIFY is set, so a pass
+/// (ilir/verify.hpp) in here, so a pass
 /// that emits ill-formed IR is attributed to the pass, not to whatever
 /// downstream consumer happens to trip over it first.
 using PassObserver =

@@ -1,7 +1,5 @@
 #include "ilir/verify.hpp"
 
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <set>
 
@@ -447,14 +445,6 @@ void verify_or_throw(const Program& program, const std::string& phase,
                       << "' for program '" << program.name << "' ("
                       << support::error_count(diags) << " error(s)):\n"
                       << support::format(support::sorted_by_severity(diags));
-}
-
-bool verify_enabled() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("CORTEX_ILIR_VERIFY");
-    return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
-  }();
-  return enabled;
 }
 
 }  // namespace cortex::ilir

@@ -58,11 +58,4 @@ std::vector<support::Diagnostic> verify(const Program& program,
 void verify_or_throw(const Program& program, const std::string& phase,
                      const VerifyOptions& options = {});
 
-/// True when CORTEX_ILIR_VERIFY is set to anything but "0"/"" — the
-/// pass-pipeline hook in exec::compile_ilir verifies after every pass
-/// when enabled (tests/CI turn it on; compile_ilir is offline, so
-/// serving never pays for it). Read once, on first use, like
-/// CORTEX_FAULTS, so later changes to the environment are not seen.
-bool verify_enabled();
-
 }  // namespace cortex::ilir

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "support/logging.hpp"
@@ -11,32 +10,21 @@ namespace cortex::linearizer {
 
 namespace {
 
-/// Assigns ids per Appendix B: iterate height groups from the tallest
-/// (roots) down to height 0 (leaves), handing out consecutive ids. This
-/// numbers every batch consecutively, numbers parents below children, and
-/// places all leaves in the top id range.
-struct Numbering {
-  std::vector<std::vector<std::int32_t>> groups_by_height;  // node->list
-};
-
-void finalize_batches(Linearized& lin,
-                      const std::vector<std::vector<std::int32_t>>& groups) {
-  // groups[h] holds node ids of height h (already renumbered). Ids were
-  // assigned from tallest group downward, so group h occupies a contiguous
-  // range. Emit batches in bottom-up execution order: h = 0 first.
-  for (std::size_t h = 0; h < groups.size(); ++h) {
-    const auto& g = groups[h];
-    if (g.empty()) continue;
-    const std::int32_t begin = *std::min_element(g.begin(), g.end());
-    lin.batch_begin.push_back(begin);
-    lin.batch_length.push_back(static_cast<std::int32_t>(g.size()));
+/// The wavefront batches, bottom-up: batch h is level group h (tree
+/// height or DAG depth), `group_count[h]` nodes. Appendix-B numbering
+/// hands out consecutive ids from the tallest group down to group 0, so
+/// each batch is a contiguous range, parents sit below their children and
+/// the leaves take the top range. Every level from 0 to the tallest is
+/// non-empty (a node of level h > 0 has a child of level h - 1), so the
+/// batch index is the level.
+void set_batches(Linearized& lin, const std::vector<std::int32_t>& group_count) {
+  lin.batch_length = group_count;
+  lin.batch_begin.assign(group_count.size(), 0);
+  std::int32_t next = 0;
+  for (std::size_t h = group_count.size(); h-- > 0;) {
+    lin.batch_begin[h] = next;
+    next += group_count[h];
   }
-  // Execution order over single nodes: batches bottom-up, ascending id
-  // within a batch.
-  lin.exec_order.reserve(static_cast<std::size_t>(lin.num_nodes));
-  for (std::size_t b = 0; b < lin.batch_begin.size(); ++b)
-    for (std::int32_t i = 0; i < lin.batch_length[b]; ++i)
-      lin.exec_order.push_back(lin.batch_begin[b] + i);
 }
 
 }  // namespace
@@ -105,77 +93,50 @@ Linearized linearize_trees(const std::vector<const ds::Tree*>& trees,
 
   // Pass 2: Appendix-B numbering — hand out consecutive ids from the
   // tallest height group down to the leaves (counting sort by height).
-  std::vector<std::int32_t> group_count(
-      static_cast<std::size_t>(max_h) + 1, 0);
-  for (const std::int32_t h : height_of)
-    ++group_count[static_cast<std::size_t>(h)];
-  // group_begin[h] = first id of height group h (tallest group first).
-  std::vector<std::int32_t> group_begin(
-      static_cast<std::size_t>(max_h) + 1, 0);
+  Linearized lin;
+  lin.kind = spec.kind;
+  lin.num_nodes = total_nodes;
+  lin.max_fanin = 2;
   {
-    std::int32_t next = 0;
-    for (std::int64_t h = max_h; h >= 0; --h) {
-      group_begin[static_cast<std::size_t>(h)] = next;
-      next += group_count[static_cast<std::size_t>(h)];
-    }
+    std::vector<std::int32_t> group_count(
+        static_cast<std::size_t>(max_h) + 1, 0);
+    for (const std::int32_t h : height_of)
+      ++group_count[static_cast<std::size_t>(h)];
+    set_batches(lin, group_count);
   }
+  lin.num_leaves = lin.batch_length.front();
+  lin.first_leaf_id = total_nodes - lin.num_leaves;
   std::vector<std::int32_t> id_of(traversal.size());
   {
-    std::vector<std::int32_t> cursor = group_begin;
+    std::vector<std::int32_t> cursor = lin.batch_begin;
     for (std::size_t ti = 0; ti < traversal.size(); ++ti)
       id_of[ti] = cursor[static_cast<std::size_t>(height_of[ti])]++;
   }
 
-  // Pass 3: fill the arrays.
-  Linearized lin;
-  lin.kind = spec.kind;
-  lin.num_nodes = total_nodes;
-  lin.num_leaves = group_count[0];
-  lin.first_leaf_id = total_nodes - lin.num_leaves;
-  lin.max_fanin = 2;
+  // Pass 3: fill the arrays. Internal ids are [0, first_leaf_id), two
+  // children each, so node i's CSR range is [2i, 2i + 2): left, right.
   const auto n_sz = static_cast<std::size_t>(total_nodes);
-  lin.left.assign(n_sz, -1);
-  lin.right.assign(n_sz, -1);
+  const auto internal = static_cast<std::int32_t>(lin.first_leaf_id);
   lin.word.assign(n_sz, -1);
-  lin.height.assign(n_sz, 0);
-  lin.child_offsets.assign(n_sz + 1, 0);
+  lin.child_offsets.resize(n_sz + 1);
+  for (std::size_t i = 0; i <= n_sz; ++i)
+    lin.child_offsets[i] =
+        2 * std::min(static_cast<std::int32_t>(i), internal);
+  lin.child_ids.resize(2 * static_cast<std::size_t>(internal));
   for (std::size_t ti = 0; ti < traversal.size(); ++ti) {
     const ds::TreeNode* n = traversal[ti];
     const auto i = static_cast<std::size_t>(id_of[ti]);
-    lin.height[i] = height_of[ti];
     if (n->is_leaf()) {
       lin.word[i] = n->word;
     } else {
-      lin.left[i] = id_of[static_cast<std::size_t>(n->left->lin_scratch)];
-      lin.right[i] = id_of[static_cast<std::size_t>(n->right->lin_scratch)];
+      lin.child_ids[2 * i] =
+          id_of[static_cast<std::size_t>(n->left->lin_scratch)];
+      lin.child_ids[2 * i + 1] =
+          id_of[static_cast<std::size_t>(n->right->lin_scratch)];
     }
   }
-  // CSR children mirror left/right for uniform engine code.
-  for (std::size_t i = 0; i < n_sz; ++i)
-    lin.child_offsets[i + 1] =
-        lin.child_offsets[i] + (lin.left[i] >= 0 ? 2 : 0);
-  lin.child_ids.resize(static_cast<std::size_t>(lin.child_offsets[n_sz]));
-  for (std::size_t i = 0; i < n_sz; ++i)
-    if (lin.left[i] >= 0) {
-      lin.child_ids[static_cast<std::size_t>(lin.child_offsets[i])] =
-          lin.left[i];
-      lin.child_ids[static_cast<std::size_t>(lin.child_offsets[i]) + 1] =
-          lin.right[i];
-    }
   for (const ds::TreeNode* r : tree_roots)
     lin.roots.push_back(id_of[static_cast<std::size_t>(r->lin_scratch)]);
-
-  // Batches, bottom-up: height group h occupies the contiguous id range
-  // [group_begin[h], group_begin[h] + group_count[h]).
-  for (std::int64_t h = 0; h <= max_h; ++h) {
-    if (group_count[static_cast<std::size_t>(h)] == 0) continue;
-    lin.batch_begin.push_back(group_begin[static_cast<std::size_t>(h)]);
-    lin.batch_length.push_back(group_count[static_cast<std::size_t>(h)]);
-  }
-  lin.exec_order.reserve(n_sz);
-  for (std::size_t b = 0; b < lin.batch_begin.size(); ++b)
-    for (std::int32_t i = 0; i < lin.batch_length[b]; ++i)
-      lin.exec_order.push_back(lin.batch_begin[b] + i);
   return lin;
 }
 
@@ -233,68 +194,69 @@ Linearized linearize_dags(const std::vector<const ds::Dag*>& dags,
     per.push_back(std::move(p));
   }
 
-  // Group (dag_index, node) pairs by depth; number tallest group first.
-  std::vector<std::vector<std::pair<std::size_t, std::int64_t>>> by_depth(
-      static_cast<std::size_t>(max_d) + 1);
-  for (std::size_t di = 0; di < per.size(); ++di)
-    for (std::int64_t v = 0; v < per[di].dag->num_nodes(); ++v)
-      by_depth[static_cast<std::size_t>(
-                   per[di].depth[static_cast<std::size_t>(v)])]
-          .emplace_back(di, v);
-
-  std::vector<std::vector<std::int32_t>> ids(per.size());
-  for (std::size_t di = 0; di < per.size(); ++di)
-    ids[di].assign(static_cast<std::size_t>(per[di].dag->num_nodes()), -1);
-  std::int32_t next_id = 0;
-  std::vector<std::vector<std::int32_t>> id_groups(by_depth.size());
-  for (std::int64_t dpt = max_d; dpt >= 0; --dpt)
-    for (const auto& [di, v] : by_depth[static_cast<std::size_t>(dpt)]) {
-      ids[di][static_cast<std::size_t>(v)] = next_id;
-      id_groups[static_cast<std::size_t>(dpt)].push_back(next_id);
-      ++next_id;
-    }
-
+  // Appendix-B numbering by depth group, tallest first; within a group,
+  // DAGs in batch order and each DAG's nodes in its own order.
   Linearized lin;
   lin.kind = StructureKind::kDag;
   lin.num_nodes = total_nodes;
-  lin.num_leaves = static_cast<std::int64_t>(id_groups[0].size());
-  lin.first_leaf_id = total_nodes - lin.num_leaves;
   lin.max_fanin = max_fanin;
-  const auto n_sz = static_cast<std::size_t>(total_nodes);
-  lin.left.assign(n_sz, -1);
-  lin.right.assign(n_sz, -1);
-  lin.word.assign(n_sz, -1);
-  lin.height.assign(n_sz, 0);
-  lin.child_offsets.assign(n_sz + 1, 0);
+  {
+    std::vector<std::int32_t> group_count(
+        static_cast<std::size_t>(max_d) + 1, 0);
+    for (const PerDag& p : per)
+      for (const std::int32_t dep : p.depth)
+        ++group_count[static_cast<std::size_t>(dep)];
+    set_batches(lin, group_count);
+  }
+  lin.num_leaves = lin.batch_length.front();
+  lin.first_leaf_id = total_nodes - lin.num_leaves;
+  std::vector<std::vector<std::int32_t>> ids(per.size());
+  {
+    std::vector<std::int32_t> cursor = lin.batch_begin;
+    for (std::size_t di = 0; di < per.size(); ++di) {
+      ids[di].reserve(per[di].depth.size());
+      for (const std::int32_t dep : per[di].depth)
+        ids[di].push_back(cursor[static_cast<std::size_t>(dep)]++);
+    }
+  }
 
-  // First count children per renumbered node, then fill the CSR arrays.
-  std::vector<std::vector<std::int32_t>> children(n_sz);
+  // CSR children: count each renumbered node's fan-in, prefix-sum, fill.
+  const auto n_sz = static_cast<std::size_t>(total_nodes);
+  lin.word.resize(n_sz);
+  lin.child_offsets.assign(n_sz + 1, 0);
   for (std::size_t di = 0; di < per.size(); ++di) {
     const ds::Dag* d = per[di].dag;
     for (std::int64_t v = 0; v < d->num_nodes(); ++v) {
-      const auto id = static_cast<std::size_t>(ids[di][static_cast<std::size_t>(v)]);
-      lin.height[id] = per[di].depth[static_cast<std::size_t>(v)];
-      lin.word[id] = d->word(v);
-      for (std::int64_t u : d->preds(v))
-        children[id].push_back(ids[di][static_cast<std::size_t>(u)]);
-      if (d->succs(v).empty())
-        lin.roots.push_back(static_cast<std::int32_t>(id));
+      const std::int32_t id = ids[di][static_cast<std::size_t>(v)];
+      lin.word[static_cast<std::size_t>(id)] = d->word(v);
+      lin.child_offsets[static_cast<std::size_t>(id) + 1] =
+          static_cast<std::int32_t>(d->preds(v).size());
+      if (d->succs(v).empty()) lin.roots.push_back(id);
     }
   }
   for (std::size_t i = 0; i < n_sz; ++i)
-    lin.child_offsets[i + 1] =
-        lin.child_offsets[i] + static_cast<std::int32_t>(children[i].size());
+    lin.child_offsets[i + 1] += lin.child_offsets[i];
   lin.child_ids.resize(static_cast<std::size_t>(lin.child_offsets[n_sz]));
-  for (std::size_t i = 0; i < n_sz; ++i) {
-    std::copy(children[i].begin(), children[i].end(),
-              lin.child_ids.begin() + lin.child_offsets[i]);
-    // Mirror binary fan-in into left/right for engines that can use it.
-    if (children[i].size() >= 1) lin.left[i] = children[i][0];
-    if (children[i].size() >= 2) lin.right[i] = children[i][1];
+  for (std::size_t di = 0; di < per.size(); ++di) {
+    const ds::Dag* d = per[di].dag;
+    for (std::int64_t v = 0; v < d->num_nodes(); ++v) {
+      std::int32_t pos = lin.child_offsets[static_cast<std::size_t>(
+          ids[di][static_cast<std::size_t>(v)])];
+      for (std::int64_t u : d->preds(v))
+        lin.child_ids[static_cast<std::size_t>(pos++)] =
+            ids[di][static_cast<std::size_t>(u)];
+    }
   }
-
-  finalize_batches(lin, id_groups);
   return lin;
+}
+
+std::vector<std::int32_t> node_order(const Linearized& lin) {
+  std::vector<std::int32_t> order;
+  order.reserve(static_cast<std::size_t>(lin.num_nodes));
+  for_each_node(lin, [&](std::int32_t id, std::int32_t) {
+    order.push_back(id);
+  });
+  return order;
 }
 
 void check_invariants(const Linearized& lin) {
@@ -302,10 +264,19 @@ void check_invariants(const Linearized& lin) {
   CORTEX_CHECK(n > 0) << "empty linearization";
   CORTEX_CHECK(lin.num_leaves > 0 && lin.first_leaf_id == n - lin.num_leaves)
       << "leaf range inconsistent";
+  CORTEX_CHECK(static_cast<std::int64_t>(lin.child_offsets.size()) == n + 1 &&
+               lin.child_offsets.front() == 0 &&
+               lin.child_offsets.back() ==
+                   static_cast<std::int64_t>(lin.child_ids.size()))
+      << "CSR offsets must span child_ids";
+  CORTEX_CHECK(!lin.batch_begin.empty() &&
+               lin.batch_begin.size() == lin.batch_length.size())
+      << "batch_begin and batch_length must pair up";
 
   // Batches must partition [0, n) and appear bottom-up: the leaf batch
-  // (highest ids) first, the root batch (id 0) last.
-  std::vector<bool> covered(static_cast<std::size_t>(n), false);
+  // (highest ids) first, the root batch (id 0) last. batch_of[v] is the
+  // batch that computes node v.
+  std::vector<std::int32_t> batch_of(static_cast<std::size_t>(n), -1);
   std::int64_t covered_count = 0;
   std::int32_t prev_begin = static_cast<std::int32_t>(n);
   for (std::size_t b = 0; b < lin.batch_begin.size(); ++b) {
@@ -317,9 +288,9 @@ void check_invariants(const Linearized& lin) {
         << "batches must move toward lower ids (bottom-up)";
     prev_begin = begin;
     for (std::int32_t i = begin; i < begin + len; ++i) {
-      CORTEX_CHECK(!covered[static_cast<std::size_t>(i)])
+      CORTEX_CHECK(batch_of[static_cast<std::size_t>(i)] < 0)
           << "node " << i << " in two batches";
-      covered[static_cast<std::size_t>(i)] = true;
+      batch_of[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(b);
       ++covered_count;
     }
   }
@@ -331,8 +302,8 @@ void check_invariants(const Linearized& lin) {
                lin.batch_length.front() == lin.num_leaves)
       << "batch 0 must be the leaf batch";
 
-  // Parents numbered lower than children; children computed in an earlier
-  // batch (height strictly decreases parent -> child).
+  // Parents numbered lower than children, and every child computed in an
+  // earlier batch, so for_each_node visits children before parents.
   for (std::int64_t v = 0; v < n; ++v) {
     const auto off0 = lin.child_offsets[static_cast<std::size_t>(v)];
     const auto off1 = lin.child_offsets[static_cast<std::size_t>(v) + 1];
@@ -342,30 +313,13 @@ void check_invariants(const Linearized& lin) {
     }
     for (std::int32_t c = off0; c < off1; ++c) {
       const std::int32_t child = lin.child_ids[static_cast<std::size_t>(c)];
-      CORTEX_CHECK(child > v)
+      CORTEX_CHECK(child > v && child < n)
           << "child " << child << " not numbered above parent " << v;
-      CORTEX_CHECK(lin.height[static_cast<std::size_t>(child)] <
-                   lin.height[static_cast<std::size_t>(v)])
-          << "child height must be below parent height";
+      CORTEX_CHECK(batch_of[static_cast<std::size_t>(child)] <
+                   batch_of[static_cast<std::size_t>(v)])
+          << "child " << child << " is not in an earlier batch than its "
+          << "parent " << v;
     }
-  }
-
-  // exec_order is a topological order: children before parents.
-  std::vector<std::int64_t> pos(static_cast<std::size_t>(n), -1);
-  CORTEX_CHECK(static_cast<std::int64_t>(lin.exec_order.size()) == n)
-      << "exec_order must cover all nodes";
-  for (std::size_t i = 0; i < lin.exec_order.size(); ++i)
-    pos[static_cast<std::size_t>(lin.exec_order[i])] =
-        static_cast<std::int64_t>(i);
-  for (std::int64_t v = 0; v < n; ++v) {
-    const auto off0 = lin.child_offsets[static_cast<std::size_t>(v)];
-    const auto off1 = lin.child_offsets[static_cast<std::size_t>(v) + 1];
-    for (std::int32_t c = off0; c < off1; ++c)
-      CORTEX_CHECK(
-          pos[static_cast<std::size_t>(
-              lin.child_ids[static_cast<std::size_t>(c)])] <
-          pos[static_cast<std::size_t>(v)])
-          << "exec_order violates dependence at node " << v;
   }
 }
 

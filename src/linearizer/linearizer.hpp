@@ -15,8 +15,13 @@
 //     batch_begin/batch_length pairs;
 //   - partitions nodes for specialized branches (the leaf/internal split
 //     of the common-case `isleaf` specialization);
-//   - records the child connectivity as indirection arrays (left/right for
-//     binary trees, CSR for variable-fanin DAGs).
+//   - records the child connectivity as CSR indirection arrays (two
+//     children per internal tree node, left then right; the fan-in of a
+//     DAG node).
+// A linearization is exactly these arrays: CSR children, word ids, roots
+// and wavefront batches. The node-by-node order (for_each_node) and a
+// node's height (its batch index) are derived from the batches, not
+// stored.
 // No tensor computation happens here (property P.1 separates control flow
 // from tensor work), so linearization runs on the host CPU.
 
@@ -48,29 +53,23 @@ struct Linearized {
   /// Leaves occupy ids [first_leaf_id, num_nodes).
   std::int64_t first_leaf_id = 0;
 
-  /// Child ids per node (binary structures); -1 for leaves.
-  std::vector<std::int32_t> left;
-  std::vector<std::int32_t> right;
-  /// CSR child lists (general structures incl. DAGs).
+  /// CSR child lists: node i's children are
+  /// child_ids[child_offsets[i] .. child_offsets[i+1]). A tree's internal
+  /// node has two, left then right; a leaf has none.
   std::vector<std::int32_t> child_offsets;  // size num_nodes + 1
   std::vector<std::int32_t> child_ids;
   /// Leaf word / node feature id per node (-1 for internal tree nodes).
   std::vector<std::int32_t> word;
-  /// Height (max distance to a leaf) per node.
-  std::vector<std::int32_t> height;
   /// Root node ids (one per tree in the mini-batch; >1 for forests/DAGs).
   std::vector<std::int32_t> roots;
 
   /// Dynamic batches in bottom-up execution order; batch 0 is the leaf
   /// batch (for DAGs, the source wavefront). Node ids in batch i are the
   /// contiguous range [batch_begin[i], batch_begin[i]+batch_length[i]).
+  /// Batch i holds the nodes of height i (trees) or wavefront depth i
+  /// (DAGs): every level is non-empty, so the batch index is the height.
   std::vector<std::int32_t> batch_begin;
   std::vector<std::int32_t> batch_length;
-
-  /// A node-by-node topological order (children before parents), walked
-  /// by the ILIR lowered without dynamic batching, by the modeled cost of
-  /// such a schedule and by per-node reference executors.
-  std::vector<std::int32_t> exec_order;
 
   std::int64_t max_fanin = 0;
   StructureKind kind = StructureKind::kTree;
@@ -105,8 +104,27 @@ Linearized linearize_trees(
 Linearized linearize_dags(const std::vector<const ds::Dag*>& dags,
                           const LinearizerSpec& spec);
 
-/// Checks the Appendix-B invariants; throws cortex::Error on violation.
-/// Used by tests and (cheaply) by engines in debug builds.
+/// The node-by-node execution order: calls fn(id, batch) for every node,
+/// batches bottom-up and ascending id within each, so children come
+/// before parents. `batch` is the node's height (trees) or wavefront
+/// depth (DAGs). Walked by the schedule without dynamic batching (its
+/// modeled cost and, through node_order, its ILIR), by the DyNet-like
+/// agenda and by the per-node reference executor.
+template <typename Fn>
+void for_each_node(const Linearized& lin, Fn&& fn) {
+  for (std::size_t b = 0; b < lin.batch_begin.size(); ++b)
+    for (std::int32_t i = 0; i < lin.batch_length[b]; ++i)
+      fn(lin.batch_begin[b] + i, static_cast<std::int32_t>(b));
+}
+
+/// for_each_node's ids as one array: the `exec_order` buffer that ILIR
+/// lowered without dynamic batching reads.
+std::vector<std::int32_t> node_order(const Linearized& lin);
+
+/// Checks the Appendix-B invariants; throws cortex::Error on violation:
+/// batches partition the ids bottom-up with the leaves last, parents are
+/// numbered below their children, and every child lies in an earlier
+/// batch than its parent. Tests run it over every structure kind.
 void check_invariants(const Linearized& lin);
 
 }  // namespace cortex::linearizer

@@ -156,20 +156,6 @@ void CompiledEltwise::compile(const ra::Expr& e) {
   }
 }
 
-float CompiledEltwise::eval(
-    std::int64_t i, const std::vector<const float*>& ins,
-    const std::map<std::string, const float*>& params) const {
-  // Resolve param pointers, then defer to the pointer form.
-  const float* param_ptrs[kMaxEltParams] = {nullptr};
-  for (std::size_t k = 0; k < param_names_.size(); ++k) {
-    auto it = params.find(param_names_[k]);
-    CORTEX_CHECK(it != params.end())
-        << "eltwise references unbound param " << param_names_[k];
-    param_ptrs[k] = it->second;
-  }
-  return eval(i, ins.data(), param_ptrs);
-}
-
 float CompiledEltwise::eval(std::int64_t i, const float* const* ins,
                             const float* const* params) const {
   float stack[kMaxStackDepth];
@@ -628,17 +614,16 @@ std::int64_t ModelParams::elems(const std::string& name) const {
 
 namespace {
 
-/// Executes one cell op. `elt_params` (pre-resolved eltwise param
-/// pointers), `elt_ins` and `stacked` (hoisted per-op scratch buffers)
-/// are optional: the CellExecutor hot path passes all three so the loop
-/// allocates nothing; the naive run_cell_node reference passes null and
-/// resolves/allocates per call.
-void exec_op(const CellOp& op, const CompiledEltwise* compiled,
+/// Executes one cell op. For an eltwise op, `compiled` is its expression
+/// and `elt_params` its pre-resolved param pointers (param_names() order);
+/// `elt_ins` and `stacked` are per-op scratch reused across calls, so the
+/// loop allocates nothing once they have grown.
+void exec_op(const CellOp& op, const CompiledEltwise& compiled,
              const float* const* elt_params, const ModelParams& params,
              const std::vector<const float*>& child_states,
              std::int32_t word,
              std::map<std::string, std::vector<float>>& regs,
-             std::vector<const float*>* elt_ins, std::vector<float>* stacked,
+             std::vector<const float*>& elt_ins, std::vector<float>& stacked,
              float* out_state, std::int64_t state_width, bool is_last) {
   float* out;
   if (is_last) {
@@ -699,31 +684,18 @@ void exec_op(const CellOp& op, const CompiledEltwise* compiled,
       const auto h = w.shape().dim(0);
       CORTEX_CHECK(w.shape().dim(1) == 2 * h && op.width == h * h)
           << "kMatStack2 param must be (H,2H) with out H*H";
-      std::vector<float> local_stacked;
-      std::vector<float>& st = stacked ? *stacked : local_stacked;
-      st.resize(static_cast<std::size_t>(2 * h * h));
-      kernels::copy(in_ptr(0), st.data(), h * h);
-      kernels::copy(in_ptr(1), st.data() + h * h, h * h);
-      kernels::gemm(w.data(), st.data(), out, h, 2 * h, h);
+      stacked.resize(static_cast<std::size_t>(2 * h * h));
+      kernels::copy(in_ptr(0), stacked.data(), h * h);
+      kernels::copy(in_ptr(1), stacked.data() + h * h, h * h);
+      kernels::gemm(w.data(), stacked.data(), out, h, 2 * h, h);
       break;
     }
     case CellOpKind::kEltwise: {
-      CORTEX_CHECK(compiled != nullptr) << "eltwise without compiled expr";
-      std::vector<const float*> local_ins;
-      std::vector<const float*>& ins = elt_ins ? *elt_ins : local_ins;
-      ins.clear();
-      ins.reserve(op.ins.size());
+      elt_ins.clear();
       for (std::size_t k = 0; k < op.ins.size(); ++k)
-        ins.push_back(in_ptr(k));
-      const float* local_params[kMaxEltParams] = {nullptr};
-      if (elt_params == nullptr) {
-        const auto& names = compiled->param_names();
-        for (std::size_t k = 0; k < names.size(); ++k)
-          local_params[k] = params.at(names[k]).data();
-        elt_params = local_params;
-      }
+        elt_ins.push_back(in_ptr(k));
       for (std::int64_t i = 0; i < op.width; ++i)
-        out[i] = compiled->eval(i, ins.data(), elt_params);
+        out[i] = compiled.eval(i, elt_ins.data(), elt_params);
       break;
     }
     case CellOpKind::kConcat2: {
@@ -736,25 +708,6 @@ void exec_op(const CellOp& op, const CompiledEltwise* compiled,
   if (is_last) return;
 }
 
-}  // namespace
-
-void run_cell_node(const std::vector<CellOp>& ops, const ModelParams& params,
-                   const std::vector<const float*>& child_states,
-                   std::int32_t word,
-                   std::map<std::string, std::vector<float>>& regs,
-                   float* out_state, std::int64_t state_width) {
-  for (std::size_t k = 0; k < ops.size(); ++k) {
-    CompiledEltwise ce;
-    const bool is_elt = ops[k].kind == CellOpKind::kEltwise;
-    if (is_elt) ce = CompiledEltwise(ops[k].expr);
-    exec_op(ops[k], is_elt ? &ce : nullptr, /*elt_params=*/nullptr, params,
-            child_states, word, regs, /*elt_ins=*/nullptr,
-            /*stacked=*/nullptr, out_state, state_width,
-            k + 1 == ops.size());
-  }
-}
-
-namespace {
 /// Pre-resolves each eltwise op's param pointers (in param_names() order)
 /// so the hot loop never touches the params map.
 std::vector<std::vector<const float*>> resolve_eparams(
@@ -795,14 +748,10 @@ void CellExecutor::run_ops(const std::vector<CellOp>& ops,
                            const std::vector<const float*>& child_states,
                            std::int32_t word, float* out_state,
                            Scratch& scratch) const {
-  for (std::size_t k = 0; k < ops.size(); ++k) {
-    const bool is_elt = ops[k].kind == CellOpKind::kEltwise;
-    exec_op(ops[k], is_elt ? &compiled[k] : nullptr,
-            is_elt && !eparams[k].empty() ? eparams[k].data() : nullptr,
-            params_, child_states, word, scratch.regs, &scratch.elt_ins,
-            &scratch.stacked, out_state, cell_.state_width,
-            k + 1 == ops.size());
-  }
+  for (std::size_t k = 0; k < ops.size(); ++k)
+    exec_op(ops[k], compiled[k], eparams[k].data(), params_, child_states,
+            word, scratch.regs, scratch.elt_ins, scratch.stacked, out_state,
+            cell_.state_width, k + 1 == ops.size());
 }
 
 void CellExecutor::run_node(bool leaf,

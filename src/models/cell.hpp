@@ -67,11 +67,6 @@ class CompiledEltwise {
   float eval(std::int64_t i, const float* const* ins,
              const float* const* params) const;
 
-  /// Evaluates at element i with inputs ins[j][i]; params resolved by
-  /// name through `params` (1-D tensors). Convenience/reference form.
-  float eval(std::int64_t i, const std::vector<const float*>& ins,
-             const std::map<std::string, const float*>& params) const;
-
   /// Evaluates the expression over the first `width` columns of `rows`
   /// panel rows: out[r*out_stride + i] = expr(ins[j][r*in_strides[j] + i],
   /// params[k][i]), so an input panel may be wider than the output (the
@@ -179,21 +174,12 @@ struct ModelParams {
   std::int64_t elems(const std::string& name) const;
 };
 
-/// Executes one node's cell program natively: the per-node reference
-/// semantics every engine reproduces bit for bit. `child_states` holds
-/// num_children pointers to state vectors (may be empty for leaves).
-/// Scratch registers are managed by the caller via `regs` (register name
-/// -> buffer of its width).
-void run_cell_node(const std::vector<CellOp>& ops, const ModelParams& params,
-                   const std::vector<const float*>& child_states,
-                   std::int32_t word,
-                   std::map<std::string, std::vector<float>>& regs,
-                   float* out_state, std::int64_t state_width);
-
-/// The per-node executor: run_cell_node with eltwise expressions
-/// compiled and registers preallocated. It is the oracle the panel path
-/// is checked against (baselines::compute_states, tests); the engine
-/// serves every step with BatchedCellExecutor.
+/// The per-node executor: runs one node's cell program natively, op by
+/// op, with eltwise expressions compiled and registers preallocated. Its
+/// semantics are the per-node reference every engine reproduces bit for
+/// bit: it is the oracle the panel path is checked against
+/// (baselines::compute_states, tests); the engine serves every step with
+/// BatchedCellExecutor.
 ///
 /// After construction the executor is read-only, so any number of threads
 /// may call the Scratch-taking run_node overload concurrently as long as
@@ -214,7 +200,9 @@ class CellExecutor {
 
   CellExecutor(const CellProgram& cell, const ModelParams& params);
 
-  /// As run_cell_node, but with preallocated registers + compiled eltwise.
+  /// Runs the leaf (when `leaf` and the cell has leaf ops) or internal
+  /// program for one node. `child_states` holds num_children pointers to
+  /// state vectors (may be empty for leaves).
   void run_node(bool leaf, const std::vector<const float*>& child_states,
                 std::int32_t word, float* out_state);
   /// Thread-safe variant: all mutable state lives in `scratch`.

@@ -1,5 +1,6 @@
-// Batched wavefront executor: a test-local per-node walk (exec_order
-// through models::CellExecutor::run_node) is the regression oracle —
+// Batched wavefront executor: the per-node oracle
+// (baselines::compute_states, models::CellExecutor::run_node node by
+// node) is the regression reference —
 // every node state must be bit-identical to the engine's panel-GEMM path
 // across the model zoo, schedules, batch sizes and thread counts, and for
 // cells whose eltwise ops read wider registers. Plus the kernel-level
@@ -62,28 +63,13 @@ std::vector<ra::Schedule> schedules_for(const models::ModelDef& def) {
           ra::Schedule::cavs_comparable()};
 }
 
-/// The per-node oracle: walks lin.exec_order through
-/// models::CellExecutor::run_node, one node at a time, into a fresh state
-/// table, and returns every node state (N x state_width, row-major).
+/// The per-node oracle, baselines::compute_states: every node state
+/// (N x state_width, row-major).
 std::vector<float> per_node_states(const models::ModelDef& def,
                                    const models::ModelParams& params,
                                    const linearizer::Linearized& lin) {
-  const models::CellExecutor cell(def.cell, params);
-  const std::int64_t sw = def.cell.state_width;
-  std::vector<float> states(static_cast<std::size_t>(lin.num_nodes * sw));
-  models::CellExecutor::Scratch regs;
-  std::vector<const float*> kids;
-  for (const std::int32_t id : lin.exec_order) {
-    const auto n = static_cast<std::size_t>(id);
-    kids.clear();
-    for (std::int32_t c = lin.child_offsets[n]; c < lin.child_offsets[n + 1];
-         ++c)
-      kids.push_back(states.data() +
-                     lin.child_ids[static_cast<std::size_t>(c)] * sw);
-    cell.run_node(kids.empty(), kids, lin.word[n], states.data() + id * sw,
-                  regs);
-  }
-  return states;
+  const Tensor states = baselines::compute_states(def, params, lin).states;
+  return std::vector<float>(states.data(), states.data() + states.numel());
 }
 
 /// Root rows of a full state table, in lin.roots order (RunResult's

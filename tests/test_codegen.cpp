@@ -35,7 +35,7 @@ std::string lowered_code(const models::ModelDef& def,
 
 TEST(Codegen, RunningExampleEmitsListing2Loops) {
   const std::string code = lowered_code(models::make_treernn_fig1(8));
-  // cortex-jit-abi 1 signature, not a pseudocode sketch.
+  // cortex-jit-abi 2 signature, not a pseudocode sketch.
   EXPECT_NE(code.find("void TreeRNN_fig1(float* arena,"), std::string::npos);
   EXPECT_NE(code.find("for (int64_t n_idx = 0; n_idx < num_leaves"),
             std::string::npos);

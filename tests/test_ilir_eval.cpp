@@ -18,25 +18,6 @@
 namespace cortex {
 namespace {
 
-/// Reference states via the shared cell executor.
-Tensor reference_states(const models::ModelDef& def,
-                        const models::ModelParams& params,
-                        const linearizer::Linearized& lin) {
-  models::CellExecutor exec(def.cell, params);
-  Tensor states = Tensor::zeros(Shape{lin.num_nodes, def.cell.state_width});
-  std::vector<const float*> kids;
-  for (const std::int32_t id : lin.exec_order) {
-    const auto i = static_cast<std::size_t>(id);
-    kids.clear();
-    for (std::int32_t c = lin.child_offsets[i];
-         c < lin.child_offsets[i + 1]; ++c)
-      kids.push_back(states.row(lin.child_ids[static_cast<std::size_t>(c)]));
-    exec.run_node(lin.child_offsets[i] == lin.child_offsets[i + 1], kids,
-                  lin.word[i], states.row(id));
-  }
-  return states;
-}
-
 void expect_ilir_matches_cell(const models::ModelDef& def,
                               const ra::Schedule& sched, std::uint64_t seed,
                               std::int64_t batch) {
@@ -56,7 +37,7 @@ void expect_ilir_matches_cell(const models::ModelDef& def,
   }
 
   const exec::IlirRun run = exec::run_ilir(lm.program, lin, params);
-  const Tensor ref = reference_states(def, params, lin);
+  const Tensor ref = baselines::compute_states(def, params, lin).states;
   EXPECT_TRUE(allclose(run.at(lm.output), ref, 2e-3f, 2e-3f))
       << def.name << " under " << ra::to_string(sched)
       << ": max diff = " << max_abs_diff(run.at(lm.output), ref);

@@ -3,12 +3,11 @@
 // corruption into a well-formed program modeled on the lowered dynamic-
 // batching form and asserts the verifier flags it with the right
 // diagnostic class; the sweep compiles the full model zoo across
-// schedule variants with CORTEX_ILIR_VERIFY=1 and requires every
-// pipeline stage to be verifier-clean.
+// schedule variants (exec::compile_ilir verifies every stage) and
+// requires every pipeline stage to be verifier-clean.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
@@ -332,14 +331,6 @@ TEST(IlirVerify, VerifyOrThrowListsPhaseAndProgram) {
   }
 }
 
-TEST(IlirVerify, EnableFlagMatchesEnvironment) {
-  // The flag is read once, on first use. CTest runs this binary with
-  // CORTEX_ILIR_VERIFY=1 and runs this test once more with it set to 0.
-  const char* v = std::getenv("CORTEX_ILIR_VERIFY");
-  const bool expected = v != nullptr && *v != '\0' && std::string(v) != "0";
-  EXPECT_EQ(verify_enabled(), expected) << (v != nullptr ? v : "(unset)");
-}
-
 // -- clean-pipeline sweep ------------------------------------------------------
 
 std::vector<models::ModelDef> zoo() {
@@ -397,11 +388,9 @@ std::vector<std::pair<std::string, ra::Schedule>> schedule_variants(
 }
 
 TEST(IlirVerifyPipeline, ZooTimesSchedulesVerifierClean) {
-  // compile_ilir verifies after lowering and every pass when the flag
-  // is on (CTest sets it for every test); a violation anywhere throws
-  // and fails the test. The final program is re-checked explicitly with
-  // barrier enforcement.
-  ASSERT_TRUE(verify_enabled());
+  // compile_ilir verifies after lowering and every pass; a violation
+  // anywhere throws and fails the test. The final program is re-checked
+  // explicitly with barrier enforcement.
   for (const models::ModelDef& def : zoo()) {
     if (!def.model) continue;
     const bool dag = def.name == "DAG-RNN";

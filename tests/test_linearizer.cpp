@@ -120,11 +120,14 @@ TEST(Linearizer, ChildrenResolveCorrectlyOnKnownTree) {
   std::vector<const ds::Tree*> batch = {&t};
   const Linearized lin = linearize_trees(batch, tree_spec());
   // ids: root=0 (height 2), ab=1 (height 1), leaves 2..4 (height 0).
-  EXPECT_EQ(lin.left[0], 1);
-  EXPECT_TRUE(lin.is_leaf(lin.right[0]));
-  EXPECT_EQ(lin.word[static_cast<std::size_t>(lin.right[0])], 30);
-  EXPECT_EQ(lin.word[static_cast<std::size_t>(lin.left[1])], 10);
-  EXPECT_EQ(lin.word[static_cast<std::size_t>(lin.right[1])], 20);
+  // Internal node i's children are child_ids[2i] (left), [2i+1] (right).
+  ASSERT_EQ(lin.child_offsets,
+            (std::vector<std::int32_t>{0, 2, 4, 4, 4, 4}));
+  EXPECT_EQ(lin.child_ids[0], 1);
+  EXPECT_TRUE(lin.is_leaf(lin.child_ids[1]));
+  EXPECT_EQ(lin.word[static_cast<std::size_t>(lin.child_ids[1])], 30);
+  EXPECT_EQ(lin.word[static_cast<std::size_t>(lin.child_ids[2])], 10);
+  EXPECT_EQ(lin.word[static_cast<std::size_t>(lin.child_ids[3])], 20);
 }
 
 TEST(Linearizer, ForestNumbersAllTrees) {
@@ -190,6 +193,96 @@ TEST(Linearizer, DagBatchSweepInvariants) {
     EXPECT_EQ(lin.num_batches(), 19);  // shared wavefront depths
     check_invariants(lin);
   }
+}
+
+// -- the batch invariant and the node order --------------------------------------
+
+/// Every structure kind the linearizer takes: chains, SST-like trees,
+/// perfect trees and grid DAGs.
+std::vector<Linearized> structure_zoo() {
+  Rng rng(21);
+  std::vector<Linearized> out;
+  for (const std::int64_t len : {1, 2, 17}) {
+    auto chain = ds::make_chain_tree(len, rng);
+    out.push_back(linearize_trees({chain.get()}, tree_spec()));
+  }
+  auto sst = ds::make_sst_like_batch(8, rng);
+  out.push_back(linearize_trees(baselines::raw(sst), tree_spec()));
+  for (const std::int64_t depth : {0, 1, 5}) {
+    auto perfect = ds::make_perfect_tree(depth, rng);
+    out.push_back(linearize_trees({perfect.get()}, tree_spec()));
+  }
+  std::vector<std::unique_ptr<ds::Dag>> grids;
+  for (const std::int64_t side : {1, 2, 6})
+    grids.push_back(ds::make_grid_dag(side, side + 1, rng));
+  out.push_back(linearize_dags(baselines::raw(grids), dag_spec()));
+  return out;
+}
+
+TEST(Linearizer, InvariantsHoldOnEveryStructureKind) {
+  for (const Linearized& lin : structure_zoo()) {
+    SCOPED_TRACE(lin.num_nodes);
+    EXPECT_NO_THROW(check_invariants(lin));
+  }
+}
+
+TEST(Linearizer, NodeOrderIsBatchesBottomUpAscendingIds) {
+  for (const Linearized& lin : structure_zoo()) {
+    SCOPED_TRACE(lin.num_nodes);
+    const std::vector<std::int32_t> order = node_order(lin);
+    ASSERT_EQ(static_cast<std::int64_t>(order.size()), lin.num_nodes);
+    // Every node once, batch by batch, each batch's ids ascending, and
+    // children before parents.
+    std::vector<std::int64_t> pos(order.size(), -1);
+    std::size_t k = 0;
+    std::int32_t prev_id = -1;
+    std::int32_t prev_batch = -1;
+    for_each_node(lin, [&](std::int32_t id, std::int32_t batch) {
+      const auto b = static_cast<std::size_t>(batch);
+      EXPECT_GE(id, lin.batch_begin[b]);
+      EXPECT_LT(id, lin.batch_begin[b] + lin.batch_length[b]);
+      if (batch == prev_batch)
+        EXPECT_EQ(id, prev_id + 1);
+      else
+        EXPECT_EQ(batch, prev_batch + 1);
+      EXPECT_EQ(order[k], id);
+      EXPECT_EQ(pos[static_cast<std::size_t>(id)], -1) << "visited twice";
+      pos[static_cast<std::size_t>(id)] = static_cast<std::int64_t>(k++);
+      prev_id = id;
+      prev_batch = batch;
+    });
+    for (std::int64_t v = 0; v < lin.num_nodes; ++v)
+      for (std::int32_t c = lin.child_offsets[static_cast<std::size_t>(v)];
+           c < lin.child_offsets[static_cast<std::size_t>(v) + 1]; ++c)
+        EXPECT_LT(pos[static_cast<std::size_t>(
+                      lin.child_ids[static_cast<std::size_t>(c)])],
+                  pos[static_cast<std::size_t>(v)]);
+  }
+}
+
+/// A two-leaf, two-internal linearization whose batches are well formed:
+/// leaves {2, 3} in batch 0, internals {0, 1} in batch 1, node 1's
+/// children {2, 3} and node 0's children {first_kid, second_kid}.
+Linearized hand_built(std::int32_t first_kid, std::int32_t second_kid) {
+  Linearized lin;
+  lin.num_nodes = 4;
+  lin.num_leaves = 2;
+  lin.first_leaf_id = 2;
+  lin.child_offsets = {0, 2, 4, 4, 4};
+  lin.child_ids = {first_kid, second_kid, 2, 3};
+  lin.word = {-1, -1, 7, 8};
+  lin.roots = {0};
+  lin.batch_begin = {2, 0};
+  lin.batch_length = {2, 2};
+  return lin;
+}
+
+TEST(Linearizer, CheckInvariantsRejectsChildInItsParentsBatch) {
+  // Node 0 reading leaves is fine...
+  EXPECT_NO_THROW(check_invariants(hand_built(2, 3)));
+  // ...but node 1 sits in node 0's own batch: the batched executor would
+  // read it before it is computed.
+  EXPECT_THROW(check_invariants(hand_built(1, 3)), Error);
 }
 
 // -- failure injection ----------------------------------------------------------

@@ -1,11 +1,11 @@
 // RA lowering (§4): the running example lowers to the Listing-2 loop
 // structure, specialization produces separate leaf/internal nests vs the
-// §5.2 conditional operator, hoisting/constant propagation classify and
-// transform the leaf branch (§4.3), and temporaries are materialized.
+// §5.2 conditional operator, hoisting/constant propagation classify
+// (LoweredModel::leaf_hoist) and transform the leaf branch (§4.3), and
+// temporaries are materialized.
 
 #include <gtest/gtest.h>
 
-#include "lowering/hoist.hpp"
 #include "lowering/lower.hpp"
 #include "models/model_zoo.hpp"
 
@@ -73,12 +73,11 @@ TEST(Lowering, SingleFormulaModelHasNoBranches) {
 
 TEST(Hoisting, ClassifiesEmbeddingLeavesAsNone) {
   const models::ModelDef def = models::make_treernn_fig1(8);
-  EXPECT_EQ(classify_leaf_hoist(*def.model), LeafHoist::kNone);
+  EXPECT_EQ(lower(*def.model, ra::Schedule{}).leaf_hoist, LeafHoist::kNone);
 }
 
 TEST(Hoisting, ClassifiesZeroLeavesAsZeroInit) {
   const models::ModelDef def = models::make_treernn_zeroleaf(8);
-  EXPECT_EQ(classify_leaf_hoist(*def.model), LeafHoist::kZeroInit);
   const LoweredModel lm = lower(*def.model, ra::Schedule{});
   EXPECT_EQ(lm.leaf_hoist, LeafHoist::kZeroInit);
   const std::string s = ilir::to_string(lm.program);
@@ -87,7 +86,6 @@ TEST(Hoisting, ClassifiesZeroLeavesAsZeroInit) {
 
 TEST(Hoisting, ClassifiesUniformNonZeroLeavesAsHoisted) {
   const models::ModelDef def = models::make_treefc(8);
-  EXPECT_EQ(classify_leaf_hoist(*def.model), LeafHoist::kHoisted);
   const LoweredModel lm = lower(*def.model, ra::Schedule{});
   EXPECT_EQ(lm.leaf_hoist, LeafHoist::kHoisted);
   // The hoisted value gets its own (node-independent) buffer, computed
@@ -100,7 +98,7 @@ TEST(Hoisting, ClassifiesUniformNonZeroLeavesAsHoisted) {
 
 TEST(Hoisting, DagModelClassifiesAsNone) {
   const models::ModelDef def = models::make_dagrnn(8);
-  EXPECT_EQ(classify_leaf_hoist(*def.model), LeafHoist::kNone);
+  EXPECT_EQ(lower(*def.model, ra::Schedule{}).leaf_hoist, LeafHoist::kNone);
 }
 
 // -- program plumbing -------------------------------------------------------------

@@ -155,6 +155,18 @@ TEST(CellProgram, ValidateRejectsUndefinedRegisterReads) {
   op.expr = ra::var("e0");
   cell.internal_ops = {op};
   EXPECT_THROW(cell.validate(), Error);
+  // A concat of a register nothing wrote.
+  CellOp b;
+  b.kind = CellOpKind::kLeafConst;
+  b.out = "b";
+  b.width = 2;
+  CellOp cat;
+  cat.kind = CellOpKind::kConcat2;
+  cat.out = "st";
+  cat.width = 4;
+  cat.ins = {"ghost", "b"};
+  cell.internal_ops = {b, cat};
+  EXPECT_THROW(cell.validate(), Error);
 }
 
 TEST(CellProgram, ValidateRejectsUseBeforeDefinition) {
@@ -290,26 +302,6 @@ TEST(CellProgram, ValidateRejectsMatrixOperandsNarrowerThanTheyRead) {
                       make_op(CellOpKind::kMatStack2, "st", 4, {"m0", "m1"})});
 }
 
-TEST(CellProgram, ConcatOfUndefinedRegisterThrows) {
-  // run_cell_node skips validate(); a concat of a register nothing wrote
-  // must fail the lookup, not read an empty register it just inserted.
-  CellOp b;
-  b.kind = CellOpKind::kLeafConst;
-  b.out = "b";
-  b.width = 2;
-  CellOp cat;
-  cat.kind = CellOpKind::kConcat2;
-  cat.out = "st";
-  cat.width = 4;
-  cat.ins = {"ghost", "b"};
-  std::map<std::string, std::vector<float>> regs;
-  std::vector<float> out(4);
-  EXPECT_THROW(run_cell_node({b, cat}, ModelParams{}, {}, 0, regs, out.data(),
-                             4),
-               Error);
-  EXPECT_EQ(regs.count("ghost"), 0u);
-}
-
 TEST(CellProgram, ValidateRejectsWrongFinalWidth) {
   CellProgram cell;
   cell.state_width = 8;
@@ -328,13 +320,13 @@ TEST(CompiledEltwise, EvaluatesPostfixProgram) {
                                  ra::load("b", {ra::var("i")})));
   CompiledEltwise ce(expr);
   EXPECT_EQ(ce.arith_ops(), 2);
+  ASSERT_EQ(ce.param_names(), std::vector<std::string>{"b"});
   const float in0[2] = {0.0f, 1.0f};
   const float bias[2] = {0.5f, -1.0f};
-  std::map<std::string, const float*> params{{"b", bias}};
-  EXPECT_NEAR(ce.eval(0, {in0}, params), kernels::tanh_rational(0.5f),
-              1e-6f);
-  EXPECT_NEAR(ce.eval(1, {in0}, params), kernels::tanh_rational(0.0f),
-              1e-6f);
+  const float* ins[1] = {in0};
+  const float* params[1] = {bias};
+  EXPECT_NEAR(ce.eval(0, ins, params), kernels::tanh_rational(0.5f), 1e-6f);
+  EXPECT_NEAR(ce.eval(1, ins, params), kernels::tanh_rational(0.0f), 1e-6f);
 }
 
 TEST(CompiledEltwise, RejectsUnsupportedShapes) {

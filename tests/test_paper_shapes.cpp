@@ -182,7 +182,7 @@ TEST(PaperShapes, Sec75LinearizationIndependentOfHiddenSize) {
   const linearizer::Linearized a = linearizer::linearize_trees(batch, spec);
   const linearizer::Linearized b = linearizer::linearize_trees(batch, spec);
   EXPECT_EQ(a.batch_begin, b.batch_begin);
-  EXPECT_EQ(a.left, b.left);
+  EXPECT_EQ(a.child_ids, b.child_ids);
   EXPECT_EQ(a.word, b.word);
 }
 

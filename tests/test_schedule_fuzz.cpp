@@ -1,6 +1,6 @@
 // Schedule fuzzing: randomly drawn *legal* schedules must (a) compile —
 // the engine, and the offline ILIR pipeline, whose static verifier runs
-// after every pass under CORTEX_ILIR_VERIFY — (b) produce exactly the
+// after every pass — (b) produce exactly the
 // reference numerics, and (c) satisfy the basic modeled-cost invariants —
 // for every model kind. This is the property backing the paper's premise
 // that scheduling is a pure performance decision, never a semantics

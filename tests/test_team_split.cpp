@@ -222,26 +222,13 @@ TEST(TaskPoolLend, ParkedMemberLeavesWhenTasksQueueUp) {
 
 // -- column splits against the per-node oracle ------------------------------------
 
-/// Every node state, per node through models::CellExecutor::run_node.
+/// Every node state, per node through the oracle
+/// baselines::compute_states.
 std::vector<float> per_node_states(const models::ModelDef& def,
                                    const models::ModelParams& params,
                                    const linearizer::Linearized& lin) {
-  const models::CellExecutor cell(def.cell, params);
-  const std::int64_t sw = def.cell.state_width;
-  std::vector<float> states(static_cast<std::size_t>(lin.num_nodes * sw));
-  models::CellExecutor::Scratch regs;
-  std::vector<const float*> kids;
-  for (const std::int32_t id : lin.exec_order) {
-    const auto n = static_cast<std::size_t>(id);
-    kids.clear();
-    for (std::int32_t c = lin.child_offsets[n]; c < lin.child_offsets[n + 1];
-         ++c)
-      kids.push_back(states.data() +
-                     lin.child_ids[static_cast<std::size_t>(c)] * sw);
-    cell.run_node(kids.empty(), kids, lin.word[n], states.data() + id * sw,
-                  regs);
-  }
-  return states;
+  const Tensor states = baselines::compute_states(def, params, lin).states;
+  return std::vector<float>(states.data(), states.data() + states.numel());
 }
 
 /// One narrow input per model: a single chain, tree or grid DAG, whose
