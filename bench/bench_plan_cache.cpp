@@ -1,8 +1,9 @@
 // Plan-cache bench: cold vs warm CortexEngine construction cost.
 //
-// Cold = the cache bypassed, so every construction verifies, lowers and
-// builds the launch plan (the ILIR passes and memory planning are
-// exec::compile_ilir's, never run at construction). Warm = the cache
+// Cold = the cache bypassed, so every construction validates the cell,
+// verifies and lowers the model (the ILIR passes and memory planning are
+// exec::compile_ilir's, and the launch plan exec::model_cost's, never
+// built at construction). Warm = the cache
 // pre-populated, so construction is a fingerprint + one LRU lookup.
 // The headline row is the Fig. 9 GRNN configuration (sequential LSTM,
 // hidden 256, Cortex's lock-based barrier schedule): the acceptance bar

@@ -47,11 +47,12 @@ int main() {
   ra::Schedule schedule;  // dynamic_batch(rnn); specialize(isleaf(n))
   Rng rng(2024);
   const models::ModelParams params = models::init_params(def, rng);
-  exec::CortexEngine engine(def, params, schedule,
-                            runtime::DeviceSpec::v100_gpu());
+  const runtime::DeviceSpec spec = runtime::DeviceSpec::v100_gpu();
+  exec::CortexEngine engine(def, params, schedule, spec);
+  // The modeled kernel-launch plan the cost model charges (offline).
   std::printf("\nSchedule: %s\nPlan: %s\n\n",
               ra::to_string(schedule).c_str(),
-              engine.plan().describe().c_str());
+              exec::build_plan(def, schedule, spec).describe().c_str());
   const exec::CompiledIlir compiled = exec::compile_ilir(*def.model, schedule);
   std::printf("Generated ILIR:\n%s\n",
               ilir::to_string(compiled.lowered.program).c_str());
@@ -75,7 +76,7 @@ int main() {
               static_cast<long long>(cost.profiler.kernel_launches),
               static_cast<long long>(cost.profiler.barriers));
 
-  baselines::EagerEngine eager(def, params, runtime::DeviceSpec::v100_gpu());
+  baselines::EagerEngine eager(def, params, spec);
   const runtime::RunResult e = eager.run(batch);
   std::printf("PyTorch-like eager latency:    %.1f us "
               "(%lld kernel launches)\n",

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "baselines/eager.hpp"
 #include "ds/generators.hpp"
@@ -42,6 +43,37 @@ int main(int argc, char** argv) {
               static_cast<long long>(lin.num_batches()),
               static_cast<long long>(2 * grid - 1));
 
+  // Grid node v = r * grid + c has depth r + c. The linearizer numbers a
+  // DAG's nodes by depth (Appendix B): node v's id is batch_begin[depth]
+  // plus the number of earlier nodes of the same depth, so one cursor per
+  // depth, walked in node order, recovers every id.
+  std::vector<std::int32_t> id(static_cast<std::size_t>(grid * grid));
+  {
+    std::vector<std::int32_t> cursor = lin.batch_begin;
+    for (std::int64_t r = 0; r < grid; ++r)
+      for (std::int64_t c = 0; c < grid; ++c)
+        id[static_cast<std::size_t>(r * grid + c)] =
+            cursor[static_cast<std::size_t>(r + c)]++;
+  }
+  // The map must agree with the linearization: each node's word, and its
+  // CSR children are its predecessors' ids, in order.
+  for (std::int64_t v = 0; v < grid * grid; ++v) {
+    const std::int32_t i = id[static_cast<std::size_t>(v)];
+    const std::int32_t c0 = lin.child_offsets[static_cast<std::size_t>(i)];
+    const std::int32_t c1 = lin.child_offsets[static_cast<std::size_t>(i) + 1];
+    bool ok = lin.word[static_cast<std::size_t>(i)] == dag->word(v) &&
+              c1 - c0 == static_cast<std::int32_t>(dag->preds(v).size());
+    for (std::int32_t k = 0; ok && k < c1 - c0; ++k)
+      ok = lin.child_ids[static_cast<std::size_t>(c0 + k)] ==
+           id[static_cast<std::size_t>(
+               dag->preds(v)[static_cast<std::size_t>(k)])];
+    if (!ok) {
+      std::fprintf(stderr, "grid node %lld does not map to id %d\n",
+                   static_cast<long long>(v), i);
+      return 1;
+    }
+  }
+
   // Label each cell by a fixed projection of its hidden state.
   Rng proj_rng(5);
   std::vector<float> proj(
@@ -49,21 +81,12 @@ int main(int argc, char** argv) {
   proj_rng.fill_uniform(proj.data(), proj.size(), -0.3f, 0.3f);
   const Tensor& states = engine.last_states();
   std::printf("\nPredicted labels (south-east scan):\n");
-  // Node (r,c) of the single DAG was renumbered; recover via wavefront
-  // depth r+c and order within it. For the demo we just label the first
-  // `grid` nodes of the linearization per row of output.
-  const std::vector<std::int32_t> order = linearizer::node_order(lin);
   for (std::int64_t rr = 0; rr < grid; ++rr) {
     std::printf("  ");
     for (std::int64_t cc = 0; cc < grid; ++cc) {
-      // Find the linearized id whose (row, col) is (rr, cc): wavefront
-      // rr+cc, position = count of earlier members in that diagonal.
-      // For the demo, approximate with a direct pass over node ids.
-      const std::int64_t flat = rr * grid + cc;
       std::int64_t best = 0;
       float best_v = -1e30f;
-      const float* h =
-          states.row(order[static_cast<std::size_t>(flat % lin.num_nodes)]);
+      const float* h = states.row(id[static_cast<std::size_t>(rr * grid + cc)]);
       for (std::int64_t l = 0; l < num_labels; ++l) {
         float dot = 0.0f;
         for (std::int64_t i = 0; i < hidden; ++i)

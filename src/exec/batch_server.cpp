@@ -48,9 +48,7 @@ BatchServer::BatchServer(EnginePool& pool, BatchServerOptions opts)
   if (opts_.max_batch < 1) opts_.max_batch = default_max_batch();
   if (opts_.max_wait_us < 0) opts_.max_wait_us = 0;
   if (opts_.dispatchers < 1) opts_.dispatchers = 1;
-  const models::ModelDef& def = pool_.def();
-  model_is_dag_ =
-      def.model && def.model->kind == linearizer::StructureKind::kDag;
+  model_is_dag_ = pool_.def().kind() == linearizer::StructureKind::kDag;
   m_batch_hist_.assign(static_cast<std::size_t>(opts_.max_batch) + 1, 0);
   if (opts_.autostart) start();
 }

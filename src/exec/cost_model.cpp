@@ -170,8 +170,9 @@ runtime::RunResult model_cost(const Plan& plan, const ra::Schedule& schedule,
 runtime::RunResult model_cost(const CortexEngine& engine,
                               const linearizer::Linearized& lin,
                               double linearization_ns) {
-  return model_cost(engine.plan(), engine.schedule(), engine.def().cell,
-                    engine.spec(), lin, linearization_ns);
+  return model_cost(build_plan(engine.def(), engine.schedule(), engine.spec()),
+                    engine.schedule(), engine.def().cell, engine.spec(), lin,
+                    linearization_ns);
 }
 
 }  // namespace cortex::exec

@@ -8,9 +8,11 @@
 // EnginePool, BatchServer) never build a device model and report measured
 // numbers only. Every counter is a pure function of the launch plan, the
 // schedule, the cell and the linearization, so model_cost is
-// deterministic and runs no numerics.
+// deterministic and runs no numerics. The launch plan (exec/plan.hpp) is
+// built here, offline, not by engine construction.
 
 #include "exec/engine.hpp"
+#include "exec/plan.hpp"
 
 namespace cortex::exec {
 
@@ -28,8 +30,8 @@ runtime::RunResult model_cost(const Plan& plan, const ra::Schedule& schedule,
                               const linearizer::Linearized& lin,
                               double linearization_ns);
 
-/// model_cost for the plan, schedule, cell and device `engine` was built
-/// for.
+/// model_cost for the model, schedule and device `engine` was built for:
+/// builds their launch plan (build_plan) and models `lin` under it.
 runtime::RunResult model_cost(const CortexEngine& engine,
                               const linearizer::Linearized& lin,
                               double linearization_ns);

@@ -51,21 +51,20 @@ runtime::RunResult empty_result(double linearization_ns) {
 
 /// Compile-once-run-everywhere: a warm cache hit shares the verified and
 /// lowered artifacts of an earlier engine with a structurally identical
-/// (model, schedule, device) triple; a cold miss compiles via
-/// compile_artifacts (which throws on P.1-P.3 or schedule violations —
-/// failures are never cached). With the cache disabled the (multi-KB)
-/// fingerprint is never built: compile directly. The enabled() check is
-/// advisory — get_or_compile re-checks under its own lock.
+/// (model, schedule) pair; a cold miss compiles via compile_artifacts
+/// (which throws on P.1-P.3 or schedule violations — failures are never
+/// cached). With the cache disabled the (multi-KB) fingerprint is never
+/// built: compile directly. The enabled() check is advisory —
+/// get_or_compile re-checks under its own lock.
 ArtifactsPtr obtain_artifacts(const models::ModelDef& def,
-                              const ra::Schedule& schedule,
-                              const runtime::DeviceSpec& spec) {
+                              const ra::Schedule& schedule) {
   PlanCache& cache = PlanCache::instance();
   if (!cache.enabled())
     return std::make_shared<const CompiledArtifacts>(
-        compile_artifacts(def, schedule, spec));
+        compile_artifacts(def, schedule));
   return cache.get_or_compile(
-      PlanCache::key_for(def, schedule, spec),
-      [&] { return compile_artifacts(def, schedule, spec); });
+      PlanCache::key_for(def, schedule),
+      [&] { return compile_artifacts(def, schedule); });
 }
 }  // namespace
 
@@ -76,7 +75,7 @@ CortexEngine::CortexEngine(const models::ModelDef& def,
       params_(params),
       schedule_(schedule),
       spec_(std::move(spec)),
-      artifacts_(obtain_artifacts(def, schedule_, spec_)) {}
+      artifacts_(obtain_artifacts(def, schedule_)) {}
 
 models::BatchedCellExecutor& CortexEngine::batched_exec() {
   if (!batched_exec_)
@@ -108,8 +107,7 @@ linearizer::Linearized CortexEngine::linearize(
 
 runtime::RunResult CortexEngine::run(
     const std::vector<const ds::Tree*>& trees) {
-  CORTEX_CHECK(def_.model ? def_.model->kind != linearizer::StructureKind::kDag
-                          : true)
+  CORTEX_CHECK(def_.kind() != linearizer::StructureKind::kDag)
       << "model " << def_.name << " expects DAG inputs";
   if (trees.empty()) return empty_result(0.0);
   double lin_ns = 0.0;
@@ -128,8 +126,7 @@ runtime::RunResult CortexEngine::run(
 runtime::RunResult CortexEngine::run(const std::vector<const ds::Dag*>& dags) {
   // Mirror of the run(trees) guard: a tree/sequence model must not be
   // silently linearized as a DAG (its cell assumes tree connectivity).
-  CORTEX_CHECK(def_.model ? def_.model->kind == linearizer::StructureKind::kDag
-                          : true)
+  CORTEX_CHECK(def_.kind() == linearizer::StructureKind::kDag)
       << "model " << def_.name << " expects tree inputs, not DAGs";
   if (dags.empty()) return empty_result(0.0);
   double lin_ns = 0.0;

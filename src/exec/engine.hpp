@@ -3,13 +3,14 @@
 //
 // Compilation happens at construction — through the process-wide
 // PlanCache (plan_cache.hpp). On a cold miss the RA model is verified
-// (P.1-P.3), the schedule validated, the model lowered to ILIR (the
-// engine keeps it for its linearizer spec) and the kernel-launch plan
-// built (plan.hpp); on a warm hit every engine constructed for a
-// structurally identical (model, schedule, device) triple shares the
-// same immutable artifacts and skips all of that. Construction runs no
-// ILIR pass and plans no ILIR memory: exec::compile_ilir
-// (ilir_runner.hpp) does that offline, for tests, benches and examples.
+// (P.1-P.3), the schedule validated and the model lowered to ILIR (the
+// engine keeps it for its linearizer spec); on a warm hit every engine
+// constructed for a structurally identical (model, schedule) pair shares
+// the same immutable artifacts and skips all of that, whatever device it
+// was built for. Construction runs no ILIR pass, plans no ILIR memory and
+// models no device kernels: exec::compile_ilir (ilir_runner.hpp) and
+// the cost model (cost_model.hpp) do that offline, for tests, benches
+// and examples.
 // At run time the engine:
 //   1. linearizes the input structures on the host CPU (§4.2, timed),
 //   2. executes the model numerics bottom-up over the linearized arrays
@@ -38,8 +39,9 @@
 //      counts. The engine builds no device model. The modeled device
 //      cost of a run (kernel launches, off-chip traffic, barriers, peak
 //      device memory, per DESIGN.md §2's GPU substitution) is computed
-//      offline from the plan and the linearization by exec/cost_model.hpp,
-//      for the paper's figures and the schedule tuner.
+//      offline from the engine's model, schedule and device and the
+//      linearization by exec/cost_model.hpp, for the paper's figures and
+//      the schedule tuner.
 
 #include <functional>
 #include <memory>
@@ -47,7 +49,6 @@
 #include <vector>
 
 #include "exec/artifacts.hpp"
-#include "exec/plan.hpp"
 #include "lowering/lower.hpp"
 #include "models/model_zoo.hpp"
 #include "runtime/device.hpp"
@@ -59,9 +60,11 @@ namespace cortex::exec {
 
 class CortexEngine {
  public:
-  /// Compiles `def` under `schedule` for the device `spec`. Throws
-  /// cortex::Error on P.1-P.3 violations or illegal schedules. The model
-  /// definition and parameters must outlive the engine.
+  /// Compiles `def` under `schedule`. Throws cortex::Error on P.1-P.3
+  /// violations or illegal schedules. `spec` is the device the offline
+  /// cost model (cost_model.hpp) models this engine's runs on; serving
+  /// never reads it. The model definition and parameters must outlive
+  /// the engine.
   CortexEngine(const models::ModelDef& def, const models::ModelParams& params,
                ra::Schedule schedule, runtime::DeviceSpec spec);
 
@@ -111,7 +114,6 @@ class CortexEngine {
   }
 
   const models::ModelDef& def() const { return def_; }
-  const Plan& plan() const { return artifacts_->plan; }
   const ra::Schedule& schedule() const { return schedule_; }
   const runtime::DeviceSpec& spec() const { return spec_; }
   /// Lowered (unoptimized) ILIR artifacts; nullptr for cell-only models
@@ -120,9 +122,9 @@ class CortexEngine {
     return artifacts_->lowered ? &*artifacts_->lowered : nullptr;
   }
   /// The compiled artifacts backing this engine. Engines constructed for
-  /// structurally identical (model, schedule, device) triples share one
-  /// object (pointer-equal) while the plan cache is enabled; the pointer
-  /// stays valid even if the cache entry is evicted.
+  /// structurally identical (model, schedule) pairs share one object
+  /// (pointer-equal) while the plan cache is enabled, whatever their
+  /// device; the pointer stays valid even if the cache entry is evicted.
   const ArtifactsPtr& artifacts() const { return artifacts_; }
   /// All node states (N, state_width) from the most recent run.
   const Tensor& last_states() const { return states_; }
@@ -159,17 +161,17 @@ class CortexEngine {
                            models::BatchedCellExecutor::HoistWindow& win,
                            std::int64_t& win_first, support::Team* team,
                            int threads);
-  /// Lazily builds the pool on the first run, so plan-only engines never
-  /// spawn threads.
+  /// Lazily builds the pool on the first run, so engines that never run
+  /// (cost-model only) never spawn threads.
   void ensure_pool();
   /// Lazily builds the batched executor on the first run: its packed
-  /// weight copies cost memory, so engines that never run (plan-only)
-  /// never pay for it. Safe without locking for the same reason states_
-  /// is: one engine is driven by one thread at a time. Deliberately NOT
-  /// part of the shared CompiledArtifacts: artifacts are weight-
-  /// independent by design (engines with different weights share one
-  /// cached plan), while this executor bakes in weight data — so pooled
-  /// workers each hold their own copy.
+  /// weight copies cost memory, so engines that never run (cost-model
+  /// only) never pay for it. Safe without locking for the same reason
+  /// states_ is: one engine is driven by one thread at a time.
+  /// Deliberately NOT part of the shared CompiledArtifacts: artifacts are
+  /// weight-independent by design (engines with different weights share
+  /// one cache entry), while this executor bakes in weight data — so
+  /// pooled workers each hold their own copy.
   models::BatchedCellExecutor& batched_exec();
 
   const models::ModelDef& def_;

@@ -85,7 +85,6 @@ runtime::RunResult EnginePool::run_sharded(const std::vector<Item>& batch) {
   // so an engine is only ever touched by its own worker thread — even
   // with several client threads inside run() at once, in which case the
   // FIFO queue interleaves their shards across idle workers.
-  std::atomic<std::int64_t> batch_retries{0};
   // A batch that fills every worker leaves none to lend; a smaller one
   // lets each shard borrow the workers idle when its run starts.
   const bool may_lend = static_cast<int>(num_shards) < num_workers();
@@ -94,7 +93,7 @@ runtime::RunResult EnginePool::run_sharded(const std::vector<Item>& batch) {
   tasks.reserve(num_shards);
   for (std::size_t si = 0; si < num_shards; ++si) {
     tasks.emplace_back([this, &batch, &shards, &results, &records,
-                        &batch_retries, may_lend, si](int worker) {
+                        may_lend, si](int worker) {
       const Shard& sh = shards[si];
       const std::vector<Item> sub(
           batch.begin() + static_cast<std::ptrdiff_t>(sh.begin),
@@ -120,7 +119,6 @@ runtime::RunResult EnginePool::run_sharded(const std::vector<Item>& batch) {
           break;
         } catch (const TransientError& e) {
           if (attempt >= opts_.transient_retries) throw;
-          batch_retries.fetch_add(1, std::memory_order_relaxed);
           transient_retries_.fetch_add(1, std::memory_order_relaxed);
           support::warn(std::string("pool worker retrying shard after "
                                     "transient failure: ") +
@@ -147,17 +145,13 @@ runtime::RunResult EnginePool::run_sharded(const std::vector<Item>& batch) {
   runtime::RunResult merged;
   for (std::size_t si = 0; si < num_shards; ++si)
     runtime::append_shard(merged, std::move(results[si]), records[si]);
-  merged.profiler.pool_workers = num_workers();
-  merged.profiler.pool_transient_retries =
-      batch_retries.load(std::memory_order_relaxed);
   return merged;
 }
 
 runtime::RunResult EnginePool::run(const std::vector<const ds::Tree*>& trees) {
   // Same guard (and ordering relative to the empty-batch return) as
   // CortexEngine::run(trees), so pool and engine agree on every input.
-  CORTEX_CHECK(def_.model ? def_.model->kind != linearizer::StructureKind::kDag
-                          : true)
+  CORTEX_CHECK(def_.kind() != linearizer::StructureKind::kDag)
       << "model " << def_.name << " expects DAG inputs";
   return run_sharded(trees);
 }
@@ -171,8 +165,7 @@ runtime::RunResult EnginePool::run(
 }
 
 runtime::RunResult EnginePool::run(const std::vector<const ds::Dag*>& dags) {
-  CORTEX_CHECK(def_.model ? def_.model->kind == linearizer::StructureKind::kDag
-                          : true)
+  CORTEX_CHECK(def_.kind() == linearizer::StructureKind::kDag)
       << "model " << def_.name << " expects tree inputs, not DAGs";
   return run_sharded(dags);
 }

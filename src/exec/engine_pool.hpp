@@ -5,7 +5,7 @@
 // engines).
 //
 // The plan cache (plan_cache.hpp) makes CortexEngine construction ~µs for
-// a warm (model, schedule, device) triple, so engines are cheap workers:
+// a warm (model, schedule) pair, so engines are cheap workers:
 // the pool owns N of them (all sharing one immutable CompiledArtifacts by
 // shared_ptr), splits an incoming mini-batch of trees/DAGs into contiguous
 // per-worker shards, runs the shards concurrently on a support::TaskPool,
@@ -91,8 +91,7 @@ struct EnginePoolOptions {
 /// thread-safe snapshot).
 struct PoolStats {
   /// Shard re-runs after a TransientError (each successful recovery
-  /// contributes its retry count; a batch-wide view also lands in the
-  /// merged profiler's pool_transient_retries).
+  /// contributes its retry count).
   std::int64_t transient_retries = 0;
   /// Batches whose error propagated out of run() — retries exhausted or
   /// a deterministic failure.

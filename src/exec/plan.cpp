@@ -200,20 +200,6 @@ Plan build_plan(const models::ModelDef& def, const ra::Schedule& schedule,
   plan.lock_free_barrier = schedule.lock_free_barrier;
   plan.dynamic_batching = schedule.dynamic_batching;
 
-  // Host batched-executor metadata: panel GEMMs per wavefront batch (the
-  // numeric executor runs the *cell* programs, so these counts come from
-  // the cell, independent of the device-kernel fusion choices below).
-  const auto count_matvecs = [](const std::vector<models::CellOp>& ops) {
-    std::int64_t n = 0;
-    for (const models::CellOp& op : ops)
-      if (op.kind == models::CellOpKind::kMatVec) ++n;
-    return n;
-  };
-  plan.host_panel_gemms_internal = count_matvecs(def.cell.internal_ops);
-  plan.host_panel_gemms_leaf = def.cell.leaf_ops.empty()
-                                   ? plan.host_panel_gemms_internal
-                                   : count_matvecs(def.cell.leaf_ops);
-
   // Persistence only applies when the weights actually fit on-chip and
   // the whole step is one kernel (a per-operator kernel cannot keep
   // another operator's weights resident).
@@ -319,8 +305,6 @@ std::string Plan::describe() const {
      << " internal_kernels=" << internal_step.size()
      << " persistent=" << (persistent ? "yes" : "no")
      << " sync/step=" << sync_points_per_step << " unroll=" << unroll_depth
-     << " host_panel_gemms=" << host_panel_gemms_leaf << "/"
-     << host_panel_gemms_internal
      << (leaf_collapsed ? " leaf_collapsed" : "")
      << (block_local ? " block_local" : "");
   return os.str();

@@ -1,6 +1,7 @@
 #pragma once
 // Execution-plan construction: turns (model, schedule, device) into the
-// set of kernel-launch templates the engine instantiates per batch step.
+// set of kernel-launch templates the offline cost model (exec::model_cost,
+// exec/cost_model.hpp) instantiates per batch step.
 // This is where the paper's optimizations become concrete cost/launch
 // structure:
 //   - fusion level decides kernels-per-step (one per operator vs one total),
@@ -25,7 +26,7 @@
 namespace cortex::exec {
 
 /// One kernel launch template; per-node quantities are multiplied by the
-/// number of nodes in the batch when the engine instantiates a launch.
+/// number of nodes in the batch when the cost model instantiates a launch.
 struct KernelTemplate {
   std::string label;
   std::int64_t flops_per_node = 0;
@@ -64,23 +65,11 @@ struct Plan {
   bool lock_free_barrier = false;
   bool dynamic_batching = true;
 
-  /// Panel GEMMs the host batched wavefront executor issues per internal
-  /// wavefront batch / per leaf batch: the kMatVec op counts of the cell
-  /// programs (the leaf count falls back to the internal program for
-  /// single-formula models, mirroring run_batch's branch selection).
-  /// Host-executor metadata only — device cost comes from the templates —
-  /// but it pins the exact batched_gemm_calls a single-threaded run must
-  /// report: leaf + (num_batches - 1) * internal when input hoisting
-  /// declines. A hoisted matvec runs once per hoisting window instead of
-  /// once per internal batch.
-  std::int64_t host_panel_gemms_internal = 0;
-  std::int64_t host_panel_gemms_leaf = 0;
-
   std::string describe() const;
 };
 
 /// Builds the plan. The schedule must already be validated against the
-/// model (CortexEngine does this).
+/// model (constructing a CortexEngine does this).
 Plan build_plan(const models::ModelDef& def, const ra::Schedule& schedule,
                 const runtime::DeviceSpec& spec);
 

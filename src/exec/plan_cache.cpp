@@ -8,11 +8,9 @@
 namespace cortex::exec {
 
 CompiledArtifacts compile_artifacts(const models::ModelDef& def,
-                                    const ra::Schedule& schedule,
-                                    const runtime::DeviceSpec& spec) {
+                                    const ra::Schedule& schedule) {
   CompiledArtifacts a;
   def.cell.validate();
-  a.plan = build_plan(def, schedule, spec);
   if (def.model) {
     // lower() verifies P.1-P.3 and validates the schedule against the
     // model; the engine reads the linearizer spec from its output. The
@@ -33,13 +31,11 @@ PlanCache& PlanCache::instance() {
 }
 
 support::Fingerprint PlanCache::key_for(const models::ModelDef& def,
-                                        const ra::Schedule& schedule,
-                                        const runtime::DeviceSpec& spec) {
+                                        const ra::Schedule& schedule) {
   support::FingerprintBuilder fb;
   fb.tag('K');
   models::fingerprint(def, fb);
   ra::fingerprint(schedule, fb);
-  runtime::fingerprint(spec, fb);
   return fb.finish();
 }
 

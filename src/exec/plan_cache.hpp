@@ -4,15 +4,17 @@
 // Cortex's premise (§4) is that recursive-model compilation happens ahead
 // of time, so the run loop touches only linearization and kernel
 // launches. The cache makes engine *construction* match that premise:
-// compiled artifacts (launch Plan, lowered ILIR) are keyed on a
-// structural fingerprint of (ModelDef, Schedule, DeviceSpec) and shared,
-// immutably, by every CortexEngine constructed for an identical triple —
-// across threads. A cold miss verifies, lowers and plans launches; a
-// warm hit skips all of it and bumps the entry in the LRU order. It
-// caches only what serving reads: the optimized ILIR and its memory plan
-// are exec::compile_ilir's, built on demand by offline callers.
-// Parameter values are not part of the key: artifacts are
-// weight-independent, so engines with different weights share one entry.
+// compiled artifacts (the lowered model) are keyed on a structural
+// fingerprint of (ModelDef, Schedule) and shared, immutably, by every
+// CortexEngine constructed for an identical pair — across threads. A
+// cold miss verifies and lowers; a warm hit skips both and bumps the
+// entry in the LRU order. It caches only what serving reads: the
+// modeled kernel launches are the offline cost model's
+// (exec/cost_model.hpp), and the optimized ILIR and its memory plan are
+// exec::compile_ilir's, both built on demand by offline callers.
+// Neither parameter values nor the device are part of the key: artifacts
+// are weight- and device-independent, so engines with different weights,
+// or built for different devices, share one entry.
 //
 // Concurrency: lookups and insertions take one mutex; compilation runs
 // outside it under a single-flight guard, so M threads racing on the same
@@ -34,7 +36,6 @@
 #include "exec/artifacts.hpp"
 #include "models/model_zoo.hpp"
 #include "ra/schedule.hpp"
-#include "runtime/device.hpp"
 #include "support/fingerprint.hpp"
 
 namespace cortex::exec {
@@ -67,8 +68,7 @@ class PlanCache {
   /// The cache key: canonical structural fingerprint of everything
   /// compilation reads (see the per-layer fingerprint() overloads).
   static support::Fingerprint key_for(const models::ModelDef& def,
-                                      const ra::Schedule& schedule,
-                                      const runtime::DeviceSpec& spec);
+                                      const ra::Schedule& schedule);
 
   /// Returns the artifacts for `key`, invoking `compile` on a miss.
   /// Concurrent callers with one key share a single in-flight compile

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "exec/artifacts.hpp"
 #include "exec/cost_model.hpp"
 
 namespace cortex::exec {
@@ -18,9 +17,8 @@ std::string TuneResult::summary() const {
 TuneResult autotune(const models::ModelDef& def,
                     const linearizer::Linearized& lin,
                     const runtime::DeviceSpec& spec) {
-  const bool is_dag =
-      def.model &&
-      def.model->kind == linearizer::StructureKind::kDag;
+  def.cell.validate();
+  const bool is_dag = def.kind() == linearizer::StructureKind::kDag;
 
   TuneResult result;
   for (const bool batching : {true, false}) {
@@ -40,9 +38,9 @@ TuneResult autotune(const models::ModelDef& def,
               s.unroll_depth = unroll;
               s.refactor = refactor;
               // Deterministic score: modeled device time only.
-              const CompiledArtifacts a = compile_artifacts(def, s, spec);
               result.trials.emplace_back(
-                  s, model_cost(a.plan, s, def.cell, spec, lin, 0.0)
+                  s, model_cost(build_plan(def, s, spec), s, def.cell, spec,
+                                lin, 0.0)
                          .modeled_latency_ms());
             }
           }

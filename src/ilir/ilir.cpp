@@ -100,18 +100,6 @@ Buffer* Program::find_buffer(const std::string& bname) {
   return nullptr;
 }
 
-std::int64_t Program::global_float_bytes() const {
-  std::int64_t total = 0;
-  for (const Buffer& b : buffers) {
-    if (b.scope != MemScope::kGlobal || b.dtype != ra::DType::kFloat)
-      continue;
-    const std::int64_t n = b.const_bytes();
-    if (n < 0) return -1;
-    total += n;
-  }
-  return total;
-}
-
 namespace {
 void print(const Stmt& s, std::ostringstream& os, int ind) {
   const std::string pad(static_cast<std::size_t>(ind) * 2, ' ');

@@ -126,9 +126,6 @@ struct Program {
 
   const Buffer* find_buffer(const std::string& name) const;
   Buffer* find_buffer(const std::string& name);
-  /// Sum of const_bytes over global-scope float buffers (intermediate
-  /// materialization footprint; -1 if any is symbolic).
-  std::int64_t global_float_bytes() const;
 };
 
 /// Pretty-prints a statement tree with indentation (tests/examples).

@@ -9,14 +9,6 @@
 
 namespace cortex::models {
 
-std::int64_t CellOp::param_bytes(
-    const std::map<std::string, std::int64_t>& param_elems) const {
-  if (param.empty()) return 0;
-  auto it = param_elems.find(param);
-  if (it == param_elems.end()) return 0;
-  return it->second * static_cast<std::int64_t>(sizeof(float));
-}
-
 // ---------------------------------------------------------------------------
 // CompiledEltwise
 // ---------------------------------------------------------------------------
@@ -461,13 +453,6 @@ std::int64_t CellProgram::internal_flops() const {
   const auto widths = register_widths();
   std::int64_t f = 0;
   for (const CellOp& op : internal_ops) f += op_flops(op, widths);
-  return f;
-}
-
-std::int64_t CellProgram::leaf_flops() const {
-  const auto widths = register_widths();
-  std::int64_t f = 0;
-  for (const CellOp& op : leaf_ops) f += op_flops(op, widths);
   return f;
 }
 

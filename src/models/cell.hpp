@@ -47,10 +47,6 @@ struct CellOp {
   /// kEltwise: scalar expression over vars "e0","e1",... (the inputs at
   /// element i) and loads of 1-D params indexed by var "i".
   ra::Expr expr;
-
-  /// Bytes of weight data this op reads per invocation (0 if none).
-  std::int64_t param_bytes(const std::map<std::string,
-                                          std::int64_t>& param_elems) const;
 };
 
 /// A compiled elementwise expression: flat postfix program executed per
@@ -143,8 +139,6 @@ struct CellProgram {
   std::map<std::string, std::int64_t> register_widths() const;
   /// Sum of per-node flops over internal ops.
   std::int64_t internal_flops() const;
-  /// Sum of per-node flops over leaf ops.
-  std::int64_t leaf_flops() const;
   /// Validates register/width consistency, define-before-use (every op
   /// input must be written by an earlier op of the same (leaf or
   /// internal) program) and that every read stays inside what it reads:
@@ -352,8 +346,6 @@ class BatchedCellExecutor {
   void reserve(std::int64_t rows, Panels& p) const;
 
   const CellProgram& cell() const { return cell_; }
-  /// Total float width of one arena row (sum of register widths).
-  std::int64_t arena_width() const { return total_width_; }
 
  private:
   /// One cell op, pre-lowered for panel execution: register names

@@ -49,6 +49,11 @@ struct ModelDef {
       param_shapes;
 
   std::int64_t state_width() const { return cell.state_width; }
+  /// The structure kind the model runs over: the RA model's, or a tree
+  /// (a sequence is a chain tree) for a cell-only model.
+  linearizer::StructureKind kind() const {
+    return model ? model->kind : linearizer::StructureKind::kTree;
+  }
 };
 
 // -- Table 2 models -----------------------------------------------------------
@@ -112,7 +117,7 @@ ModelDef make_seq_lstm(std::int64_t hidden, std::int64_t vocab = 1000);
 ModelDef make_seq_gru(std::int64_t hidden, std::int64_t vocab = 1000);
 
 /// Appends a canonical structural encoding of everything engine
-/// compilation reads from a ModelDef: name, hidden/vocab widths, the
+/// compilation and the cost model read from a ModelDef: name, hidden/vocab widths, the
 /// accounting metadata (sync_points_per_step, refactor_extra_bytes_per_node,
 /// block_local_schedule), the cell programs, the optional RA model, and
 /// the parameter shapes.
@@ -125,7 +130,7 @@ ModelDef make_seq_gru(std::int64_t hidden, std::int64_t vocab = 1000);
 ///     does not change the key;
 ///   - absent: parameter *values* (ModelParams) — compiled artifacts are
 ///     weight-independent, which is what lets engines with different
-///     weights share one cached plan.
+///     weights share one plan-cache entry.
 void fingerprint(const ModelDef& def, support::FingerprintBuilder& fb);
 
 /// Allocates and randomly initializes all parameters of a model.

@@ -77,41 +77,6 @@ DeviceSpec DeviceSpec::for_backend(Backend b) {
   return v100_gpu();
 }
 
-bool operator==(const DeviceSpec& a, const DeviceSpec& b) {
-  return a.name == b.name && a.backend == b.backend &&
-         a.flops_per_ns == b.flops_per_ns && a.bytes_per_ns == b.bytes_per_ns &&
-         a.onchip_capacity_bytes == b.onchip_capacity_bytes &&
-         a.fused_scratch_bytes == b.fused_scratch_bytes &&
-         a.kernel_launch_ns == b.kernel_launch_ns &&
-         a.inter_kernel_gap_ns == b.inter_kernel_gap_ns &&
-         a.memcpy_call_ns == b.memcpy_call_ns &&
-         a.barrier_lockfree_ns == b.barrier_lockfree_ns &&
-         a.barrier_locked_ns == b.barrier_locked_ns &&
-         a.full_utilization_parallelism == b.full_utilization_parallelism &&
-         a.min_utilization == b.min_utilization &&
-         a.is_accelerator == b.is_accelerator;
-}
-
-bool operator!=(const DeviceSpec& a, const DeviceSpec& b) { return !(a == b); }
-
-void fingerprint(const DeviceSpec& spec, support::FingerprintBuilder& fb) {
-  fb.tag('V');
-  fb.add(spec.name);
-  fb.add(static_cast<std::int64_t>(spec.backend));
-  fb.add(spec.flops_per_ns);
-  fb.add(spec.bytes_per_ns);
-  fb.add(spec.onchip_capacity_bytes);
-  fb.add(spec.fused_scratch_bytes);
-  fb.add(spec.kernel_launch_ns);
-  fb.add(spec.inter_kernel_gap_ns);
-  fb.add(spec.memcpy_call_ns);
-  fb.add(spec.barrier_lockfree_ns);
-  fb.add(spec.barrier_locked_ns);
-  fb.add(spec.full_utilization_parallelism);
-  fb.add(spec.min_utilization);
-  fb.add(spec.is_accelerator);
-}
-
 double Device::kernel_exec_ns(const KernelDesc& k) const {
   // Utilization: kernels exposing little parallelism cannot fill the
   // device (the reason unbatched per-node execution is so slow on GPUs).

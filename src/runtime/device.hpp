@@ -23,7 +23,6 @@
 #include <string>
 
 #include "runtime/profiler.hpp"
-#include "support/fingerprint.hpp"
 
 namespace cortex::runtime {
 
@@ -73,17 +72,6 @@ struct DeviceSpec {
   /// Spec for a named Backend.
   static DeviceSpec for_backend(Backend b);
 };
-
-/// Field-wise equality over every DeviceSpec field (including `name`).
-bool operator==(const DeviceSpec& a, const DeviceSpec& b);
-bool operator!=(const DeviceSpec& a, const DeviceSpec& b);
-
-/// Appends every DeviceSpec field to the fingerprint. The `name` label is
-/// included even though it does not affect modeled latency: plans for
-/// differently-named specs stay distinguishable in cache stats, and a
-/// spec mutation of *any* field is guaranteed to change the plan-cache
-/// key (the contract the fingerprint-collision tests pin).
-void fingerprint(const DeviceSpec& spec, support::FingerprintBuilder& fb);
 
 /// Description of one kernel invocation handed to the device model.
 struct KernelDesc {

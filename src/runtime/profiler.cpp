@@ -32,10 +32,6 @@ void Profiler::accumulate(const Profiler& o) {
   batched_panels += o.batched_panels;
   // A high-water mark like host_threads, not an accumulating counter.
   max_panel_rows = std::max(max_panel_rows, o.max_panel_rows);
-  // pool_workers is likewise a configuration (max keeps it stable when
-  // averaging pooled runs, and a merge of unpooled shards leaves it 0).
-  pool_workers = std::max(pool_workers, o.pool_workers);
-  pool_transient_retries += o.pool_transient_retries;
 }
 
 void Profiler::scale(double f) {
@@ -57,8 +53,6 @@ void Profiler::scale(double f) {
   numerics_host_ns *= f;
   batched_gemm_calls = static_cast<std::int64_t>(batched_gemm_calls * f);
   batched_panels = static_cast<std::int64_t>(batched_panels * f);
-  pool_transient_retries =
-      static_cast<std::int64_t>(pool_transient_retries * f);
   // max_panel_rows is a high-water mark; averaging leaves it unchanged.
 }
 
@@ -75,9 +69,6 @@ std::string Profiler::str() const {
   if (batched_gemm_calls > 0)
     os << " panel_gemms=" << batched_gemm_calls
        << " max_panel_rows=" << max_panel_rows;
-  if (pool_workers > 0) os << " pool_workers=" << pool_workers;
-  if (pool_transient_retries > 0)
-    os << " pool_retries=" << pool_transient_retries;
   os << " modeled_latency=" << modeled_latency_ms() << "ms";
   return os.str();
 }

@@ -57,18 +57,6 @@ struct Profiler {
   /// Largest panel row count (nodes batched into one set of panel ops).
   std::int64_t max_panel_rows = 0;
 
-  // -- engine pool (sharded serving) ----------------------------------------
-  /// Worker engines the pooled run sharded across (0 = not a pooled run).
-  /// Per-shard sizes and per-shard wall times live in
-  /// RunResult::shards; counters here are sums over all shards, i.e. the
-  /// aggregate work of the whole mini-batch.
-  std::int64_t pool_workers = 0;
-  /// Shard re-runs after a cortex::TransientError inside this pooled run
-  /// (bounded by EnginePoolOptions::transient_retries per shard). Each
-  /// retry recovered a failure that would otherwise have failed the
-  /// batch.
-  std::int64_t pool_transient_retries = 0;
-
   void reset() { *this = Profiler{}; }
 
   /// End-to-end modeled inference latency: host framework work + host API

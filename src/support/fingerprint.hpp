@@ -2,13 +2,12 @@
 // Canonical structural fingerprints: a typed, order-sensitive byte
 // encoding of a composite structure plus a 64-bit digest. The plan cache
 // (exec/plan_cache.hpp) keys compiled artifacts on fingerprints of
-// (ModelDef, Schedule, DeviceSpec); key equality compares the full byte
-// string, so a digest collision can never alias two different keys.
+// (ModelDef, Schedule); key equality compares the full byte string, so a
+// digest collision can never alias two different keys.
 //
 // Each layer contributes fingerprint() overloads next to its own types:
 //   ra::fingerprint(Expr / OpRef / Model / Schedule),
-//   models::fingerprint(CellOp / CellProgram / ModelDef),
-//   runtime::fingerprint(DeviceSpec).
+//   models::fingerprint(CellOp / CellProgram / ModelDef).
 // Every append writes a leading type byte, and strings are
 // length-prefixed, so adjacent fields can never re-associate ("ab" + "c"
 // encodes differently from "a" + "bc").

@@ -36,7 +36,7 @@ namespace {
 runtime::DeviceSpec gpu() { return runtime::DeviceSpec::v100_gpu(); }
 
 bool is_dag(const models::ModelDef& def) {
-  return def.model && def.model->kind == linearizer::StructureKind::kDag;
+  return def.kind() == linearizer::StructureKind::kDag;
 }
 
 bool is_seq(const models::ModelDef& def) {

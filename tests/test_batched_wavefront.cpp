@@ -39,7 +39,7 @@ linearizer::Linearized lin_for(const models::ModelDef& def,
                                std::int64_t batch, std::uint64_t seed) {
   Rng rng(seed);
   linearizer::LinearizerSpec spec;
-  if (def.model) spec.kind = def.model->kind;
+  spec.kind = def.kind();
   if (spec.kind == linearizer::StructureKind::kDag) {
     std::vector<std::unique_ptr<ds::Dag>> dags;
     for (std::int64_t b = 0; b < batch; ++b)
@@ -83,6 +83,17 @@ std::vector<std::vector<float>> roots_of(const std::vector<float>& states,
     roots.emplace_back(row, row + state_width);
   }
   return roots;
+}
+
+/// Panel GEMMs one wavefront of `leaf` nodes issues: the kMatVec ops of
+/// the cell program it runs (single-formula cells run the internal program
+/// for leaves too, as BatchedCellExecutor::run_batch does).
+std::int64_t matvecs(const models::CellProgram& cell, bool leaf) {
+  const std::vector<models::CellOp>& ops =
+      leaf && !cell.leaf_ops.empty() ? cell.leaf_ops : cell.internal_ops;
+  return std::count_if(ops.begin(), ops.end(), [](const models::CellOp& op) {
+    return op.kind == models::CellOpKind::kMatVec;
+  });
 }
 
 std::vector<float> all_states(const CortexEngine& engine,
@@ -145,8 +156,7 @@ TEST_P(BatchedZoo, BatchedMatchesPerNodeBitwiseAcrossSchedulesAndThreads) {
             << def.name << " batch=" << batch << " threads=" << threads;
         EXPECT_GT(batched.profiler.batched_panels, 0);
         EXPECT_LE(batched.profiler.max_panel_rows, lin.max_batch_length());
-        if (engine.plan().host_panel_gemms_internal > 0 &&
-            lin.num_batches() > 1) {
+        if (matvecs(def.cell, false) > 0 && lin.num_batches() > 1) {
           EXPECT_GT(batched.profiler.batched_gemm_calls, 0);
         }
         if (threads == 1) {
@@ -166,7 +176,7 @@ INSTANTIATE_TEST_SUITE_P(Zoo, BatchedZoo, ::testing::Range(0, 9));
 
 TEST(BatchedProfile, SingleThreadCountsMatchPlanMetadata) {
   // One thread, homogeneous wavefronts: exactly one panel per dynamic
-  // batch, and the plan's per-batch matvec counts pin the GEMM total.
+  // batch, and the cell programs' matvec counts pin the GEMM total.
   // SeqLSTM over chains hoists its four W·x products: all eight chain
   // steps fit one window, so they cost 4 GEMMs once and each step runs
   // only the four U·h ones. TreeLSTM and DAG-RNN decline hoisting on
@@ -187,15 +197,14 @@ TEST(BatchedProfile, SingleThreadCountsMatchPlanMetadata) {
     CortexEngine engine(def, params, ra::Schedule{}, gpu());
     engine.set_num_threads(1);
     const runtime::RunResult r = engine.run_linearized(lin, 0.0);
-    const Plan& plan = engine.plan();
     const std::int64_t windows = c.hoisted > 0 ? 1 : 0;
 
     EXPECT_EQ(r.profiler.batched_panels, lin.num_batches()) << def.name;
     EXPECT_EQ(r.profiler.max_panel_rows, lin.max_batch_length()) << def.name;
     EXPECT_EQ(r.profiler.batched_gemm_calls,
-              plan.host_panel_gemms_leaf + windows * c.hoisted +
+              matvecs(def.cell, true) + windows * c.hoisted +
                   (lin.num_batches() - 1) *
-                      (plan.host_panel_gemms_internal - c.hoisted))
+                      (matvecs(def.cell, false) - c.hoisted))
         << def.name;
   }
 }
@@ -310,9 +319,8 @@ TEST(BatchedHoist, SequenceModelOnTreesDeclines) {
   auto trees = ds::make_sst_like_batch(5, rng);
   const linearizer::Linearized lin = linearizer::linearize_trees(
       baselines::raw(trees), linearizer::LinearizerSpec{});
-  const CortexEngine probe(def, params, ra::Schedule{}, gpu());
   EXPECT_EQ(expect_matches_per_node(def, params, lin),
-            (lin.num_batches() - 1) * probe.plan().host_panel_gemms_internal);
+            (lin.num_batches() - 1) * matvecs(def.cell, false));
 }
 
 // -- every schedule and every valid cell runs as panels --------------------------

@@ -11,6 +11,7 @@
 #include "baselines/eager.hpp"
 #include "ds/tree.hpp"
 #include "exec/engine.hpp"
+#include "exec/plan.hpp"
 #include "ilir/codegen_c.hpp"
 #include "models/model_zoo.hpp"
 
@@ -47,7 +48,10 @@ TEST(BuildSanity, QuickstartEntryPointsLinkAndRun) {
                             runtime::DeviceSpec::v100_gpu());
 
   // The compile-side surface quickstart prints from.
-  EXPECT_FALSE(engine.plan().describe().empty());
+  EXPECT_FALSE(
+      exec::build_plan(def, schedule, runtime::DeviceSpec::v100_gpu())
+          .describe()
+          .empty());
   EXPECT_FALSE(ilir::to_string(engine.lowered()->program).empty());
   EXPECT_FALSE(ilir::codegen_c(engine.lowered()->program).empty());
 

@@ -18,7 +18,6 @@
 
 #include "baselines/common.hpp"
 #include "ds/generators.hpp"
-#include "exec/artifacts.hpp"
 #include "exec/cost_model.hpp"
 #include "exec/engine_pool.hpp"
 #include "models/model_zoo.hpp"
@@ -75,7 +74,7 @@ std::vector<NamedSchedule> pinned_schedules() {
 }
 
 bool is_dag(const models::ModelDef& def) {
-  return def.model && def.model->kind == linearizer::StructureKind::kDag;
+  return def.kind() == linearizer::StructureKind::kDag;
 }
 
 /// The fixed inputs of zoo model `m`: two grid DAGs, three chains of
@@ -243,8 +242,8 @@ TEST(ModelCost, MatchesParentCounters) {
 }
 
 TEST(ModelCost, EngineOverloadMatchesArtifactsAndNeedsNoRun) {
-  // The offline form the tuner uses (compiled artifacts, no engine) and
-  // the engine form agree, and neither depends on a run having happened.
+  // The offline form the tuner uses (a launch plan, no engine) and the
+  // engine form agree, and neither depends on a run having happened.
   const models::ModelDef def = models::make_treelstm(16);
   Rng rng(5);
   const models::ModelParams params = models::init_params(def, rng);
@@ -256,9 +255,8 @@ TEST(ModelCost, EngineOverloadMatchesArtifactsAndNeedsNoRun) {
   const linearizer::Linearized lin =
       engine.linearize(baselines::raw(trees), lin_ns);
   const runtime::RunResult a = model_cost(engine, lin, 0.0);
-  const CompiledArtifacts art = compile_artifacts(def, s, gpu());
-  const runtime::RunResult b = model_cost(art.plan, s, def.cell, gpu(), lin,
-                                          0.0);
+  const runtime::RunResult b =
+      model_cost(build_plan(def, s, gpu()), s, def.cell, gpu(), lin, 0.0);
   EXPECT_EQ(a.profiler.kernel_launches, b.profiler.kernel_launches);
   EXPECT_EQ(a.profiler.device_flops, b.profiler.device_flops);
   EXPECT_EQ(a.profiler.modeled_latency_ns(), b.profiler.modeled_latency_ns());

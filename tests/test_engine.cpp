@@ -35,7 +35,7 @@ linearizer::Linearized lin_for(const models::ModelDef& def,
                                std::int64_t batch, std::uint64_t seed) {
   Rng rng(seed);
   linearizer::LinearizerSpec spec;
-  if (def.model) spec.kind = def.model->kind;
+  spec.kind = def.kind();
   if (spec.kind == linearizer::StructureKind::kDag) {
     std::vector<std::unique_ptr<ds::Dag>> dags;
     for (std::int64_t b = 0; b < batch; ++b)
@@ -172,8 +172,8 @@ TEST(EngineAccounting, PersistenceRemovesWeightRereads) {
   CortexEngine e_without(def, params, without, gpu());
   const runtime::RunResult r_with = cost(e_with, lin);
   const runtime::RunResult r_without = cost(e_without, lin);
-  EXPECT_TRUE(e_with.plan().persistent);
-  EXPECT_FALSE(e_without.plan().persistent);
+  EXPECT_TRUE(build_plan(def, with, gpu()).persistent);
+  EXPECT_FALSE(build_plan(def, without, gpu()).persistent);
   // Weights read once vs once per step: strictly less off-chip traffic,
   // strictly lower modeled latency. Launches identical (megakernel).
   EXPECT_LT(r_with.profiler.device_bytes_read,
@@ -187,10 +187,7 @@ TEST(EngineAccounting, PersistenceRemovesWeightRereads) {
 TEST(EngineAccounting, PersistenceRequiresOnChipFit) {
   // A model whose weights exceed on-chip capacity cannot persist.
   const models::ModelDef def = models::make_treelstm(1024);  // ~21 MB
-  Rng rng(3);
-  const models::ModelParams params = models::init_params(def, rng);
-  CortexEngine engine(def, params, ra::Schedule{}, gpu());
-  EXPECT_FALSE(engine.plan().persistent);
+  EXPECT_FALSE(build_plan(def, ra::Schedule{}, gpu()).persistent);
 }
 
 TEST(EngineAccounting, SpecializationCollapsesLeafBatch) {
@@ -203,8 +200,8 @@ TEST(EngineAccounting, SpecializationCollapsesLeafBatch) {
   ra::Schedule cond = ra::Schedule::cavs_comparable();
   CortexEngine e_spec(def, params, spec, gpu());
   CortexEngine e_cond(def, params, cond, gpu());
-  EXPECT_TRUE(e_spec.plan().leaf_collapsed);
-  EXPECT_FALSE(e_cond.plan().leaf_collapsed);
+  EXPECT_TRUE(build_plan(def, spec, gpu()).leaf_collapsed);
+  EXPECT_FALSE(build_plan(def, cond, gpu()).leaf_collapsed);
   // §4.3: the collapsed leaf batch does no flops; the conditional form
   // pays the full internal computation over the (majority) leaves.
   const runtime::RunResult r_spec = cost(e_spec, lin);

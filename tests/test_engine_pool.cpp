@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -25,7 +26,7 @@ namespace {
 runtime::DeviceSpec gpu() { return runtime::DeviceSpec::v100_gpu(); }
 
 bool is_dag(const models::ModelDef& def) {
-  return def.model && def.model->kind == linearizer::StructureKind::kDag;
+  return def.kind() == linearizer::StructureKind::kDag;
 }
 
 bool is_seq(const models::ModelDef& def) {
@@ -129,7 +130,7 @@ TEST_P(PoolZoo, PooledBitIdenticalToSingleEngineAcrossBatchAndWorkers) {
           EXPECT_EQ(out.peak_memory_bytes, 0);
           EXPECT_DOUBLE_EQ(out.profiler.modeled_latency_ns(), 0.0);
         } else {
-          EXPECT_EQ(out.profiler.pool_workers, w);
+          EXPECT_EQ(out.shards.size(), EnginePool::shard_plan(n, w).size());
           std::int64_t covered = 0;
           for (const runtime::ShardRecord& s : out.shards) {
             EXPECT_EQ(s.batch_begin, covered);
@@ -180,6 +181,36 @@ TEST(EnginePoolEmpty, KindGuardFiresBeforeEmptyReturnLikeTheEngine) {
   EnginePool tree_pool(tree_def, tree_params, ra::Schedule{}, gpu(),
                        EnginePoolOptions{2});
   EXPECT_THROW(tree_pool.run(std::vector<const ds::Dag*>{}), Error);
+}
+
+TEST(EnginePoolKind, CellOnlyModelRejectsDagsBeforeLinearizing) {
+  // A cell-only model (no RA definition) runs over trees, as the batch
+  // server's admission check assumes: the engine and the pool reject a
+  // DAG batch with the kind error before linearizing it, so an empty
+  // batch throws too and a grid DAG never reaches the cell.
+  models::ModelDef def = models::make_seq_lstm(16);
+  def.model.reset();
+  Rng prng(3);
+  const models::ModelParams params = models::init_params(def, prng);
+  CortexEngine engine(def, params, ra::Schedule{}, gpu());
+  EnginePool pool(def, params, ra::Schedule{}, gpu(), EnginePoolOptions{2});
+  const auto dag = ds::make_grid_dag(3, 3, prng);
+  const auto expect_kind_error = [](const std::function<void()>& run) {
+    try {
+      run();
+      ADD_FAILURE() << "a DAG batch ran on a tree model";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("expects tree inputs, not DAGs"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  for (const std::vector<const ds::Dag*>& dags :
+       {std::vector<const ds::Dag*>{dag.get()},
+        std::vector<const ds::Dag*>{}}) {
+    expect_kind_error([&] { engine.run(dags); });
+    expect_kind_error([&] { pool.run(dags); });
+  }
 }
 
 // -- worker engines share one compiled artifact -------------------------------
@@ -267,7 +298,6 @@ TEST(EnginePoolAccounting, MergedProfilerSumsShardsAndRecordsBreakdown) {
   EXPECT_EQ(out.profiler.batched_gemm_calls, gemm_calls);
   EXPECT_EQ(out.profiler.batched_panels, panels);
   EXPECT_EQ(out.profiler.host_threads, 1);
-  EXPECT_EQ(out.profiler.pool_workers, 4);
   // Each shard's wall time holds its linearization and its numerics.
   EXPECT_GT(out.profiler.numerics_host_ns, 0.0);
   EXPECT_GT(out.profiler.linearization_ns, 0.0);

@@ -37,7 +37,7 @@ using support::FaultInjector;
 runtime::DeviceSpec gpu() { return runtime::DeviceSpec::v100_gpu(); }
 
 bool is_dag(const models::ModelDef& def) {
-  return def.model && def.model->kind == linearizer::StructureKind::kDag;
+  return def.kind() == linearizer::StructureKind::kDag;
 }
 
 struct Batch {

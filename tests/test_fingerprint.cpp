@@ -1,7 +1,7 @@
 // Fingerprint collision battery: the plan-cache key must change when any
-// single compilation-relevant field of (ModelDef, Schedule, DeviceSpec)
-// changes, must NOT change for order-insensitive fields (ModelDef::
-// param_shapes is keyed by name), and must be reproducible across
+// single compilation-relevant field of (ModelDef, Schedule) changes,
+// must NOT change for order-insensitive fields (ModelDef::param_shapes is
+// keyed by name), and must be reproducible across
 // separate factory constructions of the same model. These properties are
 // the correctness contract of exec/plan_cache.hpp: a missed difference
 // would silently alias two different compilations.
@@ -19,10 +19,8 @@ namespace cortex::exec {
 namespace {
 
 support::Fingerprint key(const models::ModelDef& def,
-                         const ra::Schedule& sched = ra::Schedule{},
-                         const runtime::DeviceSpec& spec =
-                             runtime::DeviceSpec::v100_gpu()) {
-  return PlanCache::key_for(def, sched, spec);
+                         const ra::Schedule& sched = ra::Schedule{}) {
+  return PlanCache::key_for(def, sched);
 }
 
 std::vector<std::pair<const char*,
@@ -184,47 +182,6 @@ TEST(Fingerprint, ScheduleEqualityIsFieldWise) {
   EXPECT_NE(ra::Schedule::unoptimized(), ra::Schedule{});
   EXPECT_EQ(ra::Schedule::unoptimized(), ra::Schedule::unoptimized());
 }
-
-// -- DeviceSpec field sensitivity --------------------------------------------
-
-TEST(Fingerprint, EveryDeviceSpecFieldChangesKey) {
-  const models::ModelDef def = models::make_treegru(16);
-  const ra::Schedule sched;
-  const runtime::DeviceSpec base = runtime::DeviceSpec::v100_gpu();
-  const support::Fingerprint k0 = key(def, sched, base);
-
-  auto mutated = [&](const std::function<void(runtime::DeviceSpec&)>& fn) {
-    runtime::DeviceSpec s = runtime::DeviceSpec::v100_gpu();
-    fn(s);
-    EXPECT_NE(s, base) << "mutation is a no-op";
-    return key(def, sched, s);
-  };
-  using Spec = runtime::DeviceSpec;
-  EXPECT_NE(k0, mutated([](Spec& s) { s.name = "x"; }));
-  EXPECT_NE(k0, mutated([](Spec& s) { s.backend = runtime::Backend::kArm; }));
-  EXPECT_NE(k0, mutated([](Spec& s) { s.flops_per_ns *= 2; }));
-  EXPECT_NE(k0, mutated([](Spec& s) { s.bytes_per_ns *= 2; }));
-  EXPECT_NE(k0, mutated([](Spec& s) { s.onchip_capacity_bytes += 1; }));
-  EXPECT_NE(k0, mutated([](Spec& s) { s.fused_scratch_bytes += 1; }));
-  EXPECT_NE(k0, mutated([](Spec& s) { s.kernel_launch_ns += 1; }));
-  EXPECT_NE(k0, mutated([](Spec& s) { s.inter_kernel_gap_ns += 1; }));
-  EXPECT_NE(k0, mutated([](Spec& s) { s.memcpy_call_ns += 1; }));
-  EXPECT_NE(k0, mutated([](Spec& s) { s.barrier_lockfree_ns += 1; }));
-  EXPECT_NE(k0, mutated([](Spec& s) { s.barrier_locked_ns += 1; }));
-  EXPECT_NE(k0, mutated([](Spec& s) { s.full_utilization_parallelism += 1; }));
-  EXPECT_NE(k0, mutated([](Spec& s) { s.min_utilization += 0.001; }));
-  EXPECT_NE(k0, mutated([](Spec& s) { s.is_accelerator = !s.is_accelerator; }));
-}
-
-TEST(Fingerprint, DeviceSpecEqualityIsFieldWise) {
-  EXPECT_EQ(runtime::DeviceSpec::v100_gpu(), runtime::DeviceSpec::v100_gpu());
-  EXPECT_NE(runtime::DeviceSpec::v100_gpu(), runtime::DeviceSpec::intel_cpu());
-  runtime::DeviceSpec s = runtime::DeviceSpec::v100_gpu();
-  s.min_utilization += 0.5;
-  EXPECT_NE(s, runtime::DeviceSpec::v100_gpu());
-}
-
-// -- expression-level canonicality -------------------------------------------
 
 TEST(Fingerprint, ExprEncodingIgnoresSharing) {
   // add(x, x) with one shared node vs two fresh nodes: struct_equal says

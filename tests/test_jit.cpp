@@ -295,8 +295,7 @@ TEST(JitCacheTest, CompileArtifactsBuildsNoKernel) {
   FaultGuard fault_guard;
   const models::ModelDef def = models::make_treernn(16);
   support::FaultInjector::instance().configure("jit.cc=*;jit.dlopen=*");
-  const CompiledArtifacts a =
-      compile_artifacts(def, ra::Schedule{}, runtime::DeviceSpec::v100_gpu());
+  const CompiledArtifacts a = compile_artifacts(def, ra::Schedule{});
   EXPECT_TRUE(a.lowered.has_value());
   EXPECT_FALSE(compile_ilir(*def.model, ra::Schedule{}).memory.slots.empty());
   EXPECT_EQ(support::FaultInjector::instance().stats("jit.cc").hits, 0);

@@ -20,7 +20,7 @@ linearizer::Linearized lin_for(const models::ModelDef& def,
                                std::int64_t batch, std::uint64_t seed) {
   Rng rng(seed);
   linearizer::LinearizerSpec spec;
-  if (def.model) spec.kind = def.model->kind;
+  spec.kind = def.kind();
   if (spec.kind == linearizer::StructureKind::kDag) {
     std::vector<std::unique_ptr<ds::Dag>> dags;
     for (std::int64_t b = 0; b < batch; ++b)

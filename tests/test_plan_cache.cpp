@@ -44,7 +44,7 @@ std::vector<models::ModelDef> zoo() {
 }
 
 bool is_dag(const models::ModelDef& def) {
-  return def.model && def.model->kind == linearizer::StructureKind::kDag;
+  return def.kind() == linearizer::StructureKind::kDag;
 }
 
 bool is_seq(const models::ModelDef& def) {
@@ -167,9 +167,30 @@ TEST_F(PlanCacheTest, WarmHitSkipsCompilationButKeepsPlanIdentity) {
   const models::ModelParams params = models::init_params(def, prng);
   CortexEngine a(def, params, ra::Schedule{}, gpu());
   CortexEngine b(def, params, ra::Schedule{}, gpu());
-  // Same Plan/LoweredModel objects, not copies.
-  EXPECT_EQ(&a.plan(), &b.plan());
+  // Same artifacts and LoweredModel objects, not copies.
+  EXPECT_EQ(a.artifacts(), b.artifacts());
   EXPECT_EQ(a.lowered(), b.lowered());
+}
+
+TEST_F(PlanCacheTest, EnginesForDifferentDevicesShareOneEntry) {
+  // Artifacts are device-independent: a GPU engine and a CPU engine for
+  // one (model, schedule) compile once and share the entry, and the
+  // offline cost model still models each on its own device.
+  PlanCache& cache = PlanCache::instance();
+  const models::ModelDef def = models::make_treelstm(16);
+  Rng prng(13);
+  const models::ModelParams params = models::init_params(def, prng);
+  CortexEngine on_gpu(def, params, ra::Schedule{}, gpu());
+  CortexEngine on_cpu(def, params, ra::Schedule{},
+                      runtime::DeviceSpec::intel_cpu());
+  EXPECT_EQ(on_gpu.artifacts().get(), on_cpu.artifacts().get());
+  EXPECT_EQ(cache.stats().misses, 1);
+  EXPECT_EQ(cache.stats().hits, 1);
+  EXPECT_EQ(cache.size(), 1);
+  EXPECT_EQ(run_workload(on_gpu, def).root_states,
+            run_workload(on_cpu, def).root_states);
+  EXPECT_NE(cost_workload(on_gpu, def).profiler.modeled_latency_ns(),
+            cost_workload(on_cpu, def).profiler.modeled_latency_ns());
 }
 
 // -- counter behavior --------------------------------------------------------

@@ -237,7 +237,7 @@ linearizer::Linearized narrow_input(const models::ModelDef& def,
                                     std::uint64_t seed) {
   Rng rng(seed);
   linearizer::LinearizerSpec spec;
-  if (def.model) spec.kind = def.model->kind;
+  spec.kind = def.kind();
   if (spec.kind == linearizer::StructureKind::kDag) {
     auto dag = ds::make_grid_dag(5, 4, rng);
     return linearizer::linearize_dags({dag.get()}, spec);
