@@ -8,7 +8,9 @@
 // products read only the token leaves, so they run once per hoisting
 // window as tall GEMMs (all 99 steps of a batch-1 chain in one), and
 // each step runs 4 panel GEMMs, the U·h products: panel_gemms is
-// 4 per window + 4 per step.
+// 4 per window + 4 per step. Batch 16 is the shard one engine runs in
+// servebench's seqlstm-saturate workload: a coalesced batch of 32 chains
+// split over two pool workers (1600 leaves, 3184 nodes).
 //
 // The per-node column is the per-node oracle, baselines::compute_states
 // (models::CellExecutor::run_node node by node, into a fresh state table). The engine has no per-node path: panels serve every
@@ -48,7 +50,7 @@ int main() {
   const int iters = smoke ? 1 : 5;
   const std::vector<std::int64_t> batches =
       smoke ? std::vector<std::int64_t>{1, 2}
-            : std::vector<std::int64_t>{1, 8, 64, 128};
+            : std::vector<std::int64_t>{1, 8, 16, 64, 128};
 
   std::printf("Batched wavefront GEMMs: per-node GEMV vs panel GEMM, "
               "SeqLSTM (Fig. 9 config)\n");

@@ -372,8 +372,18 @@ runtime::RunResult CortexEngine::run_linearized(
   runtime::RunResult rr = empty_result(linearization_ns);
   if (lin.num_nodes == 0) return rr;
 
+  // The state table reuses one buffer across runs, growing it only for a
+  // larger linearization, and is never cleared: every node's row is
+  // written before a later wavefront reads it.
   const std::int64_t sw = def_.cell.state_width;
-  states_ = Tensor::zeros(Shape{lin.num_nodes, sw});
+  const std::int64_t need = lin.num_nodes * sw;
+  if (need > state_capacity_) {
+    states_ = Tensor();
+    state_buf_.reset();  // free the old buffer before allocating its successor
+    state_buf_.reset(new float[static_cast<std::size_t>(need)]);
+    state_capacity_ = need;
+  }
+  states_ = Tensor::view_into(Shape{lin.num_nodes, sw}, state_buf_, 0);
   run_numerics(lin, rr.profiler);
 
   rr.root_states.reserve(lin.roots.size());

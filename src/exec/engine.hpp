@@ -126,7 +126,8 @@ class CortexEngine {
   /// (pointer-equal) while the plan cache is enabled, whatever their
   /// device; the pointer stays valid even if the cache entry is evicted.
   const ArtifactsPtr& artifacts() const { return artifacts_; }
-  /// All node states (N, state_width) from the most recent run.
+  /// All node states (N, state_width) from the most recent run: a view
+  /// into storage the engine reuses, valid until its next run.
   const Tensor& last_states() const { return states_; }
 
  private:
@@ -180,7 +181,12 @@ class CortexEngine {
   runtime::DeviceSpec spec_;
   ArtifactsPtr artifacts_;
   std::unique_ptr<models::BatchedCellExecutor> batched_exec_;
+  /// The current run's node states: an (N, state_width) view of
+  /// state_buf_, which keeps its largest size (state_capacity_ floats)
+  /// across runs and is never cleared.
   Tensor states_;
+  std::shared_ptr<float[]> state_buf_;
+  std::int64_t state_capacity_ = 0;
   /// Side buffer of the current hoisting window; never more than
   /// kHoistWindowBytes, whatever the input size.
   std::vector<float> hoisted_;

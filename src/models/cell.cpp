@@ -765,14 +765,12 @@ BatchedCellExecutor::BatchedCellExecutor(const CellProgram& cell,
                                          const ModelParams& params)
     : cell_(cell), params_(params) {
   cell.validate();
-  // Flat register layout: every register of the (merged leaf + internal)
-  // program gets an index and a row-width offset into the arena. The map
-  // is ordered, so the layout is deterministic.
+  // Every register of the leaf and internal programs gets an index; each
+  // program lays out only the registers it writes (layout_of). The map is
+  // ordered, so the indices are deterministic.
   for (const auto& [name, w] : cell.register_widths()) {
     reg_index_[name] = static_cast<int>(reg_width_.size());
     reg_width_.push_back(w);
-    reg_offset_.push_back(total_width_);
-    total_width_ += w;
   }
   leaf_bops_ = compile_ops(cell.leaf_ops);
   internal_bops_ = compile_ops(cell.internal_ops);
@@ -780,6 +778,8 @@ BatchedCellExecutor::BatchedCellExecutor(const CellProgram& cell,
     leaf_order_.push_back(static_cast<int>(n));
   for (std::size_t n = 0; n < internal_bops_.size(); ++n)
     internal_order_.push_back(static_cast<int>(n));
+  leaf_layout_ = layout_of(leaf_bops_, leaf_order_);
+  internal_layout_ = layout_of(internal_bops_, internal_order_);
   int children = 0;
   for (const BatchedOp& b : internal_bops_)
     if (b.kind == CellOpKind::kSliceChild)
@@ -834,17 +834,29 @@ BatchedCellExecutor::Hoist BatchedCellExecutor::find_hoist(int c) const {
     const auto r = static_cast<std::size_t>(reg);
     // A register another op also writes has no single hoisted value.
     if (writers[r] != 1) return {};
-    if (read_by_rest[r] != 0) {
-      h.live.push_back({reg, h.width});
-      h.width += reg_width_[r];
-    } else {
-      h.scratch.push_back({reg, h.scratch_width});
-      h.scratch_width += reg_width_[r];
-    }
+    Layout& lay = read_by_rest[r] != 0 ? h.live : h.scratch;
+    lay.slots.push_back({reg, lay.width});
+    lay.width += reg_width_[r];
   }
-  if (h.live.empty()) return {};
+  if (h.live.slots.empty()) return {};
+  h.arena = layout_of(internal_bops_, h.rest);
   h.split = plan_columns(internal_bops_, h.rest);
   return h;
+}
+
+BatchedCellExecutor::Layout BatchedCellExecutor::layout_of(
+    const std::vector<BatchedOp>& bops, const std::vector<int>& order) const {
+  Layout lay;
+  std::vector<std::uint8_t> placed(reg_width_.size(), 0);
+  for (const int n : order) {
+    const BatchedOp& b = bops[static_cast<std::size_t>(n)];
+    const auto r = static_cast<std::size_t>(b.out_reg);
+    if (b.is_last || placed[r] != 0) continue;
+    placed[r] = 1;
+    lay.slots.push_back({b.out_reg, lay.width});
+    lay.width += reg_width_[r];
+  }
+  return lay;
 }
 
 BatchedCellExecutor::ColumnPlan BatchedCellExecutor::plan_columns(
@@ -928,7 +940,7 @@ std::int64_t BatchedCellExecutor::split_weight_bytes(bool leaf,
 
 std::int64_t BatchedCellExecutor::hoist_width(int c) const {
   return c >= 0 && static_cast<std::size_t>(c) < hoists_.size()
-             ? hoists_[static_cast<std::size_t>(c)].width
+             ? hoists_[static_cast<std::size_t>(c)].live.width
              : 0;
 }
 
@@ -997,16 +1009,27 @@ std::vector<BatchedCellExecutor::BatchedOp> BatchedCellExecutor::compile_ops(
 }
 
 void BatchedCellExecutor::reserve(std::int64_t rows, Panels& p) const {
-  p.arena.reserve(static_cast<std::size_t>(total_width_ * rows));
+  std::int64_t width = std::max(leaf_layout_.width, internal_layout_.width);
+  for (const Hoist& h : hoists_)
+    width = std::max({width, h.scratch.width, h.arena.width});
+  p.arena.reserve(static_cast<std::size_t>(width * rows));
   p.regs.reserve(reg_width_.size());
   p.idx.reserve(static_cast<std::size_t>(rows));
   p.written.reserve(reg_width_.size());
 }
 
-void BatchedCellExecutor::bind_window(const std::vector<Slot>& live,
-                                      const HoistWindow& w,
+void BatchedCellExecutor::bind_arena(const Layout& lay, std::int64_t rows,
+                                     Panels& p) const {
+  const auto need = static_cast<std::size_t>(lay.width * rows);
+  if (p.arena.size() < need) p.arena.resize(need);
+  p.regs.assign(reg_width_.size(), nullptr);
+  for (const Slot& s : lay.slots)
+    p.regs[static_cast<std::size_t>(s.reg)] = p.arena.data() + s.offset * rows;
+}
+
+void BatchedCellExecutor::bind_window(const Layout& live, const HoistWindow& w,
                                       std::vector<float*>& regs) const {
-  for (const Slot& s : live) {
+  for (const Slot& s : live.slots) {
     const auto r = static_cast<std::size_t>(s.reg);
     regs[r] = w.data + s.offset * w.rows + w.row0 * reg_width_[r];
   }
@@ -1029,10 +1052,6 @@ void BatchedCellExecutor::run_batch(bool leaf, std::int64_t rows,
   const std::vector<BatchedOp>& bops = leaf_prog ? leaf_bops_ : internal_bops_;
   const std::vector<int>* order = leaf_prog ? &leaf_order_ : &internal_order_;
   const ColumnPlan* split = leaf_prog ? &leaf_split_ : &internal_split_;
-  p.arena.resize(static_cast<std::size_t>(total_width_ * rows));
-  p.regs.resize(reg_width_.size());
-  for (std::size_t r = 0; r < reg_width_.size(); ++r)
-    p.regs[r] = p.arena.data() + reg_offset_[r] * rows;
   p.idx.resize(static_cast<std::size_t>(rows));
   p.written.assign(reg_width_.size(), 0);
   if (hoisted != nullptr) {
@@ -1040,11 +1059,14 @@ void BatchedCellExecutor::run_batch(bool leaf, std::int64_t rows,
                  hoisted->row0 >= 0 && hoisted->row0 + rows <= hoisted->rows)
         << "hoisted run_batch outside its window or without a hoist";
     const Hoist& h = hoists_[static_cast<std::size_t>(hoisted->child)];
+    bind_arena(h.arena, rows, p);
     bind_window(h.live, *hoisted, p.regs);
-    for (const Slot& s : h.live)
+    for (const Slot& s : h.live.slots)
       p.written[static_cast<std::size_t>(s.reg)] = 1;
     order = &h.rest;
     split = &h.split;
+  } else {
+    bind_arena(leaf_prog ? leaf_layout_ : internal_layout_, rows, p);
   }
   if (share.members == 1) {
     split = nullptr;
@@ -1071,12 +1093,8 @@ void BatchedCellExecutor::run_hoisted(std::int64_t rows,
       << "run_hoisted outside its window or without a hoist";
   const Hoist& h = hoists_[static_cast<std::size_t>(w.child)];
   // Only the hoisted registers get panels: the ones the remaining ops
-  // read go straight to the window, the rest to a compact arena.
-  p.arena.resize(static_cast<std::size_t>(h.scratch_width * rows));
-  p.regs.assign(reg_width_.size(), nullptr);
-  for (const Slot& s : h.scratch)
-    p.regs[static_cast<std::size_t>(s.reg)] =
-        p.arena.data() + s.offset * rows;
+  // read go straight to the window, the rest to the arena.
+  bind_arena(h.scratch, rows, p);
   bind_window(h.live, w, p.regs);
   p.idx.resize(static_cast<std::size_t>(rows));
   p.written.assign(reg_width_.size(), 0);

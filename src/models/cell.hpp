@@ -239,7 +239,10 @@ struct ColumnShare {
 /// is the fused multiply-add chain over k that kernels::gemv computes, so
 /// outputs are bit-identical to per-node execution), and eltwise ops
 /// evaluate vectorized across the panel. Registers live
-/// in a flat, index-addressed arena — no string maps on the hot path.
+/// in a flat, index-addressed arena — no string maps on the hot path —
+/// laid out per program: the leaf and the internal program each place
+/// only the registers they write, and the last op writes the caller's
+/// destination rows, so it has no register panel.
 ///
 /// Input hoisting: the internal ops that read only child `c`'s state
 /// (through kSliceChild(c)) and params — a sequence cell's W·x gate
@@ -275,7 +278,8 @@ class BatchedCellExecutor {
   /// register-panel arena and the per-call register base pointers,
   /// gather-index and register-written bookkeeping, the kMatStack2 vstack
   /// buffer, and the execution stats the engine drains into the profiler
-  /// after a run.
+  /// after a run. The arena only grows, to the largest panel a call has
+  /// needed, and keeps its stale contents: no call clears it.
   struct Panels {
     std::vector<float> arena;
     std::vector<float*> regs;
@@ -340,9 +344,11 @@ class BatchedCellExecutor {
                    const std::int32_t* child_ids, const float* states,
                    const HoistWindow& w, Panels& p) const;
 
-  /// Grows `p`'s buffers for panels of up to `rows` rows (optional; the
-  /// engine calls it once per run with the linearization's
-  /// max_batch_length so no growth happens inside the wavefront loop).
+  /// Reserves `p`'s buffers for panels of up to `rows` rows of the wider
+  /// program (optional; the engine calls it once per run with its
+  /// threads' share of the linearization's max_batch_length so no
+  /// reallocation happens inside the wavefront loop). Capacity only: the
+  /// arena's size still grows only as calls need it.
   void reserve(std::int64_t rows, Panels& p) const;
 
   const CellProgram& cell() const { return cell_; }
@@ -374,6 +380,12 @@ class BatchedCellExecutor {
     std::int64_t offset = 0;
   };
 
+  /// Registers sharing one panel buffer, `width` row-widths in all.
+  struct Layout {
+    std::vector<Slot> slots;
+    std::int64_t width = 0;
+  };
+
   /// Columns [offset, offset + width) of a register, which the members of
   /// a column split divide among themselves.
   struct Segment {
@@ -396,20 +408,28 @@ class BatchedCellExecutor {
   /// Child `c`'s hoisting split of the internal program (op indices in
   /// program order). Empty `ops` means nothing to hoist for `c`.
   struct Hoist {
-    std::vector<int> ops;       ///< hoisted: read only kSliceChild(c)
-    std::vector<int> rest;      ///< the other internal ops
-    std::vector<Slot> live;     ///< hoisted registers `rest` reads: window
-    std::int64_t width = 0;     ///< sum of `live` widths
-    std::vector<Slot> scratch;  ///< other hoisted registers: arena
-    std::int64_t scratch_width = 0;
-    ColumnPlan split;           ///< of `rest`, the window read whole
+    std::vector<int> ops;   ///< hoisted: read only kSliceChild(c)
+    std::vector<int> rest;  ///< the other internal ops
+    Layout live;            ///< hoisted registers `rest` reads: window
+    Layout scratch;         ///< other hoisted registers: run_hoisted's arena
+    Layout arena;           ///< what `rest` writes: run_batch's arena
+    ColumnPlan split;       ///< of `rest`, the window read whole
   };
 
   std::vector<BatchedOp> compile_ops(const std::vector<CellOp>& ops) const;
   Hoist find_hoist(int c) const;
+  /// The arena layout of running `order` of `bops`: every register an op
+  /// writes, except the last op's, which writes the caller's `out`.
+  Layout layout_of(const std::vector<BatchedOp>& bops,
+                   const std::vector<int>& order) const;
+  /// Points each of `lay`'s registers at its [rows, width] panel in `p`'s
+  /// arena, growing the arena only when it is too small. Its contents are
+  /// never cleared: an op reads only what an earlier op of the same call
+  /// wrote. Every other register gets no panel.
+  void bind_arena(const Layout& lay, std::int64_t rows, Panels& p) const;
   /// Points each `live` register's panel at rows [w.row0, w.row0 + rows)
   /// of its [w.rows, width] block in the window.
-  void bind_window(const std::vector<Slot>& live, const HoistWindow& w,
+  void bind_window(const Layout& live, const HoistWindow& w,
                    std::vector<float*>& regs) const;
   /// The column plan of running `order` of `bops`; registers it reads
   /// before writing them (the window's) count as whole.
@@ -431,13 +451,13 @@ class BatchedCellExecutor {
   const CellProgram& cell_;
   const ModelParams& params_;
   std::map<std::string, int> reg_index_;
-  std::vector<std::int64_t> reg_width_;   ///< by register index
-  std::vector<std::int64_t> reg_offset_;  ///< arena offset in row-widths
-  std::int64_t total_width_ = 0;
+  std::vector<std::int64_t> reg_width_;  ///< by register index
   std::vector<BatchedOp> leaf_bops_;
   std::vector<BatchedOp> internal_bops_;
   std::vector<int> leaf_order_;      ///< 0..leaf_bops_.size()-1
   std::vector<int> internal_order_;  ///< 0..internal_bops_.size()-1
+  Layout leaf_layout_;
+  Layout internal_layout_;
   std::vector<Hoist> hoists_;        ///< by child index
   ColumnPlan leaf_split_;
   ColumnPlan internal_split_;

@@ -852,9 +852,6 @@ void fingerprint(const ModelDef& def, support::FingerprintBuilder& fb) {
   fb.add(def.name);
   fb.add(def.hidden);
   fb.add(def.vocab);
-  fb.add(def.sync_points_per_step);
-  fb.add(def.refactor_extra_bytes_per_node);
-  fb.add(def.block_local_schedule);
   fingerprint(def.cell, fb);
   fb.add(def.model.has_value());
   if (def.model) ra::fingerprint(*def.model, fb);

@@ -117,20 +117,21 @@ ModelDef make_seq_lstm(std::int64_t hidden, std::int64_t vocab = 1000);
 ModelDef make_seq_gru(std::int64_t hidden, std::int64_t vocab = 1000);
 
 /// Appends a canonical structural encoding of everything engine
-/// compilation and the cost model read from a ModelDef: name, hidden/vocab widths, the
-/// accounting metadata (sync_points_per_step, refactor_extra_bytes_per_node,
-/// block_local_schedule), the cell programs, the optional RA model, and
-/// the parameter shapes.
+/// compilation reads from a ModelDef: name, hidden/vocab widths, the cell
+/// programs, the optional RA model, and the parameter shapes.
 ///
 /// Field sensitivity (fingerprint-collision tests pin this contract):
-///   - order-SENSITIVE: every scalar field, cell op order (execution
+///   - order-SENSITIVE: every scalar field above, cell op order (execution
 ///     order), the RA operator DAG;
 ///   - order-INSENSITIVE: `param_shapes` — it is a keyed lookup table, so
 ///     entries are encoded sorted by parameter name and reordering them
 ///     does not change the key;
 ///   - absent: parameter *values* (ModelParams) — compiled artifacts are
 ///     weight-independent, which is what lets engines with different
-///     weights share one plan-cache entry.
+///     weights share one plan-cache entry — and the modeled-cost metadata
+///     (sync_points_per_step, refactor_extra_bytes_per_node,
+///     block_local_schedule), which exec::build_plan, the cost model and
+///     the GRNN baseline read from the def itself, never from artifacts.
 void fingerprint(const ModelDef& def, support::FingerprintBuilder& fb);
 
 /// Allocates and randomly initializes all parameters of a model.

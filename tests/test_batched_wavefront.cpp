@@ -18,6 +18,7 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -424,6 +425,175 @@ TEST(BatchedEnginePool, PoolMatchesSingleEngineWithBatchingOn) {
     // The merged profiler aggregates every shard's panel counters.
     EXPECT_GT(got.profiler.batched_panels, 0) << workers << " workers";
   }
+}
+
+// -- run state is reused and never cleared ----------------------------------------
+
+/// Zoo cells at the sizes whose recurrent step splits by columns in teams
+/// of 2 and 4 (the kNodeMatVec / kMatStack2 and SeqGRU cells decline).
+class BatchedPoison : public ::testing::TestWithParam<int> {
+ protected:
+  models::ModelDef def() const {
+    switch (GetParam()) {
+      case 0: return models::make_treernn_fig1(48);
+      case 1: return models::make_treefc_embed(184);
+      case 2: return models::make_treegru_embed(40);
+      case 3: return models::make_treelstm_embed(136);
+      case 4: return models::make_mvrnn(8);
+      case 5: return models::make_dagrnn(264);
+      case 6: return models::make_seq_lstm(136);
+      case 7: return models::make_seq_gru(40);
+      default: return models::make_treernn(184);
+    }
+  }
+};
+
+TEST_P(BatchedPoison, StaleNaNStateRowsAndArenaSlotsNeverReachANode) {
+  // The engine keeps its state table and panel arenas across runs and
+  // never clears them. A run with every in-place param (embedding tables,
+  // eltwise biases) set to NaN leaves NaN in the reused state rows and
+  // arena slots; a smaller and then a larger clean run must still match
+  // the per-node oracle bit for bit (NaN compares unequal to everything).
+  // Sequence chains run hoisted windows; narrow wavefronts split by
+  // columns at team sizes 2 and 4.
+  const models::ModelDef def = this->def();
+  Rng rng(23);
+  models::ModelParams params = models::init_params(def, rng);
+  const linearizer::Linearized small = lin_for(def, 1, 231);
+  const linearizer::Linearized large = lin_for(def, 4, 232);
+  const linearizer::Linearized larger = lin_for(def, 7, 233);
+  ASSERT_LT(small.num_nodes, large.num_nodes);
+  ASSERT_LT(large.num_nodes, larger.num_nodes);
+  const std::vector<float> ref_small = per_node_states(def, params, small);
+  const std::vector<float> ref_larger = per_node_states(def, params, larger);
+  const std::int64_t sw = def.cell.state_width;
+  std::map<std::string, Tensor> clean;
+  for (const auto& [name, t] : params.tensors) clean[name] = t.clone();
+  const auto set_params = [&](bool poisoned) {
+    for (auto& [name, t] : params.tensors) {
+      if (poisoned)
+        std::fill_n(t.data(), t.numel(), std::nanf(""));
+      else
+        std::copy_n(clean.at(name).data(), t.numel(), t.data());
+    }
+  };
+  for (const int team : {1, 2, 4}) {
+    CortexEngine engine(def, params, ra::Schedule{}, gpu());
+    engine.set_num_threads(team);
+    // The first run builds the executor, packing the clean kMatVec
+    // weights; the others read the params in place.
+    engine.run_linearized(small, 0.0);
+    EXPECT_EQ(all_states(engine, small, sw), ref_small) << def.name;
+
+    set_params(true);
+    engine.run_linearized(large, 0.0);
+    set_params(false);
+    const std::vector<float> poisoned = all_states(engine, large, sw);
+    for (std::int64_t id = 0; id < large.num_nodes; ++id) {
+      const auto i = static_cast<std::size_t>(id);
+      if (large.child_offsets[i] != large.child_offsets[i + 1]) continue;
+      const auto row = poisoned.begin() + id * sw;
+      ASSERT_TRUE(std::any_of(row, row + sw,
+                              [](float v) { return std::isnan(v); }))
+          << def.name << ": leaf " << id << " was not poisoned";
+    }
+
+    engine.run_linearized(small, 0.0);
+    EXPECT_EQ(all_states(engine, small, sw), ref_small)
+        << def.name << " team=" << team << " after the poisoned run";
+    engine.run_linearized(larger, 0.0);
+    EXPECT_EQ(all_states(engine, larger, sw), ref_larger)
+        << def.name << " team=" << team << " growing past it";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Zoo, BatchedPoison, ::testing::Range(0, 9));
+
+TEST(BatchedPoisonExecutor, ReadsNoArenaSlotOrStateRowBeforeWritingIt) {
+  // The executor contract without an engine: with every arena float and
+  // every state row NaN before each call, whole calls and every member's
+  // column share together still write the per-node states.
+  const std::vector<models::ModelDef> zoo = {
+      models::make_treernn_fig1(40), models::make_treefc_embed(40),
+      models::make_treegru_embed(40), models::make_treelstm_embed(40),
+      models::make_mvrnn(6),          models::make_dagrnn(40),
+      models::make_seq_lstm(40),      models::make_seq_gru(40),
+      models::make_treernn(40)};
+  for (const models::ModelDef& def : zoo) {
+    Rng rng(29);
+    const models::ModelParams params = models::init_params(def, rng);
+    const models::BatchedCellExecutor exec(def.cell, params);
+    const linearizer::Linearized lin = lin_for(def, 3, 29);
+    const std::vector<float> ref = per_node_states(def, params, lin);
+    const std::int64_t sw = def.cell.state_width;
+    // Every register of both programs for the widest panel: more than any
+    // layout binds, so no call grows (and zero-fills) the arena.
+    std::int64_t all_regs = 0;
+    for (const auto& [name, w] : def.cell.register_widths()) all_regs += w;
+    const auto arena_floats =
+        static_cast<std::size_t>(all_regs * lin.max_batch_length());
+    for (const int members : {1, 2, 4}) {
+      std::vector<float> states(ref.size(), std::nanf(""));
+      std::vector<models::BatchedCellExecutor::Panels> panels(
+          static_cast<std::size_t>(members));
+      for (std::int64_t b = 0; b < lin.num_batches(); ++b) {
+        const auto begin = lin.batch_begin[static_cast<std::size_t>(b)];
+        const auto len = lin.batch_length[static_cast<std::size_t>(b)];
+        const auto i0 = static_cast<std::size_t>(begin);
+        const bool leaf = lin.child_offsets[i0] == lin.child_offsets[i0 + 1];
+        for (int m = 0; m < members; ++m) {
+          models::BatchedCellExecutor::Panels& p =
+              panels[static_cast<std::size_t>(m)];
+          p.arena.assign(arena_floats, std::nanf(""));
+          exec.run_batch(leaf, len, lin.word.data() + i0,
+                         lin.child_offsets.data() + i0, lin.child_ids.data(),
+                         states.data(), states.data() + begin * sw, p,
+                         nullptr, models::ColumnShare{m, members});
+          ASSERT_EQ(p.arena.size(), arena_floats) << def.name;
+        }
+      }
+      ASSERT_EQ(states, ref) << def.name << " members=" << members;
+    }
+  }
+}
+
+TEST(BatchedArena, EachProgramLaysOutOnlyTheRegistersItWrites) {
+  // 16 chains of 100 tokens, SeqLSTM h256 (the served shard): a 1600-row
+  // leaf wavefront, then 99 steps of 16 rows. The leaf program writes
+  // only its embedding and zero c (2 x 256 floats per row; its last op
+  // writes the state rows), so its panels take 512 x 1600 floats, not the
+  // 5376 per row of every register of both programs. The arena keeps its
+  // high-water size: a second run neither grows nor moves it.
+  const models::ModelDef def = models::make_seq_lstm(256);
+  Rng rng(47);
+  const models::ModelParams params = models::init_params(def, rng);
+  std::vector<std::unique_ptr<ds::Tree>> chains;
+  for (int i = 0; i < 16; ++i) chains.push_back(ds::make_chain_tree(100, rng));
+  const linearizer::Linearized lin = linearizer::linearize_trees(
+      baselines::raw(chains), linearizer::LinearizerSpec{});
+  ASSERT_EQ(lin.batch_length[0], 1600);
+  const models::BatchedCellExecutor exec(def.cell, params);
+  const std::int64_t sw = def.cell.state_width;
+  std::vector<float> states(static_cast<std::size_t>(lin.num_nodes * sw));
+  models::BatchedCellExecutor::Panels p;
+  const auto run_batches = [&](std::int64_t b0, std::int64_t b1) {
+    for (std::int64_t b = b0; b < b1; ++b) {
+      const auto begin = lin.batch_begin[static_cast<std::size_t>(b)];
+      const auto i0 = static_cast<std::size_t>(begin);
+      exec.run_batch(b == 0, lin.batch_length[static_cast<std::size_t>(b)],
+                     lin.word.data() + i0, lin.child_offsets.data() + i0,
+                     lin.child_ids.data(), states.data(),
+                     states.data() + begin * sw, p);
+    }
+  };
+  run_batches(0, 1);
+  EXPECT_LE(p.arena.size(), std::size_t{512} * 1600);
+  const std::size_t size = p.arena.size();
+  const float* data = p.arena.data();
+  run_batches(1, lin.num_batches());
+  run_batches(0, lin.num_batches());
+  EXPECT_EQ(p.arena.size(), size);
+  EXPECT_EQ(p.arena.data(), data);
 }
 
 // -- kernel-level contracts the executor is built on ------------------------------

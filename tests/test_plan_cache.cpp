@@ -193,6 +193,30 @@ TEST_F(PlanCacheTest, EnginesForDifferentDevicesShareOneEntry) {
             cost_workload(on_cpu, def).profiler.modeled_latency_ns());
 }
 
+TEST_F(PlanCacheTest, DefsDifferingOnlyInModeledCostMetadataShareOneEntry) {
+  // sync_points_per_step, refactor_extra_bytes_per_node and
+  // block_local_schedule feed only the modeled cost: two defs that differ
+  // only there compile once and serve identically, while the cost model
+  // still reads each def's own values.
+  PlanCache& cache = PlanCache::instance();
+  const models::ModelDef a = models::make_treegru(16);
+  models::ModelDef b = models::make_treegru(16);
+  b.sync_points_per_step += 2;
+  b.refactor_extra_bytes_per_node += 64;
+  b.block_local_schedule = !b.block_local_schedule;
+  Rng prng(17);
+  const models::ModelParams params = models::init_params(a, prng);
+  CortexEngine ea(a, params, ra::Schedule{}, gpu());
+  CortexEngine eb(b, params, ra::Schedule{}, gpu());
+  EXPECT_EQ(ea.artifacts().get(), eb.artifacts().get());
+  EXPECT_EQ(cache.stats().misses, 1);
+  EXPECT_EQ(cache.stats().hits, 1);
+  EXPECT_EQ(cache.size(), 1);
+  EXPECT_EQ(run_workload(ea, a).root_states, run_workload(eb, b).root_states);
+  EXPECT_NE(cost_workload(ea, a).profiler.modeled_latency_ns(),
+            cost_workload(eb, b).profiler.modeled_latency_ns());
+}
+
 // -- counter behavior --------------------------------------------------------
 
 TEST_F(PlanCacheTest, UnboundedCountsMissesHitsAndNeverEvicts) {
