@@ -24,7 +24,9 @@
 #include <utility>
 #include <vector>
 
+#include "models/cell.hpp"
 #include "models/model_zoo.hpp"
+#include "ra/expr.hpp"
 #include "support/rng.hpp"
 #include "support/task_group.hpp"
 #include "support/team.hpp"
@@ -177,6 +179,92 @@ void BM_GatherRows(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * rows * width * 4);
 }
 BENCHMARK(BM_GatherRows)->Arg(256)->Arg(1024);
+
+// One served eltwise panel op, CompiledEltwise::eval_panel over its
+// inputs' rows, in every variant this host supports and at strips of 128
+// and 256 floats:
+//  - DAG-RNN h256 tanh(e0 + e1 + b) over 26 rows (a pooled 10x10-grid
+//    wavefront),
+//  - a SeqLSTM h256 gate sigmoid(e0 + e1 + b) over 16 rows (16 chains),
+//  - the LSTM cell update e0 * e1 + e2 * e3 over 16 rows of 256,
+//  - TreeLSTM h64's c = e0 * e1 + (e2 * e3 + e4 * e5) over 8 rows.
+// Every input is its own [rows, width] panel and the params are 1-D.
+// 4-vCPU Intel Xeon with AVX-512, single thread, median of 3, µs per
+// call, avx512 / avx2 / portable:
+//
+//   shape         copying, 64-float   in place, strip 256   strip 128
+//   DAG-RNN       8.5 / 30.4 / 36.6   3.1 / 16.1 / 17.8    3.3 / 16.5 / 17.2
+//   SeqLSTM-gate  7.5 / 21.8 / 17.2   2.1 / 16.9 / 12.4    2.5 / 16.5 / 12.4
+//   LSTM-cell     7.6 /  8.2 /  7.0   1.8 /  1.8 /  2.1    1.7 /  1.8 /  2.3
+//   TreeLSTM-c    1.3 /  1.1 /  1.2   0.6 /  0.7 /  0.9    0.6 /  0.7 /  0.8
+//
+// The copying column is the interpreter this one replaced, which copied
+// every pushed input and param into its stack strip first. Reading them
+// in place leaves an instruction its arithmetic and one store. tanh and
+// sigmoid vectorize only with AVX-512, whose masks guard their branches,
+// so the AVX2 and portable gates stay scalar-bound.
+void BM_EltwisePanel(benchmark::State& state, kernels::detail::Isa isa,
+                     const ra::Expr& expr, int inputs, std::int64_t rows,
+                     std::int64_t width, std::int64_t strip) {
+  const models::CompiledEltwise ce(expr);
+  std::vector<std::vector<float>> in;
+  std::vector<const float*> ins;
+  std::vector<std::int64_t> strides;
+  for (int k = 0; k < inputs; ++k) {
+    in.push_back(random_vec(rows * width, 10 + static_cast<std::uint64_t>(k)));
+    ins.push_back(in.back().data());
+    strides.push_back(width);
+  }
+  const auto bias = random_vec(width, 9);
+  const float* params[1] = {bias.data()};
+  std::vector<float> out(static_cast<std::size_t>(rows * width));
+  for (auto _ : state) {
+    ce.eval_panel_with(isa, rows, width, ins.data(), strides.data(), params,
+                       out.data(), width, strip);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * rows * width);
+}
+
+const bool kEltwisePanelRegistered = [] {
+  using ra::add;
+  using ra::mul;
+  using ra::var;
+  const ra::Expr bias = ra::load("b", {var("i")});
+  struct Shape {
+    const char* name;
+    ra::Expr expr;
+    int inputs;
+    std::int64_t rows;
+    std::int64_t width;
+  };
+  const Shape shapes[] = {
+      {"DAG-RNN", ra::call(ra::CallFn::kTanh,
+                           add(add(var("e0"), var("e1")), bias)),
+       2, 26, 256},
+      {"SeqLSTM-gate", ra::call(ra::CallFn::kSigmoid,
+                                add(add(var("e0"), var("e1")), bias)),
+       2, 16, 256},
+      {"LSTM-cell", add(mul(var("e0"), var("e1")), mul(var("e2"), var("e3"))),
+       4, 16, 256},
+      {"TreeLSTM-c",
+       add(mul(var("e0"), var("e1")),
+           add(mul(var("e2"), var("e3")), mul(var("e4"), var("e5")))),
+       6, 8, 64},
+  };
+  for (const Shape& sh : shapes)
+    for (const auto isa : kernels::detail::supported_isas())
+      for (const std::int64_t strip : {128, 256})
+        benchmark::RegisterBenchmark(
+            ("BM_EltwisePanel/" + std::string(sh.name) + "/" +
+             kernels::detail::isa_name(isa) + "/strip:" +
+             std::to_string(strip))
+                .c_str(),
+            BM_EltwisePanel, isa, sh.expr, sh.inputs, sh.rows, sh.width,
+            strip);
+  return true;
+}();
 
 // One served wavefront step of one row: node 0 over child rows 1 and 2 of
 // a 3-row state table. For SeqLSTM the W·x products are hoisted into a

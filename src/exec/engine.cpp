@@ -309,15 +309,12 @@ void CortexEngine::run_numerics(const linearizer::Linearized& lin,
   // Reset the per-thread panel stats up front (not only after a run): a
   // run that throws mid-wavefront must not drain its partial counts into
   // the next run's profiler (EnginePool keeps serving an engine whose last
-  // batch failed). A thread runs at most ceil(len / threads) rows of a
-  // row-split wavefront, so reserve per-thread chunks, not whole batches.
-  const std::int64_t thread_rows =
-      (lin.max_batch_length() + threads - 1) / threads;
+  // batch failed). The panels grow on demand and keep their high-water
+  // size across runs.
   for (models::BatchedCellExecutor::Panels& p : panels_) {
     p.gemm_calls = 0;
     p.panels_run = 0;
     p.max_panel_rows = 0;
-    batched_exec().reserve(thread_rows, p);
   }
   const auto panels = [&](int thread) -> models::BatchedCellExecutor::Panels& {
     return panels_[static_cast<std::size_t>(thread)];

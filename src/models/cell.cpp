@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "tensor/activations.hpp"
@@ -14,19 +15,17 @@ namespace cortex::models {
 // ---------------------------------------------------------------------------
 
 namespace {
-/// Hard bounds of the postfix interpreter's fixed-size operand stack and
-/// param-pointer table; enforced at compile() so eval can never overrun.
+/// Hard bounds of the postfix interpreter's fixed-size operand stack,
+/// param-pointer table and constant strips; enforced at compile() so eval
+/// can never overrun.
 constexpr std::int32_t kMaxStackDepth = 32;
 constexpr std::size_t kMaxEltParams = 8;
+constexpr std::size_t kMaxEltConsts = 8;
 static_assert(CompiledEltwise::kMaxInputs <= 10,
               "eltwise input names e0..e<k> are one digit");
 /// Column shares of a split step are whole multiples of this many floats
 /// (a 64-byte cache line), so two members never write one line.
 constexpr std::int64_t kSplitAlign = 16;
-/// Elements per interpreter strip in eval_panel (8 KiB of stack at max
-/// depth; long enough to amortize instruction dispatch, short enough to
-/// stay in L1).
-constexpr std::int64_t kEltStrip = 64;
 }  // namespace
 
 CompiledEltwise::CompiledEltwise(const ra::Expr& expr) {
@@ -60,16 +59,29 @@ CompiledEltwise::CompiledEltwise(const ra::Expr& expr) {
       << "eltwise expression exceeds operand stack depth " << kMaxStackDepth;
   CORTEX_CHECK(param_names_.size() <= kMaxEltParams)
       << "eltwise expression loads more than " << kMaxEltParams << " params";
+  CORTEX_CHECK(consts_.size() <= kMaxEltConsts)
+      << "eltwise expression has more than " << kMaxEltConsts
+      << " distinct constants";
 }
 
 void CompiledEltwise::compile(const ra::Expr& e) {
   using ra::ExprKind;
+  // A constant is pushed from its strip, one per distinct bit pattern (so
+  // 0.0 and -0.0 stay apart).
+  const auto push_const = [&](float c) {
+    std::size_t k = 0;
+    while (k < consts_.size() &&
+           std::memcmp(&consts_[k], &c, sizeof c) != 0)
+      ++k;
+    if (k == consts_.size()) consts_.push_back(c);
+    prog_.push_back({OpCode::kPushConst, static_cast<std::int32_t>(k), c});
+  };
   switch (e->kind) {
     case ExprKind::kFloatImm:
-      prog_.push_back({OpCode::kPushConst, 0, static_cast<float>(e->fimm)});
+      push_const(static_cast<float>(e->fimm));
       return;
     case ExprKind::kIntImm:
-      prog_.push_back({OpCode::kPushConst, 0, static_cast<float>(e->iimm)});
+      push_const(static_cast<float>(e->iimm));
       return;
     case ExprKind::kVar: {
       // e0..e7: one digit below kMaxInputs.
@@ -205,20 +217,23 @@ struct EltwisePanel {
   [[gnu::always_inline]] static inline void run(
       const CompiledEltwise& ce, std::int64_t rows, std::int64_t width,
       const float* const* ins, const std::int64_t* in_strides,
-      const float* const* params, float* out, std::int64_t out_stride);
+      const float* const* params, float* out, std::int64_t out_stride,
+      std::int64_t strip);
 
 #ifdef CORTEX_X86_SIMD_VARIANTS
   [[gnu::target("avx2")]] static void avx2(
       const CompiledEltwise& ce, std::int64_t rows, std::int64_t width,
       const float* const* ins, const std::int64_t* in_strides,
-      const float* const* params, float* out, std::int64_t out_stride) {
-    run(ce, rows, width, ins, in_strides, params, out, out_stride);
+      const float* const* params, float* out, std::int64_t out_stride,
+      std::int64_t strip) {
+    run(ce, rows, width, ins, in_strides, params, out, out_stride, strip);
   }
   [[gnu::target("avx512f")]] static void avx512(
       const CompiledEltwise& ce, std::int64_t rows, std::int64_t width,
       const float* const* ins, const std::int64_t* in_strides,
-      const float* const* params, float* out, std::int64_t out_stride) {
-    run(ce, rows, width, ins, in_strides, params, out, out_stride);
+      const float* const* params, float* out, std::int64_t out_stride,
+      std::int64_t strip) {
+    run(ce, rows, width, ins, in_strides, params, out, out_stride, strip);
   }
 #endif
 };
@@ -227,121 +242,119 @@ inline void EltwisePanel::run(const CompiledEltwise& ce, std::int64_t rows,
                               std::int64_t width, const float* const* ins,
                               const std::int64_t* in_strides,
                               const float* const* params, float* out,
-                              std::int64_t out_stride) {
+                              std::int64_t out_stride, std::int64_t strip) {
   using OpCode = CompiledEltwise::OpCode;
   using Instr = CompiledEltwise::Instr;
-  // Strip-mined interpretation: each instruction runs over a strip of
-  // elements, amortizing the dispatch switch. Per element the arithmetic
-  // is the identical scalar op sequence eval() performs (elementwise ops
-  // carry no cross-element accumulation), so the panel result is
-  // bit-identical to per-element evaluation in any order.
-  float stack[kMaxStackDepth][kEltStrip];
+  constexpr std::int64_t kStrip = CompiledEltwise::kMaxStrip;
+  // Strip-mined interpretation over an operand stack of pointers: pushes
+  // point into the inputs, params and constant strips, and an arithmetic
+  // instruction at stack depth d writes strip d (the last one writes
+  // `out`), reading its operands wherever they are. Per element the
+  // arithmetic is the identical scalar op sequence eval() performs
+  // (elementwise ops carry no cross-element accumulation), so the panel
+  // result is bit-identical to per-element evaluation in any order. An
+  // instruction's operands lie below its destination depth or outside the
+  // stack, and the last instruction reads a strip of `out` only at the
+  // elements it writes, so `out` may be an input.
+  alignas(64) float stack[kMaxStackDepth][kStrip];
+  alignas(64) float consts[kMaxEltConsts][kStrip];
+  const float* opnd[kMaxStackDepth] = {};
+  for (std::size_t k = 0; k < ce.consts_.size(); ++k)
+    for (std::int64_t e = 0; e < strip; ++e) consts[k][e] = ce.consts_[k];
+  const Instr* const prog = ce.prog_.data();
+  const Instr* const last = prog + ce.prog_.size() - 1;
   for (std::int64_t r = 0; r < rows; ++r) {
-    for (std::int64_t i0 = 0; i0 < width; i0 += kEltStrip) {
-      const std::int64_t len = std::min(kEltStrip, width - i0);
+    for (std::int64_t i0 = 0; i0 < width; i0 += strip) {
+      const std::int64_t len = std::min(strip, width - i0);
+      float* const dst_row = out + r * out_stride + i0;
       int sp = 0;
-      for (const Instr& it : ce.prog_) {
-        switch (it.op) {
+      for (const Instr* it = prog; it <= last; ++it) {
+        switch (it->op) {
           case OpCode::kPushInput: {
-            const auto slot = static_cast<std::size_t>(it.slot);
-            const float* src = ins[slot] + r * in_strides[slot] + i0;
-            float* dst = stack[sp++];
-            for (std::int64_t e = 0; e < len; ++e) dst[e] = src[e];
-            break;
+            const auto slot = static_cast<std::size_t>(it->slot);
+            opnd[sp++] = ins[slot] + r * in_strides[slot] + i0;
+            continue;
           }
-          case OpCode::kPushParam: {
+          case OpCode::kPushParam:
             // Params are 1-D over the register width: index i, not r*w+i.
-            const float* src = params[it.slot] + i0;
-            float* dst = stack[sp++];
-            for (std::int64_t e = 0; e < len; ++e) dst[e] = src[e];
+            opnd[sp++] = params[it->slot] + i0;
+            continue;
+          case OpCode::kPushConst:
+            opnd[sp++] = consts[it->slot];
+            continue;
+          default:
             break;
-          }
-          case OpCode::kPushConst: {
-            float* dst = stack[sp++];
-            for (std::int64_t e = 0; e < len; ++e) dst[e] = it.constant;
-            break;
-          }
+        }
+        // Unary ops keep the depth, binary ones pop one, select two.
+        const int arity = it->op == OpCode::kSelect  ? 3
+                          : it->op >= OpCode::kTanh ? 1
+                                                     : 2;
+        sp -= arity - 1;
+        float* d = it == last ? dst_row : stack[sp - 1];
+        const float* a = opnd[sp - 1];
+        switch (it->op) {
           case OpCode::kAdd: {
-            --sp;
-            float* a = stack[sp - 1];
-            const float* b = stack[sp];
-            for (std::int64_t e = 0; e < len; ++e) a[e] += b[e];
+            const float* b = opnd[sp];
+            for (std::int64_t e = 0; e < len; ++e) d[e] = a[e] + b[e];
             break;
           }
           case OpCode::kSub: {
-            --sp;
-            float* a = stack[sp - 1];
-            const float* b = stack[sp];
-            for (std::int64_t e = 0; e < len; ++e) a[e] -= b[e];
+            const float* b = opnd[sp];
+            for (std::int64_t e = 0; e < len; ++e) d[e] = a[e] - b[e];
             break;
           }
           case OpCode::kMul: {
-            --sp;
-            float* a = stack[sp - 1];
-            const float* b = stack[sp];
-            for (std::int64_t e = 0; e < len; ++e) a[e] *= b[e];
+            const float* b = opnd[sp];
+            for (std::int64_t e = 0; e < len; ++e) d[e] = a[e] * b[e];
             break;
           }
           case OpCode::kDiv: {
-            --sp;
-            float* a = stack[sp - 1];
-            const float* b = stack[sp];
-            for (std::int64_t e = 0; e < len; ++e) a[e] /= b[e];
+            const float* b = opnd[sp];
+            for (std::int64_t e = 0; e < len; ++e) d[e] = a[e] / b[e];
             break;
           }
           case OpCode::kMax: {
-            --sp;
-            float* a = stack[sp - 1];
-            const float* b = stack[sp];
+            const float* b = opnd[sp];
             for (std::int64_t e = 0; e < len; ++e)
-              a[e] = std::max(a[e], b[e]);
+              d[e] = std::max(a[e], b[e]);
             break;
           }
           case OpCode::kMin: {
-            --sp;
-            float* a = stack[sp - 1];
-            const float* b = stack[sp];
+            const float* b = opnd[sp];
             for (std::int64_t e = 0; e < len; ++e)
-              a[e] = std::min(a[e], b[e]);
+              d[e] = std::min(a[e], b[e]);
             break;
           }
-          case OpCode::kTanh: {
-            float* a = stack[sp - 1];
+          case OpCode::kTanh:
             for (std::int64_t e = 0; e < len; ++e)
-              a[e] = kernels::tanh_rational(a[e]);
+              d[e] = kernels::tanh_rational(a[e]);
             break;
-          }
-          case OpCode::kSigmoid: {
-            float* a = stack[sp - 1];
+          case OpCode::kSigmoid:
             for (std::int64_t e = 0; e < len; ++e)
-              a[e] = kernels::sigmoid_rational(a[e]);
+              d[e] = kernels::sigmoid_rational(a[e]);
             break;
-          }
-          case OpCode::kRelu: {
-            float* a = stack[sp - 1];
+          case OpCode::kRelu:
             for (std::int64_t e = 0; e < len; ++e)
-              a[e] = a[e] > 0.0f ? a[e] : 0.0f;
+              d[e] = a[e] > 0.0f ? a[e] : 0.0f;
             break;
-          }
-          case OpCode::kExp: {
-            float* a = stack[sp - 1];
-            for (std::int64_t e = 0; e < len; ++e) a[e] = std::exp(a[e]);
+          case OpCode::kExp:
+            for (std::int64_t e = 0; e < len; ++e) d[e] = std::exp(a[e]);
             break;
-          }
           case OpCode::kSelect: {
-            sp -= 2;
-            float* c = stack[sp - 1];
-            const float* t = stack[sp];
-            const float* f = stack[sp + 1];
+            const float* t = opnd[sp];
+            const float* f = opnd[sp + 1];
             for (std::int64_t e = 0; e < len; ++e)
-              c[e] = c[e] != 0.0f ? t[e] : f[e];
+              d[e] = a[e] != 0.0f ? t[e] : f[e];
             break;
           }
+          default:
+            break;
         }
+        opnd[sp - 1] = d;
       }
-      float* dst = out + r * out_stride + i0;
-      const float* s0 = stack[0];
-      for (std::int64_t e = 0; e < len; ++e) dst[e] = s0[e];
+      // A bare push (e0, b[i], 1.0) computes nothing: copy its operand.
+      if (opnd[0] != dst_row)
+        for (std::int64_t e = 0; e < len; ++e) dst_row[e] = opnd[0][e];
     }
   }
 }
@@ -360,24 +373,28 @@ void CompiledEltwise::eval_panel_with(kernels::detail::Isa isa,
                                       const float* const* ins,
                                       const std::int64_t* in_strides,
                                       const float* const* params, float* out,
-                                      std::int64_t out_stride) const {
+                                      std::int64_t out_stride,
+                                      std::int64_t strip) const {
   CORTEX_CHECK(kernels::detail::supported(isa))
       << "eltwise variant " << kernels::detail::isa_name(isa)
       << " is not supported here";
+  CORTEX_CHECK(!prog_.empty()) << "eval_panel of an empty expression";
+  CORTEX_CHECK(strip >= 1 && strip <= kMaxStrip)
+      << "eltwise strip " << strip << " outside [1, " << kMaxStrip << "]";
   switch (isa) {
 #ifdef CORTEX_X86_SIMD_VARIANTS
     case kernels::detail::Isa::kAvx512:
       EltwisePanel::avx512(*this, rows, width, ins, in_strides, params, out,
-                           out_stride);
+                           out_stride, strip);
       return;
     case kernels::detail::Isa::kAvx2:
       EltwisePanel::avx2(*this, rows, width, ins, in_strides, params, out,
-                         out_stride);
+                         out_stride, strip);
       return;
 #endif
     default:
       EltwisePanel::run(*this, rows, width, ins, in_strides, params, out,
-                        out_stride);
+                        out_stride, strip);
       return;
   }
 }
@@ -791,8 +808,8 @@ BatchedCellExecutor::BatchedCellExecutor(const CellProgram& cell,
 
 BatchedCellExecutor::Hoist BatchedCellExecutor::find_hoist(int c) const {
   // One pass in program order: an op is hoisted when it slices child `c`,
-  // or computes only from registers whose latest writer was hoisted. The
-  // last op writes the node's state, so it always stays per step.
+  // or computes only from registers whose latest writer was hoisted. An op
+  // that writes the node's state always stays per step.
   const std::size_t nregs = reg_width_.size();
   std::vector<std::uint8_t> hoisted_reg(nregs, 0);
   std::vector<int> writers(nregs, 0);
@@ -817,7 +834,7 @@ BatchedCellExecutor::Hoist BatchedCellExecutor::find_hoist(int c) const {
       default:  // the node's word, or every child's state
         break;
     }
-    hoist = hoist && !b.is_last;
+    hoist = hoist && b.dest_col < 0;
     const auto out = static_cast<std::size_t>(b.out_reg);
     hoisted_reg[out] = hoist ? 1 : 0;
     ++writers[out];
@@ -851,7 +868,7 @@ BatchedCellExecutor::Layout BatchedCellExecutor::layout_of(
   for (const int n : order) {
     const BatchedOp& b = bops[static_cast<std::size_t>(n)];
     const auto r = static_cast<std::size_t>(b.out_reg);
-    if (b.is_last || placed[r] != 0) continue;
+    if (b.dest_col >= 0 || placed[r] != 0) continue;
     placed[r] = 1;
     lay.slots.push_back({b.out_reg, lay.width});
     lay.width += reg_width_[r];
@@ -871,6 +888,7 @@ BatchedCellExecutor::ColumnPlan BatchedCellExecutor::plan_columns(
   };
   for (const int n : order) {
     const BatchedOp& b = bops[static_cast<std::size_t>(n)];
+    if (b.elided) continue;  // its inputs' shares wrote the destination
     const bool any_split =
         std::any_of(b.in_regs.begin(), b.in_regs.end(), [&](int r) {
           return !reg[static_cast<std::size_t>(r)].empty();
@@ -885,26 +903,26 @@ BatchedCellExecutor::ColumnPlan BatchedCellExecutor::plan_columns(
             b.k * b.width * static_cast<std::int64_t>(sizeof(float));
         break;
       case CellOpKind::kEltwise:
-        // Whole when its inputs are whole, except the state's writer: two
-        // members must never write the same state columns.
-        if (!any_split && !b.is_last) break;
-        for (std::size_t k = 0; k < b.in_regs.size(); ++k) {
-          const auto& sg = reg[static_cast<std::size_t>(b.in_regs[k])];
+        // Whole when its inputs are whole, except a writer of the state:
+        // two members must never write the same state columns.
+        if (!any_split && b.dest_col < 0) break;
+        for (const int in : b.in_regs) {
+          const auto& sg = reg[static_cast<std::size_t>(in)];
           if (sg.empty()) continue;
           // A wider input's shares are of its own columns, not the op's.
-          if (b.in_widths[k] != b.width) return {};
+          if (reg_width(in) != b.width) return {};
           if (out.empty()) out = sg;
           if (sg != out) return {};
         }
         if (out.empty()) out = {{0, b.width}};
         break;
       case CellOpKind::kConcat2: {
-        if (!any_split && !b.is_last) break;
+        if (!any_split && b.dest_col < 0) break;
         const int in1 = b.in_regs[1];
-        const std::int64_t w0 = b.in_widths[0];
+        const std::int64_t w0 = reg_width(b.in_regs[0]);
         const std::int64_t w1 = b.width - w0;
         if (!reg[static_cast<std::size_t>(in1)].empty() &&
-            b.in_widths[1] != w1)
+            reg_width(in1) != w1)
           return {};
         out = segs_or_whole(b.in_regs[0], w0);
         for (Segment sg : segs_or_whole(in1, w1)) {
@@ -919,7 +937,7 @@ BatchedCellExecutor::ColumnPlan BatchedCellExecutor::plan_columns(
       default:
         // Gathers run whole on every member, so one must not write the
         // state.
-        if (b.is_last) return {};
+        if (b.dest_col >= 0) return {};
         break;
     }
     reg[static_cast<std::size_t>(b.out_reg)] = out;
@@ -958,13 +976,9 @@ std::vector<BatchedCellExecutor::BatchedOp> BatchedCellExecutor::compile_ops(
     b.constant = static_cast<float>(op.constant);
     // The last op writes straight into the caller's [rows, state_width]
     // destination, which validate() made exactly as wide.
-    b.is_last = n + 1 == ops.size();
+    if (n + 1 == ops.size()) b.dest_col = 0;
     b.out_reg = reg_index_.at(op.out);
-    for (const std::string& in : op.ins) {
-      b.in_regs.push_back(reg_index_.at(in));
-      b.in_widths.push_back(reg_width_[static_cast<std::size_t>(
-          b.in_regs.back())]);
-    }
+    for (const std::string& in : op.ins) b.in_regs.push_back(reg_index_.at(in));
     switch (op.kind) {
       case CellOpKind::kLeafEmbed: {
         b.param = params_.at(op.param);
@@ -980,7 +994,7 @@ std::vector<BatchedCellExecutor::BatchedOp> BatchedCellExecutor::compile_ops(
             << "kMatVec param " << op.param << " must have " << op.width
             << " rows";
         b.k = w.shape().dim(1);
-        CORTEX_CHECK(b.in_widths[0] == b.k)
+        CORTEX_CHECK(reg_width(b.in_regs[0]) == b.k)
             << "kMatVec input register width != param cols for " << op.out;
         // The panel GEMM C = In @ W^T reads B = W^T in 64-column strips.
         b.packed = Tensor(Shape{b.k, op.width});
@@ -1005,17 +1019,45 @@ std::vector<BatchedCellExecutor::BatchedOp> BatchedCellExecutor::compile_ops(
     }
     bops.push_back(std::move(b));
   }
+  elide_tail_concat(bops);
   return bops;
 }
 
-void BatchedCellExecutor::reserve(std::int64_t rows, Panels& p) const {
-  std::int64_t width = std::max(leaf_layout_.width, internal_layout_.width);
-  for (const Hoist& h : hoists_)
-    width = std::max({width, h.scratch.width, h.arena.width});
-  p.arena.reserve(static_cast<std::size_t>(width * rows));
-  p.regs.reserve(reg_width_.size());
-  p.idx.reserve(static_cast<std::size_t>(rows));
-  p.written.reserve(reg_width_.size());
+void BatchedCellExecutor::elide_tail_concat(
+    std::vector<BatchedOp>& bops) const {
+  if (bops.empty() || bops.back().kind != CellOpKind::kConcat2) return;
+  BatchedOp& cat = bops.back();
+  const int in0 = cat.in_regs[0];
+  const int in1 = cat.in_regs[1];
+  const std::int64_t w0 = reg_width(in0);
+  if (in0 == in1 ||
+      w0 + reg_width(in1) != cat.width)
+    return;
+  BatchedOp* producer[2] = {nullptr, nullptr};
+  for (BatchedOp& b : bops) {
+    for (int k = 0; k < 2; ++k) {
+      if (b.kind == CellOpKind::kMatVec && b.in_regs[0] == cat.in_regs[k])
+        return;  // the panel GEMM reads its input at row stride k
+      if (b.out_reg != cat.in_regs[k]) continue;
+      if (producer[k] != nullptr) return;  // written twice
+      producer[k] = &b;
+    }
+  }
+  for (const BatchedOp* b : producer) {
+    switch (b->kind) {
+      case CellOpKind::kEltwise:
+      case CellOpKind::kLeafEmbed:
+      case CellOpKind::kLeafConst:
+      case CellOpKind::kSliceChild:
+      case CellOpKind::kChildSum:
+        break;
+      default:
+        return;
+    }
+  }
+  producer[0]->dest_col = 0;
+  producer[1]->dest_col = w0;
+  cat.elided = true;
 }
 
 void BatchedCellExecutor::bind_arena(const Layout& lay, std::int64_t rows,
@@ -1023,6 +1065,7 @@ void BatchedCellExecutor::bind_arena(const Layout& lay, std::int64_t rows,
   const auto need = static_cast<std::size_t>(lay.width * rows);
   if (p.arena.size() < need) p.arena.resize(need);
   p.regs.assign(reg_width_.size(), nullptr);
+  p.strides.assign(reg_width_.begin(), reg_width_.end());
   for (const Slot& s : lay.slots)
     p.regs[static_cast<std::size_t>(s.reg)] = p.arena.data() + s.offset * rows;
 }
@@ -1112,27 +1155,39 @@ void BatchedCellExecutor::run_ops(const std::vector<BatchedOp>& bops,
                                   Panels& p, const ColumnPlan* split,
                                   ColumnShare share) const {
   const std::int64_t sw = cell_.state_width;
-  const auto panel = [&](int reg) {
-    return p.regs[static_cast<std::size_t>(reg)];
-  };
   const auto in_panel = [&](const BatchedOp& b,
                             std::size_t k) -> const float* {
-    const int reg = b.in_regs[k];
-    CORTEX_CHECK(p.written[static_cast<std::size_t>(reg)] != 0)
+    const auto reg = static_cast<std::size_t>(b.in_regs[k]);
+    CORTEX_CHECK(p.written[reg] != 0)
         << "batched op reads register " << reg
         << " before any op of this program wrote it";
-    return panel(reg);
+    return p.regs[reg];
+  };
+  const auto in_stride = [&](const BatchedOp& b, std::size_t k) {
+    return p.strides[static_cast<std::size_t>(b.in_regs[k])];
   };
   for (const int n : order) {
     const BatchedOp& b = bops[static_cast<std::size_t>(n)];
-    float* outp = b.is_last ? out : panel(b.out_reg);
+    if (b.elided) continue;  // its inputs wrote the destination
+    const auto o = static_cast<std::size_t>(b.out_reg);
+    float* outp = p.regs[o];
+    std::int64_t ostride = b.width;
+    if (b.dest_col >= 0) {
+      outp = out + b.dest_col;
+      ostride = sw;
+      p.regs[o] = outp;
+      p.strides[o] = sw;
+    }
     if (split != nullptr && !split->segs[static_cast<std::size_t>(n)].empty()) {
       const float* ins[CompiledEltwise::kMaxInputs] = {nullptr};
-      for (std::size_t k = 0; k < b.in_regs.size(); ++k)
+      std::int64_t strides[CompiledEltwise::kMaxInputs] = {0};
+      for (std::size_t k = 0; k < b.in_regs.size(); ++k) {
         ins[k] = in_panel(b, k);
+        strides[k] = in_stride(b, k);
+      }
       run_split_op(b, split->segs[static_cast<std::size_t>(n)], share, rows,
-                   ins, outp, p);
-      p.written[static_cast<std::size_t>(b.out_reg)] = 1;
+                   ins, strides, outp, ostride, p);
+      p.written[o] = 1;
       continue;
     }
     switch (b.kind) {
@@ -1141,11 +1196,13 @@ void BatchedCellExecutor::run_ops(const std::vector<BatchedOp>& bops,
         for (std::int64_t r = 0; r < rows; ++r)
           CORTEX_CHECK(words[r] >= 0 && words[r] < vocab)
               << "word id " << words[r] << " outside embedding table";
-        kernels::gather_rows(b.param.data(), words, outp, rows, b.width);
+        kernels::gather_rows_strided(b.param.data(), b.width, words, outp,
+                                     ostride, rows, b.width);
         break;
       }
       case CellOpKind::kLeafConst:
-        kernels::fill(outp, b.constant, rows * b.width);
+        for (std::int64_t r = 0; r < rows; ++r)
+          kernels::fill(outp + r * ostride, b.constant, b.width);
         break;
       case CellOpKind::kSliceChild: {
         for (std::int64_t r = 0; r < rows; ++r) {
@@ -1159,26 +1216,37 @@ void BatchedCellExecutor::run_ops(const std::vector<BatchedOp>& bops,
                         static_cast<std::size_t>(b.child)];
         }
         kernels::gather_rows_strided(states + b.offset, sw, p.idx.data(),
-                                     outp, rows, b.width);
+                                     outp, ostride, rows, b.width);
         break;
       }
       case CellOpKind::kChildSum: {
-        kernels::fill(outp, 0.0f, rows * b.width);
+        const auto child = [&](std::int32_t c) {
+          return states + child_ids[static_cast<std::size_t>(c)] * sw +
+                 b.offset;
+        };
         for (std::int64_t r = 0; r < rows; ++r) {
-          float* dst = outp + r * b.width;
-          for (std::int32_t c = child_offsets[r]; c < child_offsets[r + 1];
-               ++c)
-            kernels::acc(states +
-                             child_ids[static_cast<std::size_t>(c)] * sw +
-                             b.offset,
-                         dst, b.width);
+          float* dst = outp + r * ostride;
+          const std::int32_t c0 = child_offsets[r];
+          const std::int32_t c1 = child_offsets[r + 1];
+          if (c0 == c1) {
+            kernels::fill(dst, 0.0f, b.width);
+            continue;
+          }
+          // The per-node sum starts from +0: the first child adds to it
+          // rather than being copied, since 0.0f + -0.0f is +0.0f.
+          const float* first = child(c0);
+          for (std::int64_t e = 0; e < b.width; ++e) dst[e] = 0.0f + first[e];
+          for (std::int32_t c = c0 + 1; c < c1; ++c)
+            kernels::acc(child(c), dst, b.width);
         }
         break;
       }
       case CellOpKind::kMatVec: {
         // The whole panel in one GEMM: [rows, k] @ [k, m]. Each element is
         // the fused chain over k that gemv computes, so every row is
-        // bit-identical to the per-node matvec.
+        // bit-identical to the per-node matvec. The input is an arena or
+        // window panel (row stride k): concat elimination never points a
+        // kMatVec input at the destination.
         const float* in = in_panel(b, 0);
         kernels::gemm_packed(in, b.packed.data(), outp, rows, b.k, b.width,
                              0, b.width);
@@ -1191,8 +1259,8 @@ void BatchedCellExecutor::run_ops(const std::vector<BatchedOp>& bops,
         const float* m = in_panel(b, 0);
         const float* x = in_panel(b, 1);
         for (std::int64_t r = 0; r < rows; ++r)
-          kernels::gemv(m + r * b.in_widths[0], x + r * b.in_widths[1],
-                        outp + r * b.width, b.width, b.width);
+          kernels::gemv(m + r * in_stride(b, 0), x + r * in_stride(b, 1),
+                        outp + r * ostride, b.width, b.width);
         break;
       }
       case CellOpKind::kMatStack2: {
@@ -1201,42 +1269,47 @@ void BatchedCellExecutor::run_ops(const std::vector<BatchedOp>& bops,
         const float* in0 = in_panel(b, 0);
         const float* in1 = in_panel(b, 1);
         for (std::int64_t r = 0; r < rows; ++r) {
-          kernels::copy(in0 + r * b.in_widths[0], p.stacked.data(), h * h);
-          kernels::copy(in1 + r * b.in_widths[1], p.stacked.data() + h * h,
+          kernels::copy(in0 + r * in_stride(b, 0), p.stacked.data(), h * h);
+          kernels::copy(in1 + r * in_stride(b, 1), p.stacked.data() + h * h,
                         h * h);
           kernels::gemm(b.param.data(), p.stacked.data(),
-                        outp + r * b.width, h, 2 * h, h);
+                        outp + r * ostride, h, 2 * h, h);
         }
         break;
       }
       case CellOpKind::kEltwise: {
         const float* ins_arr[CompiledEltwise::kMaxInputs] = {nullptr};
-        for (std::size_t k = 0; k < b.in_regs.size(); ++k)
+        std::int64_t strides[CompiledEltwise::kMaxInputs] = {0};
+        for (std::size_t k = 0; k < b.in_regs.size(); ++k) {
           ins_arr[k] = in_panel(b, k);
-        b.compiled.eval_panel(rows, b.width, ins_arr, b.in_widths.data(),
-                              b.eparams.data(), outp, b.width);
+          strides[k] = in_stride(b, k);
+        }
+        b.compiled.eval_panel(rows, b.width, ins_arr, strides,
+                              b.eparams.data(), outp, ostride);
         break;
       }
       case CellOpKind::kConcat2: {
         const float* in0 = in_panel(b, 0);
         const float* in1 = in_panel(b, 1);
-        const std::int64_t w0 = b.in_widths[0];
+        const std::int64_t w0 = reg_width(b.in_regs[0]);
         for (std::int64_t r = 0; r < rows; ++r) {
-          kernels::copy(in0 + r * w0, outp + r * b.width, w0);
-          kernels::copy(in1 + r * b.in_widths[1], outp + r * b.width + w0,
+          kernels::copy(in0 + r * in_stride(b, 0), outp + r * ostride, w0);
+          kernels::copy(in1 + r * in_stride(b, 1), outp + r * ostride + w0,
                         b.width - w0);
         }
         break;
       }
     }
-    p.written[static_cast<std::size_t>(b.out_reg)] = 1;
+    p.written[o] = 1;
   }
 }
 
 void BatchedCellExecutor::run_split_op(const BatchedOp& b,
                                        const std::vector<Segment>& segs,
                                        ColumnShare share, std::int64_t rows,
-                                       const float* const* ins, float* outp,
+                                       const float* const* ins,
+                                       const std::int64_t* in_strides,
+                                       float* outp, std::int64_t out_stride,
                                        Panels& p) const {
   for (const Segment& sg : segs) {
     // The member's share of the segment, in whole cache lines of floats.
@@ -1250,6 +1323,8 @@ void BatchedCellExecutor::run_split_op(const BatchedOp& b,
     if (c0 >= c1) continue;
     switch (b.kind) {
       case CellOpKind::kMatVec:
+        // C's rows are b.width apart: an arena panel, or the state when
+        // this is the last op (validate() made it state_width wide).
         kernels::gemm_packed(ins[0], b.packed.data(), outp, rows, b.k,
                              b.width, c0, c1);
         ++p.gemm_calls;
@@ -1262,18 +1337,18 @@ void BatchedCellExecutor::run_split_op(const BatchedOp& b,
         const float* in_c[CompiledEltwise::kMaxInputs] = {nullptr};
         for (std::size_t k = 0; k < b.in_regs.size(); ++k)
           in_c[k] = ins[k] + c0;
-        b.compiled.eval_panel(rows, c1 - c0, in_c, b.in_widths.data(), prm,
-                              outp + c0, b.width);
+        b.compiled.eval_panel(rows, c1 - c0, in_c, in_strides, prm,
+                              outp + c0, out_stride);
         break;
       }
       case CellOpKind::kConcat2: {
         // A segment lies inside one input (plan_columns builds it so).
-        const std::int64_t w0 = b.in_widths[0];
+        const std::int64_t w0 = reg_width(b.in_regs[0]);
         for (std::int64_t r = 0; r < rows; ++r) {
           const float* src = c0 < w0
-                                 ? ins[0] + r * w0 + c0
-                                 : ins[1] + r * b.in_widths[1] + (c0 - w0);
-          kernels::copy(src, outp + r * b.width + c0, c1 - c0);
+                                 ? ins[0] + r * in_strides[0] + c0
+                                 : ins[1] + r * in_strides[1] + (c0 - w0);
+          kernels::copy(src, outp + r * out_stride + c0, c1 - c0);
         }
         break;
       }

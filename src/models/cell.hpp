@@ -66,23 +66,34 @@ class CompiledEltwise {
   /// Evaluates the expression over the first `width` columns of `rows`
   /// panel rows: out[r*out_stride + i] = expr(ins[j][r*in_strides[j] + i],
   /// params[k][i]), so an input panel may be wider than the output (the
-  /// op reads its first `width` elements). The interpreter is strip-mined
-  /// so each instruction runs over a vector of elements; per element the
-  /// arithmetic is the identical scalar op sequence, so results are
-  /// bit-identical to eval() element by element. Runs the instruction-set
-  /// variant kernels::gemm uses.
+  /// op reads its first `width` elements). The interpreter runs each
+  /// instruction over a strip of up to kMaxStrip elements of one row and
+  /// reads its operands in place: an input or param push is a pointer into
+  /// the source, a constant a strip filled once per call, each arithmetic
+  /// instruction writes its own stack strip, and the last one writes `out`
+  /// itself. `out` may be one of the inputs (same pointer and stride). Per
+  /// element the arithmetic is the identical scalar op sequence eval()
+  /// performs, so results are bit-identical to eval() element by element.
+  /// Runs the instruction-set variant kernels::gemm uses.
   void eval_panel(std::int64_t rows, std::int64_t width,
                   const float* const* ins, const std::int64_t* in_strides,
                   const float* const* params, float* out,
                   std::int64_t out_stride) const;
   /// eval_panel with a given variant, which must be in
-  /// kernels::detail::supported_isas() (tests and benches run each one).
+  /// kernels::detail::supported_isas(), and strips of `strip` elements
+  /// (1..kMaxStrip; tests and benches run each variant and strip).
   void eval_panel_with(kernels::detail::Isa isa, std::int64_t rows,
                        std::int64_t width, const float* const* ins,
                        const std::int64_t* in_strides,
                        const float* const* params, float* out,
-                       std::int64_t out_stride) const;
+                       std::int64_t out_stride,
+                       std::int64_t strip = kMaxStrip) const;
 
+  /// Elements per interpreter strip in eval_panel: a 256-float strip is
+  /// one 1 KiB run of a row, long enough to amortize instruction dispatch
+  /// over a served h256 row, short enough that a program's live strips
+  /// stay in L1.
+  static constexpr std::int64_t kMaxStrip = 256;
   /// Most inputs (e0..e7) an expression, and so an eltwise op, may read.
   static constexpr std::size_t kMaxInputs = 8;
 
@@ -100,7 +111,7 @@ class CompiledEltwise {
   };
   struct Instr {
     OpCode op;
-    std::int32_t slot = 0;   // input index / param index
+    std::int32_t slot = 0;   // input / param / constant index
     float constant = 0.0f;
   };
   void compile(const ra::Expr& e);
@@ -108,6 +119,7 @@ class CompiledEltwise {
 
   std::vector<Instr> prog_;
   std::vector<std::string> param_names_;
+  std::vector<float> consts_;  ///< distinct constants, by bit pattern
   std::int64_t arith_ops_ = 0;
   std::size_t num_inputs_ = 0;
   std::int32_t max_depth_ = 0;  ///< peak operand-stack depth of prog_
@@ -244,6 +256,15 @@ struct ColumnShare {
 /// only the registers they write, and the last op writes the caller's
 /// destination rows, so it has no register panel.
 ///
+/// Concat elimination: when a program ends in a kConcat2 of two distinct
+/// registers, each written once in the program by an eltwise, embedding,
+/// constant, child-slice or child-sum op, that no kMatVec reads and that
+/// exactly fill the state, their producers write straight into columns
+/// [0, w0) and [w0, state_width) of the destination rows and the concat
+/// copies nothing (an LSTM's [h; c], a sequence leaf's [x; 0]). Such a
+/// register has no arena panel: later reads (an LSTM's h = o * tanh(c))
+/// read the destination rows, at row stride state_width.
+///
 /// Input hoisting: the internal ops that read only child `c`'s state
 /// (through kSliceChild(c)) and params — a sequence cell's W·x gate
 /// products — do not depend on the recurrence. When the caller knows
@@ -261,7 +282,9 @@ struct ColumnShare {
 /// over its column slice of the weight, which therefore stays in that
 /// member's cache across steps), eltwise ops take the same columns, and a
 /// kConcat2 maps onto both inputs' shares. Gathers (child slices and sums,
-/// embeddings) are cheap and run whole on every member. A program whose
+/// embeddings) are cheap and run whole on every member; an op that writes
+/// the destination runs in shares, and a program where a gather or fill
+/// writes it cannot split. A program whose
 /// kMatVec reads a register only computed in shares (SeqGRU's
 /// Uh·(r⊙h)), whose eltwise reads a register computed in shares but wider
 /// than the op, or that has a kNodeMatVec / kMatStack2, cannot split:
@@ -275,14 +298,16 @@ struct ColumnShare {
 class BatchedCellExecutor {
  public:
   /// Per-thread workspace for run_batch, reused across calls: the
-  /// register-panel arena and the per-call register base pointers,
-  /// gather-index and register-written bookkeeping, the kMatStack2 vstack
-  /// buffer, and the execution stats the engine drains into the profiler
-  /// after a run. The arena only grows, to the largest panel a call has
-  /// needed, and keeps its stale contents: no call clears it.
+  /// register-panel arena and the per-call register base pointers and row
+  /// strides, gather-index and register-written bookkeeping, the
+  /// kMatStack2 vstack buffer, and the execution stats the engine drains
+  /// into the profiler after a run. The arena only grows, to the largest
+  /// panel a call has needed, and keeps its stale contents: no call
+  /// clears it.
   struct Panels {
     std::vector<float> arena;
     std::vector<float*> regs;
+    std::vector<std::int64_t> strides;  ///< row stride of each regs panel
     std::vector<std::int32_t> idx;
     std::vector<std::uint8_t> written;
     std::vector<float> stacked;
@@ -344,13 +369,6 @@ class BatchedCellExecutor {
                    const std::int32_t* child_ids, const float* states,
                    const HoistWindow& w, Panels& p) const;
 
-  /// Reserves `p`'s buffers for panels of up to `rows` rows of the wider
-  /// program (optional; the engine calls it once per run with its
-  /// threads' share of the linearization's max_batch_length so no
-  /// reallocation happens inside the wavefront loop). Capacity only: the
-  /// arena's size still grows only as calls need it.
-  void reserve(std::int64_t rows, Panels& p) const;
-
   const CellProgram& cell() const { return cell_; }
 
  private:
@@ -362,7 +380,6 @@ class BatchedCellExecutor {
     std::int64_t width = 0;
     int out_reg = -1;
     std::vector<int> in_regs;
-    std::vector<std::int64_t> in_widths;  ///< row stride of each input
     int child = 0;
     std::int64_t offset = 0;
     float constant = 0.0f;
@@ -371,7 +388,12 @@ class BatchedCellExecutor {
     std::int64_t k = 0; ///< kMatVec reduction width
     CompiledEltwise compiled;
     std::vector<const float*> eparams;
-    bool is_last = false;
+    /// >= 0: writes columns [dest_col, dest_col + width) of the caller's
+    /// destination rows instead of an arena panel: the last op, at 0, and
+    /// the producers of an elided concat (the class comment).
+    std::int64_t dest_col = -1;
+    /// The program's final kConcat2, whose inputs wrote the destination.
+    bool elided = false;
   };
 
   /// A register placed at `offset` row-widths into a panel buffer.
@@ -416,16 +438,23 @@ class BatchedCellExecutor {
     ColumnPlan split;       ///< of `rest`, the window read whole
   };
 
+  std::int64_t reg_width(int reg) const {
+    return reg_width_[static_cast<std::size_t>(reg)];
+  }
   std::vector<BatchedOp> compile_ops(const std::vector<CellOp>& ops) const;
+  /// Concat elimination (the class comment): when `bops` qualifies, points
+  /// the final concat's producers at the destination and elides it.
+  void elide_tail_concat(std::vector<BatchedOp>& bops) const;
   Hoist find_hoist(int c) const;
   /// The arena layout of running `order` of `bops`: every register an op
-  /// writes, except the last op's, which writes the caller's `out`.
+  /// writes, except those of ops that write the caller's `out`.
   Layout layout_of(const std::vector<BatchedOp>& bops,
                    const std::vector<int>& order) const;
   /// Points each of `lay`'s registers at its [rows, width] panel in `p`'s
   /// arena, growing the arena only when it is too small. Its contents are
   /// never cleared: an op reads only what an earlier op of the same call
-  /// wrote. Every other register gets no panel.
+  /// wrote. Every other register gets no panel (run_ops binds the
+  /// destination's registers as their producers run).
   void bind_arena(const Layout& lay, std::int64_t rows, Panels& p) const;
   /// Points each `live` register's panel at rows [w.row0, w.row0 + rows)
   /// of its [w.rows, width] block in the window.
@@ -443,10 +472,12 @@ class BatchedCellExecutor {
                float* out, Panels& p, const ColumnPlan* split = nullptr,
                ColumnShare share = {}) const;
   /// One op's share of a column split (`segs` from its ColumnPlan) over
-  /// its input panels `ins`.
+  /// its input panels `ins` (row strides `in_strides`) into `outp` (row
+  /// stride `out_stride`).
   void run_split_op(const BatchedOp& b, const std::vector<Segment>& segs,
                     ColumnShare share, std::int64_t rows,
-                    const float* const* ins, float* outp, Panels& p) const;
+                    const float* const* ins, const std::int64_t* in_strides,
+                    float* outp, std::int64_t out_stride, Panels& p) const;
 
   const CellProgram& cell_;
   const ModelParams& params_;

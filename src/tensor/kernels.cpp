@@ -206,14 +206,15 @@ void acc(const float* a, float* accum, std::int64_t n) {
 
 void gather_rows(const float* table, const std::int32_t* idx, float* out,
                  std::int64_t rows, std::int64_t width) {
-  gather_rows_strided(table, width, idx, out, rows, width);
+  gather_rows_strided(table, width, idx, out, width, rows, width);
 }
 
 void gather_rows_strided(const float* table, std::int64_t stride,
                          const std::int32_t* idx, float* out,
-                         std::int64_t rows, std::int64_t width) {
+                         std::int64_t out_stride, std::int64_t rows,
+                         std::int64_t width) {
   for (std::int64_t r = 0; r < rows; ++r)
-    std::memcpy(out + r * width, table + idx[r] * stride,
+    std::memcpy(out + r * out_stride, table + idx[r] * stride,
                 sizeof(float) * width);
 }
 

@@ -56,14 +56,16 @@ void acc(const float* a, float* accum, std::int64_t n);
 void gather_rows(const float* table, const std::int32_t* idx, float* out,
                  std::int64_t rows, std::int64_t width);
 
-/// Strided gather: out[r,:] = table[idx[r]*stride : idx[r]*stride+width].
-/// `stride` is the row stride of `table` in floats — gather_rows is the
-/// stride == width case. The batched wavefront executor uses this to pull
-/// a column slice (e.g. the h half of an [h; c] state) of many child
-/// rows into one contiguous panel.
+/// Strided gather: out[r*out_stride : r*out_stride+width] =
+/// table[idx[r]*stride : idx[r]*stride+width]. `stride` and `out_stride`
+/// are the row strides of `table` and `out` in floats — gather_rows is the
+/// case where both equal width. The batched wavefront executor uses this
+/// to pull a column slice (e.g. the h half of an [h; c] state) of many
+/// child rows into one panel, or into columns of the destination rows.
 void gather_rows_strided(const float* table, std::int64_t stride,
                          const std::int32_t* idx, float* out,
-                         std::int64_t rows, std::int64_t width);
+                         std::int64_t out_stride, std::int64_t rows,
+                         std::int64_t width);
 
 /// Count of floating-point operations for a GEMM of these dimensions.
 inline std::int64_t gemm_flops(std::int64_t m, std::int64_t k,

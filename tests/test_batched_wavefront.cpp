@@ -559,11 +559,14 @@ TEST(BatchedPoisonExecutor, ReadsNoArenaSlotOrStateRowBeforeWritingIt) {
 
 TEST(BatchedArena, EachProgramLaysOutOnlyTheRegistersItWrites) {
   // 16 chains of 100 tokens, SeqLSTM h256 (the served shard): a 1600-row
-  // leaf wavefront, then 99 steps of 16 rows. The leaf program writes
-  // only its embedding and zero c (2 x 256 floats per row; its last op
-  // writes the state rows), so its panels take 512 x 1600 floats, not the
-  // 5376 per row of every register of both programs. The arena keeps its
-  // high-water size: a second run neither grows nor moves it.
+  // leaf wavefront, then 99 steps of 16 rows. Both programs end in the
+  // concat of the state's two halves, whose producers write the state rows
+  // directly: the leaf's embedding and zero c leave it no register at all,
+  // and the internal program lays out its 15 other registers (the three
+  // child slices, four gates of two products each, and the gates), not hh
+  // or c — 15 x 256 floats per row, not the 5376 of every register of both
+  // programs. The arena keeps its high-water size: a second run neither
+  // grows nor moves it.
   const models::ModelDef def = models::make_seq_lstm(256);
   Rng rng(47);
   const models::ModelParams params = models::init_params(def, rng);
@@ -587,13 +590,16 @@ TEST(BatchedArena, EachProgramLaysOutOnlyTheRegistersItWrites) {
     }
   };
   run_batches(0, 1);
-  EXPECT_LE(p.arena.size(), std::size_t{512} * 1600);
+  EXPECT_EQ(p.arena.size(), 0u);
+  run_batches(1, lin.num_batches());
+  EXPECT_EQ(p.arena.size(), std::size_t{15} * 256 * 16);
   const std::size_t size = p.arena.size();
   const float* data = p.arena.data();
-  run_batches(1, lin.num_batches());
   run_batches(0, lin.num_batches());
   EXPECT_EQ(p.arena.size(), size);
   EXPECT_EQ(p.arena.data(), data);
+  // The states are the per-node oracle's.
+  EXPECT_EQ(states, per_node_states(def, params, lin));
 }
 
 // -- kernel-level contracts the executor is built on ------------------------------
@@ -733,30 +739,104 @@ TEST(PanelKernels, TiledGemmMatchesNaiveReference) {
 }
 
 TEST(PanelKernels, GatherRowsStridedPullsColumnSlices) {
-  // table rows of stride 4; gather the [1, 3) column slice of rows 2,0,2.
+  // table rows of stride 4; gather the [1, 3) column slice of rows 2,0,2,
+  // into a dense panel and into columns [1, 3) of rows 3 floats apart.
   const std::vector<float> table = {0, 1, 2, 3,  10, 11, 12, 13,
                                     20, 21, 22, 23};
   const std::vector<std::int32_t> idx = {2, 0, 2};
   std::vector<float> out(6, -1.0f);
   kernels::gather_rows_strided(table.data() + 1, 4, idx.data(), out.data(),
-                               3, 2);
+                               2, 3, 2);
   EXPECT_EQ(out, (std::vector<float>{21, 22, 1, 2, 21, 22}));
+  std::vector<float> rows(9, -1.0f);
+  kernels::gather_rows_strided(table.data() + 1, 4, idx.data(),
+                               rows.data() + 1, 3, 3, 2);
+  EXPECT_EQ(rows, (std::vector<float>{-1, 21, 22, -1, 1, 2, -1, 21, 22}));
+}
+
+TEST(PanelKernels, ChildSumStartsFromPositiveZero) {
+  // A child sum is 0 + x0 + x1 + ..., from +0: with a -0.0f child row the
+  // panel must give +0.0f where a "copy the first child" shortcut keeps
+  // -0.0f. Rows with two children, one child and none (a DAG source),
+  // bitwise against the per-node oracle.
+  models::CellProgram cell;
+  cell.state_width = 4;
+  models::CellOp leaf;
+  leaf.kind = models::CellOpKind::kLeafConst;
+  leaf.out = "st";
+  leaf.width = 4;
+  leaf.constant = -0.0;
+  models::CellOp sum;
+  sum.kind = models::CellOpKind::kChildSum;
+  sum.out = "st";
+  sum.width = 4;
+  cell.leaf_ops = {leaf};
+  cell.internal_ops = {sum};
+  const models::ModelParams params;
+  // Rows 0 and 1 are children; 2, 3 and 4 the summed nodes.
+  std::vector<float> states = {-0.0f, 1.5f, -0.0f, -2.0f,
+                               -0.0f, -0.0f, 3.0f, -0.0f};
+  states.resize(20, std::nanf(""));
+  const std::vector<std::int32_t> offsets = {0, 2, 3, 3};
+  const std::vector<std::int32_t> ids = {0, 1, 1};
+  const std::vector<std::int32_t> words = {0, 0, 0};
+  const models::BatchedCellExecutor exec(cell, params);
+  models::BatchedCellExecutor::Panels p;
+  exec.run_batch(false, 3, words.data(), offsets.data(), ids.data(),
+                 states.data(), states.data() + 8, p);
+  models::CellExecutor oracle(cell, params);
+  for (std::size_t r = 0; r < 3; ++r) {
+    std::vector<const float*> children;
+    for (std::int32_t c = offsets[r]; c < offsets[r + 1]; ++c)
+      children.push_back(states.data() + 4 * ids[static_cast<std::size_t>(c)]);
+    float want[4];
+    oracle.run_node(false, children, 0, want);
+    for (std::size_t i = 0; i < 4; ++i) {
+      const float got = states[8 + 4 * r + i];
+      EXPECT_FALSE(std::signbit(got) && got == 0.0f)
+          << "row " << r << " col " << i << " sums to -0";
+      EXPECT_EQ(std::memcmp(&got, &want[i], sizeof got), 0)
+          << "row " << r << " col " << i << ": " << got << " vs " << want[i];
+    }
+  }
 }
 
 TEST(PanelEltwise, EvalPanelBitIdenticalToScalarEval) {
-  // sigmoid(e0 * e1 + b[i]) and e0 * tanh(e1) over a [rows, width] panel vs
-  // element by element — the vectorized interpreter must agree bit for
-  // bit in every variant this host supports, across its strip boundary
-  // (width > 64) and through tanh's saturation (|x| > 5), infinities,
-  // NaNs, signed zeros and denormals. e1's rows are 9 floats wider than
-  // the op and the output's rows 3 wider: each row reads and writes only
-  // its first `width` floats.
-  const ra::Expr sig =
-      ra::call(ra::CallFn::kSigmoid,
-               ra::add(ra::mul(ra::var("e0"), ra::var("e1")),
-                       ra::load("b", {ra::var("i")})));
-  const ra::Expr tanh_gate =
-      ra::mul(ra::var("e0"), ra::call(ra::CallFn::kTanh, ra::var("e1")));
+  // Every opcode, and the bare pushes e0, b[i] and 1.0, over a
+  // [rows, width] panel vs element by element — the in-place interpreter
+  // must agree bit for bit in every variant this host supports, at strips
+  // of 100 and 256 floats, across strip boundaries (widths 255 to 513)
+  // and through tanh's saturation (|x| > 5), infinities, NaNs, signed
+  // zeros and denormals. e1's rows are 9 floats wider than the op and the
+  // output's rows 3 wider: each row reads and writes only its first
+  // `width` floats. Each program runs once more with its output the same
+  // buffer as e0 (in place).
+  using ra::add;
+  using ra::call;
+  using ra::mul;
+  using ra::var;
+  const ra::Expr e0 = var("e0");
+  const ra::Expr e1 = var("e1");
+  const ra::Expr bias = ra::load("b", {var("i")});
+  const std::vector<ra::Expr> exprs = {
+      call(ra::CallFn::kSigmoid, add(mul(e0, e1), bias)),
+      mul(e0, call(ra::CallFn::kTanh, e1)),
+      // sub, div, max, min, relu, exp, select and constants (one repeated,
+      // one negative zero).
+      ra::select(ra::sub(ra::binary(ra::BinOp::kMax, e0, e1),
+                         ra::binary(ra::BinOp::kMin, e0, e1)),
+                 ra::div(e0, add(e1, ra::fimm(0.5))),
+                 call(ra::CallFn::kRelu,
+                      ra::sub(call(ra::CallFn::kExp,
+                                   ra::binary(ra::BinOp::kMin, e1,
+                                              ra::fimm(4.0))),
+                              mul(ra::fimm(0.5), ra::fimm(-0.0))))),
+      // Two live operands at depth 3 before the outer add.
+      add(mul(e0, e1), mul(e0, ra::sub(e1, bias))),
+      e0,
+      bias,
+      ra::fimm(1.0),
+  };
   const float specials[] = {0.0f,
                             -0.0f,
                             5.0f,
@@ -766,45 +846,67 @@ TEST(PanelEltwise, EvalPanelBitIdenticalToScalarEval) {
                             -std::numeric_limits<float>::infinity(),
                             std::numeric_limits<float>::quiet_NaN(),
                             std::numeric_limits<float>::denorm_min()};
+  const auto same = [](float got, float want) {
+    return std::memcmp(&got, &want, sizeof got) == 0 ||
+           (std::isnan(got) && std::isnan(want));
+  };
   Rng rng(29);
-  for (const ra::Expr& expr : {sig, tanh_gate}) {
+  for (const ra::Expr& expr : exprs) {
     models::CompiledEltwise ce(expr);
-    for (const std::int64_t width : {1, 17, 100, 257}) {
+    for (const std::int64_t width : {1, 17, 100, 255, 256, 257, 513}) {
       const std::int64_t rows = 5;
       Tensor in0 = Tensor::uniform(Shape{rows, width}, rng, -8.0f, 8.0f);
       const std::int64_t wide = width + 9;
       const std::int64_t out_stride = width + 3;
       Tensor in1 = Tensor::uniform(Shape{rows, wide}, rng, -8.0f, 8.0f);
-      const Tensor bias = Tensor::uniform(Shape{width}, rng, -2.0f, 2.0f);
+      const Tensor b = Tensor::uniform(Shape{width}, rng, -2.0f, 2.0f);
       for (std::int64_t i = 0; i < rows * wide; i += 7)
         in1.data()[i] =
             specials[static_cast<std::size_t>(i / 7) % std::size(specials)];
+      for (std::int64_t i = 3; i < rows * width; i += 11)
+        in0.data()[i] =
+            specials[static_cast<std::size_t>(i / 11) % std::size(specials)];
 
       const float* ins[2] = {in0.data(), in1.data()};
       const std::int64_t strides[2] = {width, wide};
-      const float* params[1] = {bias.data()};
+      const float* params[1] = {b.data()};
+      const auto want = [&](std::int64_t r, std::int64_t i) {
+        const float* row_ins[2] = {in0.row(r), in1.row(r)};
+        return ce.eval(i, row_ins, params);
+      };
       for (const auto isa : kernels::detail::supported_isas()) {
-        std::vector<float> panel(static_cast<std::size_t>(rows * out_stride),
-                                 -3.0f);
-        ce.eval_panel_with(isa, rows, width, ins, strides, params,
-                           panel.data(), out_stride);
-        for (std::int64_t r = 0; r < rows; ++r) {
-          for (std::int64_t i = width; i < out_stride; ++i)
-            ASSERT_EQ(panel[static_cast<std::size_t>(r * out_stride + i)],
-                      -3.0f)
-                << "wrote past row " << r;
-          for (std::int64_t i = 0; i < width; ++i) {
-            const float* row_ins[2] = {in0.row(r), in1.row(r)};
-            const float got =
-                panel[static_cast<std::size_t>(r * out_stride + i)];
-            const float want = ce.eval(i, row_ins, params);
-            std::uint32_t got_bits = 0, want_bits = 0;
-            std::memcpy(&got_bits, &got, sizeof got);
-            std::memcpy(&want_bits, &want, sizeof want);
-            ASSERT_TRUE(got_bits == want_bits ||
-                        (std::isnan(got) && std::isnan(want)))
-                << kernels::detail::isa_name(isa) << " width=" << width
-                << " r=" << r << " i=" << i << ": " << got << " vs " << want;
+        for (const std::int64_t strip : {100, 256}) {
+          std::vector<float> panel(static_cast<std::size_t>(rows * out_stride),
+                                   -3.0f);
+          ce.eval_panel_with(isa, rows, width, ins, strides, params,
+                             panel.data(), out_stride, strip);
+          // In place: the output is e0's own buffer, at e0's stride.
+          std::vector<float> inplace(in0.data(), in0.data() + rows * width);
+          const float* ins_inplace[2] = {inplace.data(), in1.data()};
+          ce.eval_panel_with(isa, rows, width, ins_inplace, strides, params,
+                             inplace.data(), width, strip);
+          for (std::int64_t r = 0; r < rows; ++r) {
+            for (std::int64_t i = width; i < out_stride; ++i)
+              ASSERT_EQ(panel[static_cast<std::size_t>(r * out_stride + i)],
+                        -3.0f)
+                  << "wrote past row " << r;
+            for (std::int64_t i = 0; i < width; ++i) {
+              const float w = want(r, i);
+              const float got =
+                  panel[static_cast<std::size_t>(r * out_stride + i)];
+              const float got_inplace =
+                  inplace[static_cast<std::size_t>(r * width + i)];
+              ASSERT_TRUE(same(got, w))
+                  << ra::to_string(expr) << " "
+                  << kernels::detail::isa_name(isa) << " strip=" << strip
+                  << " width=" << width << " r=" << r << " i=" << i << ": "
+                  << got << " vs " << w;
+              ASSERT_TRUE(same(got_inplace, w))
+                  << "in place: " << ra::to_string(expr) << " "
+                  << kernels::detail::isa_name(isa) << " strip=" << strip
+                  << " width=" << width << " r=" << r << " i=" << i << ": "
+                  << got_inplace << " vs " << w;
+            }
           }
         }
       }
