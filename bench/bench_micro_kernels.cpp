@@ -181,8 +181,7 @@ void BM_GatherRows(benchmark::State& state) {
 BENCHMARK(BM_GatherRows)->Arg(256)->Arg(1024);
 
 // One served eltwise panel op, CompiledEltwise::eval_panel over its
-// inputs' rows, in every variant this host supports and at strips of 128
-// and 256 floats:
+// inputs' rows, in every variant this host supports:
 //  - DAG-RNN h256 tanh(e0 + e1 + b) over 26 rows (a pooled 10x10-grid
 //    wavefront),
 //  - a SeqLSTM h256 gate sigmoid(e0 + e1 + b) over 16 rows (16 chains),
@@ -192,20 +191,24 @@ BENCHMARK(BM_GatherRows)->Arg(256)->Arg(1024);
 // 4-vCPU Intel Xeon with AVX-512, single thread, median of 3, µs per
 // call, avx512 / avx2 / portable:
 //
-//   shape         copying, 64-float   in place, strip 256   strip 128
-//   DAG-RNN       8.5 / 30.4 / 36.6   3.1 / 16.1 / 17.8    3.3 / 16.5 / 17.2
-//   SeqLSTM-gate  7.5 / 21.8 / 17.2   2.1 / 16.9 / 12.4    2.5 / 16.5 / 12.4
-//   LSTM-cell     7.6 /  8.2 /  7.0   1.8 /  1.8 /  2.1    1.7 /  1.8 /  2.3
-//   TreeLSTM-c    1.3 /  1.1 /  1.2   0.6 /  0.7 /  0.9    0.6 /  0.7 /  0.8
+//   shape         copying, 64-float   in place, 256-float
+//   DAG-RNN       7.1 / 20.1 / 20.4   2.8 / 16.1 / 15.7
+//   SeqLSTM-gate  4.6 / 15.2 / 14.9   1.7 / 11.6 / 12.2
+//   LSTM-cell     4.9 /  5.3 /  5.2   1.1 /  1.4 /  1.8
+//   TreeLSTM-c    0.9 /  1.0 /  1.0   0.3 /  0.4 /  0.5
 //
 // The copying column is the interpreter this one replaced, which copied
 // every pushed input and param into its stack strip first. Reading them
 // in place leaves an instruction its arithmetic and one store. tanh and
 // sigmoid vectorize only with AVX-512, whose masks guard their branches,
-// so the AVX2 and portable gates stay scalar-bound.
+// so the AVX2 and portable gates stay scalar-bound. An earlier run of the
+// in-place interpreter at 128-float strips (DAG-RNN 3.3 / 16.5 / 17.2,
+// SeqLSTM-gate 2.5 / 16.5 / 12.4, LSTM-cell 1.7 / 1.8 / 2.3, TreeLSTM-c
+// 0.6 / 0.7 / 0.8) came within 0.5 µs of 256-float strips timed beside
+// it, so the strip is fixed at 256.
 void BM_EltwisePanel(benchmark::State& state, kernels::detail::Isa isa,
                      const ra::Expr& expr, int inputs, std::int64_t rows,
-                     std::int64_t width, std::int64_t strip) {
+                     std::int64_t width) {
   const models::CompiledEltwise ce(expr);
   std::vector<std::vector<float>> in;
   std::vector<const float*> ins;
@@ -220,7 +223,7 @@ void BM_EltwisePanel(benchmark::State& state, kernels::detail::Isa isa,
   std::vector<float> out(static_cast<std::size_t>(rows * width));
   for (auto _ : state) {
     ce.eval_panel_with(isa, rows, width, ins.data(), strides.data(), params,
-                       out.data(), width, strip);
+                       out.data(), width);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
@@ -255,14 +258,11 @@ const bool kEltwisePanelRegistered = [] {
   };
   for (const Shape& sh : shapes)
     for (const auto isa : kernels::detail::supported_isas())
-      for (const std::int64_t strip : {128, 256})
-        benchmark::RegisterBenchmark(
-            ("BM_EltwisePanel/" + std::string(sh.name) + "/" +
-             kernels::detail::isa_name(isa) + "/strip:" +
-             std::to_string(strip))
-                .c_str(),
-            BM_EltwisePanel, isa, sh.expr, sh.inputs, sh.rows, sh.width,
-            strip);
+      benchmark::RegisterBenchmark(
+          ("BM_EltwisePanel/" + std::string(sh.name) + "/" +
+           kernels::detail::isa_name(isa))
+              .c_str(),
+          BM_EltwisePanel, isa, sh.expr, sh.inputs, sh.rows, sh.width);
   return true;
 }();
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <set>
 
 #include "tensor/activations.hpp"
@@ -15,12 +14,10 @@ namespace cortex::models {
 // ---------------------------------------------------------------------------
 
 namespace {
-/// Hard bounds of the postfix interpreter's fixed-size operand stack,
-/// param-pointer table and constant strips; enforced at compile() so eval
-/// can never overrun.
+/// Hard bounds of the postfix interpreter's fixed-size operand stack and
+/// param-pointer table; enforced at compile() so eval can never overrun.
 constexpr std::int32_t kMaxStackDepth = 32;
 constexpr std::size_t kMaxEltParams = 8;
-constexpr std::size_t kMaxEltConsts = 8;
 static_assert(CompiledEltwise::kMaxInputs <= 10,
               "eltwise input names e0..e<k> are one digit");
 /// Column shares of a split step are whole multiples of this many floats
@@ -59,29 +56,16 @@ CompiledEltwise::CompiledEltwise(const ra::Expr& expr) {
       << "eltwise expression exceeds operand stack depth " << kMaxStackDepth;
   CORTEX_CHECK(param_names_.size() <= kMaxEltParams)
       << "eltwise expression loads more than " << kMaxEltParams << " params";
-  CORTEX_CHECK(consts_.size() <= kMaxEltConsts)
-      << "eltwise expression has more than " << kMaxEltConsts
-      << " distinct constants";
 }
 
 void CompiledEltwise::compile(const ra::Expr& e) {
   using ra::ExprKind;
-  // A constant is pushed from its strip, one per distinct bit pattern (so
-  // 0.0 and -0.0 stay apart).
-  const auto push_const = [&](float c) {
-    std::size_t k = 0;
-    while (k < consts_.size() &&
-           std::memcmp(&consts_[k], &c, sizeof c) != 0)
-      ++k;
-    if (k == consts_.size()) consts_.push_back(c);
-    prog_.push_back({OpCode::kPushConst, static_cast<std::int32_t>(k), c});
-  };
   switch (e->kind) {
     case ExprKind::kFloatImm:
-      push_const(static_cast<float>(e->fimm));
+      prog_.push_back({OpCode::kPushConst, 0, static_cast<float>(e->fimm)});
       return;
     case ExprKind::kIntImm:
-      push_const(static_cast<float>(e->iimm));
+      prog_.push_back({OpCode::kPushConst, 0, static_cast<float>(e->iimm)});
       return;
     case ExprKind::kVar: {
       // e0..e7: one digit below kMaxInputs.
@@ -217,23 +201,20 @@ struct EltwisePanel {
   [[gnu::always_inline]] static inline void run(
       const CompiledEltwise& ce, std::int64_t rows, std::int64_t width,
       const float* const* ins, const std::int64_t* in_strides,
-      const float* const* params, float* out, std::int64_t out_stride,
-      std::int64_t strip);
+      const float* const* params, float* out, std::int64_t out_stride);
 
 #ifdef CORTEX_X86_SIMD_VARIANTS
   [[gnu::target("avx2")]] static void avx2(
       const CompiledEltwise& ce, std::int64_t rows, std::int64_t width,
       const float* const* ins, const std::int64_t* in_strides,
-      const float* const* params, float* out, std::int64_t out_stride,
-      std::int64_t strip) {
-    run(ce, rows, width, ins, in_strides, params, out, out_stride, strip);
+      const float* const* params, float* out, std::int64_t out_stride) {
+    run(ce, rows, width, ins, in_strides, params, out, out_stride);
   }
   [[gnu::target("avx512f")]] static void avx512(
       const CompiledEltwise& ce, std::int64_t rows, std::int64_t width,
       const float* const* ins, const std::int64_t* in_strides,
-      const float* const* params, float* out, std::int64_t out_stride,
-      std::int64_t strip) {
-    run(ce, rows, width, ins, in_strides, params, out, out_stride, strip);
+      const float* const* params, float* out, std::int64_t out_stride) {
+    run(ce, rows, width, ins, in_strides, params, out, out_stride);
   }
 #endif
 };
@@ -242,14 +223,15 @@ inline void EltwisePanel::run(const CompiledEltwise& ce, std::int64_t rows,
                               std::int64_t width, const float* const* ins,
                               const std::int64_t* in_strides,
                               const float* const* params, float* out,
-                              std::int64_t out_stride, std::int64_t strip) {
+                              std::int64_t out_stride) {
   using OpCode = CompiledEltwise::OpCode;
   using Instr = CompiledEltwise::Instr;
-  constexpr std::int64_t kStrip = CompiledEltwise::kMaxStrip;
-  // Strip-mined interpretation over an operand stack of pointers: pushes
-  // point into the inputs, params and constant strips, and an arithmetic
-  // instruction at stack depth d writes strip d (the last one writes
-  // `out`), reading its operands wherever they are. Per element the
+  constexpr std::int64_t kStrip = CompiledEltwise::kStrip;
+  // Strip-mined interpretation over an operand stack of pointers: input and
+  // param pushes point into the source, a constant push fills the strip of
+  // its stack depth, and an arithmetic instruction at stack depth d writes
+  // strip d (the last one writes `out`), reading its operands wherever
+  // they are. Per element the
   // arithmetic is the identical scalar op sequence eval() performs
   // (elementwise ops carry no cross-element accumulation), so the panel
   // result is bit-identical to per-element evaluation in any order. An
@@ -257,15 +239,12 @@ inline void EltwisePanel::run(const CompiledEltwise& ce, std::int64_t rows,
   // stack, and the last instruction reads a strip of `out` only at the
   // elements it writes, so `out` may be an input.
   alignas(64) float stack[kMaxStackDepth][kStrip];
-  alignas(64) float consts[kMaxEltConsts][kStrip];
   const float* opnd[kMaxStackDepth] = {};
-  for (std::size_t k = 0; k < ce.consts_.size(); ++k)
-    for (std::int64_t e = 0; e < strip; ++e) consts[k][e] = ce.consts_[k];
   const Instr* const prog = ce.prog_.data();
   const Instr* const last = prog + ce.prog_.size() - 1;
   for (std::int64_t r = 0; r < rows; ++r) {
-    for (std::int64_t i0 = 0; i0 < width; i0 += strip) {
-      const std::int64_t len = std::min(strip, width - i0);
+    for (std::int64_t i0 = 0; i0 < width; i0 += kStrip) {
+      const std::int64_t len = std::min(kStrip, width - i0);
       float* const dst_row = out + r * out_stride + i0;
       int sp = 0;
       for (const Instr* it = prog; it <= last; ++it) {
@@ -280,7 +259,10 @@ inline void EltwisePanel::run(const CompiledEltwise& ce, std::int64_t rows,
             opnd[sp++] = params[it->slot] + i0;
             continue;
           case OpCode::kPushConst:
-            opnd[sp++] = consts[it->slot];
+            // No live operand points at the strip of the new depth.
+            for (std::int64_t e = 0; e < len; ++e) stack[sp][e] = it->constant;
+            opnd[sp] = stack[sp];
+            ++sp;
             continue;
           default:
             break;
@@ -373,28 +355,25 @@ void CompiledEltwise::eval_panel_with(kernels::detail::Isa isa,
                                       const float* const* ins,
                                       const std::int64_t* in_strides,
                                       const float* const* params, float* out,
-                                      std::int64_t out_stride,
-                                      std::int64_t strip) const {
+                                      std::int64_t out_stride) const {
   CORTEX_CHECK(kernels::detail::supported(isa))
       << "eltwise variant " << kernels::detail::isa_name(isa)
       << " is not supported here";
   CORTEX_CHECK(!prog_.empty()) << "eval_panel of an empty expression";
-  CORTEX_CHECK(strip >= 1 && strip <= kMaxStrip)
-      << "eltwise strip " << strip << " outside [1, " << kMaxStrip << "]";
   switch (isa) {
 #ifdef CORTEX_X86_SIMD_VARIANTS
     case kernels::detail::Isa::kAvx512:
       EltwisePanel::avx512(*this, rows, width, ins, in_strides, params, out,
-                           out_stride, strip);
+                           out_stride);
       return;
     case kernels::detail::Isa::kAvx2:
       EltwisePanel::avx2(*this, rows, width, ins, in_strides, params, out,
-                         out_stride, strip);
+                         out_stride);
       return;
 #endif
     default:
       EltwisePanel::run(*this, rows, width, ins, in_strides, params, out,
-                        out_stride, strip);
+                        out_stride);
       return;
   }
 }
@@ -888,7 +867,6 @@ BatchedCellExecutor::ColumnPlan BatchedCellExecutor::plan_columns(
   };
   for (const int n : order) {
     const BatchedOp& b = bops[static_cast<std::size_t>(n)];
-    if (b.elided) continue;  // its inputs' shares wrote the destination
     const bool any_split =
         std::any_of(b.in_regs.begin(), b.in_regs.end(), [&](int r) {
           return !reg[static_cast<std::size_t>(r)].empty();
@@ -1057,7 +1035,7 @@ void BatchedCellExecutor::elide_tail_concat(
   }
   producer[0]->dest_col = 0;
   producer[1]->dest_col = w0;
-  cat.elided = true;
+  bops.pop_back();
 }
 
 void BatchedCellExecutor::bind_arena(const Layout& lay, std::int64_t rows,
@@ -1168,7 +1146,6 @@ void BatchedCellExecutor::run_ops(const std::vector<BatchedOp>& bops,
   };
   for (const int n : order) {
     const BatchedOp& b = bops[static_cast<std::size_t>(n)];
-    if (b.elided) continue;  // its inputs wrote the destination
     const auto o = static_cast<std::size_t>(b.out_reg);
     float* outp = p.regs[o];
     std::int64_t ostride = b.width;

@@ -67,33 +67,32 @@ class CompiledEltwise {
   /// panel rows: out[r*out_stride + i] = expr(ins[j][r*in_strides[j] + i],
   /// params[k][i]), so an input panel may be wider than the output (the
   /// op reads its first `width` elements). The interpreter runs each
-  /// instruction over a strip of up to kMaxStrip elements of one row and
+  /// instruction over a strip of up to kStrip elements of one row and
   /// reads its operands in place: an input or param push is a pointer into
-  /// the source, a constant a strip filled once per call, each arithmetic
-  /// instruction writes its own stack strip, and the last one writes `out`
-  /// itself. `out` may be one of the inputs (same pointer and stride). Per
-  /// element the arithmetic is the identical scalar op sequence eval()
-  /// performs, so results are bit-identical to eval() element by element.
+  /// the source, a constant push fills the strip of its stack depth, each
+  /// arithmetic instruction writes its own stack strip, and the last one
+  /// writes `out` itself. `out` may be one of the inputs (same pointer and
+  /// stride). Per element the arithmetic is the identical scalar op
+  /// sequence eval() performs, so results are bit-identical to eval()
+  /// element by element.
   /// Runs the instruction-set variant kernels::gemm uses.
   void eval_panel(std::int64_t rows, std::int64_t width,
                   const float* const* ins, const std::int64_t* in_strides,
                   const float* const* params, float* out,
                   std::int64_t out_stride) const;
   /// eval_panel with a given variant, which must be in
-  /// kernels::detail::supported_isas(), and strips of `strip` elements
-  /// (1..kMaxStrip; tests and benches run each variant and strip).
+  /// kernels::detail::supported_isas() (tests and benches run each one).
   void eval_panel_with(kernels::detail::Isa isa, std::int64_t rows,
                        std::int64_t width, const float* const* ins,
                        const std::int64_t* in_strides,
                        const float* const* params, float* out,
-                       std::int64_t out_stride,
-                       std::int64_t strip = kMaxStrip) const;
+                       std::int64_t out_stride) const;
 
   /// Elements per interpreter strip in eval_panel: a 256-float strip is
   /// one 1 KiB run of a row, long enough to amortize instruction dispatch
   /// over a served h256 row, short enough that a program's live strips
   /// stay in L1.
-  static constexpr std::int64_t kMaxStrip = 256;
+  static constexpr std::int64_t kStrip = 256;
   /// Most inputs (e0..e7) an expression, and so an eltwise op, may read.
   static constexpr std::size_t kMaxInputs = 8;
 
@@ -111,7 +110,7 @@ class CompiledEltwise {
   };
   struct Instr {
     OpCode op;
-    std::int32_t slot = 0;   // input / param / constant index
+    std::int32_t slot = 0;   // input index / param index
     float constant = 0.0f;
   };
   void compile(const ra::Expr& e);
@@ -119,7 +118,6 @@ class CompiledEltwise {
 
   std::vector<Instr> prog_;
   std::vector<std::string> param_names_;
-  std::vector<float> consts_;  ///< distinct constants, by bit pattern
   std::int64_t arith_ops_ = 0;
   std::size_t num_inputs_ = 0;
   std::int32_t max_depth_ = 0;  ///< peak operand-stack depth of prog_
@@ -261,7 +259,7 @@ struct ColumnShare {
 /// constant, child-slice or child-sum op, that no kMatVec reads and that
 /// exactly fill the state, their producers write straight into columns
 /// [0, w0) and [w0, state_width) of the destination rows and the concat
-/// copies nothing (an LSTM's [h; c], a sequence leaf's [x; 0]). Such a
+/// is dropped (an LSTM's [h; c], a sequence leaf's [x; 0]). Such a
 /// register has no arena panel: later reads (an LSTM's h = o * tanh(c))
 /// read the destination rows, at row stride state_width.
 ///
@@ -392,8 +390,6 @@ class BatchedCellExecutor {
     /// destination rows instead of an arena panel: the last op, at 0, and
     /// the producers of an elided concat (the class comment).
     std::int64_t dest_col = -1;
-    /// The program's final kConcat2, whose inputs wrote the destination.
-    bool elided = false;
   };
 
   /// A register placed at `offset` row-widths into a panel buffer.
@@ -443,7 +439,7 @@ class BatchedCellExecutor {
   }
   std::vector<BatchedOp> compile_ops(const std::vector<CellOp>& ops) const;
   /// Concat elimination (the class comment): when `bops` qualifies, points
-  /// the final concat's producers at the destination and elides it.
+  /// the final concat's producers at the destination and drops the concat.
   void elide_tail_concat(std::vector<BatchedOp>& bops) const;
   Hoist find_hoist(int c) const;
   /// The arena layout of running `order` of `bops`: every register an op

@@ -804,13 +804,13 @@ TEST(PanelKernels, ChildSumStartsFromPositiveZero) {
 TEST(PanelEltwise, EvalPanelBitIdenticalToScalarEval) {
   // Every opcode, and the bare pushes e0, b[i] and 1.0, over a
   // [rows, width] panel vs element by element — the in-place interpreter
-  // must agree bit for bit in every variant this host supports, at strips
-  // of 100 and 256 floats, across strip boundaries (widths 255 to 513)
-  // and through tanh's saturation (|x| > 5), infinities, NaNs, signed
-  // zeros and denormals. e1's rows are 9 floats wider than the op and the
-  // output's rows 3 wider: each row reads and writes only its first
-  // `width` floats. Each program runs once more with its output the same
-  // buffer as e0 (in place).
+  // must agree bit for bit in every variant this host supports, across
+  // its 256-float strip boundaries (widths 255 to 513) and through tanh's
+  // saturation (|x| > 5), infinities, NaNs, signed zeros and denormals.
+  // e1's rows are 9 floats wider than the op and the output's rows 3
+  // wider: each row reads and writes only its first `width` floats. Each
+  // program runs once more with its output the same buffer as e0 (in
+  // place).
   using ra::add;
   using ra::call;
   using ra::mul;
@@ -833,6 +833,12 @@ TEST(PanelEltwise, EvalPanelBitIdenticalToScalarEval) {
                               mul(ra::fimm(0.5), ra::fimm(-0.0))))),
       // Two live operands at depth 3 before the outer add.
       add(mul(e0, e1), mul(e0, ra::sub(e1, bias))),
+      // Ten distinct constants, each filled in its own strip.
+      [&] {
+        ra::Expr sum = e0;
+        for (int k = 1; k <= 10; ++k) sum = add(sum, ra::fimm(0.25 * k));
+        return mul(sum, ra::fimm(-3.0));
+      }(),
       e0,
       bias,
       ra::fimm(1.0),
@@ -875,38 +881,35 @@ TEST(PanelEltwise, EvalPanelBitIdenticalToScalarEval) {
         return ce.eval(i, row_ins, params);
       };
       for (const auto isa : kernels::detail::supported_isas()) {
-        for (const std::int64_t strip : {100, 256}) {
-          std::vector<float> panel(static_cast<std::size_t>(rows * out_stride),
-                                   -3.0f);
-          ce.eval_panel_with(isa, rows, width, ins, strides, params,
-                             panel.data(), out_stride, strip);
-          // In place: the output is e0's own buffer, at e0's stride.
-          std::vector<float> inplace(in0.data(), in0.data() + rows * width);
-          const float* ins_inplace[2] = {inplace.data(), in1.data()};
-          ce.eval_panel_with(isa, rows, width, ins_inplace, strides, params,
-                             inplace.data(), width, strip);
-          for (std::int64_t r = 0; r < rows; ++r) {
-            for (std::int64_t i = width; i < out_stride; ++i)
-              ASSERT_EQ(panel[static_cast<std::size_t>(r * out_stride + i)],
-                        -3.0f)
-                  << "wrote past row " << r;
-            for (std::int64_t i = 0; i < width; ++i) {
-              const float w = want(r, i);
-              const float got =
-                  panel[static_cast<std::size_t>(r * out_stride + i)];
-              const float got_inplace =
-                  inplace[static_cast<std::size_t>(r * width + i)];
-              ASSERT_TRUE(same(got, w))
-                  << ra::to_string(expr) << " "
-                  << kernels::detail::isa_name(isa) << " strip=" << strip
-                  << " width=" << width << " r=" << r << " i=" << i << ": "
-                  << got << " vs " << w;
-              ASSERT_TRUE(same(got_inplace, w))
-                  << "in place: " << ra::to_string(expr) << " "
-                  << kernels::detail::isa_name(isa) << " strip=" << strip
-                  << " width=" << width << " r=" << r << " i=" << i << ": "
-                  << got_inplace << " vs " << w;
-            }
+        std::vector<float> panel(static_cast<std::size_t>(rows * out_stride),
+                                 -3.0f);
+        ce.eval_panel_with(isa, rows, width, ins, strides, params,
+                           panel.data(), out_stride);
+        // In place: the output is e0's own buffer, at e0's stride.
+        std::vector<float> inplace(in0.data(), in0.data() + rows * width);
+        const float* ins_inplace[2] = {inplace.data(), in1.data()};
+        ce.eval_panel_with(isa, rows, width, ins_inplace, strides, params,
+                           inplace.data(), width);
+        for (std::int64_t r = 0; r < rows; ++r) {
+          for (std::int64_t i = width; i < out_stride; ++i)
+            ASSERT_EQ(panel[static_cast<std::size_t>(r * out_stride + i)],
+                      -3.0f)
+                << "wrote past row " << r;
+          for (std::int64_t i = 0; i < width; ++i) {
+            const float w = want(r, i);
+            const float got =
+                panel[static_cast<std::size_t>(r * out_stride + i)];
+            const float got_inplace =
+                inplace[static_cast<std::size_t>(r * width + i)];
+            ASSERT_TRUE(same(got, w))
+                << ra::to_string(expr) << " "
+                << kernels::detail::isa_name(isa) << " width=" << width
+                << " r=" << r << " i=" << i << ": " << got << " vs " << w;
+            ASSERT_TRUE(same(got_inplace, w))
+                << "in place: " << ra::to_string(expr) << " "
+                << kernels::detail::isa_name(isa) << " width=" << width
+                << " r=" << r << " i=" << i << ": " << got_inplace << " vs "
+                << w;
           }
         }
       }
