@@ -17,8 +17,8 @@ CompiledArtifacts compile_artifacts(const models::ModelDef& def,
     // pass pipeline and memory planning are offline (exec::compile_ilir).
     a.lowered = lowering::lower(*def.model, schedule);
   } else {
-    // Cell-only models (the sequential Fig. 9 cells) still respect the
-    // Appendix-D register-pressure constraint.
+    // Cell-only models (no RA definition) still respect the Appendix-D
+    // register-pressure constraint.
     CORTEX_CHECK(!(schedule.unroll_depth > 1 && schedule.persistence))
         << "unrolling precludes persistence (Appendix D)";
   }

@@ -4,11 +4,11 @@
 //   MV-RNN, TreeRNN (the Fig. 1 running example and the weighted variant),
 //   and sequential LSTM/GRU for the GRNN comparison (Fig. 9).
 //
-// Every model carries two consistent definitions:
-//   - an RA definition (ra::Model) that drives the compiler pipeline, and
-//   - a CellProgram that every execution engine (Cortex + baselines) runs
-//     numerically, so outputs are identical across frameworks.
-// Equivalence of the two is enforced by tests (ILIR evaluator vs cell).
+// Each model is written once, as an RA definition (ra::Model) that drives
+// the compiler pipeline. The cell is derived from the RA model
+// (cell_from_ra): the CellProgram every execution engine (Cortex +
+// baselines) runs numerically, so outputs are identical across
+// frameworks. Tests check the derived cells against the ILIR evaluator.
 
 #include <cstdint>
 #include <optional>
@@ -26,8 +26,11 @@ namespace cortex::models {
 struct ModelDef {
   std::string name;
   /// RA definition driving the compiler pipeline. Optional so users can
-  /// define cell-only models (engines fall back to the cell program).
+  /// define cell-only models: every engine serves `cell` either way; with
+  /// an RA model, engine compilation also lowers it (verifying P.1-P.3)
+  /// and reads the linearizer spec from the result.
   std::optional<ra::Model> model;
+  /// What every engine runs: cell_from_ra(*model) for the zoo models.
   CellProgram cell;
   std::int64_t hidden = 0;  ///< H
   std::int64_t vocab = 0;   ///< V
@@ -43,8 +46,9 @@ struct ModelDef {
   /// extra device-wide barriers (TreeRNN in Fig. 10b).
   bool block_local_schedule = false;
 
-  /// Shapes of all parameters, keyed by name (single source of truth for
-  /// both the RA input ops and the cell programs).
+  /// Shapes of all parameters, keyed by name; the zoo declares its RA
+  /// input tensors from this list. Its order is the order init_params
+  /// draws the weights in.
   std::vector<std::pair<std::string, std::vector<std::int64_t>>>
       param_shapes;
 
@@ -55,6 +59,21 @@ struct ModelDef {
     return model ? model->kind : linearizer::StructureKind::kTree;
   }
 };
+
+/// Derives the cell program from an RA model, one cell op per operator in
+/// the order the operators were created (ra::Op::seq). The body's
+/// if_then_else(isleaf(n)) splits it into the leaf and internal programs;
+/// a body without it has no leaf program. Operators map by their
+/// ComputePattern (embed lookup, child read/sum, matvec, eltwise, const
+/// init, concat, node matvec, mat-stack); an eltwise operator's per-node
+/// operands become e0, e1, ... in operand order and its input-tensor
+/// loads stay parameter loads. Registers take the operators' names,
+/// except that both branches' final ops write the state register, named
+/// after the internal branch's result. num_children is the model's
+/// max_children. Throws, naming the operator, on an opaque compute
+/// operator (no cell op to translate it to), on nested branches, and on
+/// two operators of one name.
+CellProgram cell_from_ra(const ra::Model& model);
 
 // -- Table 2 models -----------------------------------------------------------
 

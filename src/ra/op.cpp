@@ -1,9 +1,23 @@
 #include "ra/op.hpp"
 
+#include <atomic>
 #include <sstream>
 #include <unordered_map>
 
 namespace cortex::ra {
+
+namespace {
+/// A fresh operator carrying the next creation index (Op::seq).
+std::shared_ptr<Op> new_op() {
+  static std::atomic<std::uint64_t> next{0};
+  auto op = std::make_shared<Op>();
+  op->seq = next.fetch_add(1);
+  return op;
+}
+
+Expr vn() { return var("n"); }
+Expr vi() { return var("i"); }
+}  // namespace
 
 bool Op::per_node() const {
   return !axes.empty() && axes.front() == "n";
@@ -21,7 +35,7 @@ std::int64_t Op::inner_elems() const {
 }
 
 OpRef input_tensor(std::string name, std::vector<std::int64_t> shape) {
-  auto op = std::make_shared<Op>();
+  auto op = new_op();
   op->tag = OpTag::kInput;
   op->name = std::move(name);
   op->input_shape = std::move(shape);
@@ -29,7 +43,7 @@ OpRef input_tensor(std::string name, std::vector<std::int64_t> shape) {
 }
 
 OpRef placeholder(std::string name, std::vector<std::int64_t> inner_shape) {
-  auto op = std::make_shared<Op>();
+  auto op = new_op();
   op->tag = OpTag::kPlaceholder;
   op->name = std::move(name);
   op->input_shape = std::move(inner_shape);
@@ -46,7 +60,7 @@ OpRef compute(std::string name, std::vector<std::string> axes,
   CORTEX_CHECK(axes.size() == extents.size())
       << "compute " << name << ": axes/extents size mismatch";
   CORTEX_CHECK(body != nullptr) << "compute " << name << ": null body";
-  auto op = std::make_shared<Op>();
+  auto op = new_op();
   op->tag = OpTag::kCompute;
   op->pattern = ComputePattern::kOpaque;
   op->name = std::move(name);
@@ -84,6 +98,8 @@ OpRef child_read_slice(std::string name, OpRef ph, std::int64_t k,
   OpRef op = compute(std::move(name), {"n", "i"}, {var("N"), imm(width)},
                      std::move(body), {ph});
   op->pattern = ComputePattern::kChildRead;
+  op->child_index = k;
+  op->child_offset = offset;
   return op;
 }
 
@@ -134,6 +150,87 @@ OpRef const_init(std::string name, double value, std::int64_t width) {
   return op;
 }
 
+namespace {
+/// A kConcat operator of `width` elements: `a` first, then `tail` (an
+/// expression at the element index i - |a|). The first arm's index is
+/// clamped with min(i, |a|-1): the select only evaluates the taken arm,
+/// so this is a semantic no-op, but it keeps the (guarded) load
+/// statically in-bounds for the named-dimension checker — composite index
+/// expressions are the class §5.1 exempts from direct-var checks.
+OpRef concat_of(std::string name, const OpRef& a, Expr tail,
+                std::int64_t width, std::vector<OpRef> inputs) {
+  const std::int64_t wa = a->inner_elems();
+  Expr body = select(
+      lt(vi(), imm(wa)),
+      load(a->name, {vn(), binary(BinOp::kMin, vi(), imm(wa - 1))}),
+      std::move(tail));
+  OpRef op = compute(std::move(name), {"n", "i"}, {var("N"), imm(width)},
+                     std::move(body), std::move(inputs));
+  op->pattern = ComputePattern::kConcat;
+  return op;
+}
+}  // namespace
+
+OpRef concat(std::string name, OpRef a, OpRef b) {
+  CORTEX_CHECK(a && a->per_node() && b && b->per_node())
+      << "concat " << name << ": operands must be per-node operators";
+  const std::int64_t wa = a->inner_elems();
+  Expr tail = load(b->name, {vn(), sub(vi(), imm(wa))});
+  const std::int64_t width = wa + b->inner_elems();
+  return concat_of(std::move(name), a, std::move(tail), width, {a, b});
+}
+
+OpRef concat(std::string name, OpRef a, std::int64_t width) {
+  CORTEX_CHECK(a && a->per_node())
+      << "concat " << name << ": operand must be a per-node operator";
+  CORTEX_CHECK(width > a->inner_elems())
+      << "concat " << name << ": width " << width
+      << " leaves no zero tail after " << a->inner_elems();
+  return concat_of(std::move(name), a, fimm(0.0), width, {a});
+}
+
+OpRef node_matvec(std::string name, OpRef m, OpRef v) {
+  CORTEX_CHECK(m && m->per_node() && v && v->per_node())
+      << "node_matvec " << name << ": operands must be per-node operators";
+  const std::int64_t h = v->inner_elems();
+  CORTEX_CHECK(m->inner_elems() == h * h)
+      << "node_matvec " << name << ": matrix " << m->name << " has "
+      << m->inner_elems() << " elements, vector " << v->name
+      << " needs " << h * h;
+  Expr body = sum("j", imm(h),
+                  mul(load(m->name, {vn(), add(mul(vi(), imm(h)), var("j"))}),
+                      load(v->name, {vn(), var("j")})));
+  OpRef op = compute(std::move(name), {"n", "i"}, {var("N"), imm(h)},
+                     std::move(body), {std::move(m), std::move(v)});
+  op->pattern = ComputePattern::kNodeMatVec;
+  return op;
+}
+
+OpRef mat_stack2(std::string name, OpRef w, OpRef m0, OpRef m1) {
+  CORTEX_CHECK(w && w->tag == OpTag::kInput && w->input_shape.size() == 2 &&
+               w->input_shape[1] == 2 * w->input_shape[0])
+      << "mat_stack2 " << name << ": weight must be an (H, 2H) input tensor";
+  const std::int64_t h = w->input_shape[0];
+  CORTEX_CHECK(m0 && m0->per_node() && m0->inner_elems() == h * h && m1 &&
+               m1->per_node() && m1->inner_elems() == h * h)
+      << "mat_stack2 " << name << ": operands must be per-node " << h << "x"
+      << h << " matrices";
+  // i = r*H + c; k runs over the 2H rows of vstack(m0, m1).
+  const Expr r = div(vi(), imm(h));
+  const Expr c = sub(vi(), mul(div(vi(), imm(h)), imm(h)));
+  const Expr k = var("k");
+  Expr stacked =
+      select(lt(k, imm(h)), load(m0->name, {vn(), add(mul(k, imm(h)), c)}),
+             load(m1->name, {vn(), add(mul(sub(k, imm(h)), imm(h)), c)}));
+  Expr body = sum("k", imm(2 * h),
+                  mul(load(w->name, {r, var("k")}), std::move(stacked)));
+  OpRef op = compute(std::move(name), {"n", "i"}, {var("N"), imm(h * h)},
+                     std::move(body),
+                     {std::move(m0), std::move(m1), std::move(w)});
+  op->pattern = ComputePattern::kMatStack2;
+  return op;
+}
+
 OpRef if_then_else(std::string name, Expr cond, OpRef then_op,
                    OpRef else_op) {
   CORTEX_CHECK(cond && then_op && else_op) << "if_then_else: null arg";
@@ -141,7 +238,7 @@ OpRef if_then_else(std::string name, Expr cond, OpRef then_op,
       << "if_then_else branches must be per-node operators";
   CORTEX_CHECK(then_op->inner_elems() == else_op->inner_elems())
       << "if_then_else branch widths differ";
-  auto op = std::make_shared<Op>();
+  auto op = new_op();
   op->tag = OpTag::kIfThenElse;
   op->name = std::move(name);
   op->axes = {"n", "i"};
@@ -157,7 +254,7 @@ OpRef recursion_op(OpRef ph, OpRef body) {
   CORTEX_CHECK(ph && ph->tag == OpTag::kPlaceholder)
       << "recursion_op needs a placeholder";
   CORTEX_CHECK(body && body->per_node()) << "recursion body must be per-node";
-  auto op = std::make_shared<Op>();
+  auto op = new_op();
   op->tag = OpTag::kRecursion;
   op->name = ph->name + "_rec";
   op->axes = body->axes;

@@ -2,9 +2,9 @@
 // Recursive API operators (§3): the model is a DAG of operators, each
 // specified as a loop nest producing a tensor (Listing 1). Structural
 // helper constructors additionally tag operators with a recognized
-// pattern (matvec, elementwise, ...) that the execution engine uses to
-// dispatch onto the kernel library; the generic AST remains the ground
-// truth that the ILIR evaluator interprets.
+// pattern (matvec, elementwise, ...) from which models::cell_from_ra
+// derives the cell program every engine runs; the generic AST remains the
+// ground truth that lowering and the ILIR evaluator read.
 
 #include <cstdint>
 #include <memory>
@@ -15,8 +15,7 @@
 
 namespace cortex::ra {
 
-/// Recognized operator patterns (execution fast path). kOpaque means
-/// "interpret the AST"; everything still lowers and evaluates correctly.
+/// Operator kinds.
 enum class OpTag {
   kInput,        ///< model weight / embedding table (global tensor)
   kPlaceholder,  ///< result-of-recursive-call placeholder (Listing 1 l.9)
@@ -25,15 +24,22 @@ enum class OpTag {
   kRecursion,    ///< ties placeholder to body (recursion_op, l.22)
 };
 
-/// Recognized compute patterns for engine dispatch.
+/// Recognized compute patterns: each names the cell op that
+/// models::cell_from_ra translates the operator into (ra::fingerprint
+/// encodes it too). kOpaque operators still lower and evaluate correctly
+/// through their AST, but have no cell op, so a model using one cannot be
+/// served.
 enum class ComputePattern {
-  kOpaque,       ///< no special structure; AST-interpreted
+  kOpaque,       ///< no special structure; AST only
   kEmbedLookup,  ///< out[n,i] = Table[words[n], i]
-  kChildRead,    ///< out[n,i] = ph[child(n,k), i]
+  kChildRead,    ///< out[n,i] = ph[child(n,k), offset + i]
   kChildSum,     ///< out[n,i] = sum_k ph[child(n,k), i]
   kMatVec,       ///< out[n,i] = sum_j W[i,j] * in[n,j]
   kEltwise,      ///< out[n,i] = f(a[n,i], b[n,i], ...) pointwise
   kConstInit,    ///< out[n,i] = c (uniform base-case value)
+  kConcat,       ///< out[n,:] = [a[n,:] ; b[n,:]] (or a zero tail)
+  kNodeMatVec,   ///< out[n,i] = sum_j M[n, i*H + j] * v[n,j] (MV-RNN)
+  kMatStack2,    ///< out[n, r*H + c] = W[r,:] . vstack(A[n], B[n])[:, c]
 };
 
 struct Op;
@@ -60,6 +66,11 @@ struct Op {
   // kInput only: concrete tensor shape.
   std::vector<std::int64_t> input_shape;
 
+  // kChildRead only: which child, and the offset into its state. They
+  // restate what the body encodes, so ra::fingerprint skips them.
+  std::int64_t child_index = 0;
+  std::int64_t child_offset = 0;
+
   // kIfThenElse only: condition + branches.
   Expr cond;
   OpRef then_op;
@@ -68,6 +79,11 @@ struct Op {
   // kRecursion only.
   OpRef placeholder;
   OpRef recursion_body;
+
+  /// Creation index, increasing in constructor-call order across the
+  /// process: the order models::cell_from_ra emits cell ops in. Not part
+  /// of the operator's structure, so ra::fingerprint skips it.
+  std::uint64_t seq = 0;
 
   /// True for tensors with a per-node leading axis.
   bool per_node() const;
@@ -116,6 +132,23 @@ OpRef eltwise(std::string name, Expr body, std::vector<OpRef> inputs,
 /// out[n,i] = c — uniform base-case initial value (hoisting target, §4.3).
 OpRef const_init(std::string name, double value, std::int64_t width);
 
+/// out[n,:] = [a[n,:] ; b[n,:]] — two per-node operators side by side
+/// along the element axis (e.g. TreeLSTM's state [h; c]).
+OpRef concat(std::string name, OpRef a, OpRef b);
+
+/// out[n,:] = [a[n,:] ; 0] — `a` followed by zeros, `width` elements in
+/// all (SeqLSTM's token leaf [x; 0]).
+OpRef concat(std::string name, OpRef a, std::int64_t width);
+
+/// out[n,i] = sum_j m[n, i*H + j] * v[n,j] with H = |v|: a product with
+/// the H x H matrix each node carries flattened in `m` (MV-RNN).
+OpRef node_matvec(std::string name, OpRef m, OpRef v);
+
+/// out[n, r*H + c] = sum_k w[r,k] * vstack(m0[n], m1[n])[k,c]: the (H, 2H)
+/// weight `w` times the two per-node H x H matrices stacked (MV-RNN's
+/// matrix composition).
+OpRef mat_stack2(std::string name, OpRef w, OpRef m0, OpRef m1);
+
 /// Conditional operator over the leaf check (§5.2).
 OpRef if_then_else(std::string name, Expr cond, OpRef then_op, OpRef else_op);
 
@@ -128,7 +161,8 @@ std::string to_string(const OpRef& op);
 
 /// Appends a canonical structural encoding of the operator DAG rooted at
 /// `op` (every field of every reachable operator, including if_then_else
-/// branches and the recursion placeholder/body). Shared operators are
+/// branches and the recursion placeholder/body, except the creation index
+/// and the child-read fields the body already encodes). Shared operators are
 /// numbered in first-visit order, so operator *identity* is captured (two
 /// reads of one placeholder encode differently from reads of two distinct
 /// placeholders) while isomorphic DAGs built by separate factory calls

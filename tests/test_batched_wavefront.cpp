@@ -806,7 +806,9 @@ TEST(PanelEltwise, EvalPanelBitIdenticalToScalarEval) {
   // [rows, width] panel vs element by element — the in-place interpreter
   // must agree bit for bit in every variant this host supports, across
   // its 256-float strip boundaries (widths 255 to 513) and through tanh's
-  // saturation (|x| > 5), infinities, NaNs, signed zeros and denormals.
+  // saturation: inputs at ±5 and one ulp either side, at ±10 and one ulp
+  // either side (sigmoid's tanh argument is x/2), infinities, NaNs,
+  // signed zeros and denormals of both signs.
   // e1's rows are 9 floats wider than the op and the output's rows 3
   // wider: each row reads and writes only its first `width` floats. Each
   // program runs once more with its output the same buffer as e0 (in
@@ -821,6 +823,8 @@ TEST(PanelEltwise, EvalPanelBitIdenticalToScalarEval) {
   const std::vector<ra::Expr> exprs = {
       call(ra::CallFn::kSigmoid, add(mul(e0, e1), bias)),
       mul(e0, call(ra::CallFn::kTanh, e1)),
+      call(ra::CallFn::kTanh, e1),
+      call(ra::CallFn::kSigmoid, e1),
       // sub, div, max, min, relu, exp, select and constants (one repeated,
       // one negative zero).
       ra::select(ra::sub(ra::binary(ra::BinOp::kMax, e0, e1),
@@ -843,15 +847,28 @@ TEST(PanelEltwise, EvalPanelBitIdenticalToScalarEval) {
       bias,
       ra::fimm(1.0),
   };
+  const float inf = std::numeric_limits<float>::infinity();
   const float specials[] = {0.0f,
                             -0.0f,
                             5.0f,
                             -5.0f,
+                            std::nextafter(5.0f, inf),
+                            std::nextafter(5.0f, 0.0f),
+                            std::nextafter(-5.0f, -inf),
+                            std::nextafter(-5.0f, 0.0f),
+                            10.0f,
+                            std::nextafter(10.0f, inf),
+                            std::nextafter(10.0f, 0.0f),
+                            -10.0f,
+                            std::nextafter(-10.0f, -inf),
+                            std::nextafter(-10.0f, 0.0f),
                             1e30f,
-                            std::numeric_limits<float>::infinity(),
-                            -std::numeric_limits<float>::infinity(),
+                            inf,
+                            -inf,
                             std::numeric_limits<float>::quiet_NaN(),
-                            std::numeric_limits<float>::denorm_min()};
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            std::numeric_limits<float>::min() / 2.0f};
   const auto same = [](float got, float want) {
     return std::memcmp(&got, &want, sizeof got) == 0 ||
            (std::isnan(got) && std::isnan(want));

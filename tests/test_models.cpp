@@ -1,10 +1,14 @@
-// Model zoo: every cell program validates, its parameters match the
-// declared shapes, the flop accounting is sane, and the RA definition
-// passes the P.1-P.3 verifier. (RA-vs-cell numeric equivalence is in
-// test_ilir_eval.cpp.)
+// Model zoo: every cell program validates and is the one derived from
+// the RA definition (cell_from_ra), op for op; its parameters match the
+// declared shapes and the RA weights, the flop accounting is sane, and
+// the RA definition passes the P.1-P.3 verifier. (RA-vs-cell numeric
+// equivalence is in test_ilir_eval.cpp.)
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,11 +50,124 @@ TEST(ModelZoo, AllCellsValidate) {
 
 TEST(ModelZoo, RaDefinitionsPassPropertyVerifier) {
   for (const ModelDef& def : all_models()) {
-    if (!def.model) continue;  // sequential cells are cell-only
     SCOPED_TRACE(def.name);
+    ASSERT_TRUE(def.model.has_value());
     EXPECT_TRUE(ra::verify_properties(*def.model).ok);
     EXPECT_EQ(def.model->state_width(), def.cell.state_width);
   }
+}
+
+/// The cell with its registers renamed r0, r1, ... in definition order
+/// (leaf program first), so cells that differ only in register names
+/// compare equal while a register two ops share stays shared.
+CellProgram canonical(CellProgram cell) {
+  std::map<std::string, std::string> names;
+  for (auto* ops : {&cell.leaf_ops, &cell.internal_ops})
+    for (CellOp& op : *ops) {
+      for (std::string& in : op.ins) in = names.at(in);
+      auto it = names.find(op.out);
+      if (it == names.end())
+        it = names.emplace(op.out, "r" + std::to_string(names.size())).first;
+      op.out = it->second;
+    }
+  return cell;
+}
+
+TEST(ModelZoo, DerivedCellsMatchTheHandWrittenOnesOpForOp) {
+  // Digests of the canonical cells when every factory still spelled its
+  // cell op by op next to its RA model. Op order, kinds, widths, child
+  // slices, params, eltwise expressions and which registers the leaf and
+  // internal programs share are all part of the digest, so a served cell
+  // (and every modeled counter read from it) is unchanged.
+  const std::map<std::string, std::uint64_t> want = {
+      {"TreeFC", 0xb936b59dd574bfc2ull},
+      {"TreeFC-emb", 0xa779cb80eb71726eull},
+      {"DAG-RNN", 0x4928796aaf0a05bbull},
+      {"TreeGRU", 0xc419b66bef392ad0ull},
+      {"TreeGRU-emb", 0x7307f1df9e938eb2ull},
+      {"SimpleTreeGRU", 0xcf081c3408b095e7ull},
+      {"TreeLSTM", 0x070761980ad38726ull},
+      {"TreeLSTM-emb", 0xbfbc5b5d8c53f901ull},
+      {"MV-RNN", 0x9ba10633775e56daull},
+      {"TreeRNN", 0x38c9c6e06fab16afull},
+      {"TreeRNN-fig1", 0x539d6f032aa43707ull},
+      {"TreeRNN-zeroleaf", 0x02e46e89d9f7f5c2ull},
+      {"SeqLSTM", 0x22960a0eb2908c35ull},
+      {"SeqGRU", 0x30e3bdacab15bd2aull},
+  };
+  const std::vector<ModelDef> defs = all_models();
+  ASSERT_EQ(defs.size(), want.size());
+  for (const ModelDef& def : defs) {
+    SCOPED_TRACE(def.name);
+    support::FingerprintBuilder fb;
+    fingerprint(canonical(def.cell), fb);
+    EXPECT_EQ(fb.finish().digest, want.at(def.name));
+  }
+}
+
+TEST(ModelZoo, ParamShapesMatchRaWeights) {
+  for (const ModelDef& def : all_models()) {
+    SCOPED_TRACE(def.name);
+    ASSERT_TRUE(def.model.has_value());
+    std::set<std::pair<std::string, std::vector<std::int64_t>>> declared(
+        def.param_shapes.begin(), def.param_shapes.end());
+    EXPECT_EQ(declared.size(), def.param_shapes.size()) << "duplicate name";
+    std::set<std::pair<std::string, std::vector<std::int64_t>>> weights;
+    for (const ra::OpRef& w : def.model->weight_ops())
+      weights.emplace(w->name, w->input_shape);
+    EXPECT_EQ(declared, weights);
+  }
+}
+
+TEST(CellFromRa, RejectsOpaqueComputeAndNamesIt) {
+  // out = 2 * lh through a generic loop nest: it lowers, but no cell op
+  // computes it.
+  const std::int64_t h = 4;
+  ra::OpRef ph = ra::placeholder("rnn", {h});
+  ra::OpRef lh = ra::child_read("lh", ph, 0, h);
+  ra::OpRef twice = ra::compute(
+      "mystery_op", {"n", "i"}, {ra::var("N"), ra::imm(h)},
+      ra::mul(ra::fimm(2.0),
+              ra::load("lh", {ra::var("n"), ra::var("i")})),
+      {lh});
+  ra::OpRef body = ra::if_then_else("body", ra::is_leaf(ra::var("n")),
+                                    ra::const_init("leafc", 0.0, h), twice);
+  const ra::Model model =
+      ra::make_model("Opaque", ra::recursion_op(ph, body),
+                     linearizer::StructureKind::kTree, 2);
+  try {
+    cell_from_ra(model);
+    FAIL() << "an opaque compute op was translated";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("mystery_op"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CellFromRa, EmitsOpsInCreationOrderNotTopoOrder) {
+  // Two independent gates, the second created first: the cell follows
+  // the constructor calls, whatever order a DFS would visit them in.
+  const std::int64_t h = 4;
+  ra::OpRef ph = ra::placeholder("rnn", {h});
+  ra::OpRef rh = ra::child_read("rh", ph, 1, h);
+  ra::OpRef lh = ra::child_read("lh", ph, 0, h);
+  ra::OpRef sum = ra::eltwise(
+      "h",
+      ra::add(ra::load("lh", {ra::var("n"), ra::var("i")}),
+              ra::load("rh", {ra::var("n"), ra::var("i")})),
+      {lh, rh}, h);
+  ra::OpRef body = ra::if_then_else("body", ra::is_leaf(ra::var("n")),
+                                    ra::const_init("leafc", 0.0, h), sum);
+  const CellProgram cell = cell_from_ra(ra::make_model(
+      "Order", ra::recursion_op(ph, body), linearizer::StructureKind::kTree,
+      2));
+  ASSERT_EQ(cell.internal_ops.size(), 3u);
+  EXPECT_EQ(cell.internal_ops[0].out, "rh");
+  EXPECT_EQ(cell.internal_ops[0].child, 1);
+  EXPECT_EQ(cell.internal_ops[1].out, "lh");
+  EXPECT_EQ(cell.internal_ops[2].ins, (std::vector<std::string>{"lh", "rh"}));
+  ASSERT_EQ(cell.leaf_ops.size(), 1u);
+  EXPECT_EQ(cell.leaf_ops[0].out, "h");  // the shared state register
 }
 
 TEST(ModelZoo, ParamsCoverEveryCellReference) {

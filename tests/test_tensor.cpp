@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -205,6 +206,51 @@ INSTANTIATE_TEST_SUITE_P(Grid, ActivationGrid,
                          ::testing::Values(-8.0f, -4.0f, -1.5f, -0.5f,
                                            -0.01f, 0.0f, 0.01f, 0.5f, 1.5f,
                                            4.0f, 8.0f));
+
+TEST(Activations, RationalTanhSaturatesExactlyOutsideFive) {
+  // The branch-free form computes the quotient everywhere and selects ±1
+  // strictly outside [-5, 5]: the same values the clamp-then-divide form
+  // gives, including at the boundary and its neighbours, at infinities,
+  // NaN and denormals.
+  const auto reference = [](float x) {
+    if (x > 5.0f) return 1.0f;
+    if (x < -5.0f) return -1.0f;
+    const float x2 = x * x;
+    return x * (135135.0f + x2 * (17325.0f + x2 * (378.0f + x2))) /
+           (135135.0f + x2 * (62370.0f + x2 * (3150.0f + x2 * 28.0f)));
+  };
+  const float inf = std::numeric_limits<float>::infinity();
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const float xs[] = {5.0f,
+                      -5.0f,
+                      std::nextafter(5.0f, inf),
+                      std::nextafter(5.0f, 0.0f),
+                      std::nextafter(-5.0f, -inf),
+                      std::nextafter(-5.0f, 0.0f),
+                      inf,
+                      -inf,
+                      1e30f,
+                      -1e30f,
+                      tiny,
+                      -tiny,
+                      std::numeric_limits<float>::min() / 2.0f,
+                      0.0f,
+                      -0.0f};
+  for (const float x : xs) {
+    const float got = kernels::tanh_rational(x);
+    const float want = reference(x);
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+        << x << ": " << got << " vs " << want;
+  }
+  EXPECT_EQ(kernels::tanh_rational(std::nextafter(5.0f, inf)), 1.0f);
+  EXPECT_EQ(kernels::tanh_rational(-inf), -1.0f);
+  EXPECT_TRUE(std::isnan(
+      kernels::tanh_rational(std::numeric_limits<float>::quiet_NaN())));
+  EXPECT_TRUE(std::isnan(
+      kernels::sigmoid_rational(std::numeric_limits<float>::quiet_NaN())));
+  EXPECT_EQ(kernels::sigmoid_rational(inf), 1.0f);
+  EXPECT_EQ(kernels::sigmoid_rational(-inf), 0.0f);
+}
 
 TEST(Activations, VectorFormsMatchScalar) {
   std::vector<float> in{-2.0f, -0.3f, 0.0f, 0.7f, 3.0f};
